@@ -6,7 +6,7 @@ schedule of out-and-back square spirals that simultaneously enlarges the
 searched square and refines its resolution.  The package provides the
 trajectory generators, the unit-speed and exponentially accelerating
 searchers with their cost certificates, adversarial target strategies,
-an exact event-driven simulator, the tube-area lower-bound machinery,
+an exact simulator, the tube-area lower-bound machinery,
 and seeded experiment sweeps.
 """
 

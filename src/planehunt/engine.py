@@ -1,11 +1,15 @@
 """Deterministic continuous-time simulation of searcher vs target.
 
-The searcher walks the instruction stream leg by leg.  Within a leg its
-velocity is constant, and targets are piecewise-linear, so every
-searcher/target interval reduces to an exact quadratic contact test.
-Inert targets take a vectorized path over whole out-and-back blocks,
-which the large parameter sweeps rely on; the two paths solve the same
-quadratics and agree to floating rounding.
+One exact engine serves every target, every plan, traced or not.  It
+walks the schedule one out-and-back block at a time as `pi_arrays`
+vertex arrays: each block starts and ends at the searcher's start, and
+the clock inside a block is its arc length over the diagonal's speed.
+Targets are piecewise linear and inert after their last breakpoint, so
+the few legs that start while the target still moves are split at its
+breakpoints and each piece is solved as an exact quadratic; every later
+leg goes through a vectorized per-block test against the target's final
+point.  A trace is written from the same block arrays and never changes
+the result.
 """
 
 import math
@@ -15,7 +19,7 @@ from itertools import count
 import numpy as np
 
 from .geometry import Point, first_contact_time
-from .trajectory import UNIT, diagonal_terms, pi_arrays
+from .trajectory import UNIT, diagonal_terms, full_schedule, pi_arrays
 
 
 @dataclass(frozen=True)
@@ -26,9 +30,9 @@ class SimConfig:
     max_diagonal: int = None
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("sensing radius r must be positive")
-        if self.max_cost <= 0:
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError("sensing radius r must be finite and positive")
+        if not self.max_cost > 0:
             raise ValueError("max_cost must be positive")
         if math.isinf(self.max_cost) and self.max_diagonal is None:
             raise ValueError("need a finite max_cost or max_diagonal")
@@ -70,13 +74,12 @@ def simulate(plan, strategy, cfg, trace=None):
     """Run one searcher plan against one target strategy.
 
     Stops at the first of: sensing (distance <= r), the arc-length budget
-    max_cost, or the end of diagonal max_diagonal.  Deterministic.
+    max_cost, or the end of diagonal max_diagonal.  Deterministic; the
+    optional trace records the walk without changing it.
     """
     tracer = _Trace(trace) if trace is not None else None
     try:
-        if strategy.is_inert and tracer is None:
-            return _simulate_inert(plan, strategy.points[0], cfg)
-        return _simulate_event_driven(plan, strategy, cfg, tracer)
+        return _simulate(plan, strategy, cfg, tracer)
     finally:
         if tracer is not None:
             tracer.close()
@@ -95,56 +98,76 @@ def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
     )
 
 
-def _simulate_event_driven(plan, strategy, cfg, tracer):
-    pos = cfg.agent_start
-    t = 0.0
-    cost = 0.0
-    legs = 0
-    diagonal = 0
+def _simulate(plan, strategy, cfg, tracer):
+    start = np.array([cfg.agent_start.x, cfg.agent_start.y])
+    final = strategy.points[-1]
+    q_rel = np.array([final.x, final.y]) - start
+    t_still = strategy.times[-1]  # the target is inert from here on
+
     tgt0 = strategy.position(0.0)
-    if (tgt0 - pos).norm() <= cfg.r:
+    if (tgt0 - cfg.agent_start).norm() <= cfg.r:
         if tracer:
-            tracer.emit(0.0, 0.0, pos, tgt0, "sense")
-        return _outcome(True, 0.0, 0.0, pos, tgt0, 0, 0, "sensed")
+            tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
+        return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    for i, instr in plan.schedule():
+    cost = 0.0
+    t = 0.0
+    legs = 0
+    for i in count(1):
         if cfg.max_diagonal is not None and i > cfg.max_diagonal:
-            return _outcome(False, t, cost, pos, strategy.position(t), diagonal, legs, "diagonal_budget")
-        diagonal = i
+            tgt = strategy.position(t)
+            return _outcome(False, t, cost, cfg.agent_start, tgt, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)
-        ux, uy = UNIT[instr.direction]
-        u = Point(ux * speed, uy * speed)
-
-        budget_left = cfg.max_cost - cost
-        leg_len = min(instr.distance, budget_left)
-        truncated = leg_len < instr.distance
-        leg_dt = leg_len / speed
-        if tracer:
-            tracer.emit(t, cost, pos, strategy.position(t), "leg_start")
-
-        for ts, te, tgt_pos, w in strategy.constant_velocity_pieces(t, t + leg_dt):
-            agent_at_ts = pos + Point(u.x * (ts - t), u.y * (ts - t))
-            hit = first_contact_time(agent_at_ts, u, tgt_pos, w, cfg.r, te - ts)
-            if hit is not None:
-                t_hit = ts + hit
-                cost_hit = cost + speed * (t_hit - t)
-                agent_hit = pos + Point(u.x * (t_hit - t), u.y * (t_hit - t))
-                tgt_hit = strategy.position(t_hit)
+        for params in diagonal_terms(i):
+            verts, lengths, cum = pi_arrays(params.k, params.j)
+            allowance = cfg.max_cost - cost
+            # legs that start before t_still see a moving target
+            n = 0 if t >= t_still else int(np.searchsorted(t + (cum - lengths) / speed, t_still))
+            hit = _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, cfg.r, allowance)
+            if hit is None:
+                hit = _first_contact_in_block(verts[n:], lengths[n:], cum[n:], q_rel, cfg.r, allowance)
+                if hit is not None:
+                    hit = (hit[0], hit[1] + n)
+            sensed = hit is not None
+            if sensed or cum[-1] >= allowance:
+                arc, idx = hit if sensed else (allowance, int(np.searchsorted(cum, allowance)))
+                xy = start + _point_at_arc(verts, lengths, cum, arc, idx)
+                t_stop = float(t + arc / speed)
                 if tracer:
-                    tracer.emit(t_hit, cost_hit, agent_hit, tgt_hit, "sense")
-                return _outcome(True, t_hit, cost_hit, agent_hit, tgt_hit, i, legs + 1, "sensed")
-
-        pos = pos + Point(u.x * leg_dt, u.y * leg_dt)
-        t += leg_dt
-        cost += leg_len
-        legs += 1
-        if tracer:
-            tracer.emit(t, cost, pos, strategy.position(t), "leg_end")
-        if truncated or cost >= cfg.max_cost:
+                    _trace_block(tracer, strategy, start, verts, cum, t, cost, speed, (arc, idx, xy, sensed))
+                agent, tgt = Point(float(xy[0]), float(xy[1])), strategy.position(t_stop)
+                stop_cost = cost + arc if sensed else cfg.max_cost
+                reason = "sensed" if sensed else "cost_budget"
+                return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
             if tracer:
-                tracer.emit(t, cost, pos, strategy.position(t), "cost_budget")
-            return _outcome(False, t, cost, pos, strategy.position(t), i, legs, "cost_budget")
-    raise AssertionError("schedule is infinite")  # pragma: no cover
+                _trace_block(tracer, strategy, start, verts, cum, t, cost, speed)
+            block_len = cum[-1]
+            cost += block_len
+            t += block_len / speed
+            legs += lengths.size
+
+
+def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, arc_allowance):
+    """First contact (arc, leg index) on the first n legs of a block, or None.
+
+    The target may still move during these legs, so each leg is split at
+    the target's breakpoints and every constant-velocity piece is solved
+    exactly; only the first arc_allowance of arc length is admissible.
+    """
+    for idx in range(n):
+        arc0 = cum[idx] - lengths[idx]
+        if arc0 >= arc_allowance:
+            return None
+        t0 = t + arc0 / speed
+        u = (verts[idx + 1] - verts[idx]) * (speed / lengths[idx])
+        vel = Point(float(u[0]), float(u[1]))
+        pos = Point(float(start[0] + verts[idx, 0]), float(start[1] + verts[idx, 1]))
+        leg_dt = min(lengths[idx], arc_allowance - arc0) / speed
+        for ts, te, tgt_pos, w in strategy.constant_velocity_pieces(t0, t0 + leg_dt):
+            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, tgt_pos, w, r, te - ts)
+            if hit is not None:
+                return arc0 + speed * (ts + hit - t0), idx
+    return None
 
 
 def _first_contact_in_block(verts, lengths, cum, q_rel, r, arc_allowance):
@@ -183,60 +206,36 @@ def _first_contact_in_block(verts, lengths, cum, q_rel, r, arc_allowance):
     return None
 
 
-def _simulate_inert(plan, target, cfg):
-    start = np.array([cfg.agent_start.x, cfg.agent_start.y])
-    q_rel = np.array([target.x, target.y]) - start
-
-    if math.hypot(*q_rel) <= cfg.r:
-        return _outcome(True, 0.0, 0.0, cfg.agent_start, target, 0, 0, "sensed")
-
-    cost = 0.0
-    t = 0.0
-    legs = 0
-    for i in count(1):
-        if cfg.max_diagonal is not None and i > cfg.max_diagonal:
-            return _outcome(False, t, cost, cfg.agent_start, target, i - 1, legs, "diagonal_budget")
-        speed = plan.speed_of_diagonal(i)
-        for params in diagonal_terms(i):
-            verts, lengths, cum = pi_arrays(params.k, params.j)
-            allowance = cfg.max_cost - cost
-            hit = _first_contact_in_block(verts, lengths, cum, q_rel, cfg.r, allowance)
-            if hit is not None:
-                arc, idx = hit
-                agent = start + _point_at_arc(verts, lengths, cum, arc, idx)
-                return _outcome(
-                    True,
-                    t + arc / speed,
-                    cost + arc,
-                    Point(float(agent[0]), float(agent[1])),
-                    target,
-                    i,
-                    legs + idx + 1,
-                    "sensed",
-                )
-            block_len = cum[-1]
-            if block_len >= allowance:
-                cut_idx = int(np.searchsorted(cum, allowance, side="left"))
-                agent = start + _point_at_arc(verts, lengths, cum, allowance, cut_idx)
-                return _outcome(
-                    False,
-                    t + allowance / speed,
-                    cfg.max_cost,
-                    Point(float(agent[0]), float(agent[1])),
-                    target,
-                    i,
-                    legs + cut_idx + 1,
-                    "cost_budget",
-                )
-            cost += block_len
-            t += block_len / speed
-            legs += lengths.size
-
-
 def _point_at_arc(verts, lengths, cum, arc, idx):
     cum_prev = cum[idx] - lengths[idx]
     frac = (arc - cum_prev) / lengths[idx]
     return verts[idx] + frac * (verts[idx + 1] - verts[idx])
+
+
+def _trace_block(tracer, strategy, start, verts, cum, t, cost, speed, stop=None):
+    """leg_start/leg_end lines for one block walked from its start.
+
+    stop = (arc, idx, agent xy, sensed) ends the walk inside leg idx with
+    a sense line, or with leg_end and cost_budget lines.
+    """
+
+    def emit(arc, xy, event):
+        at = float(t + arc / speed)
+        agent = Point(float(xy[0]), float(xy[1]))
+        tracer.emit(at, cost + arc, agent, strategy.position(at), event)
+
+    walked = len(cum) if stop is None else stop[1]
+    prev = 0.0
+    for leg in range(walked):
+        emit(prev, start + verts[leg], "leg_start")
+        emit(cum[leg], start + verts[leg + 1], "leg_end")
+        prev = cum[leg]
+    if stop is not None:
+        arc, idx, xy, sensed = stop
+        emit(prev, start + verts[idx], "leg_start")
+        if not sensed:
+            emit(arc, xy, "leg_end")
+        emit(arc, xy, "sense" if sensed else "cost_budget")
 
 
 def brute_force_oracle(plan, strategy, cfg, step):
@@ -266,7 +265,7 @@ def brute_force_oracle(plan, strategy, cfg, step):
     if math.hypot(tgt0.x - pos[0], tgt0.y - pos[1]) <= cfg.r:
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    for i, instr in plan.schedule():
+    for i, instr in full_schedule():
         if cfg.max_diagonal is not None and i > cfg.max_diagonal:
             tp = strategy.position(t)
             return _outcome(False, t, cost, Point(*pos), tp, i - 1, legs, "diagonal_budget")

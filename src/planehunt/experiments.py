@@ -12,6 +12,7 @@ sharing those values draw identical targets.
 import csv
 import json
 import math
+import os
 import struct
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
@@ -226,7 +227,7 @@ def _run_cells(worker, cells, jobs):
     if jobs <= 1 or len(cells) <= 1:
         results = [worker(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells), os.cpu_count() or 1)) as pool:
             results = list(pool.map(worker, cells))
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda row: row.run_id)

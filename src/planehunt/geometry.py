@@ -84,8 +84,10 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     b = 2.0 * d0.dot(rel)
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        # accept a graze whose residual is within rounding of zero
-        scale = max(b * b, abs(4.0 * a * c), 1.0)
+        # accept a graze whose residual is within rounding of zero; the
+        # tolerance is relative because -disc / 4a is the squared-distance
+        # miss, which an absolute floor would let grow as a shrinks
+        scale = max(b * b, abs(4.0 * a * c))
         if disc < -ROOT_TOL * scale:
             return None
         disc = 0.0

@@ -10,7 +10,7 @@ diagonals converge to a constant q.
 import math
 from dataclasses import dataclass
 
-from .trajectory import diagonal_length, full_schedule, predict_static
+from .trajectory import diagonal_length, predict_static
 
 # Per-diagonal traversal time decays like 2^(-2i) once i >= 11; the tail
 # of the time series is certified by that geometric bound.
@@ -29,9 +29,6 @@ class SearcherPlan:
         if i < 1:
             raise ValueError("diagonal index must be >= 1")
         return 2.0 ** (self.speed_exponent * i)
-
-    def schedule(self):
-        return full_schedule()
 
     def traversal_time(self, i):
         return diagonal_length(i) / self.speed_of_diagonal(i)

@@ -20,7 +20,7 @@ so nothing here materializes full instruction lists.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def predict_static(D, r):
 
 # --- vectorized views -----------------------------------------------------
 #
-# The simulation fast path and the coverage tests need whole trajectories
+# The simulation engine and the coverage tests need whole trajectories
 # as numpy arrays.  Out-and-back trajectories start and end at the origin,
 # so per-(k, j) arrays are position-independent and cacheable.
 
@@ -227,8 +227,3 @@ def prefix_polyline(max_cost, start=(0.0, 0.0)):
         if remaining <= 0:
             break
     return np.array(pts)
-
-
-def schedule_prefix(n):
-    """First n entries of the full schedule, as a list (tests only)."""
-    return list(islice(full_schedule(), n))

@@ -2,7 +2,7 @@ import csv
 
 from planehunt.cli import run
 from planehunt.engine import SimConfig, simulate
-from planehunt.experiments import sweep_static, write_rows_csv
+from planehunt.experiments import sweep_dynamic, sweep_static, write_rows_csv
 from planehunt.geometry import Point
 from planehunt.searcher import static_plan
 from planehunt.target import inert
@@ -32,6 +32,12 @@ def test_simulate_waypoints_file(tmp_path, capsys):
     assert "sensed=True" in capsys.readouterr().out
 
 
+def test_simulate_rejects_nan_radius_exit_2(capsys):
+    code = run(["simulate", "--target", "1,0", "--r", "nan", "--max-diagonal", "2"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2
@@ -59,7 +65,9 @@ def test_sweep_dynamic_runs(tmp_path):
         "--D", "1", "--samples", "3", "--seed", "7", "--out", str(out),
     ])
     assert code == 0
-    assert out.exists()
+    golden = tmp_path / "lib.csv"
+    write_rows_csv(sweep_dynamic([0.0, 1.0], [0.25], 1.0, 3, 7), str(golden))
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_guard_violation_exit_2(capsys):

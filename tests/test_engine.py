@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from planehunt.engine import SimConfig, _simulate_event_driven, brute_force_oracle, simulate
+from planehunt.engine import SimConfig, brute_force_oracle, simulate
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
@@ -16,6 +16,15 @@ def test_config_validation():
         SimConfig(r=1.0)  # no budget at all
     with pytest.raises(ValueError):
         SimConfig(r=1.0, max_diagonal=0)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(r=r, max_diagonal=2)
+    for max_cost in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(r=0.5, max_cost=max_cost)
+        with pytest.raises(ValueError):
+            SimConfig(r=0.5, max_cost=max_cost, max_diagonal=2)
+    assert SimConfig(r=0.5, max_cost=math.inf, max_diagonal=2).max_cost == math.inf
 
 
 class TestSimulateInert:
@@ -62,17 +71,6 @@ class TestSimulateInert:
             assert s.cost == d.cost
             assert s.agent_pos == d.agent_pos
             assert d.time < s.time
-
-    def test_fast_path_matches_event_driven(self):
-        rng = np.random.default_rng(11)
-        cfg = SimConfig(r=0.35, max_diagonal=2)
-        for _ in range(25):
-            p = Point(*rng.uniform(-1.5, 1.5, size=2))
-            fast = simulate(static_plan(), inert(p), cfg)
-            slow = _simulate_event_driven(static_plan(), inert(p), cfg, None)
-            assert fast.sensed == slow.sensed
-            assert fast.cost == pytest.approx(slow.cost, abs=1e-9)
-            assert fast.diagonal == slow.diagonal
 
     def test_sensing_boundary(self):
         # agent-target distance stays above r before the sensing time
@@ -134,6 +132,24 @@ class TestSimulateMoving:
             assert parts[6] in {"leg_start", "leg_end", "sense", "cost_budget"}
         assert lines[-1].split()[6] == "sense"
 
+    @pytest.mark.parametrize(
+        "strategy, cfg",
+        [
+            (inert(Point(3, 0.1)), SimConfig(r=0.1, max_cost=150.5, max_diagonal=3)),
+            (inert(Point(0.7, -0.4)), SimConfig(r=0.3, max_diagonal=2)),
+            (radial_flee(Point(0, 0), Point(0.7, 0.2), v=2.0, t_freeze=0.5 / 32),
+             SimConfig(r=0.0625, max_diagonal=4)),
+        ],
+    )
+    def test_trace_leaves_outcome_unchanged(self, tmp_path, strategy, cfg):
+        path = tmp_path / "trace.txt"
+        plain = simulate(dynamic_plan(), strategy, cfg)
+        traced = simulate(dynamic_plan(), strategy, cfg, trace=str(path))
+        assert traced == plain
+        lines = [line.split() for line in path.read_text().splitlines()]
+        assert sum(parts[6] == "leg_start" for parts in lines) == plain.legs_processed
+        assert lines[-1][1] == f"{plain.cost:.12g}"
+
 
 class TestBruteForceOracle:
     def test_hand_traced_case(self):
@@ -169,6 +185,38 @@ class TestBruteForceOracle:
         approx = brute_force_oracle(static_plan(), strategy, cfg, 1e-4)
         assert exact.sensed == approx.sensed
         assert abs(exact.cost - approx.cost) <= 1e-3
+
+    def test_waypoint_targets_match_oracle(self):
+        # moving targets that stop mid-block, caught on a moving leg or
+        # after stopping, some cut by a budget while still moving
+        cases = [
+            # the budget ends on the first leg just short of contact
+            (static_plan(), waypoints([Point(0.6, 0), Point(0.6, 0.01)], [0, 10], v=0.001),
+             SimConfig(r=0.4, max_cost=0.1, max_diagonal=1)),
+        ]
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            plan = (static_plan(), dynamic_plan())[case % 2]
+            speed = plan.speed_of_diagonal(1)
+            times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 6.0, rng.integers(1, 4))]))
+            times /= speed
+            pts = [Point(*rng.uniform(-1.5, 1.5, size=2)) for _ in times]
+            v = max((b - a).norm() / (tb - ta) for a, b, ta, tb in zip(pts, pts[1:], times, times[1:]))
+            max_cost = rng.uniform(0.3, 0.9) * times[-1] * speed if case % 3 == 0 else math.inf
+            cfg = SimConfig(r=rng.uniform(0.1, 0.4), max_cost=max_cost, max_diagonal=2)
+            cases.append((plan, waypoints(pts, times, v * (1 + 1e-9)), cfg))
+        step = 1e-3
+        seen = set()
+        for plan, strategy, cfg in cases:
+            exact = simulate(plan, strategy, cfg)
+            approx = brute_force_oracle(plan, strategy, cfg, step)
+            assert (exact.sensed, exact.stop_reason, exact.diagonal) == (
+                approx.sensed, approx.stop_reason, approx.diagonal
+            )
+            assert abs(exact.cost - approx.cost) <= 10 * step
+            if exact.cost > 0:
+                seen.add((exact.stop_reason, exact.time < strategy.times[-1]))
+        assert {("sensed", True), ("sensed", False), ("cost_budget", True)} <= seen
 
     def test_rejects_bad_step(self):
         cfg = SimConfig(r=0.5, max_diagonal=1)

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from planehunt import experiments
 from planehunt.experiments import (
     SWEEP_FIELDS,
     export_svg,
@@ -58,6 +59,31 @@ class TestSweepStatic:
         a = sweep_static([1, 4], [1 / 4], samples=4, seed=9)
         b = sweep_static([1, 4], [1 / 4], samples=4, seed=9)
         assert a == b
+
+    def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        serial = sweep_static([1, 2, 4], [1 / 4], samples=2, seed=5, jobs=1)
+        assert sweep_static([1, 2, 4], [1 / 4], samples=2, seed=5, jobs=1000) == serial
+        sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=1, seed=5, jobs=1000)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        sweep_static([1, 2], [1 / 4], samples=1, seed=5, jobs=1000)
+        assert requested == [3, 4, 1]
 
     def test_jobs_merge_is_deterministic(self):
         serial = sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=3, seed=5, jobs=1)

@@ -38,6 +38,9 @@ class TestFirstContactTime:
     def test_equal_velocities_no_contact(self):
         t = first_contact_time(Point(0, 0), Point(1, 0), Point(0.5, 0), Point(1, 0), 0.1, 10.0)
         assert t is None
+        # relative speed 1e-9 sits just above the constant-separation cutoff
+        t = first_contact_time(Point(2, 0), Point(0, 0), Point(0, 0), Point(0, 1e-9), 1.0, 50.0)
+        assert t is None
 
     def test_already_within_r_nonstrict(self):
         t = first_contact_time(Point(0, 0), Point(0, 0), Point(0, 0.5), Point(0, 0), 0.5, 1.0)
