@@ -134,6 +134,11 @@ def _cmd_sweep_dynamic(args):
 
 
 def _cmd_adversary(args):
+    # validate up front: a report must not stop after its header line
+    if args.i < 1:
+        raise ValueError(f"--i must be >= 1, got {args.i}")
+    if args.grid_res < 32:
+        raise ValueError(f"--grid-res must be >= 32, got {args.grid_res}")
     prefix = prefix_polyline(args.max_cost)
     placements = adversarial_static_placement(prefix, args.i, grid_res=args.grid_res)
     print("j D_j r_j witness_x witness_y tube_area tube_bound")

@@ -2,9 +2,11 @@
 
 The key geometric fact is the sausage bound: the set of points within r
 of a curve of length x has area at most 2rx + pi r^2.  tube_area measures
-that set by rasterization; the certifier functions evaluate the
-closed-form lower bounds on search cost that follow from it, plus the
-impossibility certificate for polynomially accelerating searchers.
+that set with the grid rasterizer _covered_cells, which the adversary's
+witness search (target.adversarial_static_placement) shares; the
+certifier functions evaluate the closed-form lower bounds on search cost
+that follow from it, plus the impossibility certificate for polynomially
+accelerating searchers.
 """
 
 import math
@@ -56,12 +58,51 @@ def polyline_length(polyline):
     return float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
 
 
+def _covered_cells(xs, ys, polyline, r):
+    """Mask of the grid cells whose centre lies within r of the polyline.
+
+    xs and ys are the sorted cell-centre coordinates along each axis; the
+    result is a bool array of shape (len(xs), len(ys)).  This is the one
+    rasterizer behind tube_area and the adversary's witness search.  Each
+    segment's r-inflated bounding box is located on xs and ys with
+    searchsorted, and the exact point-to-segment test dist^2 <= r^2 is
+    evaluated only on that slice of cells.  A one-vertex polyline is a disc.
+    """
+    if polyline.shape[0] == 1:
+        polyline = np.vstack([polyline, polyline])
+    a_all = polyline[:-1]
+    d_all = polyline[1:] - a_all
+    b_all = a_all + d_all
+    lo = np.minimum(a_all, b_all) - r
+    hi = np.maximum(a_all, b_all) + r
+    ix0 = np.searchsorted(xs, lo[:, 0], side="left")
+    ix1 = np.searchsorted(xs, hi[:, 0], side="right")
+    iy0 = np.searchsorted(ys, lo[:, 1], side="left")
+    iy1 = np.searchsorted(ys, hi[:, 1], side="right")
+
+    marked = np.zeros((len(xs), len(ys)), dtype=bool)
+    for s in np.flatnonzero((ix0 < ix1) & (iy0 < iy1)):
+        a, d = a_all[s], d_all[s]
+        gx = xs[ix0[s] : ix1[s], None]
+        gy = ys[None, iy0[s] : iy1[s]]
+        len2 = d @ d
+        if len2 == 0.0:
+            dist2 = (gx - a[0]) ** 2 + (gy - a[1]) ** 2
+        else:
+            t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / len2
+            np.clip(t, 0.0, 1.0, out=t)
+            dist2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
+        marked[ix0[s] : ix1[s], iy0[s] : iy1[s]] |= dist2 <= r * r
+    return marked
+
+
 def tube_area(polyline, r, grid_res=256):
     """Rasterized area of the set of points within r of the polyline.
 
-    Counts cells of a grid_res x grid_res grid over the r-inflated
-    bounding box whose centers lie within r of the polyline; the estimate
-    carries a discretization slack of 4 * cell diagonal * length.
+    Counts the cells of a grid_res x grid_res grid over the r-inflated
+    bounding box that the shared bounding-box rasterizer (_covered_cells)
+    marks as within r of the polyline; the estimate carries a
+    discretization slack of 4 * cell diagonal * length.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -70,8 +111,6 @@ def tube_area(polyline, r, grid_res=256):
     polyline = np.asarray(polyline, dtype=np.float64)
     if polyline.ndim != 2 or polyline.shape[0] < 1:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
-    if polyline.shape[0] == 1:
-        polyline = np.vstack([polyline, polyline])
 
     lo = polyline.min(axis=0) - r
     hi = polyline.max(axis=0) + r
@@ -79,29 +118,7 @@ def tube_area(polyline, r, grid_res=256):
     dy = (hi[1] - lo[1]) / grid_res
     xs = lo[0] + (np.arange(grid_res) + 0.5) * dx
     ys = lo[1] + (np.arange(grid_res) + 0.5) * dy
-
-    marked = np.zeros((grid_res, grid_res), dtype=bool)
-    a_all = polyline[:-1]
-    d_all = polyline[1:] - a_all
-    for a, d in zip(a_all, d_all):
-        b = a + d
-        x0, x1 = min(a[0], b[0]) - r, max(a[0], b[0]) + r
-        y0, y1 = min(a[1], b[1]) - r, max(a[1], b[1]) + r
-        ix0 = max(0, int(np.searchsorted(xs, x0, side="left")))
-        ix1 = min(grid_res, int(np.searchsorted(xs, x1, side="right")))
-        iy0 = max(0, int(np.searchsorted(ys, y0, side="left")))
-        iy1 = min(grid_res, int(np.searchsorted(ys, y1, side="right")))
-        if ix0 >= ix1 or iy0 >= iy1:
-            continue
-        gx, gy = np.meshgrid(xs[ix0:ix1], ys[iy0:iy1], indexing="ij")
-        len2 = d @ d
-        if len2 == 0.0:
-            dist2 = (gx - a[0]) ** 2 + (gy - a[1]) ** 2
-        else:
-            t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / len2
-            np.clip(t, 0.0, 1.0, out=t)
-            dist2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
-        marked[ix0:ix1, iy0:iy1] |= dist2 <= r * r
+    marked = _covered_cells(xs, ys, polyline, r)
 
     cell_area = dx * dy
     length = polyline_length(polyline)

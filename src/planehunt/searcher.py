@@ -7,6 +7,7 @@ speed 2^(5i) on diagonal i, which makes the total traversal time of all
 diagonals converge to a constant q.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,11 +66,14 @@ def timing_table(plan, upto):
     return TimingTable(per_diagonal=tuple(times), cumulative=tuple(cum), q=q)
 
 
+@functools.lru_cache(maxsize=None)
 def dynamic_q(upto=DEFAULT_Q_TERMS):
     """Certified upper bound on the dynamic plan's total traversal time.
 
     Exact partial sum of t_i for i <= upto, plus the geometric tail
     sum_{i > max(upto, 10)} 2^(-2i) that dominates the remaining terms.
+    A pure function of upto, cached because predict_dynamic asks for it
+    once per sweep cell.
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")

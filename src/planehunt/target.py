@@ -10,9 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import _covered_cells
 from .geometry import Point
 
 SPEED_TOL = 1e-9
+# unmarked witness candidates confirmed per exact distance check
+WITNESS_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -178,9 +181,20 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     For each ring index j in 1..i the adversary pairs distance scale
     D_j = 2^j with sensing radius r_j = 2^(-2(i-j+1)) and hides the target
     in the ring Q(2^j) \\ Q(2^(j-1)) around the searcher's start.  A grid
-    of grid_res^2 candidates per ring is scanned for a point farther than
+    of grid_res^2 candidates per ring is searched for a point farther than
     r_j from every point of the trajectory; the first such point (in grid
     order) is returned as the witness, or None when the grid is covered.
+
+    The candidates that the trajectory covers are marked by the bounding-box
+    rasterizer that tube_area uses (coverage._covered_cells), run at r_j
+    shrunk by one part in 1e9 so that rounding can only leave a covered cell
+    unmarked, never mark a far one.  The unmarked in-ring cells are then
+    confirmed in grid order, in chunks, by the exact
+    _min_distance_to_polyline(...) > r_j, so the witness is the one a scan of
+    every candidate through that exact check would return.  On axis-aligned
+    legs (every schedule leg) the two distance computations agree bit for
+    bit; on slanted segments they differ in the last bits, which the margin
+    covers while coordinates and segment lengths stay below about 1e6 r_j.
 
     Returns a list of (j, D_j, r_j, witness Point or None).
     """
@@ -199,15 +213,16 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         half = 2.0 ** (j - 1)
         xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
         ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        mask = annulus_membership(pts, j, center)
-        candidates = pts[mask]
-        dists = _min_distance_to_polyline(candidates, polyline)
-        far = np.nonzero(dists > r_j)[0]
-        if far.size:
-            w = candidates[far[0]]
-            results.append((j, D_j, r_j, Point(float(w[0]), float(w[1]))))
-        else:
-            results.append((j, D_j, r_j, None))
+        candidates = pts[annulus_membership(pts, j, center) & ~covered.ravel()]
+        witness = None
+        for s in range(0, len(candidates), WITNESS_CHUNK):
+            chunk = candidates[s : s + WITNESS_CHUNK]
+            far = np.flatnonzero(_min_distance_to_polyline(chunk, polyline) > r_j)
+            if far.size:
+                witness = Point(float(chunk[far[0], 0]), float(chunk[far[0], 1]))
+                break
+        results.append((j, D_j, r_j, witness))
     return results

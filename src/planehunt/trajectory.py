@@ -215,8 +215,8 @@ def prefix_polyline(max_cost, start=(0.0, 0.0)):
     Reconstructs the exact path a searcher traversed when it stopped at
     cost max_cost (the final leg is truncated at the budget).
     """
-    if max_cost < 0:
-        raise ValueError("max_cost must be nonnegative")
+    if not (math.isfinite(max_cost) and max_cost >= 0):
+        raise ValueError(f"max_cost must be finite and nonnegative, got {max_cost}")
     pts = [np.asarray(start, dtype=np.float64)]
     remaining = max_cost
     for _, instr in full_schedule():

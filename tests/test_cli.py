@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from planehunt.cli import run
 from planehunt.engine import SimConfig, simulate
 from planehunt.experiments import sweep_dynamic, sweep_static, write_rows_csv
@@ -91,6 +93,47 @@ def test_adversary_report(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("j D_j r_j")
     assert len(lines) == 3
+
+
+def test_adversary_benchmark_command_golden(capsys):
+    code = run(["adversary", "--i", "4", "--max-cost", "4000", "--grid-res", "128"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "j D_j r_j witness_x witness_y tube_area tube_bound",
+        "1 2 0.00390625 -0.9921875 -0.9921875 10.4618806 31.2500479",
+        "2 4 0.015625 -1.953125 -1.953125 41.2158436 125.000767",
+        "3 8 0.0625 -3.90625 -3.90625 158.708679 500.012272",
+        "4 16 0.25 none none 284.554932 2000.19635",
+    ]
+
+
+@pytest.mark.parametrize("max_cost", ["nan", "inf"])
+def test_adversary_rejects_nonfinite_max_cost(max_cost, capsys):
+    code = run(["adversary", "--i", "2", "--max-cost", max_cost, "--grid-res", "32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "max_cost" in captured.err
+
+
+@pytest.mark.parametrize("i, grid_res", [("2", "16"), ("2", "31"), ("0", "64")])
+def test_adversary_bad_sizes_exit_2_before_output(i, grid_res, capsys):
+    code = run(["adversary", "--i", i, "--max-cost", "10", "--grid-res", grid_res])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+@pytest.mark.parametrize("max_cost", ["nan", "inf"])
+def test_export_svg_rejects_nonfinite_max_cost(max_cost, tmp_path, capsys):
+    out = tmp_path / "t.svg"
+    code = run(["export-svg", "--max-cost", max_cost, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "max_cost" in captured.err
+    assert not out.exists()
 
 
 def test_export_svg(tmp_path, capsys):

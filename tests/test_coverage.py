@@ -10,6 +10,7 @@ from planehunt.coverage import (
     static_lb,
     tube_area,
 )
+from planehunt.trajectory import prefix_polyline
 
 
 class TestTubeArea:
@@ -36,6 +37,39 @@ class TestTubeArea:
             r = rng.uniform(0.1, 0.5)
             report = tube_area(poly, r, grid_res=128)
             assert report.estimated_area <= report.analytic_bound + report.slack
+
+    @pytest.mark.parametrize(
+        "polyline, r, grid_res, area",
+        [
+            ([[0.0, 0.0], [2.0, 0.0]], 0.5, 256, 2.7857666015625),
+            ([[1.0, 1.0]], 1.0, 256, 3.141357421875),
+            ([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0]], 0.5, 256, 2.7857666015625),
+            ([[0.0, 0.0], [1.0, 0.0], [2.5, 1.75], [2.5, -0.5]], 0.3, 64, 3.481369628906249),
+            (171.0, 0.25, 256, 23.792648315429688),
+            (900.0, 0.0625, 256, 41.828835010528564),
+            (4000.0, 0.00390625, 128, 10.461880642920732),
+        ],
+        ids=["straight", "point", "doubled", "slanted", "prefix-171", "prefix-900", "prefix-4000"],
+    )
+    def test_recorded_areas_bit_identical(self, polyline, r, grid_res, area):
+        # values recorded from the per-segment meshgrid rasterizer this one replaced
+        if isinstance(polyline, float):
+            polyline = prefix_polyline(polyline)
+        assert tube_area(np.array(polyline), r, grid_res=grid_res).estimated_area == area
+
+    def test_random_walk_areas_bit_identical(self):
+        rng = np.random.default_rng(9)
+        recorded = [
+            1.3231601994976423, 5.907157526300307, 11.396188159376143,
+            9.69110318927263, 6.988515888854473, 5.3308758999197,
+            3.6973863996685963, 2.452979174165343, 7.180986951651405,
+            7.488783117038008,
+        ]
+        for area in recorded:
+            steps = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)], size=15)
+            poly = np.vstack([[0, 0], np.cumsum(steps, axis=0)]).astype(float)
+            r = rng.uniform(0.1, 0.5)
+            assert tube_area(poly, r, grid_res=128).estimated_area == area
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import pytest
 
+from planehunt import searcher
 from planehunt.searcher import (
     dynamic_plan,
     dynamic_q,
@@ -69,6 +70,16 @@ class TestDynamicQ:
         values = [dynamic_q(upto) for upto in range(10, 30)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-15
+
+    def test_cached_values_bit_identical_to_uncached(self, monkeypatch):
+        uncached = dynamic_q.__wrapped__
+        assert dynamic_q() == uncached()
+        for upto in (1, 3, 10, 30, 48):
+            assert dynamic_q(upto) == uncached(upto)
+        cases = [(1, 1, 1 / 16), (4, 0.5, 1 / 4), (2, 16, 1 / 64), (8, 3, 0.01)]
+        cached = [predict_dynamic(D, v, r) for D, v, r in cases]
+        monkeypatch.setattr(searcher, "dynamic_q", uncached)
+        assert cached == [predict_dynamic(D, v, r) for D, v, r in cases]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

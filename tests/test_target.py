@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from planehunt.coverage import _covered_cells
 from planehunt.geometry import Point
 from planehunt.target import (
     _min_distance_to_polyline,
@@ -11,6 +12,7 @@ from planehunt.target import (
     radial_flee,
     waypoints,
 )
+from planehunt.trajectory import prefix_polyline
 
 
 class TestInert:
@@ -130,3 +132,107 @@ class TestAdversarialPlacement:
             adversarial_static_placement(traj, 0)
         with pytest.raises(ValueError):
             adversarial_static_placement(traj, 2, grid_res=8)
+
+
+def _brute_force_witnesses(polyline, i, grid_res):
+    """Every in-ring candidate through the exact distance; first far one wins."""
+    polyline = np.asarray(polyline, dtype=np.float64)
+    center = polyline[0]
+    results = []
+    for j in range(1, i + 1):
+        r_j = 2.0 ** (-2 * (i - j + 1))
+        half = 2.0 ** (j - 1)
+        xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        candidates = pts[annulus_membership(pts, j, center)]
+        far = np.flatnonzero(_min_distance_to_polyline(candidates, polyline) > r_j)
+        witness = None
+        if far.size:
+            witness = Point(float(candidates[far[0], 0]), float(candidates[far[0], 1]))
+        results.append((j, 2.0 ** j, r_j, witness))
+    return results
+
+
+def _random_walk(rng):
+    """Axis-aligned lawnmower from a random start: columns at random gaps and
+    of random reach, so coverage of the rings is partial and uneven."""
+    start = rng.uniform(-1.5, 1.5, size=2)
+    x = start[0] - 2.0 + rng.uniform(0.0, 0.3)
+    pts = [start, [x, start[1]]]
+    sign = 1.0
+    while x < start[0] + 2.0:
+        y = start[1] + sign * rng.uniform(0.5, 2.2)
+        pts.append([x, y])
+        x += rng.uniform(0.05, 0.6)
+        pts.append([x, y])
+        sign = -sign
+    return np.array(pts)
+
+
+class TestWitnessEquivalence:
+    """The rasterize-then-confirm search returns the brute-force witnesses."""
+
+    @pytest.mark.parametrize("grid_res", [16, 33, 64])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_cost", [10.0, 171.0, 400.0, 1318.75])
+    def test_schedule_prefixes(self, max_cost, i, grid_res):
+        prefix = prefix_polyline(max_cost)
+        assert adversarial_static_placement(prefix, i, grid_res) == _brute_force_witnesses(
+            prefix, i, grid_res
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walks_off_origin(self, seed):
+        rng = np.random.default_rng(seed)
+        walk = _random_walk(rng)
+        for i, grid_res in ((1, 33), (1, 64), (2, 64), (3, 16)):
+            assert adversarial_static_placement(walk, i, grid_res) == _brute_force_witnesses(
+                walk, i, grid_res
+            )
+
+    @pytest.mark.parametrize(
+        "polyline",
+        [
+            [[0.3, -0.2]],
+            [[0.0, 0.0], [0.5, 0.0], [1.3, 0.9], [1.3, -0.4]],
+        ],
+        ids=["single-vertex", "one-slanted-segment"],
+    )
+    def test_degenerate_and_slanted(self, polyline):
+        for i, grid_res in ((1, 64), (2, 33), (3, 64)):
+            assert adversarial_static_placement(polyline, i, grid_res) == _brute_force_witnesses(
+                polyline, i, grid_res
+            )
+
+    def test_cells_at_exactly_r_are_confirmed_not_taken(self):
+        # Dyadic grid (16 cells over [-1, 1]) and r_1 = 1/4: the whole first
+        # column x = -15/16 lies exactly r_1 from the segment at x = -11/16.
+        # The shrunk rasterizer leaves those cells unmarked, the exact check
+        # rejects them, and the witness is the first cell farther than r_1.
+        poly = np.array([[0.0, 0.0], [-11 / 16, 0.0], [-11 / 16, -1.0], [-11 / 16, 1.0]])
+        xs = (np.arange(16) + 0.5) / 16 * 2 - 1
+        first = np.array([[xs[0], xs[0]]])
+        assert _min_distance_to_polyline(first, poly)[0] == 0.25
+        assert _covered_cells(xs, xs, poly, 0.25)[0, 0]
+        assert not _covered_cells(xs, xs, poly, 0.25 * (1 - 1e-9))[0, 0]
+        results = adversarial_static_placement(poly, 1, grid_res=16)
+        assert results == [(1, 2.0, 0.25, Point(-5 / 16, -15 / 16))]
+        assert results == _brute_force_witnesses(poly, 1, 16)
+
+    def test_last_bit_disagreement_is_confirmed_exactly(self):
+        # The first cell centre (-15/16, -15/16) lies about 0.25 from the
+        # slanted segment.  On x86-64 with numpy 2.x the rasterizer's
+        # arithmetic puts it within 0.25 while the exact check puts it one ulp
+        # beyond, so an unshrunk radius would mark the true witness as covered.
+        poly = np.array(
+            [
+                [0.0, 0.0],
+                [-0.5363893299648383, -1.3268715839451355],
+                [-0.8666691348649886, -0.38298851360478936],
+            ]
+        )
+        assert adversarial_static_placement(poly, 1, grid_res=16) == _brute_force_witnesses(
+            poly, 1, 16
+        )

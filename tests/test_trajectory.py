@@ -186,3 +186,8 @@ class TestVectorizedView:
         assert np.allclose(poly[-1], [0.25 - 0.1, -0.25])
         seg_lengths = np.linalg.norm(np.diff(poly, axis=0), axis=1)
         assert seg_lengths.sum() == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("max_cost", [math.nan, math.inf, -math.inf, -0.5])
+    def test_prefix_polyline_rejects_nonfinite_or_negative(self, max_cost):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            prefix_polyline(max_cost)
