@@ -46,8 +46,8 @@ class PolySpeedCertificate:
 
 def area_bound(length, r):
     """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x."""
-    if length < 0 or r <= 0:
-        raise ValueError("require length >= 0 and r > 0")
+    if length < 0 or not (math.isfinite(r) and r > 0):
+        raise ValueError("require length >= 0 and finite r > 0")
     return 2.0 * r * length + math.pi * r * r
 
 
@@ -104,8 +104,8 @@ def tube_area(polyline, r, grid_res=256):
     marks as within r of the polyline; the estimate carries a
     discretization slack of 4 * cell diagonal * length.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("r must be finite and positive")
     if grid_res < 32:
         raise ValueError("grid_res must be >= 32")
     polyline = np.asarray(polyline, dtype=np.float64)

@@ -10,6 +10,14 @@ breakpoints and each piece is solved as an exact quadratic; every later
 leg goes through a vectorized per-block test against the target's final
 point.  A trace is written from the same block arrays and never changes
 the result.
+
+Each block is an origin-centred square spiral with step 2^-j, and every
+point of a ring-m leg has Chebyshev norm in [(m-1)/2, (m+1)/2] * step, so
+only the rings with 2(c - r)/step - 1 <= m <= 2(c + r)/step + 1, for a
+target at Chebyshev norm c, can come within r of it.  The vectorized test
+runs only on the legs of that ring window, padded by RING_PAD rings, on
+the way out and on the way back; the result is the same as a scan of the
+whole block.
 """
 
 import math
@@ -20,6 +28,10 @@ import numpy as np
 
 from .geometry import Point, first_contact_time
 from .trajectory import UNIT, diagonal_terms, full_schedule, pi_arrays
+
+# rings of margin on each side of the exact ring window: one step of
+# Chebyshev radius, far above the rounding of the distance filter
+RING_PAD = 2
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,7 @@ def _simulate(plan, strategy, cfg, tracer):
             n = 0 if t >= t_still else int(np.searchsorted(t + (cum - lengths) / speed, t_still))
             hit = _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, cfg.r, allowance)
             if hit is None:
-                hit = _first_contact_in_block(verts[n:], lengths[n:], cum[n:], q_rel, cfg.r, allowance)
-                if hit is not None:
-                    hit = (hit[0], hit[1] + n)
+                hit = _first_contact_in_rings(verts, lengths, cum, n, q_rel, cfg.r, allowance)
             sensed = hit is not None
             if sensed or cum[-1] >= allowance:
                 arc, idx = hit if sensed else (allowance, int(np.searchsorted(cum, allowance)))
@@ -170,20 +180,57 @@ def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, 
     return None
 
 
-def _first_contact_in_block(verts, lengths, cum, q_rel, r, arc_allowance):
-    """First contact arc length within one out-and-back block, or None.
+def _first_contact_in_rings(verts, lengths, cum, n, q_rel, r, arc_allowance):
+    """First contact (arc, leg index) on legs n.. of a pi_arrays block, or None.
 
-    q_rel is the inert target relative to the block origin; only the first
-    arc_allowance of arc length is admissible (cost budget truncation).
+    The block has 8(k+1) legs and its first leg is one step long.
+    Outbound leg L lies in ring m = L // 2 + 1 and return leg
+    8(k+1) - 1 - L retraces it, so the ring window of the module docstring
+    is one leg range on the way out and one on the way back.  Both are
+    clipped to rings 1..2k+2 and to legs at or after n, and their legs go
+    through _first_contact_in_block together, in leg order: one call per
+    block, as a call costs more than the few legs of a window.
     """
-    a = verts[:-1]
-    d = verts[1:] - a
+    legs = lengths.size
+    step = lengths[0]
+    c = max(abs(q_rel[0]), abs(q_rel[1]))
+    if not math.isfinite(c):
+        return None  # no leg is within r of a target at infinity
+    m_lo = max(1, math.ceil(2.0 * (c - r) / step - 1.0) - RING_PAD)
+    m_hi = min(legs // 4, math.floor(2.0 * (c + r) / step + 1.0) + RING_PAD)
+    idx = np.concatenate([
+        np.arange(max(2 * m_lo - 2, n), 2 * m_hi),
+        np.arange(max(legs - 2 * m_hi, n), legs + 2 - 2 * m_lo),
+    ])
+    if idx.size == 0:
+        return None
+    a, b = verts.take(idx, axis=0), verts.take(idx + 1, axis=0)
+    hit = _first_contact_in_block(a, b, lengths.take(idx), cum.take(idx), q_rel, r, arc_allowance)
+    return None if hit is None else (hit[0], int(idx[hit[1]]))
+
+
+def _first_contact_in_block(a, b, lengths, cum, q_rel, r, arc_allowance):
+    """First contact (arc, position in a) among some legs of a block, or None.
+
+    Leg i runs from a[i] to b[i], in walking order, with its length and
+    cumulative block arc length; q_rel is the inert target relative to
+    the block origin, and only the first arc_allowance of arc length is
+    admissible (cost budget truncation).
+    The engine passes only the legs of the ring window.  A leg outside the
+    window padded by RING_PAD rings is more than r + step from the target
+    in Chebyshev norm, while the float filter below errs by a few ulps of
+    the block's coordinates, at most (k+1) * step; so the padding leaves
+    out no leg the filter could flag, and the first hit is that of a scan
+    of the whole block.
+    """
+    d = b - a
     len2 = lengths * lengths
     rel = q_rel - a
     tpar = np.einsum("ij,ij->i", rel, d) / len2
     np.clip(tpar, 0.0, 1.0, out=tpar)
     closest = a + tpar[:, None] * d
-    dist2 = np.einsum("ij,ij->i", q_rel - closest, q_rel - closest)
+    off = q_rel - closest
+    dist2 = np.einsum("ij,ij->i", off, off)
     hits = np.nonzero(dist2 <= r * r)[0]
     cum_prev = cum - lengths
     for idx in hits:

@@ -16,7 +16,7 @@ import os
 import struct
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -300,15 +300,14 @@ def write_rows_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
         for row in rows:
-            rec = asdict(row)
-            writer.writerow([rec[f] for f in SWEEP_FIELDS])
+            writer.writerow([getattr(row, f) for f in SWEEP_FIELDS])
 
 
 def write_rows_jsonl(rows, path):
     """Line-delimited JSON variant of the sweep output."""
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(asdict(row)) + "\n")
+            fh.write(json.dumps({f: getattr(row, f) for f in SWEEP_FIELDS}) + "\n")
 
 
 def export_svg(prefix, events, path, target_path=None, canvas=800.0, margin=40.0):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -58,6 +59,23 @@ def test_sweep_static_golden_against_library(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
     with open(out) as fh:
         assert sum(1 for _ in csv.reader(fh)) == 31  # header + 3*2*5 rows
+
+
+def test_sweep_static_frozen_bytes(tmp_path):
+    # frozen sha256 of both outputs: the golden tests above compare the CLI
+    # with the library through the same writer, so they miss a shared change
+    csv_out, jsonl_out = tmp_path / "s.csv", tmp_path / "s.jsonl"
+    code = run([
+        "sweep-static", "--D", "1,2,4,8,16", "--r", "0.25,0.0625,0.015625,0.00390625",
+        "--samples", "5", "--seed", "7", "--out", str(csv_out), "--jsonl", str(jsonl_out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "52a4968ac6947981031b5bf3c143d1e446e66b376939f3c273d2bcc33ef64706"
+    )
+    assert hashlib.sha256(jsonl_out.read_bytes()).hexdigest() == (
+        "001f473f529ff18dc771ae7c68fd005e602020fea86b88deceb169f859d4ebe5"
+    )
 
 
 def test_sweep_dynamic_runs(tmp_path):

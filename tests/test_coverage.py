@@ -77,6 +77,11 @@ class TestTubeArea:
         with pytest.raises(ValueError):
             tube_area(np.array([[0.0, 0.0]]), 1.0, grid_res=16)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_radius(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), r, grid_res=32)
+
 
 class TestAreaBound:
     def test_examples(self):
@@ -89,6 +94,11 @@ class TestAreaBound:
             area_bound(-1, 0.5)
         with pytest.raises(ValueError):
             area_bound(1, 0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_radius(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            area_bound(1, r)
 
 
 class TestStaticLowerBound:

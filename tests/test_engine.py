@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from planehunt.engine import SimConfig, brute_force_oracle, simulate
+from planehunt import engine
+from planehunt.engine import SimConfig, _first_contact_in_rings, brute_force_oracle, simulate
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
+from planehunt.trajectory import SpiralParams, diagonal_terms, pi_arrays
 
 
 def test_config_validation():
@@ -222,3 +224,144 @@ class TestBruteForceOracle:
         cfg = SimConfig(r=0.5, max_diagonal=1)
         with pytest.raises(ValueError):
             brute_force_oracle(static_plan(), inert(Point(1, 0)), cfg, step=0.0)
+
+
+def _full_block_scan(verts, lengths, cum, n, q_rel, r, arc_allowance):
+    """Reference for the ring window: filter and quadratic on every leg from n."""
+    verts, lengths, cum = verts[n:], lengths[n:], cum[n:]
+    a = verts[:-1]
+    d = verts[1:] - a
+    len2 = lengths * lengths
+    rel = q_rel - a
+    tpar = np.einsum("ij,ij->i", rel, d) / len2
+    np.clip(tpar, 0.0, 1.0, out=tpar)
+    closest = a + tpar[:, None] * d
+    dist2 = np.einsum("ij,ij->i", q_rel - closest, q_rel - closest)
+    hits = np.nonzero(dist2 <= r * r)[0]
+    cum_prev = cum - lengths
+    for idx in hits:
+        if cum_prev[idx] >= arc_allowance:
+            break
+        u = d[idx] / lengths[idx]
+        ra = a[idx] - q_rel
+        c0 = ra @ ra - r * r
+        if c0 <= 0.0:
+            arc = cum_prev[idx]
+        else:
+            bh = ra @ u
+            disc = max(bh * bh - c0, 0.0)
+            ell = -bh - math.sqrt(disc)
+            ell = min(max(ell, 0.0), lengths[idx])
+            arc = cum_prev[idx] + ell
+        if arc <= arc_allowance:
+            return arc, idx + n
+    return None
+
+
+class TestRingWindow:
+    """The ring-windowed inert kernel returns the full scan's (arc, idx) bit for bit."""
+
+    @staticmethod
+    def _check(params, n, q, r, allowance=math.inf):
+        q_rel = np.array(q, dtype=np.float64)
+        block = pi_arrays(params.k, params.j)
+        got = _first_contact_in_rings(*block, n, q_rel, r, allowance)
+        want = _full_block_scan(*block, n, q_rel, r, allowance)
+        assert got == want, (params, n, q, r, allowance)
+        return want
+
+    def test_seeded_targets(self):
+        rng = np.random.default_rng(404)
+        blocks = [p for i in (1, 2, 3, 4) for p in diagonal_terms(i)]
+        hits = 0
+        for case in range(600):
+            params = blocks[case % len(blocks)]
+            step = 2.0 ** -params.j
+            legs = 8 * (params.k + 1)
+            q = rng.uniform(-1.1, 1.1, size=2) * (params.k + 1) * step
+            r = float(2.0 ** -rng.integers(0, 9)) if case % 2 else float(rng.uniform(0.003, 3.0))
+            n = 0 if case % 3 else int(rng.integers(0, legs + 1))
+            hits += self._check(params, n, q, r) is not None
+        assert 300 < hits < 600
+
+    def test_dyadic_targets_exactly_r_from_a_leg(self):
+        # targets at distance exactly r from leg starts, midpoints and ends,
+        # on both sides, so many sit on ring boundaries; r spans step/4..3 step
+        params = SpiralParams(6, 2)
+        step = 2.0 ** -params.j
+        verts = pi_arrays(params.k, params.j)[0][: 4 * (params.k + 1) + 1]
+        touching = 0
+        for r in (step / 4, step / 2, step, 3 * step):
+            for a, b in zip(verts[:-1], verts[1:]):
+                for p in (a, (a + b) / 2, b):
+                    for off in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)):
+                        hit = self._check(params, 0, p + off, r)
+                        touching += hit is not None
+                        self._check(params, 13, p + off, r)
+        assert touching > 500
+
+    def test_origin_and_ring_one(self):
+        for params in (SpiralParams(8, 2), SpiralParams(16, 4), SpiralParams(1, 1)):
+            step = 2.0 ** -params.j
+            for q in ((0.0, 0.0), (step / 4, -step / 8), (-step / 2, step / 2), (step, -step)):
+                for r in (step / 8, step / 2, 2 * step):
+                    for n in (0, 1, 2, 3):
+                        self._check(params, n, q, r)
+
+    def test_radius_larger_than_step(self):
+        rng = np.random.default_rng(8)
+        params = SpiralParams(32, 4)
+        step = 2.0 ** -params.j
+        for _ in range(100):
+            q = rng.uniform(-2.2, 2.2, size=2)
+            self._check(params, int(rng.integers(0, 40)), q, float(rng.uniform(1.5, 40) * step))
+
+    def test_budget_before_inside_and_after_the_window(self):
+        rng = np.random.default_rng(77)
+        params = SpiralParams(16, 2)
+        step = 2.0 ** -params.j
+        _, lengths, cum = pi_arrays(params.k, params.j)
+        seen = set()
+        for _ in range(120):
+            q = rng.uniform(-4.0, 4.0, size=2)
+            r = float(rng.uniform(0.05, 0.6))
+            c = max(abs(q[0]), abs(q[1]))
+            # outbound legs of the unpadded ring window
+            m_lo = max(1, math.ceil(2 * (c - r) / step - 1))
+            m_hi = min(2 * params.k + 2, math.floor(2 * (c + r) / step + 1))
+            first, last = 2 * m_lo - 2, 2 * m_hi - 1
+            hit = self._check(params, 0, q, r)
+            budgets = [cum[first] - lengths[first] - step / 3, (cum[first] + cum[last]) / 2,
+                       cum[last] + step / 3]
+            if hit is not None:
+                budgets += [hit[0], np.nextafter(hit[0], 0.0), cum[hit[1]] - lengths[hit[1]]]
+            for allowance in budgets:
+                got = self._check(params, 0, q, r, float(allowance))
+                seen.add((got is None, allowance < hit[0] if hit else None))
+        assert {(True, True), (False, False)} <= seen
+
+    def test_target_at_infinity_is_never_sensed(self):
+        for q in ((math.inf, 0.0), (math.nan, 1.0), (-math.inf, math.inf)):
+            self._check(SpiralParams(4, 2), 0, q, 0.5)
+
+    @pytest.mark.parametrize("plan", [static_plan(), dynamic_plan()])
+    def test_simulate_matches_full_scan(self, plan, monkeypatch):
+        # off-origin starts, cost budgets and flee-then-freeze targets
+        rng = np.random.default_rng(31)
+        cases = []
+        for case in range(80):
+            start = Point(*rng.uniform(-3.0, 3.0, size=2)) if case % 2 else Point(0.0, 0.0)
+            q = start + Point(*rng.uniform(-6.0, 6.0, size=2))
+            r = float(2.0 ** -rng.integers(1, 7))
+            max_cost = float(rng.uniform(5.0, 3000.0)) if case % 3 == 0 else math.inf
+            strategy = (
+                radial_flee(start, q, float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.001, 0.2)))
+                if case % 4 == 1 else inert(q)
+            )
+            cases.append((strategy, SimConfig(agent_start=start, r=r, max_cost=max_cost, max_diagonal=4)))
+        windowed = [simulate(plan, s, cfg) for s, cfg in cases]
+        monkeypatch.setattr(engine, "_first_contact_in_rings", _full_block_scan)
+        full = [simulate(plan, s, cfg) for s, cfg in cases]
+        assert windowed == full
+        reasons = {out.stop_reason for out in windowed}
+        assert {"sensed", "cost_budget"} <= reasons
