@@ -6,18 +6,28 @@ vertex arrays: each block starts and ends at the searcher's start, and
 the clock inside a block is its arc length over the diagonal's speed.
 Targets are piecewise linear and inert after their last breakpoint, so
 the few legs that start while the target still moves are split at its
-breakpoints and each piece is solved as an exact quadratic; every later
-leg goes through a vectorized per-block test against the target's final
-point.  A trace is written from the same block arrays and never changes
-the result.
+breakpoints and each piece is solved as an exact quadratic; for every
+later leg the first contact with the target's final point is found by a
+scalar scan of the block's sides.  A trace is written from the same block
+arrays and never changes the result.
 
-Each block is an origin-centred square spiral with step 2^-j, and every
-point of a ring-m leg has Chebyshev norm in [(m-1)/2, (m+1)/2] * step, so
-only the rings with 2(c - r)/step - 1 <= m <= 2(c + r)/step + 1, for a
-target at Chebyshev norm c, can come within r of it.  The vectorized test
-runs only on the legs of that ring window, padded by RING_PAD rings, on
-the way out and on the way back; the result is the same as a scan of the
-whole block.
+Each block is an origin-centred square spiral with step 2^-j whose legs
+lie on four families of axis lines (_SIDES), walked out and then back.
+The inert test is a distance filter followed by an exact quadratic on the
+first leg it flags, and the scan returns what that test returns on every
+leg in walking order, bit for bit:
+  * the filter's closest point lies on the leg's own line, so its squared
+    distance is at least o*o for the target's perpendicular offset o, and
+    a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
+    remain;
+  * a remaining leg that stops short of the target has its end vertex as
+    closest point; these corners lie on one diagonal line, so a quadratic
+    bounds the ones within r and only those are tested;
+  * the other legs get the filter in Python floats, which rounds as numpy
+    does: einsum over two columns is x0*y0 + x1*y1, and the rest is
+    elementwise;
+  * the quadratic keeps numpy's 1-D `@`, whose BLAS dot does not round as
+    x0*y0 + x1*y1 does.
 """
 
 import math
@@ -29,9 +39,18 @@ import numpy as np
 from .geometry import Point, first_contact_time
 from .trajectory import UNIT, diagonal_terms, full_schedule, pi_arrays
 
-# rings of margin on each side of the exact ring window: one step of
-# Chebyshev radius, far above the rounding of the distance filter
-RING_PAD = 2
+# The outbound half of a block, in units of its step: leg 4s + off lies on
+# the line perp = sign * (s + c_line) and runs along the other axis from
+# sign0 * (s + c0) to -sign0 * (s + c1).  The return leg 8(k+1) - 1 - L
+# retraces outbound leg L.
+#   (perp axis, sign, c_line, sign0, c0, c1)
+_SIDES = (
+    (1, 1, 0, -1, 0, 1),  # E: y = s, x from -s to s + 1
+    (0, 1, 1, 1, 0, 1),  # S: x = s + 1, y from s to -(s + 1)
+    (1, -1, 1, 1, 1, 1),  # W: y = -(s + 1), x from s + 1 to -(s + 1)
+    (0, -1, 1, -1, 1, 1),  # N: x = -(s + 1), y from -(s + 1) to s + 1
+)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,8 @@ class SimConfig:
     max_diagonal: int = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
+            raise ValueError("agent_start must be finite")
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError("sensing radius r must be finite and positive")
         if not self.max_cost > 0:
@@ -183,73 +204,158 @@ def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, 
 def _first_contact_in_rings(verts, lengths, cum, n, q_rel, r, arc_allowance):
     """First contact (arc, leg index) on legs n.. of a pi_arrays block, or None.
 
-    The block has 8(k+1) legs and its first leg is one step long.
-    Outbound leg L lies in ring m = L // 2 + 1 and return leg
-    8(k+1) - 1 - L retraces it, so the ring window of the module docstring
-    is one leg range on the way out and one on the way back.  Both are
-    clipped to rings 1..2k+2 and to legs at or after n, and their legs go
-    through _first_contact_in_block together, in leg order: one call per
-    block, as a call costs more than the few legs of a window.
+    The block has 8(k+1) legs, its first leg is one step long and q_rel
+    is the inert target relative to the block origin; only the first
+    arc_allowance of arc length is admissible (cost budget truncation).
+    The result is that of the distance filter and quadratic run on every
+    leg from n in walking order: the first leg whose filtered squared
+    distance is <= r*r gets the exact contact arc, and the scan stops at
+    the first leg that starts at or after arc_allowance.  _first_flagged
+    finds that leg with scalar arithmetic; the quadratic stays on numpy's
+    1-D `@`, whose BLAS dot rounds differently from x0*y0 + x1*y1.
     """
-    legs = lengths.size
-    step = lengths[0]
-    c = max(abs(q_rel[0]), abs(q_rel[1]))
-    if not math.isfinite(c):
+    qx, qy = float(q_rel[0]), float(q_rel[1])
+    if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
-    m_lo = max(1, math.ceil(2.0 * (c - r) / step - 1.0) - RING_PAD)
-    m_hi = min(legs // 4, math.floor(2.0 * (c + r) / step + 1.0) + RING_PAD)
-    idx = np.concatenate([
-        np.arange(max(2 * m_lo - 2, n), 2 * m_hi),
-        np.arange(max(legs - 2 * m_hi, n), legs + 2 - 2 * m_lo),
-    ])
-    if idx.size == 0:
-        return None
-    a, b = verts.take(idx, axis=0), verts.take(idx + 1, axis=0)
-    hit = _first_contact_in_block(a, b, lengths.take(idx), cum.take(idx), q_rel, r, arc_allowance)
-    return None if hit is None else (hit[0], int(idx[hit[1]]))
-
-
-def _first_contact_in_block(a, b, lengths, cum, q_rel, r, arc_allowance):
-    """First contact (arc, position in a) among some legs of a block, or None.
-
-    Leg i runs from a[i] to b[i], in walking order, with its length and
-    cumulative block arc length; q_rel is the inert target relative to
-    the block origin, and only the first arc_allowance of arc length is
-    admissible (cost budget truncation).
-    The engine passes only the legs of the ring window.  A leg outside the
-    window padded by RING_PAD rings is more than r + step from the target
-    in Chebyshev norm, while the float filter below errs by a few ulps of
-    the block's coordinates, at most (k+1) * step; so the padding leaves
-    out no leg the filter could flag, and the first hit is that of a scan
-    of the whole block.
-    """
-    d = b - a
-    len2 = lengths * lengths
-    rel = q_rel - a
-    tpar = np.einsum("ij,ij->i", rel, d) / len2
-    np.clip(tpar, 0.0, 1.0, out=tpar)
-    closest = a + tpar[:, None] * d
-    off = q_rel - closest
-    dist2 = np.einsum("ij,ij->i", off, off)
-    hits = np.nonzero(dist2 <= r * r)[0]
-    cum_prev = cum - lengths
-    for idx in hits:
-        if cum_prev[idx] >= arc_allowance:
-            break
+    k, step = lengths.size // 8 - 1, float(lengths[0])
+    idx = _first_flagged(k, step, (qx, qy), r, n)
+    while idx is not None:
+        cum_prev = cum[idx] - lengths[idx]
+        if cum_prev >= arc_allowance:
+            return None
         # exact first-contact arc on this leg: |a + u*l - q|^2 = r^2
-        u = d[idx] / lengths[idx]
-        ra = a[idx] - q_rel
+        a = verts[idx]
+        u = (verts[idx + 1] - a) / lengths[idx]
+        ra = a - q_rel
         c0 = ra @ ra - r * r
         if c0 <= 0.0:
-            arc = cum_prev[idx]
+            arc = cum_prev
         else:
             bh = ra @ u  # half of the linear coefficient
             disc = max(bh * bh - c0, 0.0)
             ell = -bh - math.sqrt(disc)
-            ell = min(max(ell, 0.0), lengths[idx])
-            arc = cum_prev[idx] + ell
+            arc = cum_prev + min(max(ell, 0.0), lengths[idx])
         if arc <= arc_allowance:
             return arc, idx
+        idx = _first_flagged(k, step, (qx, qy), r, idx + 1)
+    return None
+
+
+def _first_flagged(k, step, q, r, n):
+    """Index of the first leg from n whose distance filter passes, or None.
+
+    The filter of leg a -> b, in Python floats as numpy rounds it row by
+    row (einsum over two columns is x0*y0 + x1*y1, the rest elementwise):
+        t = clip((q - a).(b - a) / |b - a|^2, 0, 1)
+        dist2 = |q - (a + t (b - a))|^2 <= r*r.
+    Per side, only the lines within r of the target are kept, and on them
+    the legs that stop short of it are tested at their end vertex
+    (_first_corner) and the others with the filter (_first_on_lines); see
+    the module docstring for why both are exact.
+    """
+    legs = 8 * (k + 1)
+    rr = r * r
+    if rr == math.inf:
+        return n if n < legs else None  # every finite distance passes
+    if max(abs(q[0]), abs(q[1])) > (k + 2) * step + r * (1.0 + 1e-9):
+        return None  # farther than r from every leg, by a step of margin for rounding
+    w = r / step
+    sides = []
+    for off, (axis, sign, c_line, sign0, c0, c1) in enumerate(_SIDES):
+        q_perp, q_par = q[axis], q[1 - axis]
+        # lines s with |o| <= r, with a margin far above the rounding
+        p = sign * q_perp
+        mid = p / step - c_line
+        pad = 1e-12 * (abs(mid) + w)
+        lo, hi = max(0, math.ceil(mid - w - pad)), min(k, math.floor(mid + w + pad))
+        if lo > hi:
+            continue
+        # the leg end on the target's side lies at |parallel| (s + c_end) step;
+        # legs s < cov stop short of the target's parallel coordinate P
+        P = abs(q_par)
+        c_end = c0 if (q_par >= 0.0) == (sign0 > 0) else c1
+        cov = min(max(math.ceil(P / step - c_end), lo), hi + 1)
+        while cov > lo and P <= (cov - 1 + c_end) * step:
+            cov -= 1
+        while cov <= hi and P > (cov + c_end) * step:
+            cov += 1
+        corners = (cov, cov - 1)
+        if cov > lo:
+            corners = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
+        corner = (p, c_line, P, c_end, *corners)
+        line = (q_perp, q_par, sign, c_line, sign0, c0, c1)
+        sides.append((off, lo, hi, cov, corner, line))
+
+    first = None
+    for off, lo, hi, cov, corner, line in sides:
+        lo = max(lo, (n - off + 3) // 4)  # outbound leg 4s + off >= n
+        if first is not None and 4 * lo + off > first:
+            continue
+        s = _first_corner(*corner, step, rr, lo, hi, False)
+        if s is None:
+            s = _first_on_lines(*line, step, rr, max(lo, cov), hi, False)
+        if s is not None and (first is None or 4 * s + off < first):
+            first = 4 * s + off
+    if first is not None:
+        return first
+    n_back = max(n, legs // 2)
+    for off, lo, hi, cov, corner, line in sides:
+        hi = min(hi, (legs - 1 - n_back - off) // 4)  # return leg legs-1-4s-off >= n
+        if first is not None and legs - 1 - 4 * hi - off > first:
+            continue
+        s = _first_on_lines(*line, step, rr, max(lo, cov), hi, True)
+        if s is None:
+            s = _first_corner(*corner, step, rr, lo, hi, True)
+        if s is not None and (first is None or legs - 1 - 4 * s - off < first):
+            first = legs - 1 - 4 * s - off
+    return first
+
+
+def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi, back):
+    """First s of lo..hi (from hi down if back) whose leg passes the filter."""
+    for s in range(hi, lo - 1, -1) if back else range(lo, hi + 1):
+        o = q_perp - sign * (s + c_line) * step
+        if o * o > rr:
+            continue  # exact skip: dist2 >= fl(o*o)
+        a, b = sign0 * (s + c0) * step, -sign0 * (s + c1) * step
+        if back:
+            a, b = b, a
+        d = b - a
+        t = min(max((q_par - a) * d / (d * d), 0.0), 1.0)
+        e = q_par - (a + t * d)
+        if e * e + o * o <= rr:
+            return s
+    return None
+
+
+def _corner_range(x, y, step, r, lo, hi):
+    """The s of lo..hi whose corner can pass the filter, as (first, last).
+
+    Corner s is at offsets x - s step and y - s step from the target, so
+    its real squared distance is 2 (s step - (x+y)/2)^2 + g^2 with
+    g = |x - y| / sqrt 2, and only the s within sqrt((r^2 - g^2) / 2) /
+    step of (x+y) / (2 step) come within r.  The slack widens that range
+    far beyond the rounding of the filter and of this estimate.
+    """
+    slack = 1e-12 * (abs(x) + abs(y) + r)
+    g = max(abs(x - y) * _SQRT_HALF - slack, 0.0)
+    gap = (r + slack - g) * (r + slack + g)
+    if gap < 0.0:
+        return lo, lo - 1  # the corner line stays farther than r
+    mid = (x + y) / (2.0 * step)
+    half = (math.sqrt(0.5 * gap) + slack) / step + 1.0
+    first = lo if mid - half <= lo else hi + 1 if mid - half > hi else math.ceil(mid - half)
+    last = hi if mid + half >= hi else lo - 1 if mid + half < lo else math.floor(mid + half)
+    return first, last
+
+
+def _first_corner(p, c_line, P, c_end, first, last, step, rr, lo, hi, back):
+    """First s of first..last and lo..hi (from the top if back) whose corner passes the filter."""
+    lo, hi = max(lo, first), min(hi, last)
+    for s in range(hi, lo - 1, -1) if back else range(lo, hi + 1):
+        e, o = P - (s + c_end) * step, p - (s + c_line) * step
+        if e * e + o * o <= rr:
+            return s
     return None
 
 

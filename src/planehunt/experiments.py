@@ -82,8 +82,10 @@ def sample_target(seed, D, r, sample_idx):
     rng = np.random.default_rng(
         [seed, _float_key(D), _float_key(r), sample_idx]
     )
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    rad = D * math.sqrt(rng.uniform())
+    # the same two doubles, and the same products, as uniform(0, 2 pi) then uniform()
+    u0, u1 = rng.random(2)
+    theta = 2.0 * math.pi * u0
+    rad = D * math.sqrt(u1)
     return Point(rad * math.cos(theta), rad * math.sin(theta))
 
 

@@ -6,6 +6,7 @@ this to split every searcher leg into intervals where both parties move
 at constant velocity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,11 @@ class TargetStrategy:
             raise ValueError("times and points must be nonempty and equal length")
         if self.times[0] != 0:
             raise ValueError("first breakpoint must be at t = 0")
-        if self.v < 0:
+        if not self.v >= 0:
             raise ValueError("speed bound must be nonnegative")
+        for t, p in zip(self.times, self.points):
+            if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
         for idx in range(1, len(self.times)):
             dt = self.times[idx] - self.times[idx - 1]
             if dt <= 0:

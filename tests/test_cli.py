@@ -41,6 +41,22 @@ def test_simulate_rejects_nan_radius_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["nan,0", "inf,0", "0,-inf"])
+def test_simulate_rejects_non_finite_target_exit_2(target, capsys):
+    code = run(["simulate", "--target", target, "--r", "0.5", "--max-diagonal", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "finite" in err
+
+
+def test_simulate_rejects_non_finite_waypoint_exit_2(tmp_path, capsys):
+    wp = tmp_path / "wp.txt"
+    wp.write_text("v 1.0\n0 2 0\ninf 1 0\n")
+    code = run(["simulate", "--waypoints", str(wp), "--r", "0.5", "--max-diagonal", "2"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2
@@ -75,6 +91,20 @@ def test_sweep_static_frozen_bytes(tmp_path):
     )
     assert hashlib.sha256(jsonl_out.read_bytes()).hexdigest() == (
         "001f473f529ff18dc771ae7c68fd005e602020fea86b88deceb169f859d4ebe5"
+    )
+
+
+def test_sweep_dynamic_frozen_bytes(tmp_path):
+    # frozen sha256 of the pursuit benchmark's sweep at 5 samples: flee
+    # hunts reach the inert kernel with legs of a block already taken
+    out = tmp_path / "d.csv"
+    code = run([
+        "sweep-dynamic", "--v", "1,4,16", "--r", "0.0625,0.015625,0.00390625", "--D", "1",
+        "--samples", "5", "--seed", "7", "--out", str(out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2f7793b14c0f91201d6e6190db14553658f01e49b27e4e7f7a8ef2b5d9957126"
     )
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from planehunt import engine
-from planehunt.engine import SimConfig, _first_contact_in_rings, brute_force_oracle, simulate
+from planehunt.engine import (
+    _SIDES,
+    SimConfig,
+    _corner_range,
+    _first_contact_in_rings,
+    brute_force_oracle,
+    simulate,
+)
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
@@ -27,6 +34,12 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(r=0.5, max_cost=max_cost, max_diagonal=2)
     assert SimConfig(r=0.5, max_cost=math.inf, max_diagonal=2).max_cost == math.inf
+
+
+def test_config_rejects_non_finite_start():
+    for start in (Point(math.nan, 0.0), Point(0.0, math.inf), Point(-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            SimConfig(agent_start=start, r=0.5, max_diagonal=2)
 
 
 class TestSimulateInert:
@@ -365,3 +378,124 @@ class TestRingWindow:
         assert windowed == full
         reasons = {out.stop_reason for out in windowed}
         assert {"sensed", "cost_budget"} <= reasons
+
+
+class TestSideScan:
+    """The scalar side scan against the full numpy scan, on the cases it treats apart."""
+
+    _check = staticmethod(TestRingWindow._check)
+
+    def test_sides_match_pi_arrays(self):
+        # the closed-form leg ends the scan computes are the block's vertices
+        for k, j in ((1, 1), (6, 2), (1024, 10)):
+            verts, lengths, _ = pi_arrays(k, j)
+            step, legs = 2.0 ** -j, 8 * (k + 1)
+            for s in range(k + 1):
+                for off, (axis, sign, c_line, sign0, c0, c1) in enumerate(_SIDES):
+                    a, b = np.empty(2), np.empty(2)
+                    a[axis] = b[axis] = sign * (s + c_line) * step
+                    a[1 - axis], b[1 - axis] = sign0 * (s + c0) * step, -sign0 * (s + c1) * step
+                    leg = 4 * s + off
+                    assert (verts[leg] == a).all() and (verts[leg + 1] == b).all()
+                    assert (verts[legs - leg] == a).all() and (verts[legs - 1 - leg] == b).all()
+                    assert lengths[leg] == lengths[legs - 1 - leg] == abs(b - a).sum()
+
+    def test_corner_region_targets(self):
+        # targets near the four corner diagonals, inside and outside the block
+        rng = np.random.default_rng(5)
+        hits = 0
+        for k, j in ((1024, 10), (64, 6), (16, 2), (2, 1)):
+            step = 2.0 ** -j
+            edge = (k + 1) * step
+            for _ in range(150):
+                t = rng.uniform(0.0, 1.3) * edge
+                q = np.array([t, t]) * rng.choice([-1.0, 1.0], size=2)
+                q += rng.normal(0.0, step) * rng.choice([0.0, 0.1, 1.0, 8.0])
+                r = float(step * 2.0 ** rng.uniform(-3.0, 10.0))
+                hits += self._check(SpiralParams(k, j), 0, q, r) is not None
+                self._check(SpiralParams(k, j), int(rng.integers(0, 8 * (k + 1))), q, r)
+        assert 100 < hits < 550
+
+    def test_corner_near_misses(self):
+        # a target just past an outer corner, within r of many corner lines
+        params = SpiralParams(1024, 10)
+        edge = (params.k + 1) * 2.0 ** -params.j
+        for r in (1.0, 0.25, 2.0 ** -8):
+            for frac in (0.65, 0.7, 0.71, 0.72, 0.9):
+                for sx, sy in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
+                    q = (sx * (edge + frac * r), sy * (edge + frac * r))
+                    self._check(params, 0, q, r)
+
+    def test_corner_range_brackets_the_passing_corners(self):
+        # every corner within r lies in the range, which is at most two
+        # corners wider on each side: O(1) work on a near miss
+        rng = np.random.default_rng(21)
+        step = 2.0 ** -10
+        for _ in range(400):
+            x, y = rng.uniform(-2.0, 2.0, size=2)
+            if rng.random() < 0.5:
+                y = x + rng.normal(0.0, 0.5)
+            r = float(step * 2.0 ** rng.uniform(-3.0, 10.0))
+            first, last = _corner_range(x, y, step, r, 0, 1024)
+            passing = [s for s in range(1025) if (x - s * step) ** 2 + (y - s * step) ** 2 <= r * r]
+            if passing:
+                assert first <= passing[0] and passing[-1] <= last
+                assert passing[0] - first <= 2 and last - passing[-1] <= 2
+            else:
+                assert last - first <= 4
+
+    def test_radius_from_an_eighth_step_to_1024_steps(self):
+        rng = np.random.default_rng(13)
+        for k, j in ((1024, 10), (256, 8), (32, 4), (4, 2)):
+            params, step = SpiralParams(k, j), 2.0 ** -j
+            for e in range(-3, 11):
+                for _ in range(6):
+                    q = rng.uniform(-1.2, 1.2, size=2) * (k + 1) * step
+                    self._check(params, 0, q, step * 2.0 ** e)
+                    self._check(params, 0, q, float(step * 2.0 ** (e + rng.random())))
+
+    def test_start_leg_at_side_boundaries(self):
+        # n just before, at and after the first hit and the legs 4s + off around it
+        rng = np.random.default_rng(17)
+        params = SpiralParams(32, 4)
+        step, legs = 2.0 ** -params.j, 8 * (params.k + 1)
+        seen = 0
+        for _ in range(60):
+            q = rng.uniform(-2.0, 2.0, size=2)
+            r = float(step * 2.0 ** rng.uniform(-3.0, 4.0))
+            hit = self._check(params, 0, q, r)
+            if hit is None:
+                continue
+            seen += 1
+            s = hit[1] % (legs // 2) // 4
+            for n in {hit[1] - 1, hit[1], hit[1] + 1, *(4 * s + off for off in range(-1, 6))}:
+                if 0 <= n <= legs:
+                    self._check(params, n, q, r)
+        assert seen > 30
+
+    def test_budget_at_a_flagged_legs_start(self):
+        rng = np.random.default_rng(29)
+        params = SpiralParams(64, 6)
+        _, lengths, cum = pi_arrays(params.k, params.j)
+        seen = set()
+        for _ in range(80):
+            q = rng.uniform(-1.1, 1.1, size=2)
+            r = float(rng.uniform(0.004, 0.3))
+            n = int(rng.integers(0, 8 * (params.k + 1)))
+            hit = self._check(params, n, q, r)
+            if hit is None:
+                continue
+            start = cum[hit[1]] - lengths[hit[1]]
+            for allowance in (start, np.nextafter(start, 0.0), np.nextafter(start, math.inf), hit[0]):
+                got = self._check(params, n, q, r, float(allowance))
+                seen.add(got is None)
+        assert seen == {True, False}
+
+    def test_extreme_magnitudes(self):
+        # r*r overflows or underflows; both scans' quadratics overflow alike
+        params = SpiralParams(16, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in ((0.0, 0.0), (1e300, 0.0), (1e-300, -1e-300), (17 / 16, 1.0), (1e20, -1e20)):
+                for r in (1e-300, 1e-20, 1e150, 1e200, 1e308):
+                    for n in (0, 7, 136):
+                        self._check(params, n, q, r)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -34,6 +35,20 @@ class TestSampling:
         b = sample_target(7, 1.0, 0.25, 0)
         c = sample_target(8, 1.0, 0.25, 0)
         assert a == b and a != c
+
+    def test_same_draws_as_two_uniform_calls(self):
+        # one rng.random(2) call gives the bits of uniform(0, 2 pi), uniform()
+        for seed in (0, 7, 2**40 + 3):
+            for D in (1.0, 3.7, 16.0):
+                for r in (0.25, 2.0 ** -8, 0.1):
+                    for i in range(40):
+                        rng = np.random.default_rng(
+                            [seed, experiments._float_key(D), experiments._float_key(r), i]
+                        )
+                        theta = rng.uniform(0.0, 2.0 * math.pi)
+                        rad = D * math.sqrt(rng.uniform())
+                        want = Point(rad * math.cos(theta), rad * math.sin(theta))
+                        assert sample_target(seed, D, r, i) == want
 
 
 class TestSweepStatic:

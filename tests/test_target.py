@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,26 @@ class TestWitnessEquivalence:
         assert adversarial_static_placement(poly, 1, grid_res=16) == _brute_force_witnesses(
             poly, 1, 16
         )
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_points_and_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            inert(Point(bad, 0.0))
+        with pytest.raises(ValueError):
+            inert(Point(0.0, bad))
+        with pytest.raises(ValueError):
+            waypoints([Point(0, 0), Point(1, 0)], [0.0, bad], v=1e9)
+        with pytest.raises(ValueError):
+            radial_flee(Point(0, 0), Point(1, 0), 1.0, bad)
+
+    def test_nan_speed_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            waypoints([Point(0, 0)], [0.0], v=math.nan)
+
+    def test_waypoint_file_with_nan(self, tmp_path):
+        wp = tmp_path / "wp.txt"
+        wp.write_text("v 1.0\n0 0 0\n1 nan 0\n")
+        with pytest.raises(ValueError):
+            load_waypoints(str(wp))
