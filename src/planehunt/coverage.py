@@ -46,8 +46,8 @@ class PolySpeedCertificate:
 
 def area_bound(length, r):
     """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x."""
-    if length < 0 or not (math.isfinite(r) and r > 0):
-        raise ValueError("require length >= 0 and finite r > 0")
+    if not (math.isfinite(length) and length >= 0 and math.isfinite(r) and r > 0):
+        raise ValueError("require finite length >= 0 and finite r > 0")
     return 2.0 * r * length + math.pi * r * r
 
 
@@ -139,8 +139,8 @@ def _log_term(big, r):
 
 def static_lb(D, r):
     """Cost lower bound (1/16)(log2 D + log2 1/r) D^2 / r for inert targets."""
-    if D <= 0 or r <= 0:
-        raise ValueError("D and r must be positive")
+    if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
+        raise ValueError("D and r must be finite and positive")
     term = _log_term(D, r)
     if term <= 0:
         raise ValueError(
@@ -155,8 +155,8 @@ def dynamic_lb(v, r, t0):
     t0 is the time the flee-then-freeze adversary lets the target run; the
     witness region is a square of side v*t0/2.
     """
-    if v <= 0 or r <= 0 or t0 <= 0:
-        raise ValueError("v, r and t0 must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (v, r, t0)):
+        raise ValueError("v, r and t0 must be finite and positive")
     term = _log_term(v, r)
     if term <= 0:
         raise ValueError(

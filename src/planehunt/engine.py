@@ -1,15 +1,15 @@
 """Deterministic continuous-time simulation of searcher vs target.
 
 One exact engine serves every target, every plan, traced or not.  It
-walks the schedule one out-and-back block at a time as `pi_arrays`
-vertex arrays: each block starts and ends at the searcher's start, and
-the clock inside a block is its arc length over the diagonal's speed.
-Targets are piecewise linear and inert after their last breakpoint, so
-the few legs that start while the target still moves are split at its
-breakpoints and each piece is solved as an exact quadratic; for every
-later leg the first contact with the target's final point is found by a
-scalar scan of the block's sides.  A trace is written from the same block
-arrays and never changes the result.
+walks the schedule one out-and-back block at a time through the block's
+closed form in `trajectory`, in constant memory: each block starts and
+ends at the searcher's start, and the clock inside a block is its arc
+length over the diagonal's speed.  Targets are piecewise linear and inert
+after their last breakpoint, so the few legs that start while the target
+still moves are split at its breakpoints and each piece is solved as an
+exact quadratic; for every later leg the first contact with the target's
+final point is found by a scalar scan of the block's sides.  A trace is
+written from the same closed form and never changes the result.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back.
@@ -31,25 +31,24 @@ leg in walking order, bit for bit:
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
 from .geometry import Point, first_contact_time
-from .trajectory import UNIT, diagonal_terms, full_schedule, pi_arrays
-
-# The outbound half of a block, in units of its step: leg 4s + off lies on
-# the line perp = sign * (s + c_line) and runs along the other axis from
-# sign0 * (s + c0) to -sign0 * (s + c1).  The return leg 8(k+1) - 1 - L
-# retraces outbound leg L.
-#   (perp axis, sign, c_line, sign0, c0, c1)
-_SIDES = (
-    (1, 1, 0, -1, 0, 1),  # E: y = s, x from -s to s + 1
-    (0, 1, 1, 1, 0, 1),  # S: x = s + 1, y from s to -(s + 1)
-    (1, -1, 1, 1, 1, 1),  # W: y = -(s + 1), x from s + 1 to -(s + 1)
-    (0, -1, 1, -1, 1, 1),  # N: x = -(s + 1), y from -(s + 1) to s + 1
+from .trajectory import (
+    _SIDES,
+    UNIT,
+    diagonal_terms,
+    full_schedule,
+    pi_arc_before,
+    pi_leg_length,
+    pi_length,
+    pi_vertex,
 )
+
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -152,33 +151,38 @@ def _simulate(plan, strategy, cfg, tracer):
             return _outcome(False, t, cost, cfg.agent_start, tgt, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)
         for params in diagonal_terms(i):
-            verts, lengths, cum = pi_arrays(params.k, params.j)
+            block_legs, block_len = 8 * (params.k + 1), pi_length(params)
             allowance = cfg.max_cost - cost
             # legs that start before t_still see a moving target
-            n = 0 if t >= t_still else int(np.searchsorted(t + (cum - lengths) / speed, t_still))
-            hit = _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, cfg.r, allowance)
+            n = 0 if t >= t_still else bisect_left(
+                range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
+            )
+            hit = _first_contact_moving(strategy, start, params, n, t, speed, cfg.r, allowance)
             if hit is None:
-                hit = _first_contact_in_rings(verts, lengths, cum, n, q_rel, cfg.r, allowance)
+                hit = _first_contact_in_rings(params, n, q_rel, cfg.r, allowance)
             sensed = hit is not None
-            if sensed or cum[-1] >= allowance:
-                arc, idx = hit if sensed else (allowance, int(np.searchsorted(cum, allowance)))
-                xy = start + _point_at_arc(verts, lengths, cum, arc, idx)
+            if sensed or block_len >= allowance:
+                arc, idx = hit if sensed else (allowance, bisect_left(
+                    range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)
+                ))
+                (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+                frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
+                xy = start + [ax + frac * (bx - ax), ay + frac * (by - ay)]
                 t_stop = float(t + arc / speed)
                 if tracer:
-                    _trace_block(tracer, strategy, start, verts, cum, t, cost, speed, (arc, idx, xy, sensed))
+                    _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
                 agent, tgt = Point(float(xy[0]), float(xy[1])), strategy.position(t_stop)
                 stop_cost = cost + arc if sensed else cfg.max_cost
                 reason = "sensed" if sensed else "cost_budget"
                 return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
             if tracer:
-                _trace_block(tracer, strategy, start, verts, cum, t, cost, speed)
-            block_len = cum[-1]
+                _trace_block(tracer, strategy, start, params, t, cost, speed)
             cost += block_len
             t += block_len / speed
-            legs += lengths.size
+            legs += block_legs
 
 
-def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, arc_allowance):
+def _first_contact_moving(strategy, start, params, n, t, speed, r, arc_allowance):
     """First contact (arc, leg index) on the first n legs of a block, or None.
 
     The target may still move during these legs, so each leg is split at
@@ -186,14 +190,15 @@ def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, 
     exactly; only the first arc_allowance of arc length is admissible.
     """
     for idx in range(n):
-        arc0 = cum[idx] - lengths[idx]
+        arc0 = pi_arc_before(params, idx)
         if arc0 >= arc_allowance:
             return None
         t0 = t + arc0 / speed
-        u = (verts[idx + 1] - verts[idx]) * (speed / lengths[idx])
-        vel = Point(float(u[0]), float(u[1]))
-        pos = Point(float(start[0] + verts[idx, 0]), float(start[1] + verts[idx, 1]))
-        leg_dt = min(lengths[idx], arc_allowance - arc0) / speed
+        length = pi_leg_length(params, idx)
+        (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+        vel = Point((bx - ax) * (speed / length), (by - ay) * (speed / length))
+        pos = Point(float(start[0] + ax), float(start[1] + ay))
+        leg_dt = min(length, arc_allowance - arc0) / speed
         for ts, te, tgt_pos, w in strategy.constant_velocity_pieces(t0, t0 + leg_dt):
             hit = first_contact_time(pos + vel.scaled(ts - t0), vel, tgt_pos, w, r, te - ts)
             if hit is not None:
@@ -201,11 +206,10 @@ def _first_contact_moving(strategy, start, verts, lengths, cum, n, t, speed, r, 
     return None
 
 
-def _first_contact_in_rings(verts, lengths, cum, n, q_rel, r, arc_allowance):
-    """First contact (arc, leg index) on legs n.. of a pi_arrays block, or None.
+def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
+    """First contact (arc, leg index) on legs n.. of block params, or None.
 
-    The block has 8(k+1) legs, its first leg is one step long and q_rel
-    is the inert target relative to the block origin; only the first
+    q_rel is the inert target relative to the block origin; only the first
     arc_allowance of arc length is admissible (cost budget truncation).
     The result is that of the distance filter and quadratic run on every
     leg from n in walking order: the first leg whose filtered squared
@@ -217,16 +221,17 @@ def _first_contact_in_rings(verts, lengths, cum, n, q_rel, r, arc_allowance):
     qx, qy = float(q_rel[0]), float(q_rel[1])
     if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
-    k, step = lengths.size // 8 - 1, float(lengths[0])
+    k, step = params.k, 2.0 ** (-params.j)
     idx = _first_flagged(k, step, (qx, qy), r, n)
     while idx is not None:
-        cum_prev = cum[idx] - lengths[idx]
+        cum_prev = pi_arc_before(params, idx)
         if cum_prev >= arc_allowance:
             return None
         # exact first-contact arc on this leg: |a + u*l - q|^2 = r^2
-        a = verts[idx]
-        u = (verts[idx + 1] - a) / lengths[idx]
-        ra = a - q_rel
+        length = pi_leg_length(params, idx)
+        (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+        u = np.array(((bx - ax) / length, (by - ay) / length))
+        ra = np.array((ax - qx, ay - qy))
         c0 = ra @ ra - r * r
         if c0 <= 0.0:
             arc = cum_prev
@@ -234,7 +239,7 @@ def _first_contact_in_rings(verts, lengths, cum, n, q_rel, r, arc_allowance):
             bh = ra @ u  # half of the linear coefficient
             disc = max(bh * bh - c0, 0.0)
             ell = -bh - math.sqrt(disc)
-            arc = cum_prev + min(max(ell, 0.0), lengths[idx])
+            arc = cum_prev + min(max(ell, 0.0), length)
         if arc <= arc_allowance:
             return arc, idx
         idx = _first_flagged(k, step, (qx, qy), r, idx + 1)
@@ -359,13 +364,7 @@ def _first_corner(p, c_line, P, c_end, first, last, step, rr, lo, hi, back):
     return None
 
 
-def _point_at_arc(verts, lengths, cum, arc, idx):
-    cum_prev = cum[idx] - lengths[idx]
-    frac = (arc - cum_prev) / lengths[idx]
-    return verts[idx] + frac * (verts[idx + 1] - verts[idx])
-
-
-def _trace_block(tracer, strategy, start, verts, cum, t, cost, speed, stop=None):
+def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
     """leg_start/leg_end lines for one block walked from its start.
 
     stop = (arc, idx, agent xy, sensed) ends the walk inside leg idx with
@@ -377,15 +376,13 @@ def _trace_block(tracer, strategy, start, verts, cum, t, cost, speed, stop=None)
         agent = Point(float(xy[0]), float(xy[1]))
         tracer.emit(at, cost + arc, agent, strategy.position(at), event)
 
-    walked = len(cum) if stop is None else stop[1]
-    prev = 0.0
+    walked = 8 * (params.k + 1) if stop is None else stop[1]
     for leg in range(walked):
-        emit(prev, start + verts[leg], "leg_start")
-        emit(cum[leg], start + verts[leg + 1], "leg_end")
-        prev = cum[leg]
+        emit(pi_arc_before(params, leg), start + pi_vertex(params, leg), "leg_start")
+        emit(pi_arc_before(params, leg + 1), start + pi_vertex(params, leg + 1), "leg_end")
     if stop is not None:
         arc, idx, xy, sensed = stop
-        emit(prev, start + verts[idx], "leg_start")
+        emit(pi_arc_before(params, idx), start + pi_vertex(params, idx), "leg_start")
         if not sensed:
             emit(arc, xy, "leg_end")
         emit(arc, xy, "sense" if sensed else "cost_budget")

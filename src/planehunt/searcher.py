@@ -104,8 +104,8 @@ class DynamicPrediction:
 
 def predict_dynamic(D, v, r, q_terms=DEFAULT_Q_TERMS):
     """Catch diagonal for a target of speed <= v starting within D."""
-    if D <= 0 or r <= 0 or v < 0:
-        raise ValueError("require D > 0, r > 0, v >= 0")
+    if not (all(map(math.isfinite, (D, v, r))) and D > 0 and r > 0 and v >= 0):
+        raise ValueError("require finite D > 0, r > 0, v >= 0")
     base = predict_static(D, r)
     a, b = base.a, base.b
     q = dynamic_q(q_terms)

@@ -13,20 +13,43 @@ The searcher's path is built from three layers:
     searched square and refines the resolution.
 
 The full schedule is the infinite concatenation diagonal(1) diagonal(2)...
-Streams are lazy throughout; diagonal(12) alone has ~2^26 instructions,
-so nothing here materializes full instruction lists.
+Nothing here materializes it: diagonal(12) alone has ~2^26 legs.  The
+instruction streams are lazy, and the engine and prefix_polyline read each
+block through its closed form: pi_vertex, pi_leg_length and pi_arc_before
+give one vertex, leg or arc in O(1) from the axis lines of _SIDES.  Each
+is an integer count of steps, exact in Python ints, times 2^-j, so it is
+exact below 2^53 steps: through diagonal 11, where a float running sum of
+the legs is exact and equal to it.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
 DIRECTIONS = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 UNIT = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
+
+# The outbound half of a block, in units of its step: leg 4s + off lies on
+# the line perp = sign * (s + c_line) and runs along the other axis from
+# sign0 * (s + c0) to -sign0 * (s + c1).  The return leg 8(k+1) - 1 - L
+# retraces outbound leg L.
+#   (perp axis, sign, c_line, sign0, c0, c1)
+_SIDES = (
+    (1, 1, 0, -1, 0, 1),  # E: y = s, x from -s to s + 1
+    (0, 1, 1, 1, 0, 1),  # S: x = s + 1, y from s to -(s + 1)
+    (1, -1, 1, 1, 1, 1),  # W: y = -(s + 1), x from s + 1 to -(s + 1)
+    (0, -1, 1, -1, 1, 1),  # N: x = -(s + 1), y from -(s + 1) to s + 1
+)
+
+# prefix_polyline refuses prefixes with more vertices than this (arc
+# length about 6.85e5, inside diagonal 6).  `adversary --i 4` at its
+# default grid takes about 9 s on a prefix this long, 2-core x86 VM, and
+# grows linearly with it; the tests, demos and bench use at most 3,215.
+MAX_PREFIX_VERTICES = 2**16
 
 
 @dataclass(frozen=True)
@@ -154,8 +177,8 @@ def predict_static(D, r):
     square contains the disc of radius D.  Clamping a and b covers
     D <= 1 and r >= 1, where the doubling grid has no row/column.
     """
-    if D <= 0 or r <= 0:
-        raise ValueError("D and r must be positive")
+    if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
+        raise ValueError("D and r must be finite and positive")
     a = ceil_log2(D)
     b = ceil_log2(1.0 / r)
     if b % 2 == 1:
@@ -167,63 +190,58 @@ def predict_static(D, r):
     return CatchPrediction(a=a, b=b, y=y, cost_bound=80.0 * y * 2.0 ** (2 * y + 2))
 
 
-# --- vectorized views -----------------------------------------------------
-#
-# The simulation engine and the coverage tests need whole trajectories
-# as numpy arrays.  Out-and-back trajectories start and end at the origin,
-# so per-(k, j) arrays are position-independent and cacheable.
+def pi_vertex(params, legs_walked):
+    """(x, y) after legs_walked legs of out_and_back(k, j), and after 8(k+1) - legs_walked legs."""
+    back = 8 * (params.k + 1) - legs_walked
+    s, off = divmod(back if back < legs_walked else legs_walked, 4)
+    axis, sign, c_line, sign0, c0, _ = _SIDES[off]
+    step = 2.0 ** (-params.j)
+    perp, par = sign * (s + c_line) * step, sign0 * (s + c0) * step
+    return (perp, par) if axis == 0 else (par, perp)
 
 
-@lru_cache(maxsize=64)
-def pi_arrays(k, j):
-    """(vertices, leg lengths, cumulative lengths) of out_and_back(k, j).
+def pi_leg_length(params, leg):
+    """Length of leg `leg` (0-based) of out_and_back(k, j)."""
+    back = 8 * params.k + 7 - leg
+    return ((back if back < leg else leg) // 2 + 1) * 2.0 ** (-params.j)
 
-    vertices has shape (n+1, 2) and starts/ends at the origin; lengths
-    and cumulative lengths have shape (n,), n = 8(k+1).
+
+def pi_arc_before(params, leg):
+    """Arc walked on out_and_back(k, j) before leg `leg` (0..8(k+1)).
+
+    The first L legs out make ceil(L/2) (floor(L/2) + 1) steps; the return mirrors them.
     """
-    step = 2.0 ** (-j)
-    m = np.arange(1, 2 * k + 3, dtype=np.float64)
-    dist = np.repeat(m, 2) * step  # spiral leg lengths in order
-    n_half = dist.size
-    dx = np.zeros(n_half)
-    dy = np.zeros(n_half)
-    odd = (np.repeat(m, 2) % 2) == 1
-    first_of_pair = np.arange(n_half) % 2 == 0
-    dx[odd & first_of_pair] = 1.0  # E
-    dy[odd & ~first_of_pair] = -1.0  # S
-    dx[~odd & first_of_pair] = -1.0  # W
-    dy[~odd & ~first_of_pair] = 1.0  # N
-    disp_out = np.column_stack([dx, dy]) * dist[:, None]
-    disp = np.concatenate([disp_out, -disp_out[::-1]])
-    verts = np.concatenate([np.zeros((1, 2)), np.cumsum(disp, axis=0)])
-    lengths = np.concatenate([dist, dist[::-1]])
-    return verts, lengths, np.cumsum(lengths)
-
-
-def polyline_of(instructions, start=(0.0, 0.0)):
-    """Materialize instructions into an (n+1, 2) vertex array."""
-    pts = [np.asarray(start, dtype=np.float64)]
-    for instr in instructions:
-        ux, uy = UNIT[instr.direction]
-        pts.append(pts[-1] + np.array([ux * instr.distance, uy * instr.distance]))
-    return np.array(pts)
+    back = 8 * (params.k + 1) - leg
+    if back < leg:
+        return pi_length(params) - pi_arc_before(params, back)
+    return (leg - leg // 2) * (leg // 2 + 1) * 2.0 ** (-params.j)
 
 
 def prefix_polyline(max_cost, start=(0.0, 0.0)):
     """Vertices of the schedule walked until arc length max_cost.
 
     Reconstructs the exact path a searcher traversed when it stopped at
-    cost max_cost (the final leg is truncated at the budget).
+    cost max_cost (the final leg is truncated at the budget).  The vertex
+    count follows from the block lengths before any vertex is built, and
+    a prefix of more than MAX_PREFIX_VERTICES vertices raises ValueError.
     """
     if not (math.isfinite(max_cost) and max_cost >= 0):
         raise ValueError(f"max_cost must be finite and nonnegative, got {max_cost}")
-    pts = [np.asarray(start, dtype=np.float64)]
-    remaining = max_cost
-    for _, instr in full_schedule():
-        ux, uy = UNIT[instr.direction]
-        d = min(instr.distance, remaining)
-        pts.append(pts[-1] + np.array([ux * d, uy * d]))
-        remaining -= d
-        if remaining <= 0:
+    walked, remaining, n_vertices = [], max_cost, 1
+    for params in chain.from_iterable(map(diagonal_terms, count(1))):
+        legs, ends_here = 8 * (params.k + 1), pi_length(params) >= remaining
+        if ends_here:  # the walk stops on the first leg whose end arc reaches the budget
+            legs = 1 + bisect_left(range(legs), remaining, key=lambda L: pi_arc_before(params, L + 1))
+        walked.append((params, legs))
+        n_vertices += legs
+        if n_vertices > MAX_PREFIX_VERTICES:
+            raise ValueError(f"prefix of arc length {max_cost:g} has more than {MAX_PREFIX_VERTICES} vertices")
+        if ends_here:
             break
-    return np.array(pts)
+        remaining -= pi_length(params)
+    xy = chain.from_iterable(pi_vertex(p, L) for p, n in walked for L in range(1, n + 1))
+    pts = np.fromiter(chain((0.0, 0.0), xy), np.float64, 2 * n_vertices).reshape(-1, 2)
+    # cut the last leg at the budget: a + u * d for its unit direction u
+    a, last = pts[-2], legs - 1
+    pts[-1] = a + (pts[-1] - a) / pi_leg_length(params, last) * (remaining - pi_arc_before(params, last))
+    return np.asarray(start, dtype=np.float64) + pts

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from block_arrays import polyline_of
 
 from planehunt.coverage import tube_area
 from planehunt.engine import SimConfig, brute_force_oracle, simulate
@@ -23,7 +24,6 @@ from planehunt.trajectory import (
     diagonal_length_bound,
     pi_instructions,
     pi_length,
-    polyline_of,
     prefix_polyline,
     spiral_instructions,
 )

@@ -27,6 +27,20 @@ def test_simulate_matches_library(capsys):
     assert f"diagonal={lib.diagonal}" in out
 
 
+def test_simulate_far_target_at_the_default_diagonal_budget(capsys):
+    # an unsensed hunt through diagonal 11, caught on diagonal 12
+    code = run(["simulate", "--target", "3000,0", "--r", "0.01"])
+    out = capsys.readouterr().out
+    lib = simulate(static_plan(), inert(Point(3000, 0)), SimConfig(r=0.01, max_diagonal=12))
+    assert code == 0
+    assert out == (
+        f"sensed={lib.sensed} cost={lib.cost:.9g} time={lib.time:.9g} "
+        f"agent=({lib.agent_pos.x:.9g},{lib.agent_pos.y:.9g}) "
+        f"target=({lib.target_pos.x:.9g},{lib.target_pos.y:.9g}) "
+        f"diagonal={lib.diagonal} legs={lib.legs_processed} stop={lib.stop_reason}\n"
+    )
+
+
 def test_simulate_waypoints_file(tmp_path, capsys):
     wp = tmp_path / "wp.txt"
     wp.write_text("v 1.0\n0 2 0\n1 1 0\n")
@@ -164,6 +178,14 @@ def test_adversary_rejects_nonfinite_max_cost(max_cost, capsys):
     assert "max_cost" in captured.err
 
 
+def test_adversary_rejects_a_huge_prefix_before_output(capsys):
+    code = run(["adversary", "--i", "1", "--max-cost", "1e12", "--grid-res", "32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vertices" in captured.err
+
+
 @pytest.mark.parametrize("i, grid_res", [("2", "16"), ("2", "31"), ("0", "64")])
 def test_adversary_bad_sizes_exit_2_before_output(i, grid_res, capsys):
     code = run(["adversary", "--i", i, "--max-cost", "10", "--grid-res", grid_res])
@@ -181,6 +203,16 @@ def test_export_svg_rejects_nonfinite_max_cost(max_cost, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "max_cost" in captured.err
+    assert not out.exists()
+
+
+def test_export_svg_rejects_a_huge_prefix(tmp_path, capsys):
+    out = tmp_path / "t.svg"
+    code = run(["export-svg", "--max-cost", "1e12", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vertices" in captured.err
     assert not out.exists()
 
 

@@ -1,11 +1,13 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from block_arrays import pi_arrays
 
 from planehunt import engine
 from planehunt.engine import (
-    _SIDES,
     SimConfig,
     _corner_range,
     _first_contact_in_rings,
@@ -15,7 +17,7 @@ from planehunt.engine import (
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
-from planehunt.trajectory import SpiralParams, diagonal_terms, pi_arrays
+from planehunt.trajectory import _SIDES, SpiralParams, diagonal_terms, pi_length
 
 
 def test_config_validation():
@@ -112,6 +114,27 @@ class TestSimulateInert:
         out = simulate(static_plan(), inert(Point(1, 0)), SimConfig(r=0.5, max_diagonal=1))
         # five full legs (.25+.25+.5+.5+.75) plus a partial 0.25 of the sixth
         assert out.cost == pytest.approx(0.25 + 0.25 + 0.5 + 0.5 + 0.75 + 0.25, abs=1e-9)
+
+
+def test_unsensed_hunt_memory_does_not_grow_with_the_diagonal():
+    # 66 blocks up to 8(2^23 + 1) legs each, read through their closed forms
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        out = simulate(static_plan(), inert(Point(3000, 0)), SimConfig(r=0.01, max_diagonal=11))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert elapsed < 1.0
+    assert (out.sensed, out.stop_reason, out.diagonal) == (False, "diagonal_budget", 11)
+    blocks = [params for i in range(1, 12) for params in diagonal_terms(i)]
+    assert out.legs_processed == sum(8 * (params.k + 1) for params in blocks)
+    cost = 0.0
+    for params in blocks:
+        cost += pi_length(params)
+    assert out.cost == cost
 
 
 class TestSimulateMoving:
@@ -278,7 +301,7 @@ class TestRingWindow:
     def _check(params, n, q, r, allowance=math.inf):
         q_rel = np.array(q, dtype=np.float64)
         block = pi_arrays(params.k, params.j)
-        got = _first_contact_in_rings(*block, n, q_rel, r, allowance)
+        got = _first_contact_in_rings(params, n, q_rel, r, allowance)
         want = _full_block_scan(*block, n, q_rel, r, allowance)
         assert got == want, (params, n, q, r, allowance)
         return want
@@ -373,7 +396,7 @@ class TestRingWindow:
             )
             cases.append((strategy, SimConfig(agent_start=start, r=r, max_cost=max_cost, max_diagonal=4)))
         windowed = [simulate(plan, s, cfg) for s, cfg in cases]
-        monkeypatch.setattr(engine, "_first_contact_in_rings", _full_block_scan)
+        monkeypatch.setattr(engine, "_first_contact_in_rings", lambda p, *a: _full_block_scan(*pi_arrays(p.k, p.j), *a))
         full = [simulate(plan, s, cfg) for s, cfg in cases]
         assert windowed == full
         reasons = {out.stop_reason for out in windowed}

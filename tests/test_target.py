@@ -120,7 +120,9 @@ class TestAdversarialPlacement:
 
     def test_covered_ring_returns_absent(self):
         # a dense sweep of ring 1 at spacing << r_1 leaves no witness
-        from planehunt.trajectory import SpiralParams, polyline_of, spiral_instructions
+        from block_arrays import polyline_of
+
+        from planehunt.trajectory import SpiralParams, spiral_instructions
 
         traj = polyline_of(spiral_instructions(SpiralParams(32, 4)))
         results = adversarial_static_placement(traj, 1, grid_res=64)

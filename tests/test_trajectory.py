@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from block_arrays import pi_arrays, polyline_of
 
+from planehunt import trajectory
 from planehunt.trajectory import (
+    UNIT,
     MoveInstruction,
     SpiralParams,
     diagonal_instructions,
@@ -12,10 +15,11 @@ from planehunt.trajectory import (
     diagonal_length_bound,
     diagonal_terms,
     full_schedule,
-    pi_arrays,
+    pi_arc_before,
     pi_instructions,
+    pi_leg_length,
     pi_length,
-    polyline_of,
+    pi_vertex,
     predict_static,
     prefix_polyline,
     spiral_instructions,
@@ -173,12 +177,66 @@ class TestCoverageProperty:
 class TestVectorizedView:
     @pytest.mark.parametrize("k,j", [(1, 2), (8, 2), (16, 4)])
     def test_arrays_match_instructions(self, k, j):
-        verts, lengths, cum = pi_arrays(k, j)
-        poly = polyline_of(pi_instructions(SpiralParams(k, j)))
+        params = SpiralParams(k, j)
+        legs = 8 * (k + 1)
+        verts = np.array([pi_vertex(params, L) for L in range(legs + 1)])
+        lengths = [pi_leg_length(params, L) for L in range(legs)]
+        cum = [pi_arc_before(params, L + 1) for L in range(legs)]
+        poly = polyline_of(pi_instructions(params))
         assert np.array_equal(verts, poly)
-        instr_len = [i.distance for i in pi_instructions(SpiralParams(k, j))]
+        instr_len = [i.distance for i in pi_instructions(params)]
         assert np.allclose(lengths, instr_len, rtol=0, atol=0)
-        assert cum[-1] == pytest.approx(pi_length(SpiralParams(k, j)))
+        assert cum == list(np.cumsum(instr_len))
+        assert cum[-1] == pytest.approx(pi_length(params))
+
+    def test_closed_form_matches_arrays_bit_for_bit(self):
+        # every block of diagonals 1-5, against the whole-block numpy view
+        for i in range(1, 6):
+            for params in diagonal_terms(i):
+                verts, lengths, cum = pi_arrays(params.k, params.j)
+                legs = lengths.size
+                got = np.array([pi_vertex(params, L) for L in range(legs + 1)])
+                assert got.tobytes() == verts.tobytes()
+                got = np.array([pi_leg_length(params, L) for L in range(legs)])
+                assert got.tobytes() == lengths.tobytes()
+                arcs = np.array([pi_arc_before(params, L) for L in range(legs + 1)])
+                assert arcs[0] == 0.0 and arcs[1:].tobytes() == cum.tobytes()
+                assert arcs[:-1].tobytes() == (cum - lengths).tobytes()
+                assert pi_length(params) == cum[-1]
+
+    @pytest.mark.parametrize("k,j", [(1, 1), (6, 2), (1024, 10)])
+    def test_return_legs_mirror_the_spiral(self, k, j):
+        params, legs = SpiralParams(k, j), 8 * (k + 1)
+        for L in range(legs + 1):
+            assert pi_vertex(params, legs - L) == pi_vertex(params, L)
+        for L in range(legs):
+            assert pi_leg_length(params, legs - 1 - L) == pi_leg_length(params, L)
+            assert pi_arc_before(params, legs - L) == pi_length(params) - pi_arc_before(params, L)
+
+    @pytest.mark.parametrize("max_cost", [0.0, 0.6, 10.0, 171.0, 400.0, 1318.75, 4000.0, 4000.3])
+    def test_prefix_polyline_walks_the_instruction_stream(self, max_cost):
+        poly = prefix_polyline(max_cost)
+        instrs = [instr for _, instr in itertools.islice(full_schedule(), len(poly) - 1)]
+        full = polyline_of(instrs)
+        assert np.array_equal(poly[:-1], full[:-1])
+        # the last leg is the stream's next leg, cut at the budget
+        cut = max_cost - sum(instr.distance for instr in instrs[:-1])
+        assert 0.0 <= cut <= instrs[-1].distance
+        ux, uy = UNIT[instrs[-1].direction]
+        assert np.array_equal(poly[-1], full[-2] + np.array([ux * cut, uy * cut]))
+
+    def test_prefix_polyline_vertex_limit_is_exact(self, monkeypatch):
+        n = len(prefix_polyline(400.0))
+        monkeypatch.setattr(trajectory, "MAX_PREFIX_VERTICES", n)
+        assert len(prefix_polyline(400.0)) == n
+        monkeypatch.setattr(trajectory, "MAX_PREFIX_VERTICES", n - 1)
+        with pytest.raises(ValueError, match="vertices"):
+            prefix_polyline(400.0)
+
+    @pytest.mark.parametrize("max_cost", [1e12, 1e300, 2.0 ** 1023])
+    def test_prefix_polyline_rejects_huge_prefixes_before_the_walk(self, max_cost):
+        with pytest.raises(ValueError, match=f"more than {trajectory.MAX_PREFIX_VERTICES} vertices"):
+            prefix_polyline(max_cost)
 
     def test_prefix_polyline_truncates_at_budget(self):
         poly = prefix_polyline(0.6)
