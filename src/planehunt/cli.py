@@ -22,7 +22,7 @@ from .experiments import (
 from .geometry import Point
 from .searcher import dynamic_plan, static_plan
 from .target import adversarial_static_placement, inert, load_waypoints, radial_flee
-from .trajectory import prefix_polyline
+from .trajectory import MAX_DIAGONAL, prefix_polyline
 
 
 def _point(text):
@@ -53,7 +53,8 @@ def build_parser():
     sim.add_argument("--t-freeze", type=float, default=0.0, help="flee-then-freeze switch time (time units)")
     sim.add_argument("--r", type=float, required=True, help="sensing radius (length units)")
     sim.add_argument("--max-cost", type=float, default=math.inf, help="arc-length budget (length units)")
-    sim.add_argument("--max-diagonal", type=int, default=12, help="diagonal budget (index)")
+    sim.add_argument("--max-diagonal", type=int, default=MAX_DIAGONAL,
+                     help=f"diagonal budget (index, 1..{MAX_DIAGONAL})")
     sim.add_argument("--trace", help="write per-event trace lines `t cost ax ay tx ty event` to this path")
 
     sst = sub.add_parser("sweep-static", help="seeded sweep of the unit-speed searcher")

@@ -20,11 +20,12 @@ leg in walking order, bit for bit:
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
     remain;
-  * a remaining leg that stops short of the target has its end vertex as
-    closest point; these corners lie on one diagonal line, so a quadratic
-    bounds the ones within r and only those are tested;
-  * the other legs get the filter in Python floats, which rounds as numpy
-    does: einsum over two columns is x0*y0 + x1*y1, and the rest is
+  * on a remaining leg that stops short of the target the filter's t
+    clips to exactly 0 or 1, so its closest point is the leg's end vertex,
+    exactly; these corners lie on one diagonal line, so a quadratic bounds
+    the ones within r and only those are tested;
+  * every tested leg gets the filter in Python floats, which rounds as
+    numpy does: einsum over two columns is x0*y0 + x1*y1, and the rest is
     elementwise;
   * the quadratic keeps numpy's 1-D `@`, whose BLAS dot does not round as
     x0*y0 + x1*y1 does.
@@ -40,6 +41,7 @@ import numpy as np
 from .geometry import Point, first_contact_time
 from .trajectory import (
     _SIDES,
+    MAX_DIAGONAL,
     UNIT,
     diagonal_terms,
     full_schedule,
@@ -54,6 +56,8 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Sensing radius and budgets of one hunt; max_diagonal None means MAX_DIAGONAL."""
+
     agent_start: Point = Point(0.0, 0.0)
     r: float = 1.0
     max_cost: float = math.inf
@@ -68,8 +72,10 @@ class SimConfig:
             raise ValueError("max_cost must be positive")
         if math.isinf(self.max_cost) and self.max_diagonal is None:
             raise ValueError("need a finite max_cost or max_diagonal")
-        if self.max_diagonal is not None and self.max_diagonal < 1:
-            raise ValueError("max_diagonal must be >= 1")
+        if self.max_diagonal is None:
+            object.__setattr__(self, "max_diagonal", MAX_DIAGONAL)
+        if not 1 <= self.max_diagonal <= MAX_DIAGONAL:
+            raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {self.max_diagonal}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def _simulate(plan, strategy, cfg, tracer):
     t = 0.0
     legs = 0
     for i in count(1):
-        if cfg.max_diagonal is not None and i > cfg.max_diagonal:
+        if i > cfg.max_diagonal:
             tgt = strategy.position(t)
             return _outcome(False, t, cost, cfg.agent_start, tgt, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)
@@ -253,10 +259,10 @@ def _first_flagged(k, step, q, r, n):
     row (einsum over two columns is x0*y0 + x1*y1, the rest elementwise):
         t = clip((q - a).(b - a) / |b - a|^2, 0, 1)
         dist2 = |q - (a + t (b - a))|^2 <= r*r.
-    Per side, only the lines within r of the target are kept, and on them
-    the legs that stop short of it are tested at their end vertex
-    (_first_corner) and the others with the filter (_first_on_lines); see
-    the module docstring for why both are exact.
+    Per side, only the lines within r of the target are kept, and of
+    their legs that stop short of it only the corners that _corner_range
+    brackets; every kept leg gets the filter (_first_on_lines).  See the
+    module docstring for why that is exact.
     """
     legs = 8 * (k + 1)
     rr = r * r
@@ -287,33 +293,25 @@ def _first_flagged(k, step, q, r, n):
         corners = (cov, cov - 1)
         if cov > lo:
             corners = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
-        corner = (p, c_line, P, c_end, *corners)
         line = (q_perp, q_par, sign, c_line, sign0, c0, c1)
-        sides.append((off, lo, hi, cov, corner, line))
+        sides.append((off, (corners, (cov, hi)), line))
 
+    # outbound leg 4s + off is return leg legs - 1 - 4s - off; each pass
+    # keeps the legs from n to the first one found so far
     first = None
-    for off, lo, hi, cov, corner, line in sides:
-        lo = max(lo, (n - off + 3) // 4)  # outbound leg 4s + off >= n
-        if first is not None and 4 * lo + off > first:
-            continue
-        s = _first_corner(*corner, step, rr, lo, hi, False)
-        if s is None:
-            s = _first_on_lines(*line, step, rr, max(lo, cov), hi, False)
-        if s is not None and (first is None or 4 * s + off < first):
-            first = 4 * s + off
-    if first is not None:
-        return first
-    n_back = max(n, legs // 2)
-    for off, lo, hi, cov, corner, line in sides:
-        hi = min(hi, (legs - 1 - n_back - off) // 4)  # return leg legs-1-4s-off >= n
-        if first is not None and legs - 1 - 4 * hi - off > first:
-            continue
-        s = _first_on_lines(*line, step, rr, max(lo, cov), hi, True)
-        if s is None:
-            s = _first_corner(*corner, step, rr, lo, hi, True)
-        if s is not None and (first is None or legs - 1 - 4 * s - off < first):
-            first = legs - 1 - 4 * s - off
-    return first
+    for back in (False, True):
+        for off, ranges, line in sides:
+            last = legs - 1 if first is None else first
+            m_lo, m_hi = (legs - 1 - last, legs - 1 - n) if back else (n, last)
+            for lo, hi in reversed(ranges) if back else ranges:
+                lo, hi = max(lo, (m_lo - off + 3) // 4), min(hi, (m_hi - off) // 4)
+                s = _first_on_lines(*line, step, rr, lo, hi, back)
+                if s is not None:
+                    first = legs - 1 - 4 * s - off if back else 4 * s + off
+                    break
+        if first is not None:
+            return first
+    return None
 
 
 def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi, back):
@@ -352,16 +350,6 @@ def _corner_range(x, y, step, r, lo, hi):
     first = lo if mid - half <= lo else hi + 1 if mid - half > hi else math.ceil(mid - half)
     last = hi if mid + half >= hi else lo - 1 if mid + half < lo else math.floor(mid + half)
     return first, last
-
-
-def _first_corner(p, c_line, P, c_end, first, last, step, rr, lo, hi, back):
-    """First s of first..last and lo..hi (from the top if back) whose corner passes the filter."""
-    lo, hi = max(lo, first), min(hi, last)
-    for s in range(hi, lo - 1, -1) if back else range(lo, hi + 1):
-        e, o = P - (s + c_end) * step, p - (s + c_line) * step
-        if e * e + o * o <= rr:
-            return s
-    return None
 
 
 def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
@@ -416,7 +404,7 @@ def brute_force_oracle(plan, strategy, cfg, step):
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
     for i, instr in full_schedule():
-        if cfg.max_diagonal is not None and i > cfg.max_diagonal:
+        if i > cfg.max_diagonal:
             tp = strategy.position(t)
             return _outcome(False, t, cost, Point(*pos), tp, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)

@@ -7,6 +7,12 @@ diagonal y, and the ratio of cost to the bound's growth term must stay
 bounded across the sweep.  Sweeps are seeded and byte-reproducible;
 target samples are keyed by (seed, D, r, sample index) so that sweeps
 sharing those values draw identical targets.
+
+Both sweeps run on one worker: sweep_static and sweep_dynamic check the
+desk-scale guard and list one cell per parameter pair, with its plan,
+prediction, diagonal cap and growth scale, and _sweep runs the cells
+serially or on a process pool and joins their rows in cell order.  The
+static sweep's cells have v = 0, so its targets are inert.
 """
 
 import csv
@@ -16,7 +22,7 @@ import os
 import struct
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .engine import SimConfig, simulate
 from .geometry import Point
 from .searcher import dynamic_plan, predict_dynamic, static_plan
 from .target import inert, radial_flee
-from .trajectory import predict_static
+from .trajectory import diagonal_length, predict_static
 
 # Desk-scale guards: keep the static catch diagonal <= 7 and the simulated
 # dynamic search within diagonal 9, so runs stay near 10^5-10^6 legs.
@@ -34,21 +40,9 @@ MIN_R = 2.0 ** (-8)
 MAX_V = 16.0
 DYNAMIC_MAX_DIAGONAL = 9
 
-SWEEP_FIELDS = (
-    "run_id",
-    "D",
-    "r",
-    "v",
-    "algorithm",
-    "sensed",
-    "cost",
-    "time",
-    "diagonal",
-    "predicted_y",
-    "cost_bound",
-    "ratio",
-    "seed",
-)
+# export_svg draws on a square canvas of this side, inside this border
+SVG_CANVAS = 800.0
+SVG_MARGIN = 40.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +60,9 @@ class SweepRow:
     cost_bound: float
     ratio: float
     seed: int
+
+
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _float_key(x):
@@ -105,34 +102,47 @@ def _check_guard(Ds, rs, vs=()):
             raise ValueError(f"v={v} outside the desk-scale guard 0 <= v <= {MAX_V}")
 
 
-def _static_cell(args):
-    D, r, samples, seed, run_id0 = args
-    pred = predict_static(D, r)
-    cfg = SimConfig(r=r, max_diagonal=pred.y)
-    plan = static_plan()
+def _cell(args):
+    """Rows of one (D, r, v) cell: `samples` seeded hunts of `plan`.
+
+    A target with v > 0 flees radially until t_freeze; otherwise it is
+    inert.  The ratio divides cost by the growth term at `scale`.
+    """
+    plan, D, r, v, t_freeze, pred, max_diagonal, scale, samples, seed, run_id0 = args
+    cfg = SimConfig(r=r, max_diagonal=max_diagonal)
+    growth = _growth_term(scale, r)
     rows = []
     for s in range(samples):
         p = sample_target(seed, D, r, s)
-        out = simulate(plan, inert(p), cfg)
-        ratio = out.cost / _growth_term(D, r) if out.sensed else math.nan
+        strategy = radial_flee(Point(0.0, 0.0), p, v, t_freeze) if v > 0 else inert(p)
+        out = simulate(plan, strategy, cfg)
         rows.append(
             SweepRow(
                 run_id=run_id0 + s,
                 D=D,
                 r=r,
-                v=0.0,
-                algorithm="static",
+                v=v,
+                algorithm=plan.name,
                 sensed=out.sensed,
                 cost=out.cost,
                 time=out.time,
                 diagonal=out.diagonal,
                 predicted_y=pred.y,
                 cost_bound=pred.cost_bound,
-                ratio=ratio,
+                ratio=out.cost / growth if out.sensed else math.nan,
                 seed=seed,
             )
         )
     return rows
+
+
+def _sweep(plan, cells, samples, seed, jobs):
+    """Run the cells serially or on a process pool; rows come in cell order."""
+    work = [(plan, *cell, samples, seed, i * samples) for i, cell in enumerate(cells)]
+    if jobs <= 1 or len(work) <= 1:
+        return [row for args in work for row in _cell(args)]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
+        return [row for rows in pool.map(_cell, work) for row in rows]
 
 
 def sweep_static(Ds, rs, samples, seed, jobs=1):
@@ -141,12 +151,11 @@ def sweep_static(Ds, rs, samples, seed, jobs=1):
         raise ValueError("samples must be >= 1")
     _check_guard(Ds, rs)
     cells = []
-    run_id = 0
     for D in Ds:
         for r in rs:
-            cells.append((D, r, samples, seed, run_id))
-            run_id += samples
-    return _run_cells(_static_cell, cells, jobs)
+            pred = predict_static(D, r)
+            cells.append((D, r, 0.0, 0.0, pred, pred.y, D))
+    return _sweep(static_plan(), cells, samples, seed, jobs)
 
 
 def flee_time_from_plan(plan, arc=0.5):
@@ -155,8 +164,6 @@ def flee_time_from_plan(plan, arc=0.5):
     The flee-then-freeze adversary lets the target run exactly while the
     searcher covers its first half unit of arc.
     """
-    from .trajectory import diagonal_length
-
     covered = 0.0
     t = 0.0
     i = 1
@@ -170,43 +177,6 @@ def flee_time_from_plan(plan, arc=0.5):
         i += 1
 
 
-def _dynamic_cell(args):
-    v, r, D, samples, seed, run_id0 = args
-    plan = dynamic_plan()
-    pred = predict_dynamic(D, v, r)
-    cfg = SimConfig(r=r, max_diagonal=min(pred.y, DYNAMIC_MAX_DIAGONAL))
-    t_freeze = flee_time_from_plan(plan) if v > 0 else 0.0
-    origin = Point(0.0, 0.0)
-    M = max(D, v, 1.0)
-    rows = []
-    for s in range(samples):
-        p = sample_target(seed, D, r, s)
-        if v > 0:
-            strategy = radial_flee(origin, p, v, t_freeze)
-        else:
-            strategy = inert(p)
-        out = simulate(plan, strategy, cfg)
-        ratio = out.cost / _growth_term(M, r) if out.sensed else math.nan
-        rows.append(
-            SweepRow(
-                run_id=run_id0 + s,
-                D=D,
-                r=r,
-                v=v,
-                algorithm="dynamic",
-                sensed=out.sensed,
-                cost=out.cost,
-                time=out.time,
-                diagonal=out.diagonal,
-                predicted_y=pred.y,
-                cost_bound=pred.cost_bound,
-                ratio=ratio,
-                seed=seed,
-            )
-        )
-    return rows
-
-
 def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     """Simulate the accelerating searcher against flee-then-freeze targets.
 
@@ -216,24 +186,14 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_guard([D], rs, vs)
+    plan = dynamic_plan()
     cells = []
-    run_id = 0
     for v in vs:
+        t_freeze = flee_time_from_plan(plan) if v > 0 else 0.0
         for r in rs:
-            cells.append((v, r, D, samples, seed, run_id))
-            run_id += samples
-    return _run_cells(_dynamic_cell, cells, jobs)
-
-
-def _run_cells(worker, cells, jobs):
-    if jobs <= 1 or len(cells) <= 1:
-        results = [worker(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells), os.cpu_count() or 1)) as pool:
-            results = list(pool.map(worker, cells))
-    rows = [row for cell_rows in results for row in cell_rows]
-    rows.sort(key=lambda row: row.run_id)
-    return rows
+            pred = predict_dynamic(D, v, r)
+            cells.append((D, r, v, t_freeze, pred, min(pred.y, DYNAMIC_MAX_DIAGONAL), max(D, v, 1.0)))
+    return _sweep(plan, cells, samples, seed, jobs)
 
 
 @dataclass(frozen=True)
@@ -312,50 +272,43 @@ def write_rows_jsonl(rows, path):
             fh.write(json.dumps({f: getattr(row, f) for f in SWEEP_FIELDS}) + "\n")
 
 
-def export_svg(prefix, events, path, target_path=None, canvas=800.0, margin=40.0):
+def export_svg(prefix, events, path):
     """Standalone vector drawing of a trajectory prefix.
 
     prefix: (n+1, 2) polyline of the searcher; events: sequence of
-    (label, Point) markers (e.g. ("sense", p)); target_path: optional
-    polyline of the target.  Coordinates are scaled to a fixed canvas.
+    (label, Point) markers (e.g. ("sense", p)).  Coordinates are scaled
+    to a fixed SVG_CANVAS square with an SVG_MARGIN border.
     """
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim != 2 or prefix.shape[0] < 1:
         raise ValueError("prefix polyline must be a nonempty (n, 2) array")
     pts = [prefix]
-    if target_path is not None:
-        pts.append(np.asarray(target_path, dtype=np.float64))
     if events:
         pts.append(np.array([[p.x, p.y] for _, p in events]))
     allpts = np.vstack(pts)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
-    scale = (canvas - 2 * margin) / span
+    scale = (SVG_CANVAS - 2 * SVG_MARGIN) / span
 
     def to_canvas(p):
         # y flipped: SVG y grows downward
         return (
-            margin + (p[0] - lo[0]) * scale,
-            canvas - margin - (p[1] - lo[1]) * scale,
+            SVG_MARGIN + (p[0] - lo[0]) * scale,
+            SVG_CANVAS - SVG_MARGIN - (p[1] - lo[1]) * scale,
         )
 
     root = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=f"{canvas:g}",
-        height=f"{canvas:g}",
-        viewBox=f"0 0 {canvas:g} {canvas:g}",
+        width=f"{SVG_CANVAS:g}",
+        height=f"{SVG_CANVAS:g}",
+        viewBox=f"0 0 {SVG_CANVAS:g} {SVG_CANVAS:g}",
     )
     d = "M{:.3f} {:.3f}".format(*to_canvas(prefix[0]))
     for p in prefix[1:]:
         d += "L{:.3f} {:.3f}".format(*to_canvas(p))
     ET.SubElement(root, "path", d=d, fill="none", stroke="black")
-    if target_path is not None and len(target_path) > 1:
-        td = "M{:.3f} {:.3f}".format(*to_canvas(target_path[0]))
-        for p in target_path[1:]:
-            td += "L{:.3f} {:.3f}".format(*to_canvas(p))
-        ET.SubElement(root, "path", d=td, fill="none", stroke="red")
     sx, sy = to_canvas(prefix[0])
     ET.SubElement(root, "circle", cx=f"{sx:.3f}", cy=f"{sy:.3f}", r="4", fill="blue")
     for label, p in events:

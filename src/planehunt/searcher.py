@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .trajectory import diagonal_length, predict_static
+from .trajectory import _cost_bound, diagonal_length, predict_static
 
 # Per-diagonal traversal time decays like 2^(-2i) once i >= 11; the tail
 # of the time series is certified by that geometric bound.
@@ -102,18 +102,26 @@ class DynamicPrediction:
     condition_holds_at_formula_y: bool
 
 
-def predict_dynamic(D, v, r, q_terms=DEFAULT_Q_TERMS):
-    """Catch diagonal for a target of speed <= v starting within D."""
+def predict_dynamic(D, v, r):
+    """Catch diagonal for a target of speed <= v starting within D.
+
+    Raises ValueError, before any loop, where the result leaves the float
+    range: the timing condition divides by the speed 2^(5y), finite through
+    y = 204, and the cost bound is finite through y = 503.
+    """
     if not (all(map(math.isfinite, (D, v, r))) and D > 0 and r > 0 and v >= 0):
         raise ValueError("require finite D > 0, r > 0, v >= 0")
     base = predict_static(D, r)
     a, b = base.a, base.b
-    q = dynamic_q(q_terms)
+    plan = dynamic_plan()
+    q = dynamic_q()
+    # y0 below is max(a, ceil(q v)) + b/2, so y0 > y_max exactly when this test holds
+    y_max = 1023 // plan.speed_exponent if v > 0 else math.inf
+    if max(a, q * v) > y_max - b // 2:
+        raise ValueError(f"catch diagonal past {y_max}, where the speed 2^(5y) is beyond the float range")
     c = int(math.ceil(q * v))
     a_prime = max(a, c) + 1
     y0 = max(1, a_prime + b // 2 - 1)
-
-    plan = dynamic_plan()
 
     def condition(y):
         if v == 0:
@@ -132,6 +140,6 @@ def predict_dynamic(D, v, r, q_terms=DEFAULT_Q_TERMS):
         c=c,
         a_prime=a_prime,
         y=y,
-        cost_bound=80.0 * y * 2.0 ** (2 * y + 2),
+        cost_bound=_cost_bound(y),
         condition_holds_at_formula_y=holds,
     )

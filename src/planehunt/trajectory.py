@@ -19,7 +19,8 @@ block through its closed form: pi_vertex, pi_leg_length and pi_arc_before
 give one vertex, leg or arc in O(1) from the axis lines of _SIDES.  Each
 is an integer count of steps, exact in Python ints, times 2^-j, so it is
 exact below 2^53 steps: through diagonal 11, where a float running sum of
-the legs is exact and equal to it.
+the legs is exact and equal to it.  A simulation walks at most
+MAX_DIAGONAL = 12 diagonals.
 """
 
 import math
@@ -50,6 +51,12 @@ _SIDES = (
 # default grid takes about 9 s on a prefix this long, 2-core x86 VM, and
 # grows linearly with it; the tests, demos and bench use at most 3,215.
 MAX_PREFIX_VERTICES = 2**16
+
+# The last diagonal a simulation may walk: the CLI default, and the largest
+# any test, demo or benchmark uses.  Block arcs are exact through diagonal
+# 11; further out the blocks soon have more legs than a machine-size index
+# (diagonal 30) and pi_length overflows to inf (diagonal 255).
+MAX_DIAGONAL = 12
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,11 @@ class CatchPrediction:
 
 
 def ceil_log2(x):
-    """Smallest integer a with 2**a >= x, robust to float rounding."""
-    if x <= 0:
-        raise ValueError("ceil_log2 requires a positive argument")
-    a = math.ceil(math.log2(x))
-    while 2.0 ** a < x:
-        a += 1
-    while 2.0 ** (a - 1) >= x:
-        a -= 1
-    return a
+    """Smallest integer a with 2**a >= x, exact for every positive finite x."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError("ceil_log2 requires a finite positive argument")
+    m, e = math.frexp(x)  # x = m 2^e with 0.5 <= m < 1
+    return e - 1 if m == 0.5 else e
 
 
 def spiral_instructions(params):
@@ -168,6 +171,13 @@ def full_schedule():
             yield i, instr
 
 
+def _cost_bound(y):
+    """80 y 2^(2y+2), the cost bound of a catch by diagonal y, while it is a finite float."""
+    if 2 * y + 2 + math.log2(80 * y) >= 1024:  # y >= 504
+        raise ValueError(f"the cost bound of catch diagonal {y} is beyond the float range")
+    return 80.0 * y * 2.0 ** (2 * y + 2)
+
+
 def predict_static(D, r):
     """Catch diagonal and cost bound for a target at distance <= D.
 
@@ -176,9 +186,12 @@ def predict_static(D, r):
     the diagonal holding the spiral of resolution 2^-b whose covered
     square contains the disc of radius D.  Clamping a and b covers
     D <= 1 and r >= 1, where the doubling grid has no row/column.
+    Raises ValueError where the cost bound is not a finite float.
     """
     if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
         raise ValueError("D and r must be finite and positive")
+    if 1.0 / r == math.inf:  # r < 2^-1024: y > 512
+        raise ValueError(f"r={r} puts the cost bound beyond the float range")
     a = ceil_log2(D)
     b = ceil_log2(1.0 / r)
     if b % 2 == 1:
@@ -187,7 +200,7 @@ def predict_static(D, r):
     # row indices start at 1, so the catch spiral lives in row max(a, 1);
     # for a >= 1 this is the plain formula a + b/2 - 1
     y = max(a, 1) + b // 2 - 1
-    return CatchPrediction(a=a, b=b, y=y, cost_bound=80.0 * y * 2.0 ** (2 * y + 2))
+    return CatchPrediction(a=a, b=b, y=y, cost_bound=_cost_bound(y))
 
 
 def pi_vertex(params, legs_walked):
@@ -217,7 +230,7 @@ def pi_arc_before(params, leg):
     return (leg - leg // 2) * (leg // 2 + 1) * 2.0 ** (-params.j)
 
 
-def prefix_polyline(max_cost, start=(0.0, 0.0)):
+def prefix_polyline(max_cost):
     """Vertices of the schedule walked until arc length max_cost.
 
     Reconstructs the exact path a searcher traversed when it stopped at
@@ -244,4 +257,4 @@ def prefix_polyline(max_cost, start=(0.0, 0.0)):
     # cut the last leg at the budget: a + u * d for its unit direction u
     a, last = pts[-2], legs - 1
     pts[-1] = a + (pts[-1] - a) / pi_leg_length(params, last) * (remaining - pi_arc_before(params, last))
-    return np.asarray(start, dtype=np.float64) + pts
+    return pts

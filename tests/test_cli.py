@@ -41,6 +41,31 @@ def test_simulate_far_target_at_the_default_diagonal_budget(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [
+        ["--max-diagonal", "600"],  # pi_length is inf from diagonal 255 on
+        ["--max-cost", "5.805395323986941e+21", "--max-diagonal", "60"],  # ends in diagonal 31
+        ["--max-cost", "1e150", "--max-diagonal", "240"],
+        ["--max-diagonal", "13"],
+    ],
+)
+def test_simulate_rejects_a_diagonal_past_the_limit_exit_2(budget, capsys):
+    # each of the first two exited 1 with "Python int too large to convert to C ssize_t"
+    code = run(["simulate", "--target", "1e300,0", "--r", "0.01", *budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "max_diagonal" in captured.err
+
+
+def test_simulate_huge_cost_budget_stops_at_the_default_diagonal(capsys):
+    code = run(["simulate", "--target", "1e300,0", "--r", "0.01", "--max-cost", "1e150"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "agent=(0,0)" in out and "diagonal=12 " in out and "stop=diagonal_budget" in out
+
+
 def test_simulate_waypoints_file(tmp_path, capsys):
     wp = tmp_path / "wp.txt"
     wp.write_text("v 1.0\n0 2 0\n1 1 0\n")
@@ -119,6 +144,23 @@ def test_sweep_dynamic_frozen_bytes(tmp_path):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "2f7793b14c0f91201d6e6190db14553658f01e49b27e4e7f7a8ef2b5d9957126"
+    )
+
+
+def test_sweep_dynamic_frozen_bytes_with_inert_cells(tmp_path):
+    # frozen sha256 of both outputs, recorded before the two sweeps shared
+    # one worker: v = 0 cells hunt inert targets with the dynamic plan
+    csv_out, jsonl_out = tmp_path / "d.csv", tmp_path / "d.jsonl"
+    code = run([
+        "sweep-dynamic", "--v", "0,1,4", "--r", "0.25,0.0625", "--D", "2",
+        "--samples", "5", "--seed", "7", "--out", str(csv_out), "--jsonl", str(jsonl_out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "a9cb39f940019a6cded8f93130a75eacc1aaea6e3ea880f8955fc17f6dc499ea"
+    )
+    assert hashlib.sha256(jsonl_out.read_bytes()).hexdigest() == (
+        "e030625de9533dd4437c11b2ad32acf28dc9485f2c3e4e37c2cf18b950c5e103"
     )
 
 

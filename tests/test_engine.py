@@ -17,7 +17,7 @@ from planehunt.engine import (
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
-from planehunt.trajectory import _SIDES, SpiralParams, diagonal_terms, pi_length
+from planehunt.trajectory import _SIDES, MAX_DIAGONAL, SpiralParams, diagonal_terms, pi_length
 
 
 def test_config_validation():
@@ -36,6 +36,23 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(r=0.5, max_cost=max_cost, max_diagonal=2)
     assert SimConfig(r=0.5, max_cost=math.inf, max_diagonal=2).max_cost == math.inf
+
+
+def test_config_diagonal_limit():
+    # past MAX_DIAGONAL block arcs lose exactness and leg indices outgrow bisect
+    assert SimConfig(r=0.5, max_diagonal=MAX_DIAGONAL).max_diagonal == MAX_DIAGONAL
+    assert SimConfig(r=0.5, max_cost=10.0).max_diagonal == MAX_DIAGONAL
+    for max_diagonal in (MAX_DIAGONAL + 1, 31, 600):
+        with pytest.raises(ValueError, match="max_diagonal"):
+            SimConfig(r=0.5, max_diagonal=max_diagonal)
+
+
+def test_a_budget_past_the_last_diagonal_stops_there():
+    cfg = SimConfig(r=0.01, max_cost=1e150)
+    out = simulate(static_plan(), inert(Point(1e300, 0.0)), cfg)
+    assert (out.sensed, out.stop_reason, out.diagonal) == (False, "diagonal_budget", MAX_DIAGONAL)
+    assert out.agent_pos == Point(0.0, 0.0)
+    assert out.cost == sum(pi_length(p) for i in range(1, MAX_DIAGONAL + 1) for p in diagonal_terms(i))
 
 
 def test_config_rejects_non_finite_start():

@@ -127,6 +127,11 @@ class TestSweepDynamic:
             assert row.diagonal <= row.predicted_y
             assert row.algorithm == "dynamic"
 
+    def test_jobs_merge_is_deterministic(self):
+        serial = sweep_dynamic([0, 1, 4], [1 / 4, 1 / 16], D=2, samples=3, seed=5, jobs=1)
+        parallel = sweep_dynamic([0, 1, 4], [1 / 4, 1 / 16], D=2, samples=3, seed=5, jobs=2)
+        assert serial == parallel
+
     def test_guard_rejection(self):
         with pytest.raises(ValueError, match="guard"):
             sweep_dynamic([32], [1 / 4], D=1, samples=1, seed=0)

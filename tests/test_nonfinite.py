@@ -63,3 +63,41 @@ def test_reported_cases(call):
     # each returned nan or inf, or raised OverflowError, before
     with pytest.raises(ValueError, match="finite"):
         call()
+
+
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(D=FINITE_POSITIVE, v=st.one_of(st.just(0.0), FINITE_POSITIVE), r=FINITE_POSITIVE)
+def test_predictions_over_the_whole_float_range(D, v, r):
+    # a finite cost bound or ValueError: never OverflowError, never a hang
+    for predict, args in ((predict_static, (D, r)), (predict_dynamic, (D, v, r))):
+        try:
+            bound = predict(*args).cost_bound
+        except ValueError:
+            continue
+        assert math.isfinite(bound)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: predict_dynamic(1, 100, 0.1),
+        lambda: predict_dynamic(1, 1e5, 0.1),
+        lambda: predict_dynamic(2.0 ** 203, 1, 0.1),
+        lambda: predict_static(1e300, 0.1),
+        lambda: predict_static(1, 5e-324),
+    ],
+    ids=["dynamic-v100", "dynamic-v1e5", "dynamic-D2^203", "static-D1e300", "static-r-subnormal"],
+)
+def test_predictions_beyond_the_float_range_raise_value_error(call):
+    # OverflowError, a 20 s hang, OverflowError (speed 2^(5 * 205)), OverflowError
+    # and OverflowError (1/r is inf) before
+    with pytest.raises(ValueError, match="float range"):
+        call()
+
+
+def test_predictions_at_the_edge_of_the_float_range():
+    assert predict_dynamic(2.0 ** 202, 1, 0.1).y == 204
+    assert predict_static(2.0 ** 503, 1).y == 503
+    assert predict_static(2.0 ** 503, 1).cost_bound == 80.0 * 503 * 2.0 ** 1008

@@ -10,6 +10,7 @@ from planehunt.trajectory import (
     UNIT,
     MoveInstruction,
     SpiralParams,
+    ceil_log2,
     diagonal_instructions,
     diagonal_length,
     diagonal_length_bound,
@@ -141,6 +142,32 @@ class TestFullSchedule:
                 break
             total += instr.distance
         assert total == pytest.approx(171.0 + 1147.75)
+
+
+def _ceil_log2_by_powers(x):
+    # the loop over powers of two that ceil_log2 replaced
+    a = math.ceil(math.log2(x))
+    while 2.0 ** a < x:
+        a += 1
+    while 2.0 ** (a - 1) >= x:
+        a -= 1
+    return a
+
+
+def test_ceil_log2_matches_the_loop_over_powers():
+    rng = np.random.default_rng(3)
+    xs = [5e-324, 2.0 ** -1022, 0.1, 1.0 / 3, 1.0, 3.0, 2.0 ** 1023, 1e308]
+    for e in range(-1074, 1024):
+        x = 2.0 ** e
+        xs += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    xs += list(2.0 ** rng.uniform(-1070.0, 1023.0, size=2000))
+    for x in xs:
+        if 0.0 < x <= 2.0 ** 1023:  # the loop overflows above
+            assert ceil_log2(x) == _ceil_log2_by_powers(x), x
+    assert ceil_log2(1.7e308) == 1024
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ceil_log2(x)
 
 
 class TestPredictStatic:
