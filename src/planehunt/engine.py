@@ -16,6 +16,12 @@ lie on four families of axis lines (_SIDES), walked out and then back.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
 leg in walking order, bit for bit:
+  * an O(1) gate skips a block that lies farther than r from the target
+    by a step of margin, and a block with no axis line x = m step or
+    y = m step within r of it.  Every leg lies on such a line, so no leg
+    of a skipped block passes the filter; off the lines the side scan
+    would keep no line either, as the gate's margin is ten times the
+    scan's;
   * the filter's closest point lies on the leg's own line, so its squared
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
@@ -34,7 +40,7 @@ leg in walking order, bit for bit:
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count
+from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +58,13 @@ from .trajectory import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# (params, legs, arc length) of every block, by diagonal: _BLOCKS[i - 1]
+# is diagonal i, for every diagonal a simulation may walk
+_BLOCKS = tuple(
+    tuple((params, 8 * (params.k + 1), pi_length(params)) for params in diagonal_terms(i))
+    for i in range(1, MAX_DIAGONAL + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,8 @@ class SimConfig:
             raise ValueError("need a finite max_cost or max_diagonal")
         if self.max_diagonal is None:
             object.__setattr__(self, "max_diagonal", MAX_DIAGONAL)
+        if isinstance(self.max_diagonal, bool) or not isinstance(self.max_diagonal, Integral):
+            raise ValueError(f"max_diagonal must be an integer, got {self.max_diagonal!r}")
         if not 1 <= self.max_diagonal <= MAX_DIAGONAL:
             raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {self.max_diagonal}")
 
@@ -137,13 +152,15 @@ def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
 
 
 def _simulate(plan, strategy, cfg, tracer):
-    start = np.array([cfg.agent_start.x, cfg.agent_start.y])
+    sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
+    start = (sx, sy)
     final = strategy.points[-1]
-    q_rel = np.array([final.x, final.y]) - start
+    q_rel = (float(final.x) - sx, float(final.y) - sy)
     t_still = strategy.times[-1]  # the target is inert from here on
+    r = cfg.r
 
     tgt0 = strategy.position(0.0)
-    if (tgt0 - cfg.agent_start).norm() <= cfg.r:
+    if (tgt0 - cfg.agent_start).norm() <= r:
         if tracer:
             tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
@@ -151,21 +168,18 @@ def _simulate(plan, strategy, cfg, tracer):
     cost = 0.0
     t = 0.0
     legs = 0
-    for i in count(1):
-        if i > cfg.max_diagonal:
-            tgt = strategy.position(t)
-            return _outcome(False, t, cost, cfg.agent_start, tgt, i - 1, legs, "diagonal_budget")
+    for i in range(1, cfg.max_diagonal + 1):
         speed = plan.speed_of_diagonal(i)
-        for params in diagonal_terms(i):
-            block_legs, block_len = 8 * (params.k + 1), pi_length(params)
+        for params, block_legs, block_len in _BLOCKS[i - 1]:
             allowance = cfg.max_cost - cost
-            # legs that start before t_still see a moving target
-            n = 0 if t >= t_still else bisect_left(
-                range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
-            )
-            hit = _first_contact_moving(strategy, start, params, n, t, speed, cfg.r, allowance)
+            n, hit = 0, None
+            if t < t_still:  # legs that start before t_still see a moving target
+                n = bisect_left(
+                    range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
+                )
+                hit = _first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
             if hit is None:
-                hit = _first_contact_in_rings(params, n, q_rel, cfg.r, allowance)
+                hit = _first_contact_in_rings(params, n, q_rel, r, allowance)
             sensed = hit is not None
             if sensed or block_len >= allowance:
                 arc, idx = hit if sensed else (allowance, bisect_left(
@@ -173,11 +187,11 @@ def _simulate(plan, strategy, cfg, tracer):
                 ))
                 (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
                 frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
-                xy = start + [ax + frac * (bx - ax), ay + frac * (by - ay)]
+                xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
                 t_stop = float(t + arc / speed)
                 if tracer:
                     _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
-                agent, tgt = Point(float(xy[0]), float(xy[1])), strategy.position(t_stop)
+                agent, tgt = Point(*xy), strategy.position(t_stop)
                 stop_cost = cost + arc if sensed else cfg.max_cost
                 reason = "sensed" if sensed else "cost_budget"
                 return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
@@ -186,6 +200,8 @@ def _simulate(plan, strategy, cfg, tracer):
             cost += block_len
             t += block_len / speed
             legs += block_legs
+    tgt = strategy.position(t)
+    return _outcome(False, t, cost, cfg.agent_start, tgt, cfg.max_diagonal, legs, "diagonal_budget")
 
 
 def _first_contact_moving(strategy, start, params, n, t, speed, r, arc_allowance):
@@ -228,6 +244,8 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
     k, step = params.k, 2.0 ** (-params.j)
+    if not _may_flag(k, step, qx, qy, r):
+        return None
     idx = _first_flagged(k, step, (qx, qy), r, n)
     while idx is not None:
         cum_prev = pi_arc_before(params, idx)
@@ -252,6 +270,26 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     return None
 
 
+def _may_flag(k, step, qx, qy, r):
+    """Whether a leg of block (k, step) can pass the filter, in O(1); False is exact.
+
+    False means one of two things.  The target is farther than r from the
+    whole block, by a step of margin for rounding.  Or no axis line
+    x = m step or y = m step comes within r of it: _first_flagged keeps a
+    side's line s only if s is within w + pad of that side's mid, and mid
+    is +-qx / step or +-qy / step shifted by an integer, so every side is
+    empty when both qx / step and qy / step are farther than w + 10 pad
+    from every integer (ten times the pad covers mid's rounding).
+    """
+    if r * r == math.inf:
+        return True  # every finite distance passes the filter
+    if max(abs(qx), abs(qy)) > (k + 2) * step + r * (1.0 + 1e-9):
+        return False
+    x, y, w = qx / step, qy / step, r / step
+    tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
+    return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
+
+
 def _first_flagged(k, step, q, r, n):
     """Index of the first leg from n whose distance filter passes, or None.
 
@@ -262,14 +300,14 @@ def _first_flagged(k, step, q, r, n):
     Per side, only the lines within r of the target are kept, and of
     their legs that stop short of it only the corners that _corner_range
     brackets; every kept leg gets the filter (_first_on_lines).  See the
-    module docstring for why that is exact.
+    module docstring for why that is exact.  The caller gates the block
+    with _may_flag first, so a target outside the block's extent or off
+    every grid line never gets here.
     """
     legs = 8 * (k + 1)
     rr = r * r
     if rr == math.inf:
         return n if n < legs else None  # every finite distance passes
-    if max(abs(q[0]), abs(q[1])) > (k + 2) * step + r * (1.0 + 1e-9):
-        return None  # farther than r from every leg, by a step of margin for rounding
     w = r / step
     sides = []
     for off, (axis, sign, c_line, sign0, c0, c1) in enumerate(_SIDES):
@@ -358,19 +396,24 @@ def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
     stop = (arc, idx, agent xy, sensed) ends the walk inside leg idx with
     a sense line, or with leg_end and cost_budget lines.
     """
+    sx, sy = start
 
     def emit(arc, xy, event):
         at = float(t + arc / speed)
         agent = Point(float(xy[0]), float(xy[1]))
         tracer.emit(at, cost + arc, agent, strategy.position(at), event)
 
+    def vertex(leg):
+        x, y = pi_vertex(params, leg)
+        return sx + x, sy + y
+
     walked = 8 * (params.k + 1) if stop is None else stop[1]
     for leg in range(walked):
-        emit(pi_arc_before(params, leg), start + pi_vertex(params, leg), "leg_start")
-        emit(pi_arc_before(params, leg + 1), start + pi_vertex(params, leg + 1), "leg_end")
+        emit(pi_arc_before(params, leg), vertex(leg), "leg_start")
+        emit(pi_arc_before(params, leg + 1), vertex(leg + 1), "leg_end")
     if stop is not None:
         arc, idx, xy, sensed = stop
-        emit(pi_arc_before(params, idx), start + pi_vertex(params, idx), "leg_start")
+        emit(pi_arc_before(params, idx), vertex(idx), "leg_start")
         if not sensed:
             emit(arc, xy, "leg_end")
         emit(arc, xy, "sense" if sensed else "cost_budget")

@@ -11,6 +11,8 @@ from planehunt.engine import (
     SimConfig,
     _corner_range,
     _first_contact_in_rings,
+    _first_flagged,
+    _may_flag,
     brute_force_oracle,
     simulate,
 )
@@ -36,6 +38,18 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(r=0.5, max_cost=max_cost, max_diagonal=2)
     assert SimConfig(r=0.5, max_cost=math.inf, max_diagonal=2).max_cost == math.inf
+
+
+def test_config_rejects_a_non_integer_diagonal():
+    # a float cap would stop a hunt after its floor, and True would be kept as the cap
+    for max_diagonal in (2.5, 2.0, True, False, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="max_diagonal must be an integer"):
+            SimConfig(r=0.5, max_diagonal=max_diagonal)
+    want = simulate(static_plan(), inert(Point(100, 0)), SimConfig(r=0.1, max_diagonal=2))
+    for max_diagonal in (np.int64(2), np.int32(2), np.uint8(2)):
+        cfg = SimConfig(r=0.1, max_diagonal=max_diagonal)
+        assert cfg.max_diagonal == 2
+        assert simulate(static_plan(), inert(Point(100, 0)), cfg) == want
 
 
 def test_config_diagonal_limit():
@@ -539,3 +553,77 @@ class TestSideScan:
                 for r in (1e-300, 1e-20, 1e150, 1e200, 1e308):
                     for n in (0, 7, 136):
                         self._check(params, n, q, r)
+
+
+class TestGate:
+    """_may_flag rejects a block only where the ungated side scan visits no line."""
+
+    BLOCKS = [p for i in range(1, 6) for p in diagonal_terms(i)]
+
+    @pytest.fixture(autouse=True)
+    def _record_visits(self, monkeypatch):
+        # _first_flagged scans lines of every side it keeps, so no call means none was kept
+        self.visits = []
+        scan = engine._first_on_lines
+        monkeypatch.setattr(engine, "_first_on_lines", lambda *a: self.visits.append(a) or scan(*a))
+
+    def _check(self, params, q, r, kinds):
+        k, step = params.k, 2.0 ** -params.j
+        if _may_flag(k, step, q[0], q[1], r):
+            return
+        self.visits.clear()
+        assert _first_flagged(k, step, q, r, 0) is None, (params, q, r)
+        outside = max(abs(q[0]), abs(q[1])) > (k + 2) * step + r * (1.0 + 1e-9)
+        # off the grid lines the side scan keeps no line at all
+        assert outside or not self.visits, (params, q, r)
+        kinds.append("extent" if outside else "grid")
+
+    def test_seeded_targets(self):
+        rng = np.random.default_rng(808)
+        kinds = []
+        for params in self.BLOCKS:
+            step = 2.0 ** -params.j
+            for case in range(300):
+                q = rng.uniform(-1.3, 1.3, size=2) * (params.k + 2) * step
+                r = float(2.0 ** -rng.integers(0, 14)) if case % 2 else float(rng.uniform(1e-4, 2.0))
+                self._check(params, (float(q[0]), float(q[1])), r, kinds)
+        assert kinds.count("extent") > 1000 and kinds.count("grid") > 400
+
+    def test_targets_r_from_a_line_and_one_ulp_either_side(self):
+        # x exactly r (and r one ulp either way, and r plus a sliver) from
+        # the line x = m step, y between two lines; r dyadic and not
+        rng = np.random.default_rng(9)
+        kinds = []
+        for params in self.BLOCKS:
+            step, k = 2.0 ** -params.j, params.k
+            for r in (step / 8, step / 4, 3 * step / 8, step * 0.1, step * float(rng.uniform(0.01, 0.49))):
+                for m in (0, 1, -1, k // 2, -k, k + 1, k + 2, -(k + 3), int(rng.integers(-k - 3, k + 4))):
+                    y = (int(rng.integers(-k - 2, k + 3)) + 0.5) * step
+                    for side in (1.0, -1.0):
+                        x = m * step + side * r
+                        for near in (x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf), x + side * step / 1024):
+                            self._check(params, (float(near), y), r, kinds)
+                            self._check(params, (y, float(near)), r, kinds)
+        assert kinds.count("extent") > 1000 and kinds.count("grid") > 1500
+
+    def test_radius_from_an_eighth_step_to_1024_steps(self):
+        rng = np.random.default_rng(14)
+        kinds = []
+        for params in self.BLOCKS:
+            step = 2.0 ** -params.j
+            for e in range(-3, 11):
+                for _ in range(8):
+                    q = rng.uniform(-1.5, 1.5, size=2) * (params.k + 2) * step
+                    self._check(params, (float(q[0]), float(q[1])), step * 2.0 ** e, kinds)
+        assert kinds.count("extent") > 400 and kinds.count("grid") > 30
+
+    def test_extreme_magnitudes_and_negative_zero(self):
+        kinds = []
+        targets = [(0.0, 0.0), (1e300, 0.0), (1e-300, -1e-300), (17 / 16, 1.0), (1e20, -1e20),
+                   (-0.0, -0.0), (-0.0, 1e6), (3e5, -0.0), (-0.0, 0.5 + 2.0 ** -12), (2.0 ** -12, -0.0),
+                   (0.3, -0.7), (-2 / 3, 5 / 7)]
+        for params in self.BLOCKS:
+            for q in targets:
+                for r in (1e-300, 1e-20, 2.0 ** -14, 1e150, 1e200, 1e308):
+                    self._check(params, q, r, kinds)
+        assert kinds.count("extent") > 150 and kinds.count("grid") > 60
