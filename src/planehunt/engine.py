@@ -21,7 +21,8 @@ leg in walking order, bit for bit:
     y = m step within r of it.  Every leg lies on such a line, so no leg
     of a skipped block passes the filter; off the lines the side scan
     would keep no line either, as the gate's margin is ten times the
-    scan's;
+    scan's.  A second O(1) check skips a block whose lines within r
+    hold no leg long enough to come within r of the target;
   * the filter's closest point lies on the leg's own line, so its squared
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
@@ -79,6 +80,9 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
             raise ValueError("agent_start must be finite")
+        for name in ("r", "max_cost"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError("sensing radius r must be finite and positive")
         if not self.max_cost > 0:
@@ -244,7 +248,7 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
     k, step = params.k, 2.0 ** (-params.j)
-    if not _may_flag(k, step, qx, qy, r):
+    if not (_may_flag(k, step, qx, qy, r) and _may_reach(step, qx, qy, r)):
         return None
     idx = _first_flagged(k, step, (qx, qy), r, n)
     while idx is not None:
@@ -290,6 +294,25 @@ def _may_flag(k, step, qx, qy, r):
     return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
 
 
+def _may_reach(step, qx, qy, r):
+    """Whether a grid line within r of the target has a leg that reaches it, in O(1); False is exact.
+
+    Every leg on the line y = m step spans |x| <= (|m| + 1) step (_SIDES),
+    and the same holds with x and y swapped.  A line y = m step within r
+    has |m| step <= |qy| + r, so a leg on it can pass the filter only if
+    |qx| <= |qy| + step + 2r; likewise a line x = m step only if
+    |qy| <= |qx| + step + 2r.  The slack is _may_flag's.
+    """
+    if r * r == math.inf:
+        return True  # every finite distance passes the filter
+    x, y, w = abs(qx) / step, abs(qy) / step, r / step
+    tol = w + 1e-11 * (max(x, y) + 1.0 + w)
+    reach = 1.0 + w + tol
+    return (abs(math.remainder(y, 1.0)) <= tol and x <= y + reach) or (
+        abs(math.remainder(x, 1.0)) <= tol and y <= x + reach
+    )
+
+
 def _first_flagged(k, step, q, r, n):
     """Index of the first leg from n whose distance filter passes, or None.
 
@@ -301,8 +324,9 @@ def _first_flagged(k, step, q, r, n):
     their legs that stop short of it only the corners that _corner_range
     brackets; every kept leg gets the filter (_first_on_lines).  See the
     module docstring for why that is exact.  The caller gates the block
-    with _may_flag first, so a target outside the block's extent or off
-    every grid line never gets here.
+    with _may_flag and _may_reach first, so a target outside the block's
+    extent, off every grid line or past the ends of the legs on its lines
+    never gets here.
     """
     legs = 8 * (k + 1)
     rr = r * r

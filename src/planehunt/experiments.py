@@ -8,6 +8,13 @@ bounded across the sweep.  Sweeps are seeded and byte-reproducible;
 target samples are keyed by (seed, D, r, sample index) so that sweeps
 sharing those values draw identical targets.
 
+Each target is the draw numpy's `default_rng([seed, key(D), key(r), i])`
+gives, bit for bit, but a cell's draws come from one vectorized pass of
+numpy's own seeding algorithm over all its indices: `SeedSequence`
+entropy mixing (pool of four 32-bit words), then PCG64 (a 128-bit LCG
+with XSL-RR output) seeded from four of its 64-bit words, then
+`Generator.random()`, which keeps the top 53 bits of each output.
+
 Both sweeps run on one worker: sweep_static and sweep_dynamic check the
 desk-scale guard and list one cell per parameter pair, with its plan,
 prediction, diagonal cap and growth scale, and _sweep runs the cells
@@ -18,11 +25,13 @@ static sweep's cells have v = 0, so its targets are inert.
 import csv
 import json
 import math
+import operator
 import os
 import struct
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -70,24 +79,154 @@ def _float_key(x):
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def sample_target(seed, D, r, sample_idx):
-    """Deterministic uniform draw from the disc of radius D.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): uint32 hash and
+# mix constants and the pool size, and its seed coercion's word mask
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h): its low
+# 64-bit word, that word's two 32-bit halves, and its high word
+_PCG_MULT_LO = 4865540595714422341
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+_PCG_MULT_HI = 2549297995355413924
+
+
+def _int_words(n):
+    """n as SeedSequence coerces an int: little-endian 32-bit words, 0 as [0]."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy):
+    """SeedSequence(entropy).generate_state(8, uint32), one array per word.
+
+    entropy holds one entry per entropy word: a Python int, the same for
+    every draw, or a uint32 array, one value per draw.  Every sum and
+    product is taken mod 2^32, so ints and arrays mix, and the hash
+    constants advance with each hash, whatever it hashes.
+    """
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h & _MASK32
+        state.append(value ^ (value >> 16))
+    return state
+
+
+def _pcg_step(state, inc):
+    """state * multiplier + inc mod 2^128, on (high, low) uint64 words."""
+    (hi, lo), (inc_hi, inc_lo) = state, inc
+    # high word of lo * _PCG_MULT_LO from 32-bit halves
+    a0, a1 = lo & _MASK32, lo >> 32
+    p01, p10 = a0 * _PCG_MULT_LO1, a1 * _PCG_MULT_LO0
+    mid = (a0 * _PCG_MULT_LO0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * _PCG_MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg64_random2(words):
+    """The first two Generator.random() doubles of PCG64 seeded from `words`.
+
+    words is generate_state(8, uint32); its little-endian pairs are the
+    uint64 words s0 s1 i0 i1, and numpy seeds with state (s0, s1) and
+    sequence (i0, i1), high word first.
+    """
+    w = [x.astype(np.uint64) for x in words]
+    init = (w[0] | w[1] << 32, w[2] | w[3] << 32)
+    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    # srandom: state = inc, add the initial state, step
+    lo = inc[1] + init[1]
+    state = _pcg_step((inc[0] + init[0] + (lo < init[1]), lo), inc)
+    draws = []
+    for _ in range(2):
+        state = _pcg_step(state, inc)
+        hi, lo = state
+        # XSL-RR: rotate hi ^ lo right by the top six bits
+        x, rot = hi ^ lo, hi >> 58
+        out = x >> rot | x << ((64 - rot) & 63)
+        draws.append((out >> 11) * (1.0 / 9007199254740992.0))
+    return draws
+
+
+def sample_targets(seed, D, r, indices):
+    """Deterministic uniform draws from the disc of radius D, one per index.
 
     Keyed by values, not loop indices, so a static sweep and a dynamic
     sweep with the same (seed, D, r) draw the same target positions.
+    Target i takes the first two doubles of numpy's
+    `default_rng([seed, _float_key(D), _float_key(r), i]).random(2)`, bit
+    for bit: numpy's SeedSequence -> PCG64 -> random() run here once over
+    every index, as uint32 and uint64 arrays.  Ints are coerced to 32-bit
+    words as numpy coerces them, and the indices are grouped by their
+    word count.
     """
-    rng = np.random.default_rng(
-        [seed, _float_key(D), _float_key(r), sample_idx]
-    )
-    # the same two doubles, and the same products, as uniform(0, 2 pi) then uniform()
-    u0, u1 = rng.random(2)
-    theta = 2.0 * math.pi * u0
-    rad = D * math.sqrt(u1)
-    return Point(rad * math.cos(theta), rad * math.sin(theta))
+    prefix = [w for n in (seed, _float_key(D), _float_key(r)) for w in _int_words(n)]
+    words = [_int_words(i) for i in indices]
+    by_count = {}
+    for pos, iw in enumerate(words):
+        by_count.setdefault(len(iw), []).append(pos)
+    u = np.empty((len(words), 2))
+    for count, pos in by_count.items():
+        columns = [np.array([words[p][c] for p in pos], np.uint32) for c in range(count)]
+        u[pos] = np.column_stack(_pcg64_random2(_seed_sequence_state(prefix + columns)))
+    points = []
+    for u0, u1 in u.tolist():
+        # the same products as uniform(0, 2 pi) then uniform()
+        theta = 2.0 * math.pi * u0
+        rad = D * math.sqrt(u1)
+        points.append(Point(rad * math.cos(theta), rad * math.sin(theta)))
+    return points
+
+
+def sample_target(seed, D, r, sample_idx):
+    """The one-index case of sample_targets."""
+    return sample_targets(seed, D, r, [sample_idx])[0]
 
 
 def _growth_term(scale, r):
     return (math.log2(scale) + math.log2(1.0 / r)) * scale * scale / r
+
+
+def _check_draws(samples, seed):
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    # a bool would pass for 0 or 1 and reach the CSV seed column as True or False
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_guard(Ds, rs, vs=()):
@@ -112,8 +251,7 @@ def _cell(args):
     cfg = SimConfig(r=r, max_diagonal=max_diagonal)
     growth = _growth_term(scale, r)
     rows = []
-    for s in range(samples):
-        p = sample_target(seed, D, r, s)
+    for s, p in enumerate(sample_targets(seed, D, r, range(samples))):
         strategy = radial_flee(Point(0.0, 0.0), p, v, t_freeze) if v > 0 else inert(p)
         out = simulate(plan, strategy, cfg)
         rows.append(
@@ -147,8 +285,7 @@ def _sweep(plan, cells, samples, seed, jobs):
 
 def sweep_static(Ds, rs, samples, seed, jobs=1):
     """Simulate the unit-speed searcher against seeded inert targets."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_draws(samples, seed)
     _check_guard(Ds, rs)
     cells = []
     for D in Ds:
@@ -183,8 +320,7 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     v = 0 entries fall back to inert targets and share target draws with
     sweep_static under the same (seed, D, r), so their cost columns match.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_draws(samples, seed)
     _check_guard([D], rs, vs)
     plan = dynamic_plan()
     cells = []

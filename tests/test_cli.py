@@ -182,6 +182,20 @@ def test_sweep_guard_violation_exit_2(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep-static", "--D", "1", "--r", "0.25"],
+    ["sweep-dynamic", "--v", "0,1", "--r", "0.25", "--D", "1"],
+])
+def test_sweep_negative_seed_exit_2_before_output(command, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = run([*command, "--samples", "2", "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "seed must be a non-negative integer" in captured.err
+    assert not out.exists()
+
+
 def test_impossibility_table(capsys):
     code = run(["impossibility", "--c", "2", "--d", "1", "--m-max", "12"])
     out = capsys.readouterr().out

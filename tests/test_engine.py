@@ -13,13 +13,14 @@ from planehunt.engine import (
     _first_contact_in_rings,
     _first_flagged,
     _may_flag,
+    _may_reach,
     brute_force_oracle,
     simulate,
 )
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
-from planehunt.trajectory import _SIDES, MAX_DIAGONAL, SpiralParams, diagonal_terms, pi_length
+from planehunt.trajectory import _SIDES, MAX_DIAGONAL, SpiralParams, diagonal_terms, pi_length, pi_vertex
 
 
 def test_config_validation():
@@ -50,6 +51,22 @@ def test_config_rejects_a_non_integer_diagonal():
         cfg = SimConfig(r=0.1, max_diagonal=max_diagonal)
         assert cfg.max_diagonal == 2
         assert simulate(static_plan(), inert(Point(100, 0)), cfg) == want
+
+
+def test_config_rejects_bool_radius_and_budget():
+    # r=True would hunt with r = 1, and max_cost=True would be kept as the budget
+    for kwargs in (
+        {"r": True, "max_diagonal": 2},
+        {"r": False, "max_diagonal": 2},
+        {"r": np.True_, "max_diagonal": 2},
+        {"r": 0.5, "max_cost": True},
+        {"r": 0.5, "max_cost": np.True_, "max_diagonal": 2},
+    ):
+        with pytest.raises(ValueError, match="must be a number"):
+            SimConfig(**kwargs)
+    want = simulate(static_plan(), inert(Point(1.7, 0.3)), SimConfig(r=1.0, max_cost=40.0))
+    for r, max_cost in ((1, 40), (np.float64(1.0), np.float64(40.0)), (np.int64(1), 40.0)):
+        assert simulate(static_plan(), inert(Point(1.7, 0.3)), SimConfig(r=r, max_cost=max_cost)) == want
 
 
 def test_config_diagonal_limit():
@@ -627,3 +644,67 @@ class TestGate:
                 for r in (1e-300, 1e-20, 2.0 ** -14, 1e150, 1e200, 1e308):
                     self._check(params, q, r, kinds)
         assert kinds.count("extent") > 150 and kinds.count("grid") > 60
+
+
+class TestReach:
+    """_may_reach rejects a block only where the ungated side scan flags no leg."""
+
+    BLOCKS = TestGate.BLOCKS
+
+    def _check(self, params, q, r, kinds):
+        k, step = params.k, 2.0 ** -params.j
+        flagged = _first_flagged(k, step, q, r, 0) is not None
+        if _may_reach(step, q[0], q[1], r):
+            kinds.append("flagged" if flagged else "kept")
+            return
+        assert not flagged, (params, q, r)
+        # "rejected" counts only the blocks that the grid gate lets through
+        kinds.append("rejected" if _may_flag(k, step, q[0], q[1], r) else "gated")
+
+    def test_seeded_targets(self):
+        # every third target has y within r of a grid line
+        rng = np.random.default_rng(909)
+        kinds = []
+        for params in self.BLOCKS:
+            step = 2.0 ** -params.j
+            for case in range(300):
+                x, y = rng.uniform(-1.3, 1.3, size=2) * (params.k + 2) * step
+                r = float(2.0 ** -rng.integers(0, 14)) if case % 2 else float(rng.uniform(1e-4, 2.0))
+                if case % 3 == 0:
+                    y = round(y / step) * step + rng.uniform(-r, r)
+                self._check(params, (float(x), float(y)), r, kinds)
+        assert kinds.count("rejected") > 100 and kinds.count("flagged") > 1000
+
+    def test_targets_at_the_reach_bound_and_one_ulp_either_side(self):
+        # |x| = |y| + step + 2r next to the line y = m step, then x and y
+        # swapped; r dyadic and not
+        rng = np.random.default_rng(10)
+        kinds = []
+        for params in self.BLOCKS:
+            step, k = 2.0 ** -params.j, params.k
+            for r in (step / 8, step / 4, 3 * step / 8, step * 0.1, step * float(rng.uniform(0.01, 0.49)), 1.5 * step):
+                for m in (0, 1, -1, k // 2, -k, k + 1, -(k + 1), int(rng.integers(-k - 1, k + 2))):
+                    for dy in (0.0, r, -r, r / 3):
+                        y = m * step + dy
+                        x = abs(y) + step + 2 * r
+                        for near in (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf), x + step / 1024):
+                            for sx in (1.0, -1.0):
+                                self._check(params, (sx * float(near), y), r, kinds)
+                                self._check(params, (y, sx * float(near)), r, kinds)
+        assert kinds.count("rejected") > 500 and kinds.count("kept") > 1000
+
+    def test_targets_r_from_a_leg_end(self):
+        # inside and just outside the disc of radius r around a block vertex
+        rng = np.random.default_rng(11)
+        kinds = []
+        for params in self.BLOCKS:
+            step, legs = 2.0 ** -params.j, 8 * (params.k + 1)
+            for leg in (*range(9), *rng.integers(0, legs, size=12), legs - 1):
+                vx, vy = pi_vertex(params, int(leg))
+                for r in (step / 4, step * 0.1, step * float(rng.uniform(0.01, 0.49))):
+                    for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+                        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+                            d = r * scale
+                            q = (vx + d * math.cos(angle), vy + d * math.sin(angle))
+                            self._check(params, q, r, kinds)
+        assert kinds.count("flagged") > 20000 and kinds.count("kept") > 4000

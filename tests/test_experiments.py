@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planehunt import experiments
 from planehunt.experiments import (
@@ -13,6 +19,7 @@ from planehunt.experiments import (
     flee_time_from_plan,
     impossibility_report,
     sample_target,
+    sample_targets,
     sweep_dynamic,
     sweep_static,
     write_rows_csv,
@@ -49,6 +56,87 @@ class TestSampling:
                         rad = D * math.sqrt(rng.uniform())
                         want = Point(rad * math.cos(theta), rad * math.sin(theta))
                         assert sample_target(seed, D, r, i) == want
+
+
+def _numpy_draw(seed, D, r, i):
+    # the oracle: numpy's own default_rng, one generator per target
+    rng = np.random.default_rng([seed, experiments._float_key(D), experiments._float_key(r), i])
+    u0, u1 = rng.random(2)
+    theta = 2.0 * math.pi * u0
+    rad = D * math.sqrt(u1)
+    return Point(rad * math.cos(theta), rad * math.sin(theta))
+
+
+# indices at the edges of one, two and three 32-bit words
+WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestVectorizedDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        D=POSITIVE,
+        r=POSITIVE,
+        idx=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)), min_size=1, max_size=6),
+    )
+    # subnormal D and r have one-word keys; every index word count in one call
+    @example(seed=0, D=5e-324, r=3 * 5e-324, idx=WORD_EDGES)
+    @example(seed=2**64, D=16.0, r=2.0 ** -8, idx=[7, 2**96 + 5, 0, 2**32 + 1])
+    def test_draws_equal_numpys_default_rng(self, seed, D, r, idx):
+        assert sample_targets(seed, D, r, idx) == [_numpy_draw(seed, D, r, i) for i in idx]
+
+    def test_a_cell_of_draws(self):
+        for seed in (0, 1, 7, 7001, 2**32 - 1, 2**40 + 3):
+            for D in (1.0, 16.0, 2.0 ** -40):
+                for r in (0.25, 2.0 ** -8):
+                    want = [_numpy_draw(seed, D, r, i) for i in range(200)]
+                    assert sample_targets(seed, D, r, range(200)) == want
+                    assert [sample_target(seed, D, r, i) for i in (0, 199)] == [want[0], want[199]]
+
+    def test_integers_coerced_as_numpy_coerces_them(self):
+        assert sample_targets(np.int64(7), 1.0, 0.25, [np.uint8(3), True]) == [
+            _numpy_draw(7, 1.0, 0.25, 3), _numpy_draw(7, 1.0, 0.25, 1)
+        ]
+        assert sample_targets(7, 1.0, 0.25, []) == []
+        for seed, idx in ((-1, 0), (7, -1)):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                sample_targets(seed, 1.0, 0.25, [idx])
+        for seed, idx in ((7.0, 0), (7, 1.0)):
+            with pytest.raises(TypeError):
+                sample_targets(seed, 1.0, 0.25, [idx])
+
+    def test_sweeps_leave_numpy_random_unloaded(self):
+        code = (
+            "import sys\n"
+            "from planehunt.experiments import sweep_dynamic, sweep_static\n"
+            "sweep_static([1], [0.25], 3, 7)\n"
+            "sweep_dynamic([0, 1], [0.25], 1, 2, 7)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
+
+
+class TestSweepSeed:
+    BAD = (True, False, 7.0, np.float64(7.0), -1, "7", None)
+
+    def test_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a target")
+
+        monkeypatch.setattr(experiments, "sample_targets", no_draw)
+        for seed in self.BAD:
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                sweep_static([1], [0.25], 2, seed)
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                sweep_dynamic([0, 1], [0.25], D=1, samples=2, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        assert sweep_static([1], [0.25], 3, np.int64(7)) == sweep_static([1], [0.25], 3, 7)
+        assert sweep_dynamic([1], [0.25], 1, 2, np.uint16(7)) == sweep_dynamic([1], [0.25], 1, 2, 7)
 
 
 class TestSweepStatic:
