@@ -9,7 +9,7 @@ import argparse
 import math
 import sys
 
-from .coverage import tube_area
+from .coverage import MAX_GRID_RES, tube_area
 from .engine import SimConfig, simulate
 from .experiments import (
     export_svg,
@@ -79,7 +79,7 @@ def build_parser():
     adv = sub.add_parser("adversary", help="hidden-target witnesses and tube report for a schedule prefix")
     adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i)")
     adv.add_argument("--max-cost", type=float, required=True, help="trajectory prefix arc length (length units)")
-    adv.add_argument("--grid-res", type=int, default=256, help="witness grid resolution per ring")
+    adv.add_argument("--grid-res", type=int, default=256, help=f"witness grid resolution per ring, 32..{MAX_GRID_RES}")
 
     imp = sub.add_parser("impossibility", help="polynomial-speed contradiction table")
     imp.add_argument("--c", type=int, required=True, help="speed exponent (speed <= t^c), c >= 2")
@@ -138,8 +138,8 @@ def _cmd_adversary(args):
     # validate up front: a report must not stop after its header line
     if args.i < 1:
         raise ValueError(f"--i must be >= 1, got {args.i}")
-    if args.grid_res < 32:
-        raise ValueError(f"--grid-res must be >= 32, got {args.grid_res}")
+    if not 32 <= args.grid_res <= MAX_GRID_RES:
+        raise ValueError(f"--grid-res must be in 32..{MAX_GRID_RES}, got {args.grid_res}")
     prefix = prefix_polyline(args.max_cost)
     placements = adversarial_static_placement(prefix, args.i, grid_res=args.grid_res)
     print("j D_j r_j witness_x witness_y tube_area tube_bound")

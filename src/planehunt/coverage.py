@@ -14,6 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# (segment, cell) pairs per _covered_cells pass.  Each float temporary is
+# then 64 KB: it stays in cache, and malloc reuses it from the heap instead
+# of mapping and faulting in fresh pages for every pass.
+PAIR_BUDGET = 2**13
+# largest grid_res of tube_area and the witness grid: a witness search holds
+# about 72 bytes per cell, so 4096^2 cells take about 1.2 GB
+MAX_GRID_RES = 4096
+
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -58,6 +66,23 @@ def polyline_length(polyline):
     return float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
 
 
+def _ranges(starts, lengths):
+    """Concatenated aranges: starts[k], ..., starts[k] + lengths[k] - 1 for each k."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _within(gx, gy, a0, a1, d0, d1, len2, r):
+    """dist^2 <= r^2 from cell centres (gx, gy) to segments a + [0, 1] d.
+
+    Elementwise only, so it gives the same bits on broadcast rows and
+    columns as on flat arrays of (segment, cell) pairs.
+    """
+    t = ((gx - a0) * d0 + (gy - a1) * d1) / len2
+    np.clip(t, 0.0, 1.0, out=t)
+    return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2 <= r * r
+
+
 def _covered_cells(xs, ys, polyline, r):
     """Mask of the grid cells whose centre lies within r of the polyline.
 
@@ -66,7 +91,20 @@ def _covered_cells(xs, ys, polyline, r):
     rasterizer behind tube_area and the adversary's witness search.  Each
     segment's r-inflated bounding box is located on xs and ys with
     searchsorted, and the exact point-to-segment test dist^2 <= r^2 is
-    evaluated only on that slice of cells.  A one-vertex polyline is a disc.
+    evaluated only on the (segment, cell) pairs of those boxes.  Segments
+    are taken in order, in groups of at most PAIR_BUDGET pairs, and each
+    group is one flat numpy pass over its pairs.  A group of one segment
+    (its box alone may be larger) is broadcast over the box's rows and
+    columns instead, at most PAIR_BUDGET cells of rows at a time.  A
+    one-vertex polyline is a disc.
+
+    len2 is each segment's own 1-D `d @ d`, numpy's BLAS dot.  Some
+    kernels (OpenBLAS on Haswell, for one) round it as one fma, not as
+    d0*d0 + d1*d1, so masks are bit-reproducible for one BLAS kernel, not
+    across CPUs.  Where d0 or d1 is zero every kernel returns the other
+    square rounded once, which d0*d0 + d1*d1 gives too, so only slanted
+    segments call the dot.  A zero-length segment gets len2 = 1: its t is
+    exactly 0 and the test is the disc around its vertex.
     """
     if polyline.shape[0] == 1:
         polyline = np.vstack([polyline, polyline])
@@ -81,18 +119,40 @@ def _covered_cells(xs, ys, polyline, r):
     iy1 = np.searchsorted(ys, hi[:, 1], side="right")
 
     marked = np.zeros((len(xs), len(ys)), dtype=bool)
-    for s in np.flatnonzero((ix0 < ix1) & (iy0 < iy1)):
-        a, d = a_all[s], d_all[s]
-        gx = xs[ix0[s] : ix1[s], None]
-        gy = ys[None, iy0[s] : iy1[s]]
-        len2 = d @ d
-        if len2 == 0.0:
-            dist2 = (gx - a[0]) ** 2 + (gy - a[1]) ** 2
+    boxed = np.flatnonzero((ix0 < ix1) & (iy0 < iy1))
+    a0_all, a1_all = a_all[boxed, 0], a_all[boxed, 1]
+    d0_all, d1_all = d_all[boxed, 0], d_all[boxed, 1]
+    ix0, iy0 = ix0[boxed], iy0[boxed]
+    nx, ny = ix1[boxed] - ix0, iy1[boxed] - iy0
+    cells = nx * ny
+    len2 = d0_all * d0_all + d1_all * d1_all
+    slanted = np.flatnonzero((d0_all != 0.0) & (d1_all != 0.0))
+    len2[slanted] = [d @ d for d in d_all[boxed[slanted]]]
+    len2[len2 == 0.0] = 1.0
+
+    columns = (a0_all, a1_all, d0_all, d1_all, len2)
+    bounds = np.concatenate([[0], np.cumsum(cells)])
+    start = 0
+    while start < boxed.size:
+        stop = int(np.searchsorted(bounds, bounds[start] + PAIR_BUDGET, side="right")) - 1
+        stop = max(stop, start + 1)
+        if stop == start + 1:
+            # one segment: broadcast over its box, a band of rows at a time
+            s = start
+            by = slice(iy0[s], iy0[s] + ny[s])
+            band = max(1, PAIR_BUDGET // ny[s])
+            for x0 in range(ix0[s], ix0[s] + nx[s], band):
+                bx = slice(x0, min(x0 + band, ix0[s] + nx[s]))
+                marked[bx, by] |= _within(xs[bx, None], ys[None, by], *(c[s] for c in columns), r)
         else:
-            t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / len2
-            np.clip(t, 0.0, 1.0, out=t)
-            dist2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
-        marked[ix0[s] : ix1[s], iy0[s] : iy1[s]] |= dist2 <= r * r
+            g = slice(start, stop)
+            # one row per (segment, x cell), one pair per (row, y cell)
+            row_ny = np.repeat(ny[g], nx[g])
+            ix = np.repeat(_ranges(ix0[g], nx[g]), row_ny)
+            iy = _ranges(np.repeat(iy0[g], nx[g]), row_ny)
+            hit = _within(xs[ix], ys[iy], *(np.repeat(c[g], cells[g]) for c in columns), r)
+            marked[ix[hit], iy[hit]] = True
+        start = stop
     return marked
 
 
@@ -106,8 +166,8 @@ def tube_area(polyline, r, grid_res=256):
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError("r must be finite and positive")
-    if grid_res < 32:
-        raise ValueError("grid_res must be >= 32")
+    if not 32 <= grid_res <= MAX_GRID_RES:
+        raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
     polyline = np.asarray(polyline, dtype=np.float64)
     if polyline.ndim != 2 or polyline.shape[0] < 1:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")

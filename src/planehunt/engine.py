@@ -34,8 +34,10 @@ leg in walking order, bit for bit:
   * every tested leg gets the filter in Python floats, which rounds as
     numpy does: einsum over two columns is x0*y0 + x1*y1, and the rest is
     elementwise;
-  * the quadratic keeps numpy's 1-D `@`, whose BLAS dot does not round as
-    x0*y0 + x1*y1 does.
+  * the quadratic keeps numpy's 1-D `@`, whose BLAS dot need not round as
+    x0*y0 + x1*y1 does: OpenBLAS's Haswell kernel, for one, rounds a
+    2-vector dot as one fma, fma(x1, y1, x0*y0).  Sweep bytes are therefore
+    reproducible for one BLAS kernel, not across CPUs.
 """
 
 import math
@@ -242,7 +244,10 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     distance is <= r*r gets the exact contact arc, and the scan stops at
     the first leg that starts at or after arc_allowance.  _first_flagged
     finds that leg with scalar arithmetic; the quadratic stays on numpy's
-    1-D `@`, whose BLAS dot rounds differently from x0*y0 + x1*y1.
+    1-D `@` (ra @ ra, ra @ u).  That is BLAS ddot, which on some kernels
+    (OpenBLAS on Haswell) rounds a 2-vector as one fma, not as
+    x0*y0 + x1*y1, so contact arcs are bit-reproducible for one BLAS
+    kernel, not across CPUs.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
     if not (math.isfinite(qx) and math.isfinite(qy)):

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import _covered_cells
+from .coverage import MAX_GRID_RES, _covered_cells
 from .geometry import Point
 
 SPEED_TOL = 1e-9
-# unmarked witness candidates confirmed per exact distance check
+# most unmarked witness candidates confirmed per exact distance check; the
+# chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
 WITNESS_CHUNK = 256
 
 
@@ -188,24 +189,26 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     of grid_res^2 candidates per ring is searched for a point farther than
     r_j from every point of the trajectory; the first such point (in grid
     order) is returned as the witness, or None when the grid is covered.
+    grid_res runs from 16 to coverage.MAX_GRID_RES.
 
     The candidates that the trajectory covers are marked by the bounding-box
     rasterizer that tube_area uses (coverage._covered_cells), run at r_j
     shrunk by one part in 1e9 so that rounding can only leave a covered cell
     unmarked, never mark a far one.  The unmarked in-ring cells are then
-    confirmed in grid order, in chunks, by the exact
-    _min_distance_to_polyline(...) > r_j, so the witness is the one a scan of
-    every candidate through that exact check would return.  On axis-aligned
-    legs (every schedule leg) the two distance computations agree bit for
-    bit; on slanted segments they differ in the last bits, which the margin
-    covers while coordinates and segment lengths stay below about 1e6 r_j.
+    confirmed in grid order, in chunks of 1, 2, 4, ... up to WITNESS_CHUNK
+    candidates, by the exact _min_distance_to_polyline(...) > r_j, so the
+    witness is the one a scan of every candidate through that exact check
+    would return.  On axis-aligned legs (every schedule leg) the two
+    distance computations agree bit for bit; on slanted segments they
+    differ in the last bits, which the margin covers while coordinates and
+    segment lengths stay below about 1e6 r_j.
 
     Returns a list of (j, D_j, r_j, witness Point or None).
     """
     if i < 1:
         raise ValueError("require i >= 1")
-    if grid_res < 16:
-        raise ValueError("require grid_res >= 16")
+    if not 16 <= grid_res <= MAX_GRID_RES:
+        raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
     polyline = np.asarray(polyline, dtype=np.float64)
     if polyline.ndim != 2 or polyline.shape[0] < 1:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
@@ -222,11 +225,13 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         candidates = pts[annulus_membership(pts, j, center) & ~covered.ravel()]
         witness = None
-        for s in range(0, len(candidates), WITNESS_CHUNK):
-            chunk = candidates[s : s + WITNESS_CHUNK]
+        s, size = 0, 1
+        while s < len(candidates):
+            chunk = candidates[s : s + size]
             far = np.flatnonzero(_min_distance_to_polyline(chunk, polyline) > r_j)
             if far.size:
                 witness = Point(float(chunk[far[0], 0]), float(chunk[far[0], 1]))
                 break
+            s, size = s + size, min(2 * size, WITNESS_CHUNK)
         results.append((j, D_j, r_j, witness))
     return results

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from planehunt.cli import run
+from planehunt.coverage import MAX_GRID_RES
 from planehunt.engine import SimConfig, simulate
 from planehunt.experiments import sweep_dynamic, sweep_static, write_rows_csv
 from planehunt.geometry import Point
@@ -249,6 +250,14 @@ def test_adversary_bad_sizes_exit_2_before_output(i, grid_res, capsys):
     assert code == 2
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def test_adversary_rejects_a_grid_above_the_cap_before_output(capsys):
+    code = run(["adversary", "--i", "1", "--max-cost", "10", "--grid-res", str(MAX_GRID_RES + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--grid-res" in captured.err
 
 
 @pytest.mark.parametrize("max_cost", ["nan", "inf"])

@@ -1,9 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from planehunt import coverage
 from planehunt.coverage import (
+    MAX_GRID_RES,
+    _covered_cells,
     area_bound,
     dynamic_lb,
     poly_speed_certificate,
@@ -81,6 +87,121 @@ class TestTubeArea:
     def test_rejects_nonfinite_radius(self, r):
         with pytest.raises(ValueError, match="finite"):
             tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), r, grid_res=32)
+
+    def test_rejects_a_grid_above_the_cap(self):
+        with pytest.raises(ValueError, match="grid_res"):
+            tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, grid_res=MAX_GRID_RES + 1)
+
+
+def _per_segment_scan(xs, ys, polyline, r):
+    """The one-segment-at-a-time rasterizer loop that the batched pass replaced."""
+    if polyline.shape[0] == 1:
+        polyline = np.vstack([polyline, polyline])
+    a_all = polyline[:-1]
+    d_all = polyline[1:] - a_all
+    b_all = a_all + d_all
+    lo = np.minimum(a_all, b_all) - r
+    hi = np.maximum(a_all, b_all) + r
+    ix0 = np.searchsorted(xs, lo[:, 0], side="left")
+    ix1 = np.searchsorted(xs, hi[:, 0], side="right")
+    iy0 = np.searchsorted(ys, lo[:, 1], side="left")
+    iy1 = np.searchsorted(ys, hi[:, 1], side="right")
+
+    marked = np.zeros((len(xs), len(ys)), dtype=bool)
+    for s in np.flatnonzero((ix0 < ix1) & (iy0 < iy1)):
+        a, d = a_all[s], d_all[s]
+        gx = xs[ix0[s] : ix1[s], None]
+        gy = ys[None, iy0[s] : iy1[s]]
+        len2 = d @ d
+        if len2 == 0.0:
+            dist2 = (gx - a[0]) ** 2 + (gy - a[1]) ** 2
+        else:
+            t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / len2
+            np.clip(t, 0.0, 1.0, out=t)
+            dist2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
+        marked[ix0[s] : ix1[s], iy0[s] : iy1[s]] |= dist2 <= r * r
+    return marked
+
+
+# vertex coordinates: anywhere around the grid, signed zeros, and far outside it
+_coords = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.sampled_from([0.0, -0.0, -1.5, 2.25, -40.0, 40.0]),
+)
+
+
+@st.composite
+def _raster_cases(draw):
+    """A cell-centre grid, a polyline and a radius for _covered_cells."""
+    axes, steps = [], []
+    for _ in range(2):
+        n = draw(st.integers(1, 24))
+        lo = draw(st.floats(-4.0, 4.0))
+        steps.append(draw(st.floats(0.05, 0.5)))
+        axes.append(lo + (np.arange(n) + 0.5) * steps[-1])
+    xs, ys = axes
+    points = [(draw(_coords), draw(_coords))]
+    for kind in draw(st.lists(st.sampled_from(["slanted", "across", "along", "repeat"]), max_size=8)):
+        x, y = points[-1]
+        if kind == "slanted":
+            points.append((draw(_coords), draw(_coords)))
+        elif kind == "across":
+            points.append((draw(_coords), y))
+        elif kind == "along":
+            points.append((x, draw(_coords)))
+        else:
+            points.append((x, y))
+    extent = max(len(xs) * steps[0], len(ys) * steps[1])
+    # from a tenth of a cell to three times the grid's extent
+    r = draw(st.floats(0.1 * min(steps), 3.0 * extent))
+    return xs, ys, np.array(points, dtype=np.float64), r
+
+
+class TestBatchedRasterizer:
+    """_covered_cells gives the per-segment loop's mask, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_raster_cases())
+    def test_matches_per_segment_scan(self, case):
+        xs, ys, polyline, r = case
+        assert np.array_equal(_covered_cells(xs, ys, polyline, r), _per_segment_scan(xs, ys, polyline, r))
+
+    # budget 1: every segment runs alone, one row of its box per pass;
+    # budget 40: small groups, and boxes over 40 cells in bands of rows
+    @pytest.mark.parametrize("budget", [1, 40])
+    @settings(max_examples=100, deadline=None)
+    @given(case=_raster_cases())
+    def test_matches_at_small_pair_budgets(self, budget, case):
+        xs, ys, polyline, r = case
+        with mock.patch.object(coverage, "PAIR_BUDGET", budget):
+            got = _covered_cells(xs, ys, polyline, r)
+        assert np.array_equal(got, _per_segment_scan(xs, ys, polyline, r))
+
+    @pytest.mark.parametrize("budget", [256, coverage.PAIR_BUDGET])
+    @pytest.mark.parametrize("max_cost", [171.0, 900.0])
+    def test_schedule_prefixes(self, budget, max_cost):
+        prefix = prefix_polyline(max_cost)
+        xs = np.linspace(-2.0, 2.0, 96)
+        for r in (2.0**-8, 2.0**-4, 0.25, 3.0):
+            with mock.patch.object(coverage, "PAIR_BUDGET", budget):
+                got = _covered_cells(xs, xs, prefix, r)
+            assert np.array_equal(got, _per_segment_scan(xs, xs, prefix, r))
+
+    def test_slanted_length_is_the_blas_dot(self):
+        # Where the BLAS dot rounds as an fma (OpenBLAS on Haswell), cell
+        # (0, 11) lies within r under d0*d0 + d1*d1 but not under d @ d.
+        xs = (np.arange(16) + 0.5) / 8 - 1
+        polyline = np.array([[0.61, 0.616], [0.030651122084284, -0.4283972398237168]])
+        r = 1.2666499850223858
+        assert np.array_equal(_covered_cells(xs, xs, polyline, r), _per_segment_scan(xs, xs, polyline, r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_axis_aligned_length_needs_no_blas_dot(self, x):
+        # with one zero component the BLAS dot is the other square, rounded once
+        for d in (np.array([x, 0.0]), np.array([0.0, x])):
+            with np.errstate(over="ignore"):
+                assert d @ d == d[0] * d[0] + d[1] * d[1]
 
 
 class TestAreaBound:

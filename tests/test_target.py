@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from planehunt.coverage import _covered_cells
+from planehunt.coverage import MAX_GRID_RES, _covered_cells
 from planehunt.geometry import Point
 from planehunt.target import (
     _min_distance_to_polyline,
@@ -137,6 +137,10 @@ class TestAdversarialPlacement:
         with pytest.raises(ValueError):
             adversarial_static_placement(traj, 2, grid_res=8)
 
+    def test_rejects_a_grid_above_the_cap(self):
+        with pytest.raises(ValueError, match="grid_res"):
+            adversarial_static_placement(np.array([[0.0, 0.0]]), 1, grid_res=MAX_GRID_RES + 1)
+
 
 def _brute_force_witnesses(polyline, i, grid_res):
     """Every in-ring candidate through the exact distance; first far one wins."""
@@ -240,6 +244,43 @@ class TestWitnessEquivalence:
         assert adversarial_static_placement(poly, 1, grid_res=16) == _brute_force_witnesses(
             poly, 1, 16
         )
+
+
+def _unmarked_candidates(polyline, i, j, grid_res):
+    """Ring j's candidates that the shrunk rasterizer leaves unmarked, in grid order."""
+    center = polyline[0]
+    r_j = 2.0 ** (-2 * (i - j + 1))
+    half = 2.0 ** (j - 1)
+    xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+    ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+    covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return pts[annulus_membership(pts, j, center) & ~covered.ravel()], r_j
+
+
+class TestWitnessChunks:
+    """Witnesses are confirmed in chunks of 1, 2, 4, ...: a candidate's exact
+    distance must not depend on the chunk it is checked in."""
+
+    def test_one_at_a_time_equals_one_chunk(self):
+        prefix = prefix_polyline(4000.0)
+        candidates, _ = _unmarked_candidates(prefix, 4, 2, 128)
+        chunk = candidates[:256]
+        together = _min_distance_to_polyline(chunk, prefix)
+        alone = [_min_distance_to_polyline(point[None], prefix)[0] for point in chunk]
+        assert np.array_equal(together, alone)
+
+    def test_ring_2_witness_lies_past_the_first_chunks(self):
+        # the benchmark command's prefix: ring 2's first 129 unmarked cells lie
+        # exactly r_2 from it, so the chunks 1, 2, ..., 64 all come back empty
+        prefix = prefix_polyline(4000.0)
+        candidates, r_j = _unmarked_candidates(prefix, 4, 2, 128)
+        dist = _min_distance_to_polyline(candidates[:256], prefix)
+        assert (dist[:129] == r_j).all() and dist[129] > r_j
+        j, _, _, witness = adversarial_static_placement(prefix, 4, 128)[1]
+        assert j == 2
+        assert witness == Point(*candidates[129]) != Point(*candidates[0])
 
 
 class TestNonFiniteInput:
