@@ -95,6 +95,10 @@ def build_parser():
 def _cmd_simulate(args):
     if (args.target is None) == (args.waypoints is None):
         raise ValueError("give exactly one of --target or --waypoints")
+    if not (math.isfinite(args.v) and args.v >= 0):
+        raise ValueError(f"--v must be finite and >= 0, got {args.v}")
+    if not math.isfinite(args.t_freeze):
+        raise ValueError(f"--t-freeze must be finite, got {args.t_freeze}")
     if args.waypoints is not None:
         strategy = load_waypoints(args.waypoints)
     elif args.v > 0:

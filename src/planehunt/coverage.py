@@ -19,7 +19,7 @@ import numpy as np
 # of mapping and faulting in fresh pages for every pass.
 PAIR_BUDGET = 2**13
 # largest grid_res of tube_area and the witness grid: a witness search holds
-# about 72 bytes per cell, so 4096^2 cells take about 1.2 GB
+# at most about 17 bytes per cell, so 4096^2 cells take about 300 MB
 MAX_GRID_RES = 4096
 
 
@@ -72,15 +72,25 @@ def _ranges(starts, lengths):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
-def _within(gx, gy, a0, a1, d0, d1, len2, r):
-    """dist^2 <= r^2 from cell centres (gx, gy) to segments a + [0, 1] d.
+def _dist2(gx, gy, a0, a1, d0, d1, len2):
+    """Squared distance from points (gx, gy) to segments a + [0, 1] d.
 
-    Elementwise only, so it gives the same bits on broadcast rows and
-    columns as on flat arrays of (segment, cell) pairs.
+    The one point-to-segment formula of the package: t is the projection
+    parameter clipped to [0, 1], and the result is ex*ex + ey*ey for the
+    offset e from the closest point a + t d (numpy's float64 x**2 is x*x).  Elementwise only, so it gives
+    the same bits on broadcast rows and columns as on flat arrays of
+    (segment, point) pairs, whatever the BLAS.  len2 is the caller's
+    |d|^2 with zero replaced by 1, so a zero-length segment gets t = 0 and
+    is the point a.
     """
     t = ((gx - a0) * d0 + (gy - a1) * d1) / len2
     np.clip(t, 0.0, 1.0, out=t)
-    return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2 <= r * r
+    return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2
+
+
+def _within(gx, gy, a0, a1, d0, d1, len2, r):
+    """dist^2 <= r^2 from cell centres (gx, gy) to segments a + [0, 1] d (_dist2)."""
+    return _dist2(gx, gy, a0, a1, d0, d1, len2) <= r * r
 
 
 def _covered_cells(xs, ys, polyline, r):
@@ -90,7 +100,7 @@ def _covered_cells(xs, ys, polyline, r):
     result is a bool array of shape (len(xs), len(ys)).  This is the one
     rasterizer behind tube_area and the adversary's witness search.  Each
     segment's r-inflated bounding box is located on xs and ys with
-    searchsorted, and the exact point-to-segment test dist^2 <= r^2 is
+    searchsorted, and the exact point-to-segment test _dist2 <= r^2 is
     evaluated only on the (segment, cell) pairs of those boxes.  Segments
     are taken in order, in groups of at most PAIR_BUDGET pairs, and each
     group is one flat numpy pass over its pairs.  A group of one segment
@@ -103,8 +113,11 @@ def _covered_cells(xs, ys, polyline, r):
     d0*d0 + d1*d1, so masks are bit-reproducible for one BLAS kernel, not
     across CPUs.  Where d0 or d1 is zero every kernel returns the other
     square rounded once, which d0*d0 + d1*d1 gives too, so only slanted
-    segments call the dot.  A zero-length segment gets len2 = 1: its t is
-    exactly 0 and the test is the disc around its vertex.
+    segments call the dot.  That dot is the one difference from the
+    witness confirmer (target._min_distance_to_polyline), which evaluates
+    the same _dist2 with d0*d0 + d1*d1 for every segment.  A zero-length
+    segment gets len2 = 1: its t is exactly 0 and the test is the disc
+    around its vertex.
     """
     if polyline.shape[0] == 1:
         polyline = np.vstack([polyline, polyline])
@@ -232,16 +245,24 @@ def poly_speed_certificate(c, v, r, d):
     reach a fleeing target, hence cost at least
     (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta with
     beta = (c+1)/(c-1) > 1.  `exceeds` is set once that cost surpasses
-    the optimal d (log2 v + log2 1/r) v^2 / r.
+    the optimal d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
+    and so must every cost: past the float range it raises ValueError.
     """
     if not isinstance(c, int) or c < 2:
         raise ValueError("require integer speed exponent c >= 2 (c = 1 degenerates)")
+    if not all(math.isfinite(x) for x in (v, r, d)):
+        raise ValueError(f"v, r and d must be finite, got v={v}, r={r}, d={d}")
     if v < 1 or not (0 < r < 1) or d <= 0:
         raise ValueError("require v >= 1, 0 < r < 1, d > 0")
     base = (c + 1) * v * v / (2.0 * r)
     min_catch_time = base ** (1.0 / (c - 1))
-    min_cost = base ** ((c + 1) / (c - 1)) / (c + 1)
+    try:
+        min_cost = base ** ((c + 1) / (c - 1)) / (c + 1)
+    except OverflowError:  # float ** raises where * gives inf
+        min_cost = math.inf
     optimal_cost = d * _log_term(v, r) * v * v / r
+    if not all(math.isfinite(x) for x in (base, min_cost, optimal_cost)):
+        raise ValueError(f"(c={c}, v={v}, r={r}, d={d}) puts the certificate beyond the float range")
     beta = (c + 1) / (c - 1)
     alpha = ((c + 1) / 2.0) ** beta / (c + 1)
     return PolySpeedCertificate(

@@ -7,11 +7,12 @@ at constant velocity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import MAX_GRID_RES, _covered_cells
+from .coverage import MAX_GRID_RES, PAIR_BUDGET, _covered_cells, _dist2
 from .geometry import Point
 
 SPEED_TOL = 1e-9
@@ -146,38 +147,87 @@ def load_waypoints(path):
     return waypoints(points, times, v)
 
 
-def _min_distance_to_polyline(pts, polyline):
-    """Min distance from each row of pts (n, 2) to an (m+1, 2) polyline."""
+def _segments(polyline):
+    """Columns a0, a1, d0, d1, len2 of the polyline's segments a + [0, 1] d.
+
+    len2 is d0*d0 + d1*d1, with zero replaced by 1.  A one-vertex polyline
+    is one zero-length segment at its vertex.
+    """
     if len(polyline) == 1:
-        return np.linalg.norm(pts - polyline[0], axis=1)
+        polyline = np.vstack([polyline, polyline])
     a = polyline[:-1]
     d = polyline[1:] - a
-    len2 = np.einsum("ij,ij->i", d, d)
+    a0, a1, d0, d1 = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
+    len2 = d0 * d0 + d1 * d1
     len2[len2 == 0] = 1.0  # degenerate legs: projection param stays 0
-    best = np.full(len(pts), np.inf)
-    # chunk over segments to bound the (points x segments) temporary
-    chunk = max(1, int(4e6 // max(len(pts), 1)))
-    for s in range(0, len(a), chunk):
-        a_c = a[s : s + chunk]
-        d_c = d[s : s + chunk]
-        l2_c = len2[s : s + chunk]
-        rel = pts[:, None, :] - a_c[None, :, :]
-        t = np.einsum("pse,se->ps", rel, d_c) / l2_c
-        np.clip(t, 0.0, 1.0, out=t)
-        closest = a_c[None, :, :] + t[:, :, None] * d_c[None, :, :]
-        dist2 = np.einsum("pse,pse->ps", pts[:, None, :] - closest, pts[:, None, :] - closest)
-        best = np.minimum(best, dist2.min(axis=1))
-    return np.sqrt(best)
+    return a0, a1, d0, d1, len2
 
 
-def annulus_membership(pts, j, center):
-    """True where pts lie in ring j: Q(2^j) minus Q(2^(j-1)), Chebyshev norm."""
-    cheb = np.max(np.abs(pts - center), axis=1)
+def _min_dist2(px, py, segments):
+    """Squared distance from each point (px, py) to the nearest of the segments."""
+    best = np.full(len(px), np.inf)
+    px, py = px[:, None], py[:, None]
+    # chunk over segments to bound the (points x segments) temporaries
+    step = max(1, PAIR_BUDGET // max(len(px), 1))
+    for s in range(0, len(segments[0]), step):
+        dist2 = _dist2(px, py, *(c[None, s : s + step] for c in segments))
+        np.minimum(best, dist2.min(axis=1), out=best)
+    return best
+
+
+def _min_distance_to_polyline(pts, polyline):
+    """Min distance from each row of pts (n, 2) to an (m+1, 2) polyline.
+
+    coverage._dist2 over every segment, then the square root of the
+    minimum.  len2 is d0*d0 + d1*d1 for every segment; the rasterizer
+    differs from this only in the len2 of slanted segments (its BLAS dot).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    polyline = np.asarray(polyline, dtype=np.float64)
+    return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)))
+
+
+def _in_ring(cheb, j):
+    """True where the Chebyshev norm cheb lies in ring j: Q(2^j) minus Q(2^(j-1))."""
     outer = 2.0 ** (j - 1)  # half-side of Q(2^j)
     if j == 1:
         return cheb <= outer
     inner = 2.0 ** (j - 2)
     return (cheb > inner) & (cheb <= outer)
+
+
+def annulus_membership(pts, j, center):
+    """True where pts lie in ring j: Q(2^j) minus Q(2^(j-1)), Chebyshev norm."""
+    return _in_ring(np.max(np.abs(pts - center), axis=1), j)
+
+
+def _far(px, py, segments, boxes, r):
+    """Which points (px, py) lie farther than r from every segment, exactly.
+
+    The points are tested only against the segments whose bounding box
+    meets the points' bounding box inflated by pad; with none left, every
+    point is far.  The skip is exact.  By monotone rounding, the closest
+    point a + t d that _dist2 computes lies inside the box of a and the
+    rounded a + d, which boxes holds.  A skipped box lies more than about
+    pad from every point along x or y, so each computed offset, square,
+    sum and root there stays within a few ulps of that gap, which exceeds
+    r.  pad is r plus one part in 1e9, plus 1e-12 of the points'
+    coordinates for the rounding of the box test.  The bound needs r*r to
+    be a normal float (a subnormal square loses its relative precision,
+    and may round to 0); below that no segment is skipped.
+    """
+    lo_x, hi_x, lo_y, hi_y = boxes
+    if r * r < sys.float_info.min:
+        near = slice(None)
+    else:
+        x0, x1, y0, y1 = px.min(), px.max(), py.min(), py.max()
+        pad = r * (1.0 + 1e-9) + 1e-12 * max(-x0, x1, -y0, y1)
+        near = np.flatnonzero(
+            (lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad)
+        )
+        if near.size == 0:
+            return np.ones(len(px), dtype=bool)
+    return np.sqrt(_min_dist2(px, py, [c[near] for c in segments])) > r
 
 
 def adversarial_static_placement(polyline, i, grid_res=256):
@@ -194,13 +244,16 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     The candidates that the trajectory covers are marked by the bounding-box
     rasterizer that tube_area uses (coverage._covered_cells), run at r_j
     shrunk by one part in 1e9 so that rounding can only leave a covered cell
-    unmarked, never mark a far one.  The unmarked in-ring cells are then
+    unmarked, never mark a far one.  The unmarked in-ring cells, as flat
+    indices into the grid (no per-cell coordinates are built), are then
     confirmed in grid order, in chunks of 1, 2, 4, ... up to WITNESS_CHUNK
-    candidates, by the exact _min_distance_to_polyline(...) > r_j, so the
-    witness is the one a scan of every candidate through that exact check
-    would return.  On axis-aligned legs (every schedule leg) the two
-    distance computations agree bit for bit; on slanted segments they
-    differ in the last bits, which the margin covers while coordinates and
+    candidates, by the exact _min_distance_to_polyline(...) > r_j, taken
+    over only the segments near the chunk (_far, which skips the others
+    exactly).  So the witness is the one a scan of every candidate through
+    that exact check would return.  Both distances are coverage._dist2;
+    they differ only in the len2 of slanted segments, so on axis-aligned
+    legs (every schedule leg) they agree bit for bit, and on slanted ones
+    in the last bits, which the shrunk radius covers while coordinates and
     segment lengths stay below about 1e6 r_j.
 
     Returns a list of (j, D_j, r_j, witness Point or None).
@@ -213,6 +266,10 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     if polyline.ndim != 2 or polyline.shape[0] < 1:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
     center = polyline[0]
+    segments = _segments(polyline)
+    a0, a1, d0, d1, _ = segments
+    b0, b1 = a0 + d0, a1 + d1
+    boxes = (np.minimum(a0, b0), np.maximum(a0, b0), np.minimum(a1, b1), np.maximum(a1, b1))
     results = []
     for j in range(1, i + 1):
         D_j = 2.0 ** j
@@ -221,16 +278,17 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
         ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
         covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        candidates = pts[annulus_membership(pts, j, center) & ~covered.ravel()]
+        ax, ay = np.abs(xs - center[0]), np.abs(ys - center[1])
+        ring = _in_ring(np.maximum(ax[:, None], ay[None, :]), j)
+        idx = np.flatnonzero(ring & ~covered)
         witness = None
         s, size = 0, 1
-        while s < len(candidates):
-            chunk = candidates[s : s + size]
-            far = np.flatnonzero(_min_distance_to_polyline(chunk, polyline) > r_j)
+        while s < idx.size:
+            cells = idx[s : s + size]
+            px, py = xs[cells // grid_res], ys[cells % grid_res]
+            far = np.flatnonzero(_far(px, py, segments, boxes, r_j))
             if far.size:
-                witness = Point(float(chunk[far[0], 0]), float(chunk[far[0], 1]))
+                witness = Point(float(px[far[0]]), float(py[far[0]]))
                 break
             s, size = s + size, min(2 * size, WITNESS_CHUNK)
         results.append((j, D_j, r_j, witness))

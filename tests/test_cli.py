@@ -205,6 +205,38 @@ def test_impossibility_table(capsys):
     assert "*" in out  # crossover row marked
 
 
+@pytest.mark.parametrize("argv", [
+    ["--c", "2", "--d", "nan"],
+    ["--c", "2", "--d", "inf"],
+    ["--c", "2", "--m-max", "600"],
+])
+def test_impossibility_rejects_non_finite_input_exit_2(argv, capsys):
+    # --d nan and --d inf printed nan and inf columns with exit 0, and
+    # --m-max 600 exited 1 on an OverflowError
+    code = run(["impossibility", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--v", "nan"],
+    ["--v", "inf"],
+    ["--v", "-1"],
+    ["--v", "1", "--t-freeze", "nan"],
+    ["--v", "1", "--t-freeze", "inf"],
+    ["--t-freeze=-inf"],
+])
+def test_simulate_rejects_a_bad_flee_speed_or_freeze_time_exit_2(flags, capsys):
+    # --v nan, inf and -1 hunted an inert target with exit 0 before
+    code = run(["simulate", "--target", "5,0", "--r", "0.5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_adversary_report(capsys):
     code = run(["adversary", "--i", "2", "--max-cost", "10", "--grid-res", "64"])
     out = capsys.readouterr().out

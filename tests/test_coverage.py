@@ -298,3 +298,18 @@ class TestPolySpeedCertificate:
             poly_speed_certificate(2, 0.5, 0.5, 1.0)
         with pytest.raises(ValueError):
             poly_speed_certificate(2, 2.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("v, r, d", [
+        (2.0, 0.5, math.nan), (2.0, 0.5, math.inf), (math.nan, 0.5, 1.0),
+        (math.inf, 0.5, 1.0), (2.0, math.nan, 1.0),
+    ])
+    def test_rejects_non_finite_arguments(self, v, r, d):
+        # d = nan or inf and v = nan or inf gave nan or inf columns before
+        with pytest.raises(ValueError, match="finite"):
+            poly_speed_certificate(2, v, r, d)
+
+    @pytest.mark.parametrize("c, v, r", [(2, 2.0 ** 170, 2.0 ** -170), (2, 1e200, 0.5), (3, 2.0, 5e-324)])
+    def test_rejects_costs_past_the_float_range(self, c, v, r):
+        # OverflowError, and inf columns, before
+        with pytest.raises(ValueError, match="float range"):
+            poly_speed_certificate(c, v, r, 1.0)

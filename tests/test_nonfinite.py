@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planehunt.coverage import area_bound, dynamic_lb, static_lb
+from planehunt.coverage import area_bound, dynamic_lb, poly_speed_certificate, static_lb
 from planehunt.searcher import predict_dynamic
 from planehunt.trajectory import predict_static
 
@@ -101,3 +101,32 @@ def test_predictions_at_the_edge_of_the_float_range():
     assert predict_dynamic(2.0 ** 202, 1, 0.1).y == 204
     assert predict_static(2.0 ** 503, 1).y == 503
     assert predict_static(2.0 ** 503, 1).cost_bound == 80.0 * 503 * 2.0 ** 1008
+
+
+# poly_speed_certificate's domain: integer c >= 2, v >= 1, 0 < r < 1, d > 0
+SPEED_EXPONENT = st.integers(2, 6)
+CERT_ARGS = (
+    st.floats(min_value=1.0, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    FINITE_POSITIVE,
+)
+
+
+@given(c=SPEED_EXPONENT, data=st.data())
+def test_poly_speed_certificate_rejects_a_non_finite_argument(c, data):
+    # a nan or inf d, and a nan or inf v, returned nan or inf columns before
+    args = [data.draw(s) for s in CERT_ARGS]
+    args[data.draw(st.integers(0, 2))] = data.draw(NON_FINITE)
+    with pytest.raises(ValueError, match="finite"):
+        poly_speed_certificate(c, *args)
+
+
+@given(c=SPEED_EXPONENT, v=CERT_ARGS[0], r=CERT_ARGS[1], d=CERT_ARGS[2])
+def test_poly_speed_certificate_is_finite_or_beyond_the_float_range(c, v, r, d):
+    # finite costs or ValueError: never OverflowError, never an inf column
+    try:
+        cert = poly_speed_certificate(c, v, r, d)
+    except ValueError as exc:
+        assert "float range" in str(exc)
+        return
+    assert all(map(math.isfinite, (cert.min_catch_time, cert.min_cost, cert.optimal_cost)))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planehunt.coverage import MAX_GRID_RES, _covered_cells
 from planehunt.geometry import Point
 from planehunt.target import (
+    WITNESS_CHUNK,
     _min_distance_to_polyline,
     adversarial_static_placement,
     annulus_membership,
@@ -281,6 +284,258 @@ class TestWitnessChunks:
         j, _, _, witness = adversarial_static_placement(prefix, 4, 128)[1]
         assert j == 2
         assert witness == Point(*candidates[129]) != Point(*candidates[0])
+
+
+def _einsum_min_distance(pts, polyline):
+    """The einsum distance that the elementwise kernel replaced, as it was."""
+    if len(polyline) == 1:
+        return np.linalg.norm(pts - polyline[0], axis=1)
+    a = polyline[:-1]
+    d = polyline[1:] - a
+    len2 = np.einsum("ij,ij->i", d, d)
+    len2[len2 == 0] = 1.0
+    best = np.full(len(pts), np.inf)
+    chunk = max(1, int(4e6 // max(len(pts), 1)))
+    for s in range(0, len(a), chunk):
+        a_c = a[s : s + chunk]
+        d_c = d[s : s + chunk]
+        l2_c = len2[s : s + chunk]
+        rel = pts[:, None, :] - a_c[None, :, :]
+        t = np.einsum("pse,se->ps", rel, d_c) / l2_c
+        np.clip(t, 0.0, 1.0, out=t)
+        closest = a_c[None, :, :] + t[:, :, None] * d_c[None, :, :]
+        dist2 = np.einsum("pse,pse->ps", pts[:, None, :] - closest, pts[:, None, :] - closest)
+        best = np.minimum(best, dist2.min(axis=1))
+    return np.sqrt(best)
+
+
+def _meshgrid_candidates(xs, ys, covered, j, center):
+    """The unmarked in-ring cells from the full meshgrid, as the search built them."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    cheb = np.max(np.abs(pts - center), axis=1)
+    outer = 2.0 ** (j - 1)
+    ring = cheb <= outer if j == 1 else (cheb > 2.0 ** (j - 2)) & (cheb <= outer)
+    return pts[ring & ~covered.ravel()]
+
+
+def _meshgrid_search(polyline, i, grid_res):
+    """The witness search before near-segment chunks and flat indices, as it was."""
+    polyline = np.asarray(polyline, dtype=np.float64)
+    center = polyline[0]
+    results = []
+    for j in range(1, i + 1):
+        r_j = 2.0 ** (-2 * (i - j + 1))
+        half = 2.0 ** (j - 1)
+        xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
+        candidates = _meshgrid_candidates(xs, ys, covered, j, center)
+        witness = None
+        s, size = 0, 1
+        while s < len(candidates):
+            chunk = candidates[s : s + size]
+            far = np.flatnonzero(_einsum_min_distance(chunk, polyline) > r_j)
+            if far.size:
+                witness = Point(float(chunk[far[0], 0]), float(chunk[far[0], 1]))
+                break
+            s, size = s + size, min(2 * size, WITNESS_CHUNK)
+        results.append((j, 2.0 ** j, r_j, witness))
+    return results
+
+
+@st.composite
+def _magnitudes(draw):
+    """A coordinate: zero of either sign, or either sign at 1e-6 .. 1e6."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from([0.0, -0.0]))
+    value = draw(st.floats(1e-6, 1e6))
+    return -value if draw(st.booleans()) else value
+
+
+@st.composite
+def _polylines(draw, coords):
+    """Slanted, axis-aligned and zero-length segments, or a single vertex."""
+    points = [(draw(coords), draw(coords))]
+    for kind in draw(st.lists(st.sampled_from(["slanted", "across", "along", "repeat"]), max_size=8)):
+        x, y = points[-1]
+        if kind == "slanted":
+            points.append((draw(coords), draw(coords)))
+        elif kind == "across":
+            points.append((draw(coords), y))
+        elif kind == "along":
+            points.append((x, draw(coords)))
+        else:
+            points.append((x, y))
+    return np.array(points, dtype=np.float64)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestElementwiseDistance:
+    """_min_distance_to_polyline gives the einsum distances bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        polyline=_polylines(_magnitudes()),
+        pts=st.lists(st.tuples(_magnitudes(), _magnitudes()), min_size=1, max_size=12),
+    )
+    def test_matches_einsum_distance(self, polyline, pts):
+        pts = np.array(pts, dtype=np.float64)
+        assert np.array_equal(
+            _bits(_min_distance_to_polyline(pts, polyline)), _bits(_einsum_min_distance(pts, polyline))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(polyline=_polylines(st.floats(-3.0, 3.0)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_einsum_distance_on_a_grid(self, polyline, seed):
+        # many points, near and far, against one polyline
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-4.0, 4.0, size=(300, 2))
+        assert np.array_equal(
+            _bits(_min_distance_to_polyline(pts, polyline)), _bits(_einsum_min_distance(pts, polyline))
+        )
+
+    def test_schedule_prefix(self):
+        prefix = prefix_polyline(4000.0)
+        xs = (np.arange(48) + 0.5) / 48 * 4 - 2
+        pts = np.column_stack([np.repeat(xs, 48), np.tile(xs, 48)])
+        assert np.array_equal(
+            _bits(_min_distance_to_polyline(pts, prefix)), _bits(_einsum_min_distance(pts, prefix))
+        )
+
+
+# A dyadic grid: grid_res 16 over ring 1 puts cell centres at odd multiples
+# of 1/16 and r_1 = 1/4 at i = 1, so a cell's offsets from the axis-aligned
+# segments below are computed without rounding.
+_C = -15 / 16  # first cell centre on each axis
+_R = 0.25
+
+
+def _ulps(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# candidate (_C, _C) exactly _R, or one ulp either way, from a segment side
+_SIDE_CASES = [[[0.0, 0.0], [x, 0.0], [x, -1.0], [x, 1.0]] for x in _ulps(_C + _R)] + [
+    [[0.0, 0.0], [0.0, y], [-1.0, y], [1.0, y]] for y in _ulps(_C + _R)
+]
+# ... from a segment end: a segment along column 0 (or row 0) that stops _R,
+# or one ulp either way, short of the first cell
+_END_CASES = [[[0.0, 0.0], [_C, 0.0], [_C, 1.0], [_C, y]] for y in _ulps(_C + _R)] + [
+    [[0.0, 0.0], [0.0, _C], [1.0, _C], [x, _C]] for x in _ulps(_C + _R)
+]
+# a segment whose box, inflated by _R, just touches the candidate: along x
+# with the margin's rounding allowance to spare (1e-10) or not (1e-9), and at
+# a corner, where the end lies _R from (_C, _C) along both axes
+_TOUCH_CASES = [[[0.0, 0.0], [x, 0.0], [x, -1.0], [x, 1.0]] for x in (_C + _R + 1e-10, _C + _R + 1e-9)] + [
+    [[0.0, 0.0], [x, x], [x, 1.0]] for x in _ulps(_C + _R)
+]
+
+
+class TestNearSegmentWitnesses:
+    """The search returns the witnesses of the meshgrid and einsum search it
+    replaced: on TestWitnessEquivalence's inputs, on candidates exactly r_j
+    from a segment (and one ulp either side), and on chunks with no near segment."""
+
+    @pytest.mark.parametrize("grid_res", [16, 33, 64])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_cost", [10.0, 171.0, 400.0, 1318.75])
+    def test_schedule_prefixes(self, max_cost, i, grid_res):
+        prefix = prefix_polyline(max_cost)
+        assert adversarial_static_placement(prefix, i, grid_res) == _meshgrid_search(prefix, i, grid_res)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walks_off_origin(self, seed):
+        walk = _random_walk(np.random.default_rng(seed))
+        for i, grid_res in ((1, 33), (1, 64), (2, 64), (3, 16)):
+            assert adversarial_static_placement(walk, i, grid_res) == _meshgrid_search(walk, i, grid_res)
+
+    @pytest.mark.parametrize(
+        "polyline",
+        [
+            [[0.3, -0.2]],
+            [[0.0, 0.0], [0.5, 0.0], [1.3, 0.9], [1.3, -0.4]],
+            [[0.0, 0.0], [-11 / 16, 0.0], [-11 / 16, -1.0], [-11 / 16, 1.0]],
+            [
+                [0.0, 0.0],
+                [-0.5363893299648383, -1.3268715839451355],
+                [-0.8666691348649886, -0.38298851360478936],
+            ],
+        ],
+        ids=["single-vertex", "one-slanted-segment", "exactly-r", "last-bit"],
+    )
+    def test_equivalence_inputs(self, polyline):
+        for i, grid_res in ((1, 16), (1, 64), (2, 33), (3, 64)):
+            assert adversarial_static_placement(polyline, i, grid_res) == _meshgrid_search(
+                polyline, i, grid_res
+            )
+
+    @pytest.mark.parametrize("polyline", _SIDE_CASES + _END_CASES)
+    def test_candidates_at_r_and_one_ulp_either_side(self, polyline):
+        poly = np.array(polyline)
+        assert abs(_einsum_min_distance(np.array([[_C, _C]]), poly)[0] - _R) < 1e-15
+        for i, grid_res in ((1, 16), (2, 16), (1, 32)):
+            assert adversarial_static_placement(poly, i, grid_res) == _meshgrid_search(poly, i, grid_res)
+
+    @pytest.mark.parametrize("polyline", _TOUCH_CASES)
+    def test_box_that_just_touches_the_candidate(self, polyline):
+        poly = np.array(polyline)
+        assert _einsum_min_distance(np.array([[_C, _C]]), poly)[0] > _R
+        assert adversarial_static_placement(poly, 1, 16) == [(1, 2.0, _R, Point(_C, _C))]
+        assert adversarial_static_placement(poly, 1, 16) == _meshgrid_search(poly, 1, 16)
+
+    def test_exactly_r_is_not_far_and_one_ulp_beyond_is(self):
+        # a vertical side at x = _C + _R: the first cell is exactly _R away and
+        # no witness; one ulp to the right it is the witness
+        at, beyond = (
+            adversarial_static_placement([[0.0, 0.0], [x, 0.0], [x, -1.0], [x, 1.0]], 1, 16)[0][3]
+            for x in (_C + _R, np.nextafter(_C + _R, np.inf))
+        )
+        assert at != Point(_C, _C)
+        assert beyond == Point(_C, _C)
+
+    @pytest.mark.parametrize("i", [2, 3])
+    def test_chunks_with_no_near_segment(self, i):
+        # a short stub at the centre: ring i's first candidates lie far from
+        # every segment's box, so their chunks reach no distance kernel
+        poly = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.05]])
+        results = adversarial_static_placement(poly, i, 16)
+        assert results == _meshgrid_search(poly, i, 16)
+        half = 2.0 ** (i - 1)
+        first = -half + half / 16
+        assert results[-1][3] == Point(first, first)
+
+    def test_no_segment_is_skipped_once_r_squared_underflows(self):
+        # i = 270 gives r_1 = 2^-540, and r_1^2 underflows.  The first cell is
+        # (0, 0), 2 r_1 from the vertical segment's box, beyond the pad; but its
+        # exact squared distance underflows to 0, so it is not far, and neither
+        # is the rest of column 0 up to y = 1.
+        poly = [[15 / 16, 15 / 16], [2.0**-539, -1.0], [2.0**-539, 1.0]]
+        results = adversarial_static_placement(poly, 270, 16)
+        assert results[0] == (1, 2.0, 2.0**-540, Point(0.0, 1.125))
+        assert results == _meshgrid_search(poly, 270, 16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dyadic=st.booleans(),
+        i=st.integers(1, 4),
+        grid_res=st.sampled_from([16, 33, 64]),
+    )
+    def test_random_polylines(self, seed, dyadic, i, grid_res):
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            # axis-aligned walk on multiples of 1/16: many cells lie exactly r_j away
+            steps = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)], size=rng.integers(1, 40))
+            steps = steps * rng.integers(1, 8, size=(len(steps), 1)) / 16
+        else:
+            steps = rng.normal(scale=0.4, size=(rng.integers(1, 40), 2))
+        start = rng.integers(-16, 17, size=2) / 16
+        walk = start + np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+        assert adversarial_static_placement(walk, i, grid_res) == _meshgrid_search(walk, i, grid_res)
 
 
 class TestNonFiniteInput:
