@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import fma_dot
+
 # (segment, cell) pairs per _covered_cells pass.  Each float temporary is
 # then 64 KB: it stays in cache, and malloc reuses it from the heap instead
 # of mapping and faulting in fresh pages for every pass.
@@ -108,16 +110,15 @@ def _covered_cells(xs, ys, polyline, r):
     columns instead, at most PAIR_BUDGET cells of rows at a time.  A
     one-vertex polyline is a disc.
 
-    len2 is each segment's own 1-D `d @ d`, numpy's BLAS dot.  Some
-    kernels (OpenBLAS on Haswell, for one) round it as one fma, not as
-    d0*d0 + d1*d1, so masks are bit-reproducible for one BLAS kernel, not
-    across CPUs.  Where d0 or d1 is zero every kernel returns the other
-    square rounded once, which d0*d0 + d1*d1 gives too, so only slanted
-    segments call the dot.  That dot is the one difference from the
-    witness confirmer (target._min_distance_to_polyline), which evaluates
-    the same _dist2 with d0*d0 + d1*d1 for every segment.  A zero-length
-    segment gets len2 = 1: its t is exactly 0 and the test is the disc
-    around its vertex.
+    len2 is each segment's |d|^2 rounded as one fma, fma(d1, d1, d0*d0)
+    (geometry.fma_dot), so masks are the same bits on every CPU.  Where d0
+    or d1 is zero that is the other square rounded once, which
+    d0*d0 + d1*d1 gives too, so only slanted segments call fma_dot.  That
+    rounding is the one difference from the witness confirmer
+    (target._min_distance_to_polyline), which evaluates the same _dist2
+    with d0*d0 + d1*d1 for every segment.  A zero-length segment gets
+    len2 = 1: its t is exactly 0 and the test is the disc around its
+    vertex.
     """
     if polyline.shape[0] == 1:
         polyline = np.vstack([polyline, polyline])
@@ -140,7 +141,7 @@ def _covered_cells(xs, ys, polyline, r):
     cells = nx * ny
     len2 = d0_all * d0_all + d1_all * d1_all
     slanted = np.flatnonzero((d0_all != 0.0) & (d1_all != 0.0))
-    len2[slanted] = [d @ d for d in d_all[boxed[slanted]]]
+    len2[slanted] = [fma_dot(d0, d1, d0, d1) for d0, d1 in d_all[boxed[slanted]].tolist()]
     len2[len2 == 0.0] = 1.0
 
     columns = (a0_all, a1_all, d0_all, d1_all, len2)

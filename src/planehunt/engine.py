@@ -4,25 +4,29 @@ One exact engine serves every target, every plan, traced or not.  It
 walks the schedule one out-and-back block at a time through the block's
 closed form in `trajectory`, in constant memory: each block starts and
 ends at the searcher's start, and the clock inside a block is its arc
-length over the diagonal's speed.  Targets are piecewise linear and inert
-after their last breakpoint, so the few legs that start while the target
-still moves are split at its breakpoints and each piece is solved as an
-exact quadratic; for every later leg the first contact with the target's
-final point is found by a scalar scan of the block's sides.  A trace is
-written from the same closed form and never changes the result.
+length over the diagonal's speed.  The cost, time and legs at each block
+start come from a per-plan table (_block_table), summed once in walking
+order.  Targets are piecewise linear and inert after their last
+breakpoint, so the few legs that start while the target still moves are
+split at its breakpoints and each piece is solved as an exact quadratic;
+for every later leg the first contact with the target's final point is
+found by a scalar scan of the block's sides.  A trace is written from the
+same closed form and never changes the result.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
 leg in walking order, bit for bit:
-  * an O(1) gate skips a block that lies farther than r from the target
+  * O(1) gates skip a block that lies farther than r from the target
     by a step of margin, and a block with no axis line x = m step or
     y = m step within r of it.  Every leg lies on such a line, so no leg
     of a skipped block passes the filter; off the lines the side scan
     would keep no line either, as the gate's margin is ten times the
     scan's.  A second O(1) check skips a block whose lines within r
-    hold no leg long enough to come within r of the target;
+    hold no leg long enough to come within r of the target.  Only the
+    extent test depends on the block's k; the other two depend on its
+    step alone, so the walk runs them once per term t (step 4^-t);
   * the filter's closest point lies on the leg's own line, so its squared
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
@@ -34,12 +38,14 @@ leg in walking order, bit for bit:
   * every tested leg gets the filter in Python floats, which rounds as
     numpy does: einsum over two columns is x0*y0 + x1*y1, and the rest is
     elementwise;
-  * the quadratic keeps numpy's 1-D `@`, whose BLAS dot need not round as
-    x0*y0 + x1*y1 does: OpenBLAS's Haswell kernel, for one, rounds a
-    2-vector dot as one fma, fma(x1, y1, x0*y0).  Sweep bytes are therefore
-    reproducible for one BLAS kernel, not across CPUs.
+  * the quadratic rounds each 2-vector dot as one fma, fma(x1, y1, x0*y0),
+    exactly (geometry.fma_dot).  The recorded sweeps came from OpenBLAS's
+    Haswell `ddot`, which rounds a 2-vector dot that way, and fma_dot
+    gives the same bits on every CPU and BLAS.  The hot path makes no
+    numpy call; numpy is left to brute_force_oracle.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -47,7 +53,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import Point, first_contact_time
+from .geometry import Point, first_contact_time, fma_dot
 from .trajectory import (
     _SIDES,
     MAX_DIAGONAL,
@@ -61,13 +67,8 @@ from .trajectory import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
-
-# (params, legs, arc length) of every block, by diagonal: _BLOCKS[i - 1]
-# is diagonal i, for every diagonal a simulation may walk
-_BLOCKS = tuple(
-    tuple((params, 8 * (params.k + 1), pi_length(params)) for params in diagonal_terms(i))
-    for i in range(1, MAX_DIAGONAL + 1)
-)
+# the sides of _SIDES flattened with their offset: (off, axis, sign, c_line, sign0, c0, c1)
+_SIDE_ROWS = tuple((off, *side) for off, side in enumerate(_SIDES))
 
 
 @dataclass(frozen=True)
@@ -145,25 +146,45 @@ def simulate(plan, strategy, cfg, trace=None):
 
 
 def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
-    return SimOutcome(
-        sensed=bool(sensed),
-        time=float(t),
-        cost=float(cost),
-        agent_pos=agent,
-        target_pos=tgt,
-        diagonal=int(diagonal),
-        legs_processed=int(legs),
-        stop_reason=reason,
-    )
+    """SimOutcome from values of its field types; cost may be a numpy float (a moving target's)."""
+    return SimOutcome(sensed, t, float(cost), agent, tgt, diagonal, legs, reason)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_table(plan):
+    """The start of every block the plan may walk, in walking order, then its end.
+
+    Row b is (diagonal, params, term, step, extent, speed, legs of the
+    block, arc length of the block, cost, time, legs walked before it); the
+    diagonals 1..m are the first m (m + 1) / 2 rows, and the cost, time and
+    legs of row m (m + 1) / 2 are where diagonal m ends (the last row holds
+    only those three).  They are the running sums the walk used to keep,
+    added in the same order, so they are the same floats.  extent is
+    (k + 2) step, the half-width past which _may_flag rejects a block.
+    """
+    rows = []
+    cost, t, legs = 0.0, 0.0, 0
+    for i in range(1, MAX_DIAGONAL + 1):
+        speed = plan.speed_of_diagonal(i)
+        for params in diagonal_terms(i):
+            block_legs, block_len, step = 8 * (params.k + 1), pi_length(params), 2.0 ** (-params.j)
+            rows.append((i, params, params.j // 2, step, (params.k + 2) * step, speed, block_legs, block_len,
+                         cost, t, legs))
+            cost += block_len
+            t += block_len / speed
+            legs += block_legs
+    rows.append((None,) * 8 + (cost, t, legs))
+    return tuple(rows)
 
 
 def _simulate(plan, strategy, cfg, tracer):
     sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
     start = (sx, sy)
     final = strategy.points[-1]
-    q_rel = (float(final.x) - sx, float(final.y) - sy)
+    qx, qy = float(final.x) - sx, float(final.y) - sy
+    q_rel = (qx, qy)
     t_still = strategy.times[-1]  # the target is inert from here on
-    r = cfg.r
+    r, max_cost = cfg.r, cfg.max_cost
 
     tgt0 = strategy.position(0.0)
     if (tgt0 - cfg.agent_start).norm() <= r:
@@ -171,43 +192,54 @@ def _simulate(plan, strategy, cfg, tracer):
             tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    cost = 0.0
-    t = 0.0
-    legs = 0
-    for i in range(1, cfg.max_diagonal + 1):
-        speed = plan.speed_of_diagonal(i)
-        for params, block_legs, block_len in _BLOCKS[i - 1]:
-            allowance = cfg.max_cost - cost
-            n, hit = 0, None
-            if t < t_still:  # legs that start before t_still see a moving target
-                n = bisect_left(
-                    range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
-                )
-                hit = _first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
-            if hit is None:
+    # _may_flag and _may_reach for the inert kernel: the extent test per
+    # block, the grid-line and reach tests once per term (they depend on
+    # the step alone)
+    if r * r == math.inf:
+        far = -math.inf  # every finite distance passes the filter
+    elif math.isfinite(qx) and math.isfinite(qy):
+        far = max(abs(qx), abs(qy))
+    else:
+        far = math.inf  # no leg is within r of a target at infinity
+    margin = r * (1.0 + 1e-9)
+    term_gate = [None] * (MAX_DIAGONAL + 1)
+
+    rows = _block_table(plan)
+    n_blocks = cfg.max_diagonal * (cfg.max_diagonal + 1) // 2
+    for i, params, term, step, extent, speed, block_legs, block_len, cost, t, legs in rows[:n_blocks]:
+        allowance = max_cost - cost
+        n, hit = 0, None
+        if t < t_still:  # legs that start before t_still see a moving target
+            n = bisect_left(
+                range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
+            )
+            hit = _first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
+        if hit is None and far <= extent + margin:
+            gate = term_gate[term]
+            if gate is None:
+                gate = term_gate[term] = _near_grid_line(step, qx, qy, r) and _may_reach(step, qx, qy, r)
+            if gate:
                 hit = _first_contact_in_rings(params, n, q_rel, r, allowance)
-            sensed = hit is not None
-            if sensed or block_len >= allowance:
-                arc, idx = hit if sensed else (allowance, bisect_left(
-                    range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)
-                ))
-                (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
-                frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
-                xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
-                t_stop = float(t + arc / speed)
-                if tracer:
-                    _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
-                agent, tgt = Point(*xy), strategy.position(t_stop)
-                stop_cost = cost + arc if sensed else cfg.max_cost
-                reason = "sensed" if sensed else "cost_budget"
-                return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
+        sensed = hit is not None
+        if sensed or block_len >= allowance:
+            arc, idx = hit if sensed else (allowance, bisect_left(
+                range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)
+            ))
+            (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+            frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
+            xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
+            t_stop = float(t + arc / speed)
             if tracer:
-                _trace_block(tracer, strategy, start, params, t, cost, speed)
-            cost += block_len
-            t += block_len / speed
-            legs += block_legs
+                _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
+            agent, tgt = Point(*xy), strategy.position(t_stop)
+            stop_cost = cost + arc if sensed else max_cost
+            reason = "sensed" if sensed else "cost_budget"
+            return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
+        if tracer:
+            _trace_block(tracer, strategy, start, params, t, cost, speed)
+    cost, t, legs = rows[n_blocks][-3:]
     tgt = strategy.position(t)
-    return _outcome(False, t, cost, cfg.agent_start, tgt, cfg.max_diagonal, legs, "diagonal_budget")
+    return _outcome(False, t, cost, cfg.agent_start, tgt, int(cfg.max_diagonal), legs, "diagonal_budget")
 
 
 def _first_contact_moving(strategy, start, params, n, t, speed, r, arc_allowance):
@@ -243,18 +275,15 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     leg from n in walking order: the first leg whose filtered squared
     distance is <= r*r gets the exact contact arc, and the scan stops at
     the first leg that starts at or after arc_allowance.  _first_flagged
-    finds that leg with scalar arithmetic; the quadratic stays on numpy's
-    1-D `@` (ra @ ra, ra @ u).  That is BLAS ddot, which on some kernels
-    (OpenBLAS on Haswell) rounds a 2-vector as one fma, not as
-    x0*y0 + x1*y1, so contact arcs are bit-reproducible for one BLAS
-    kernel, not across CPUs.
+    finds that leg with scalar arithmetic, and the quadratic rounds each
+    2-vector dot as one fma (geometry.fma_dot), so contact arcs are the
+    same bits on every CPU.  The scan is exact on any block; the walk
+    calls it only on blocks that pass _may_flag's tests and _may_reach.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
     if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
     k, step = params.k, 2.0 ** (-params.j)
-    if not (_may_flag(k, step, qx, qy, r) and _may_reach(step, qx, qy, r)):
-        return None
     idx = _first_flagged(k, step, (qx, qy), r, n)
     while idx is not None:
         cum_prev = pi_arc_before(params, idx)
@@ -263,13 +292,13 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
         # exact first-contact arc on this leg: |a + u*l - q|^2 = r^2
         length = pi_leg_length(params, idx)
         (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
-        u = np.array(((bx - ax) / length, (by - ay) / length))
-        ra = np.array((ax - qx, ay - qy))
-        c0 = ra @ ra - r * r
+        ux, uy = (bx - ax) / length, (by - ay) / length
+        rx, ry = ax - qx, ay - qy
+        c0 = fma_dot(rx, ry, rx, ry) - r * r
         if c0 <= 0.0:
             arc = cum_prev
         else:
-            bh = ra @ u  # half of the linear coefficient
+            bh = fma_dot(rx, ry, ux, uy)  # half of the linear coefficient
             disc = max(bh * bh - c0, 0.0)
             ell = -bh - math.sqrt(disc)
             arc = cum_prev + min(max(ell, 0.0), length)
@@ -284,16 +313,26 @@ def _may_flag(k, step, qx, qy, r):
 
     False means one of two things.  The target is farther than r from the
     whole block, by a step of margin for rounding.  Or no axis line
-    x = m step or y = m step comes within r of it: _first_flagged keeps a
-    side's line s only if s is within w + pad of that side's mid, and mid
-    is +-qx / step or +-qy / step shifted by an integer, so every side is
-    empty when both qx / step and qy / step are farther than w + 10 pad
-    from every integer (ten times the pad covers mid's rounding).
+    x = m step or y = m step comes within r of it (_near_grid_line).
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
     if max(abs(qx), abs(qy)) > (k + 2) * step + r * (1.0 + 1e-9):
         return False
+    return _near_grid_line(step, qx, qy, r)
+
+
+def _near_grid_line(step, qx, qy, r):
+    """Whether an axis line x = m step or y = m step may come within r of the target; False is exact.
+
+    _first_flagged keeps a side's line s only if s is within w + pad of
+    that side's mid, and mid is +-qx / step or +-qy / step shifted by an
+    integer, so every side is empty when both qx / step and qy / step are
+    farther than w + 10 pad from every integer (ten times the pad covers
+    mid's rounding).  It depends on the step alone, not on the block's k.
+    """
+    if r * r == math.inf:
+        return True  # every finite distance passes the filter
     x, y, w = qx / step, qy / step, r / step
     tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
     return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
@@ -306,7 +345,7 @@ def _may_reach(step, qx, qy, r):
     and the same holds with x and y swapped.  A line y = m step within r
     has |m| step <= |qy| + r, so a leg on it can pass the filter only if
     |qx| <= |qy| + step + 2r; likewise a line x = m step only if
-    |qy| <= |qx| + step + 2r.  The slack is _may_flag's.
+    |qy| <= |qx| + step + 2r.  The slack is _near_grid_line's.
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
@@ -328,57 +367,81 @@ def _first_flagged(k, step, q, r, n):
     Per side, only the lines within r of the target are kept, and of
     their legs that stop short of it only the corners that _corner_range
     brackets; every kept leg gets the filter (_first_on_lines).  See the
-    module docstring for why that is exact.  The caller gates the block
-    with _may_flag and _may_reach first, so a target outside the block's
-    extent, off every grid line or past the ends of the legs on its lines
-    never gets here.
+    module docstring for why that is exact.  The walk gates the block
+    with _may_flag's tests and _may_reach first, so a target outside the
+    block's extent, off every grid line or past the ends of the legs on
+    its lines rarely gets here; the scan is exact without them.
     """
     legs = 8 * (k + 1)
     rr = r * r
     if rr == math.inf:
         return n if n < legs else None  # every finite distance passes
     w = r / step
+    # one row per side that keeps a line: (off, corners first..last, lines cov..hi, line)
     sides = []
-    for off, (axis, sign, c_line, sign0, c0, c1) in enumerate(_SIDES):
+    for off, axis, sign, c_line, sign0, c0, c1 in _SIDE_ROWS:
         q_perp, q_par = q[axis], q[1 - axis]
         # lines s with |o| <= r, with a margin far above the rounding
         p = sign * q_perp
         mid = p / step - c_line
         pad = 1e-12 * (abs(mid) + w)
-        lo, hi = max(0, math.ceil(mid - w - pad)), min(k, math.floor(mid + w + pad))
+        lo, hi = math.ceil(mid - w - pad), math.floor(mid + w + pad)
+        if lo < 0:
+            lo = 0
+        if hi > k:
+            hi = k
         if lo > hi:
             continue
         # the leg end on the target's side lies at |parallel| (s + c_end) step;
         # legs s < cov stop short of the target's parallel coordinate P
         P = abs(q_par)
         c_end = c0 if (q_par >= 0.0) == (sign0 > 0) else c1
-        cov = min(max(math.ceil(P / step - c_end), lo), hi + 1)
+        cov = math.ceil(P / step - c_end)
+        if cov < lo:
+            cov = lo
+        elif cov > hi + 1:
+            cov = hi + 1
         while cov > lo and P <= (cov - 1 + c_end) * step:
             cov -= 1
         while cov <= hi and P > (cov + c_end) * step:
             cov += 1
-        corners = (cov, cov - 1)
+        first, last = cov, cov - 1
         if cov > lo:
-            corners = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
-        line = (q_perp, q_par, sign, c_line, sign0, c0, c1)
-        sides.append((off, (corners, (cov, hi)), line))
+            first, last = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
+        sides.append((off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1))
 
-    # outbound leg 4s + off is return leg legs - 1 - 4s - off; each pass
-    # keeps the legs from n to the first one found so far
-    first = None
-    for back in (False, True):
-        for off, ranges, line in sides:
-            last = legs - 1 if first is None else first
-            m_lo, m_hi = (legs - 1 - last, legs - 1 - n) if back else (n, last)
-            for lo, hi in reversed(ranges) if back else ranges:
-                lo, hi = max(lo, (m_lo - off + 3) // 4), min(hi, (m_hi - off) // 4)
-                s = _first_on_lines(*line, step, rr, lo, hi, back)
-                if s is not None:
-                    first = legs - 1 - 4 * s - off if back else 4 * s + off
-                    break
-        if first is not None:
-            return first
-    return None
+    # outbound leg 4s + off is return leg legs - 1 - 4s - off.  Each pass
+    # keeps the legs from n to the first one found so far: out, corners
+    # before lines, each range from its first line; back, lines before
+    # corners, each range from its last line
+    found, top = None, legs - 1
+    for off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1 in sides:
+        s_lo, s_hi = (n - off + 3) // 4, (top - off) // 4
+        s, lo, up = None, (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+        if lo <= up:
+            s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, False)
+        if s is None:
+            lo, up = (cov if cov > s_lo else s_lo), (hi if hi < s_hi else s_hi)
+            if lo <= up:
+                s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, False)
+        if s is not None:
+            found = top = 4 * s + off
+    if found is not None:
+        return found
+    bottom = 0  # outbound index of the return leg found so far
+    for off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1 in sides:
+        s_lo, s_hi = (bottom - off + 3) // 4, (legs - 1 - n - off) // 4
+        s, lo, up = None, (cov if cov > s_lo else s_lo), (hi if hi < s_hi else s_hi)
+        if lo <= up:
+            s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, True)
+        if s is None:
+            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+            if lo <= up:
+                s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, True)
+        if s is not None:
+            bottom = 4 * s + off
+            found = legs - 1 - bottom
+    return found
 
 
 def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi, back):
@@ -478,7 +541,7 @@ def brute_force_oracle(plan, strategy, cfg, step):
     for i, instr in full_schedule():
         if i > cfg.max_diagonal:
             tp = strategy.position(t)
-            return _outcome(False, t, cost, Point(*pos), tp, i - 1, legs, "diagonal_budget")
+            return _outcome(False, float(t), cost, Point(*pos), tp, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)
         ux, uy = UNIT[instr.direction]
         leg_len = min(instr.distance, cfg.max_cost - cost)
@@ -510,5 +573,5 @@ def brute_force_oracle(plan, strategy, cfg, step):
         legs += 1
         if truncated or cost >= cfg.max_cost:
             tp = strategy.position(t)
-            return _outcome(False, t, cost, Point(*pos), tp, i, legs, "cost_budget")
+            return _outcome(False, float(t), cost, Point(*pos), tp, i, legs, "cost_budget")
     raise AssertionError("schedule is infinite")  # pragma: no cover

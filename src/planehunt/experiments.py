@@ -29,7 +29,6 @@ import operator
 import os
 import struct
 import xml.etree.ElementTree as ET
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -279,6 +278,8 @@ def _sweep(plan, cells, samples, seed, jobs):
     work = [(plan, *cell, samples, seed, i * samples) for i, cell in enumerate(cells)]
     if jobs <= 1 or len(work) <= 1:
         return [row for args in work for row in _cell(args)]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: only a pool pays for its import
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
         return [row for rows in pool.map(_cell, work) for row in rows]
 

@@ -17,6 +17,12 @@ TIME_TOL = 1e-9
 # distance; avoids catastrophic cancellation in the quadratic.
 LINEAR_EPS = 1e-18
 
+# fma_dot's fast path: 2^27 + 1 splits a double into two 26-bit halves
+# (Veltkamp), and factors within 2^-480..2^480 keep the split finite and
+# every partial product of the error-free product clear of underflow
+_SPLIT = 134217729.0
+_SPLIT_LO, _SPLIT_HI = 2.0 ** -480, 2.0 ** 480
+
 
 @dataclass(frozen=True)
 class Point:
@@ -47,6 +53,50 @@ class Segment:
 
     a: Point
     b: Point
+
+
+def fma_dot(x0, x1, y0, y1):
+    """The 2-vector dot x0*y0 + x1*y1 rounded as fma(x1, y1, x0*y0), in Python floats.
+
+    x0*y0 is rounded once, then x1*y1 is added to it exactly and the sum
+    rounded once (to nearest, ties to even), as an IEEE fma does; the
+    package's contact quadratic and rasterizer round every 2-vector dot
+    this way, so their bits do not depend on the BLAS or the CPU.  In
+    range, x1*y1 is split into h + l exactly (Dekker's product of
+    Veltkamp halves) and math.fsum rounds h + l + x0*y0 once; otherwise
+    the sum is formed exactly from as_integer_ratio and rounded by int
+    true division.  Signed zeros, infinities and NaNs follow IEEE fma.
+    """
+    p = x0 * y0
+    if _SPLIT_LO < abs(x1) < _SPLIT_HI and _SPLIT_LO < abs(y1) < _SPLIT_HI:
+        h = x1 * y1
+        c = _SPLIT * x1
+        xh = c - (c - x1)
+        xl = x1 - xh
+        c = _SPLIT * y1
+        yh = c - (c - y1)
+        yl = y1 - yh
+        try:
+            return math.fsum((h, ((xh * yh - h) + xh * yl + xl * yh) + xl * yl, p))
+        except OverflowError:  # a partial sum past the float range: round it exactly
+            pass
+    return _fma_exact(x1, y1, p)
+
+
+def _fma_exact(x, y, z):
+    """fma(x, y, z) for any floats, from the exact rational x*y + z."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x * y + z  # x*y is inf or nan
+    if not math.isfinite(z):
+        return z  # x*y is finite
+    if x == 0.0 or y == 0.0:
+        return x * y + z  # x*y is an exact signed zero
+    (nx, dx), (ny, dy), (nz, dz) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    num = nx * ny * dz + nz * dx * dy
+    try:
+        return num / (dx * dy * dz)  # correctly rounded; an exact cancellation is +0
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def point_segment_distance(p, s):

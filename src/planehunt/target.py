@@ -34,8 +34,8 @@ class TargetStrategy:
             raise ValueError("times and points must be nonempty and equal length")
         if self.times[0] != 0:
             raise ValueError("first breakpoint must be at t = 0")
-        if not self.v >= 0:
-            raise ValueError("speed bound must be nonnegative")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"speed bound must be finite and nonnegative, got {self.v}")
         for t, p in zip(self.times, self.points):
             if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")

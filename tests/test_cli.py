@@ -97,6 +97,17 @@ def test_simulate_rejects_non_finite_waypoint_exit_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_infinite_waypoint_speed_exit_2(tmp_path, capsys):
+    # exited 0 with sensed=True cost=31.5 before
+    wp = tmp_path / "wp.txt"
+    wp.write_text("v inf\n0 2 0\n")
+    code = run(["simulate", "--waypoints", str(wp), "--r", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2

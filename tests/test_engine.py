@@ -1,14 +1,19 @@
+import io
 import math
 import time
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from block_arrays import pi_arrays
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planehunt import engine
 from planehunt.engine import (
     SimConfig,
+    SimOutcome,
     _corner_range,
     _first_contact_in_rings,
     _first_flagged,
@@ -20,7 +25,16 @@ from planehunt.engine import (
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
-from planehunt.trajectory import _SIDES, MAX_DIAGONAL, SpiralParams, diagonal_terms, pi_length, pi_vertex
+from planehunt.trajectory import (
+    _SIDES,
+    MAX_DIAGONAL,
+    SpiralParams,
+    diagonal_terms,
+    pi_arc_before,
+    pi_leg_length,
+    pi_length,
+    pi_vertex,
+)
 
 
 def test_config_validation():
@@ -708,3 +722,181 @@ class TestReach:
                             q = (vx + d * math.cos(angle), vy + d * math.sin(angle))
                             self._check(params, q, r, kinds)
         assert kinds.count("flagged") > 20000 and kinds.count("kept") > 4000
+
+
+def _sequential_walk(plan):
+    """(diagonal, params, speed, cost, t, legs) at each block start, then the end, summed block by block."""
+    starts, cost, t, legs = [], 0.0, 0.0, 0
+    for i in range(1, MAX_DIAGONAL + 1):
+        speed = plan.speed_of_diagonal(i)
+        for params in diagonal_terms(i):
+            starts.append((i, params, speed, cost, t, legs))
+            cost += pi_length(params)
+            t += pi_length(params) / speed
+            legs += 8 * (params.k + 1)
+    return starts, (cost, t, legs)
+
+
+def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
+    """The walk before the block table: running sums, and the inert kernel on every block."""
+    sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
+    start = (sx, sy)
+    final = strategy.points[-1]
+    q_rel = (float(final.x) - sx, float(final.y) - sy)
+    t_still = strategy.times[-1]
+    r = cfg.r
+
+    def outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
+        return SimOutcome(bool(sensed), float(t), float(cost), agent, tgt, int(diagonal), int(legs), reason)
+
+    tgt0 = strategy.position(0.0)
+    if (tgt0 - cfg.agent_start).norm() <= r:
+        if tracer:
+            tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
+        return outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
+    cost, t, legs = 0.0, 0.0, 0
+    for i in range(1, cfg.max_diagonal + 1):
+        speed = plan.speed_of_diagonal(i)
+        for params in diagonal_terms(i):
+            block_legs, block_len = 8 * (params.k + 1), pi_length(params)
+            allowance = cfg.max_cost - cost
+            n, hit = 0, None
+            if t < t_still:
+                n = bisect_left(range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed)
+                hit = engine._first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
+            if hit is None:
+                hit = engine._first_contact_in_rings(params, n, q_rel, r, allowance)
+            sensed = hit is not None
+            if sensed or block_len >= allowance:
+                arc, idx = hit if sensed else (allowance, bisect_left(
+                    range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)))
+                (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+                frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
+                xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
+                t_stop = float(t + arc / speed)
+                if tracer:
+                    engine._trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
+                stop_cost = cost + arc if sensed else cfg.max_cost
+                reason = "sensed" if sensed else "cost_budget"
+                return outcome(sensed, t_stop, stop_cost, Point(*xy), strategy.position(t_stop), i,
+                               legs + idx + 1, reason)
+            if tracer:
+                engine._trace_block(tracer, strategy, start, params, t, cost, speed)
+            cost += block_len
+            t += block_len / speed
+            legs += block_legs
+    return outcome(False, t, cost, cfg.agent_start, strategy.position(t), cfg.max_diagonal, legs, "diagonal_budget")
+
+
+PLANS = {"static": static_plan(), "dynamic": dynamic_plan()}
+
+
+@st.composite
+def _hunts(draw):
+    """A plan, a target strategy and a config that lands on the walk's gates and budgets."""
+    plan = PLANS[draw(st.sampled_from(sorted(PLANS)))]
+    max_diagonal = draw(st.integers(1, 4))
+    blocks = [p for i in range(1, max_diagonal + 1) for p in diagonal_terms(i)]
+    params = draw(st.sampled_from(blocks))
+    step, k = 2.0 ** -params.j, params.k
+    r = draw(st.one_of(st.sampled_from([step / 8, step / 4, 3 * step / 8, step * 0.1, step, 4 * step]),
+                       st.floats(0.003, 2.0)))
+    start = Point(0.0, 0.0)
+    if draw(st.booleans()):
+        start = Point(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    kind = draw(st.sampled_from(["line", "extent", "free"]))
+    if kind == "line":
+        # x exactly r from a line x = m step, one ulp either side, or a sliver past it (TestGate)
+        m = draw(st.integers(-k - 3, k + 3))
+        x = m * step + draw(st.sampled_from([1.0, -1.0])) * r
+        y = (draw(st.integers(-k - 2, k + 2)) + 0.5) * step
+    elif kind == "extent":
+        # |x| at the extent test's bound (k + 2) step + r (1 + 1e-9)
+        x = draw(st.sampled_from([1.0, -1.0])) * ((k + 2) * step + r * (1.0 + 1e-9))
+        y = draw(st.floats(-1.0, 1.0)) * (k + 2) * step
+    else:
+        x, y = (draw(st.floats(-1.3, 1.3)) * (k + 2) * step for _ in range(2))
+    x = draw(st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), x + step / 1024]))
+    x, y = (y, x) if draw(st.booleans()) else (x, y)
+    q = start + Point(x, y)
+    starts, _ = _sequential_walk(plan)
+    i_block, _, speed, cost, t, _ = starts[blocks.index(params)]
+    block_time = pi_length(params) / speed
+    if draw(st.booleans()):
+        # flee then freeze, inert from a time inside a block
+        t_freeze = t + draw(st.floats(1e-3, 1.0)) * block_time
+        v = draw(st.floats(0.5, 8.0))
+        # radial_flee needs a flee direction: q away from the start
+        strategy = radial_flee(start, q, v, t_freeze) if (q - start).norm() > 1e-9 else inert(q)
+    else:
+        strategy = inert(q)
+    max_cost = math.inf
+    if draw(st.booleans()):
+        # a budget that runs out inside the chosen block, gated out or not
+        max_cost = cost + draw(st.floats(0.0, 1.0, exclude_min=True)) * pi_length(params)
+    return plan, strategy, SimConfig(agent_start=start, r=r, max_cost=max_cost, max_diagonal=max_diagonal)
+
+
+class TestBlockTable:
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+    def test_rows_equal_a_sequential_walk(self, plan):
+        rows = engine._block_table(plan)
+        starts, end = _sequential_walk(plan)
+        assert len(rows) == len(starts) + 1
+        for row, (i, params, speed, cost, t, legs) in zip(rows, starts):
+            assert row[:2] == (i, params)
+            assert row[2:8] == (params.j // 2, 2.0 ** -params.j, (params.k + 2) * 2.0 ** -params.j, speed,
+                                8 * (params.k + 1), pi_length(params))
+            assert row[-3:] == (cost, t, legs)
+            assert (type(row[-3]), type(row[-2]), type(row[-1])) == (float, float, int)
+        assert rows[-1][-3:] == end
+        # the rows for diagonals 1..m come first, then where diagonal m ends
+        for m in range(1, MAX_DIAGONAL + 1):
+            assert {row[0] for row in rows[: m * (m + 1) // 2]} == set(range(1, m + 1))
+            assert rows[m * (m + 1) // 2][0] in (m + 1, None)
+
+    def test_built_once_per_plan(self):
+        assert engine._block_table(static_plan()) is engine._block_table(static_plan())
+        assert engine._block_table(dynamic_plan()) is not engine._block_table(static_plan())
+
+
+class TestGatedWalk:
+    """simulate equals the walk that ran the inert kernel on every block, outcome and trace."""
+
+    @given(_hunts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_kernel_on_every_block(self, hunt):
+        plan, strategy, cfg = hunt
+        want = _kernel_on_every_block(plan, strategy, cfg)
+        # repr: equal bits and types, and NaN equals NaN
+        assert repr(simulate(plan, strategy, cfg)) == repr(want)
+
+    @given(_hunts())
+    @settings(max_examples=40, deadline=None)
+    def test_trace_matches(self, hunt):
+        plan, strategy, cfg = hunt
+        cfg = SimConfig(agent_start=cfg.agent_start, r=cfg.r, max_cost=cfg.max_cost, max_diagonal=min(cfg.max_diagonal, 2))
+        want_sink, got_sink = io.StringIO(), io.StringIO()
+        want = _kernel_on_every_block(plan, strategy, cfg, engine._Trace(want_sink))
+        assert repr(simulate(plan, strategy, cfg, trace=got_sink)) == repr(want)
+        assert got_sink.getvalue() == want_sink.getvalue()
+
+    def test_budget_inside_a_gated_out_block(self):
+        # blocks the gates skip, with the budget running out inside each
+        plan, q, r = static_plan(), Point(2.3, -0.71), 0.01
+        caught = simulate(plan, inert(q), SimConfig(r=r, max_diagonal=4))
+        starts, _ = _sequential_walk(plan)
+        skipped = 0
+        for i, params, speed, cost, t, legs in starts:
+            if cost + pi_length(params) >= caught.cost:
+                break
+            step = 2.0 ** -params.j
+            if engine._may_flag(params.k, step, q.x, q.y, r) and engine._may_reach(step, q.x, q.y, r):
+                continue
+            skipped += 1
+            for frac in (1e-9, 0.5, 1.0 - 1e-9, 1.0):
+                cfg = SimConfig(r=r, max_cost=cost + frac * pi_length(params), max_diagonal=4)
+                out = simulate(plan, inert(q), cfg)
+                assert out == _kernel_on_every_block(plan, inert(q), cfg)
+                assert out.stop_reason == "cost_budget" and (frac == 1.0 or out.diagonal == i)
+        assert skipped >= 6

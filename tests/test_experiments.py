@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -179,7 +180,7 @@ class TestSweepStatic:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         serial = sweep_static([1, 2, 4], [1 / 4], samples=2, seed=5, jobs=1)
         assert sweep_static([1, 2, 4], [1 / 4], samples=2, seed=5, jobs=1000) == serial

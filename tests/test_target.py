@@ -554,6 +554,17 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             waypoints([Point(0, 0)], [0.0], v=math.nan)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_speed_bound_is_rejected(self, bad):
+        # v = inf was accepted and hunted like any other waypoint target
+        with pytest.raises(ValueError, match="finite"):
+            waypoints([Point(0, 0)], [0.0], v=bad)
+        with pytest.raises(ValueError, match="finite"):
+            waypoints([Point(0, 0), Point(1, 0)], [0.0, 1.0], v=bad)
+        if bad > 0:
+            with pytest.raises(ValueError, match="finite"):
+                radial_flee(Point(0, 0), Point(1, 0), bad, 0.0)
+
     def test_waypoint_file_with_nan(self, tmp_path):
         wp = tmp_path / "wp.txt"
         wp.write_text("v 1.0\n0 0 0\n1 nan 0\n")
