@@ -314,6 +314,8 @@ def _may_flag(k, step, qx, qy, r):
     False means one of two things.  The target is farther than r from the
     whole block, by a step of margin for rounding.  Or no axis line
     x = m step or y = m step comes within r of it (_near_grid_line).
+    _simulate applies the same two tests apart: the extent per block, from
+    _block_table, and _near_grid_line once per term.
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
