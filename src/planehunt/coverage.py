@@ -12,8 +12,6 @@ accelerating searchers.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import fma_dot
 
 # (segment, cell) pairs per _covered_cells pass.  Each float temporary is
@@ -62,6 +60,8 @@ def area_bound(length, r):
 
 
 def polyline_length(polyline):
+    import numpy as np
+
     polyline = np.asarray(polyline, dtype=np.float64)
     if len(polyline) < 2:
         return 0.0
@@ -70,6 +70,8 @@ def polyline_length(polyline):
 
 def _ranges(starts, lengths):
     """Concatenated aranges: starts[k], ..., starts[k] + lengths[k] - 1 for each k."""
+    import numpy as np
+
     ends = np.cumsum(lengths)
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
@@ -85,6 +87,8 @@ def _dist2(gx, gy, a0, a1, d0, d1, len2):
     |d|^2 with zero replaced by 1, so a zero-length segment gets t = 0 and
     is the point a.
     """
+    import numpy as np
+
     t = ((gx - a0) * d0 + (gy - a1) * d1) / len2
     np.clip(t, 0.0, 1.0, out=t)
     return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2
@@ -120,6 +124,8 @@ def _covered_cells(xs, ys, polyline, r):
     len2 = 1: its t is exactly 0 and the test is the disc around its
     vertex.
     """
+    import numpy as np
+
     if polyline.shape[0] == 1:
         polyline = np.vstack([polyline, polyline])
     a_all = polyline[:-1]
@@ -178,6 +184,8 @@ def tube_area(polyline, r, grid_res=256):
     marks as within r of the polyline; the estimate carries a
     discretization slack of 4 * cell diagonal * length.
     """
+    import numpy as np
+
     if not (math.isfinite(r) and r > 0):
         raise ValueError("r must be finite and positive")
     if not 32 <= grid_res <= MAX_GRID_RES:

@@ -42,16 +42,15 @@ leg in walking order, bit for bit:
     exactly (geometry.fma_dot).  The recorded sweeps came from OpenBLAS's
     Haswell `ddot`, which rounds a 2-vector dot that way, and fma_dot
     gives the same bits on every CPU and BLAS.  The hot path makes no
-    numpy call; numpy is left to brute_force_oracle.
+    numpy call; numpy is left to brute_force_oracle, which imports it
+    when it is called.
 """
 
 import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from numbers import Integral
-
-import numpy as np
+from numbers import Integral, Real
 
 from .geometry import Point, first_contact_time, fma_dot
 from .trajectory import (
@@ -84,8 +83,10 @@ class SimConfig:
         if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
             raise ValueError("agent_start must be finite")
         for name in ("r", "max_cost"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # numpy's bool_ is no Real; its ints and floats are
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError("sensing radius r must be finite and positive")
         if not self.max_cost > 0:
@@ -520,6 +521,8 @@ def brute_force_oracle(plan, strategy, cfg, step):
     plain distance condition at each sample; converges to the exact
     result as step -> 0.  Vectorized per leg but otherwise naive.
     """
+    import numpy as np
+
     if step <= 0:
         raise ValueError("step must be positive")
     bp_t = np.array(strategy.times)

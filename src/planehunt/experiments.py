@@ -9,17 +9,22 @@ target samples are keyed by (seed, D, r, sample index) so that sweeps
 sharing those values draw identical targets.
 
 Each target is the draw numpy's `default_rng([seed, key(D), key(r), i])`
-gives, bit for bit, but a cell's draws come from one vectorized pass of
-numpy's own seeding algorithm over all its indices: `SeedSequence`
-entropy mixing (pool of four 32-bit words), then PCG64 (a 128-bit LCG
-with XSL-RR output) seeded from four of its 64-bit words, then
-`Generator.random()`, which keeps the top 53 bits of each output.
+gives, bit for bit, computed in Python ints from numpy's own algorithm:
+`SeedSequence` entropy mixing (pool of four 32-bit words), then PCG64 (a
+128-bit LCG with XSL-RR output) seeded from four of its 64-bit words,
+then `Generator.random()`, which keeps the top 53 bits of each output.
+The pool after a cell's (seed, key(D), key(r)) words is mixed once per
+cell, and each target then mixes in only its index.
 
 Both sweeps run on one worker: sweep_static and sweep_dynamic check the
 desk-scale guard and list one cell per parameter pair, with its plan,
 prediction, diagonal cap and growth scale, and _sweep runs the cells
 serially or on a process pool and joins their rows in cell order.  The
 static sweep's cells have v = 0, so its targets are inert.
+
+The sweeps import neither numpy nor, at --jobs 1, the process pool;
+impossibility_report and export_svg import numpy (and export_svg
+xml.etree) when they are called.
 """
 
 import csv
@@ -28,11 +33,8 @@ import math
 import operator
 import os
 import struct
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from numbers import Integral
-
-import numpy as np
 
 from .coverage import poly_speed_certificate
 from .engine import SimConfig, simulate
@@ -85,11 +87,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h): its low
-# 64-bit word, that word's two 32-bit halves, and its high word
-_PCG_MULT_LO = 4865540595714422341
-_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-_PCG_MULT_HI = 2549297995355413924
+_MASK53 = 2**53 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), high word then low
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
 
 def _int_words(n):
@@ -104,21 +106,29 @@ def _int_words(n):
     return words
 
 
-def _seed_sequence_state(entropy):
-    """SeedSequence(entropy).generate_state(8, uint32), one array per word.
+def _hashes(h, mult, count):
+    """(xor, multiplier) pairs of `count` successive SeedSequence hashes from constant h, and the next h.
 
-    entropy holds one entry per entropy word: a Python int, the same for
-    every draw, or a uint32 array, one value per draw.  Every sum and
-    product is taken mod 2^32, so ints and arrays mix, and the hash
-    constants advance with each hash, whatever it hashes.
+    A hash maps x to (x ^ h) * h' mod 2^32, then x ^ (x >> 16), where
+    h' = h * mult is the next constant: the constants advance the same way
+    whatever value they hash.
     """
-    h = _INIT_A
+    out = []
+    for _ in range(count):
+        nxt = h * mult & _MASK32
+        out.append((h, nxt))
+        h = nxt
+    return out, h
+
+
+def _seed_pool(entropy):
+    """SeedSequence's pool after it absorbs the 32-bit words of `entropy`, and its next hash constant."""
+    consts, h = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE))
+    consts = iter(consts)
 
     def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
+        x, m = next(consts)
+        value = (value ^ x) * m & _MASK32
         return value ^ (value >> 16)
 
     def mix(x, y):
@@ -133,52 +143,39 @@ def _seed_sequence_state(entropy):
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ h
-        h = h * _MULT_B & _MASK32
-        value = value * h & _MASK32
-        state.append(value ^ (value >> 16))
-    return state
+    return pool, h
 
 
-def _pcg_step(state, inc):
-    """state * multiplier + inc mod 2^128, on (high, low) uint64 words."""
-    (hi, lo), (inc_hi, inc_lo) = state, inc
-    # high word of lo * _PCG_MULT_LO from 32-bit halves
-    a0, a1 = lo & _MASK32, lo >> 32
-    p01, p10 = a0 * _PCG_MULT_LO1, a1 * _PCG_MULT_LO0
-    mid = (a0 * _PCG_MULT_LO0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * _PCG_MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+# generate_state's eight hashes, of pool words 0, 1, 2, 3, 0, 1, 2, 3
+_STATE_HASHES = _hashes(_INIT_B, _MULT_B, 8)[0]
 
 
-def _pcg64_random2(words):
-    """The first two Generator.random() doubles of PCG64 seeded from `words`.
+def _lanes(values):
+    """One Python int holding `values` (each below 2^64) as little-endian 64-bit lanes."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
 
-    words is generate_state(8, uint32); its little-endian pairs are the
-    uint64 words s0 s1 i0 i1, and numpy seeds with state (s0, s1) and
-    sequence (i0, i1), high word first.
+
+def _random2(s0, s1, i0, i1):
+    """The first two Generator.random() doubles of PCG64 seeded from the uint64 words s0 s1 i0 i1.
+
+    numpy seeds PCG64 with state s0 << 64 | s1 and increment
+    (i0 << 64 | i1) << 1 | 1.  Seeding steps the LCG from 0 (which gives
+    the increment), adds the state and steps again; each draw steps once
+    and keeps the top 53 bits of the XSL-RR output, hi ^ lo rotated right
+    by the top six bits of hi, which are the bits of x:x shifted right by
+    the rotation plus 11.
     """
-    w = [x.astype(np.uint64) for x in words]
-    init = (w[0] | w[1] << 32, w[2] | w[3] << 32)
-    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    # srandom: state = inc, add the initial state, step
-    lo = inc[1] + init[1]
-    state = _pcg_step((inc[0] + init[0] + (lo < init[1]), lo), inc)
-    draws = []
-    for _ in range(2):
-        state = _pcg_step(state, inc)
-        hi, lo = state
-        # XSL-RR: rotate hi ^ lo right by the top six bits
-        x, rot = hi ^ lo, hi >> 58
-        out = x >> rot | x << ((64 - rot) & 63)
-        draws.append((out >> 11) * (1.0 / 9007199254740992.0))
-    return draws
+    inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    hi = state >> 64
+    x = (hi ^ state) & _MASK64
+    u0 = (x << 64 | x) >> ((hi >> 58) + 11) & _MASK53
+    state = (state * _PCG_MULT + inc) & _MASK128
+    hi = state >> 64
+    x = (hi ^ state) & _MASK64
+    u1 = (x << 64 | x) >> ((hi >> 58) + 11) & _MASK53
+    return u0 * (1.0 / 9007199254740992.0), u1 * (1.0 / 9007199254740992.0)
 
 
 def sample_targets(seed, D, r, indices):
@@ -188,22 +185,49 @@ def sample_targets(seed, D, r, indices):
     sweep with the same (seed, D, r) draw the same target positions.
     Target i takes the first two doubles of numpy's
     `default_rng([seed, _float_key(D), _float_key(r), i]).random(2)`, bit
-    for bit: numpy's SeedSequence -> PCG64 -> random() run here once over
-    every index, as uint32 and uint64 arrays.  Ints are coerced to 32-bit
-    words as numpy coerces them, and the indices are grouped by their
-    word count.
+    for bit, in Python ints: SeedSequence -> PCG64 -> random().  Ints are
+    coerced to 32-bit words as numpy coerces them.
+
+    The 32-bit stages run once over every index, as the 64-bit lanes of
+    one Python int: a lane holds a 32-bit word, its products with 32-bit
+    constants stay below 2^64, and a subtraction is taken from a lane
+    value 2^32 higher, so no lane carries or borrows into the next.  When
+    the prefix words of (seed, key(D), key(r)) fill the pool (4 words or
+    more) and every index is one word, the pool after the prefix, the hash
+    constants that come next and the pool's mix products are computed
+    once, and each index takes four hash-and-mix steps; otherwise each
+    index runs the whole entropy mixing.  generate_state's eight hashes
+    follow in lanes too, and the three 128-bit LCG steps run per index.
     """
     prefix = [w for n in (seed, _float_key(D), _float_key(r)) for w in _int_words(n)]
-    words = [_int_words(i) for i in indices]
-    by_count = {}
-    for pos, iw in enumerate(words):
-        by_count.setdefault(len(iw), []).append(pos)
-    u = np.empty((len(words), 2))
-    for count, pos in by_count.items():
-        columns = [np.array([words[p][c] for p in pos], np.uint32) for c in range(count)]
-        u[pos] = np.column_stack(_pcg64_random2(_seed_sequence_state(prefix + columns)))
+    indices = [operator.index(i) for i in indices]
+    n = len(indices)
+    if n == 0:
+        return []
+    ones = _lanes([1] * n)
+    mask = _MASK32 * ones
+
+    def hash_lanes(v, x, m):
+        v = (v ^ x * ones) * m & mask
+        return v ^ v >> 16 & mask
+
+    if len(prefix) >= _POOL_SIZE and all(0 <= i <= _MASK32 for i in indices):
+        pool, h = _seed_pool(prefix)
+        words = _lanes(indices)
+        pools = []
+        for p, (x, m) in zip(pool, _hashes(h, _MULT_A, _POOL_SIZE)[0]):
+            # mix(p, hashmix(i)) = (L p - R hashmix(i)) mod 2^32, then x ^ (x >> 16)
+            v = ((_MIX_MULT_L * p & _MASK32) + 2**32) * ones - (_MIX_MULT_R * hash_lanes(words, x, m) & mask) & mask
+            pools.append(v ^ v >> 16 & mask)
+    else:
+        pools = [_lanes(col) for col in zip(*(_seed_pool(prefix + _int_words(i))[0] for i in indices))]
+    state = [hash_lanes(pools[k % _POOL_SIZE], x, m) for k, (x, m) in enumerate(_STATE_HASHES)]
+    # little-endian pairs of the eight 32-bit words are the uint64 words s0 s1 i0 i1
+    s0, s1, i0, i1 = (
+        struct.unpack(f"<{n}Q", (state[2 * j] | state[2 * j + 1] << 32).to_bytes(8 * n, "little")) for j in range(4)
+    )
     points = []
-    for u0, u1 in u.tolist():
+    for u0, u1 in map(_random2, s0, s1, i0, i1):
         # the same products as uniform(0, 2 pi) then uniform()
         theta = 2.0 * math.pi * u0
         rad = D * math.sqrt(u1)
@@ -357,6 +381,8 @@ class ImpossibilityReport:
 
 def impossibility_report(c, d, m_max):
     """Tabulate the polynomial-speed contradiction along v=2^m, r=2^-m."""
+    import numpy as np
+
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
     rows = []
@@ -416,6 +442,10 @@ def export_svg(prefix, events, path):
     (label, Point) markers (e.g. ("sense", p)).  Coordinates are scaled
     to a fixed SVG_CANVAS square with an SVG_MARGIN border.
     """
+    import xml.etree.ElementTree as ET
+
+    import numpy as np
+
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim != 2 or prefix.shape[0] < 1:
         raise ValueError("prefix polyline must be a nonempty (n, 2) array")

@@ -10,12 +10,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coverage import MAX_GRID_RES, PAIR_BUDGET, _covered_cells, _dist2
 from .geometry import Point
 
 SPEED_TOL = 1e-9
+# most ulps radial_flee steps its rounded end point back toward the start
+FLEE_STEPS = 8
 # most unmarked witness candidates confirmed per exact distance check; the
 # chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
 WITNESS_CHUNK = 256
@@ -81,7 +81,12 @@ class TargetStrategy:
             idx += 1
         dt = self.times[idx] - self.times[idx - 1]
         d = self.points[idx] - self.points[idx - 1]
-        return d.scaled(1.0 / dt)
+        inv = 1.0 / dt
+        if math.isinf(inv):
+            # a subnormal dt: 0 * inf would be NaN, while d / dt is finite
+            # (the speed check bounds |d| / dt)
+            return Point(d.x / dt, d.y / dt)
+        return d.scaled(inv)
 
     @property
     def is_inert(self):
@@ -109,8 +114,23 @@ def radial_flee(origin, start, v, t_freeze):
         raise ValueError("start must differ from origin (flee direction undefined)")
     if t_freeze == 0:
         return TargetStrategy(times=(0.0,), points=(start,), v=v)
-    direction = d.scaled(1.0 / dist)
-    end = start + direction.scaled(v * t_freeze)
+    inv = 1.0 / dist
+    if math.isinf(inv):  # a subnormal dist: scale d by a power of two, exactly
+        d = d.scaled(2.0**1000)
+        inv = 1.0 / d.norm()
+    end = start + d.scaled(inv).scaled(v * t_freeze)
+    # rounding the end point to its coordinates' ulp may overshoot v t_freeze,
+    # which a short flee turns into a speed past the bound: step it back
+    # toward start, which takes a few ulps (the loop stops at FLEE_STEPS)
+    steps = 0
+    while (
+        steps < FLEE_STEPS
+        and math.isfinite(end.x)
+        and math.isfinite(end.y)
+        and (end - start).norm() / t_freeze > v + SPEED_TOL
+    ):
+        end = Point(math.nextafter(end.x, start.x), math.nextafter(end.y, start.y))
+        steps += 1
     return TargetStrategy(times=(0.0, t_freeze), points=(start, end), v=v)
 
 
@@ -153,6 +173,8 @@ def _segments(polyline):
     len2 is d0*d0 + d1*d1, with zero replaced by 1.  A one-vertex polyline
     is one zero-length segment at its vertex.
     """
+    import numpy as np
+
     if len(polyline) == 1:
         polyline = np.vstack([polyline, polyline])
     a = polyline[:-1]
@@ -165,6 +187,8 @@ def _segments(polyline):
 
 def _min_dist2(px, py, segments):
     """Squared distance from each point (px, py) to the nearest of the segments."""
+    import numpy as np
+
     best = np.full(len(px), np.inf)
     px, py = px[:, None], py[:, None]
     # chunk over segments to bound the (points x segments) temporaries
@@ -182,6 +206,8 @@ def _min_distance_to_polyline(pts, polyline):
     minimum.  len2 is d0*d0 + d1*d1 for every segment; the rasterizer
     differs from this only in the len2 of slanted segments (its BLAS dot).
     """
+    import numpy as np
+
     pts = np.asarray(pts, dtype=np.float64)
     polyline = np.asarray(polyline, dtype=np.float64)
     return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)))
@@ -198,6 +224,8 @@ def _in_ring(cheb, j):
 
 def annulus_membership(pts, j, center):
     """True where pts lie in ring j: Q(2^j) minus Q(2^(j-1)), Chebyshev norm."""
+    import numpy as np
+
     return _in_ring(np.max(np.abs(pts - center), axis=1), j)
 
 
@@ -216,6 +244,8 @@ def _far(px, py, segments, boxes, r):
     be a normal float (a subnormal square loses its relative precision,
     and may round to 0); below that no segment is skipped.
     """
+    import numpy as np
+
     lo_x, hi_x, lo_y, hi_y = boxes
     if r * r < sys.float_info.min:
         near = slice(None)
@@ -258,6 +288,8 @@ def adversarial_static_placement(polyline, i, grid_res=256):
 
     Returns a list of (j, D_j, r_j, witness Point or None).
     """
+    import numpy as np
+
     if i < 1:
         raise ValueError("require i >= 1")
     if not 16 <= grid_res <= MAX_GRID_RES:

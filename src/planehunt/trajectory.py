@@ -28,8 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count
 
-import numpy as np
-
 DIRECTIONS = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 UNIT = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
@@ -238,6 +236,8 @@ def prefix_polyline(max_cost):
     count follows from the block lengths before any vertex is built, and
     a prefix of more than MAX_PREFIX_VERTICES vertices raises ValueError.
     """
+    import numpy as np
+
     if not (math.isfinite(max_cost) and max_cost >= 0):
         raise ValueError(f"max_cost must be finite and nonnegative, got {max_cost}")
     walked, remaining, n_vertices = [], max_cost, 1

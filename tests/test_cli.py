@@ -1,8 +1,14 @@
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planehunt
 from planehunt.cli import run
 from planehunt.coverage import MAX_GRID_RES
 from planehunt.engine import SimConfig, simulate
@@ -340,3 +346,84 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "--r" in out and "length units" in out
+
+
+# Runs in a fresh interpreter: the hunt commands first, then the commands
+# that need numpy.  Each digest covers the command's stdout (the output
+# directory replaced by OUT) and then its output files.
+FRESH_PROCESS_RUN = r"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import planehunt
+import planehunt.cli as cli
+
+out_dir = sys.argv[1]
+wp = os.path.join(out_dir, "wp.txt")
+with open(wp, "w") as fh:
+    fh.write("v 1.5\n0 2 0.5\n1 1.5 -0.25\n2.5 0.75 1\n")
+digests = {}
+
+
+def run(name, argv, files=()):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    h = hashlib.sha256(buf.getvalue().replace(out_dir, "OUT").encode())
+    for f in files:
+        with open(os.path.join(out_dir, f), "rb") as fh:
+            h.update(fh.read())
+    digests[name] = [code, h.hexdigest()]
+
+
+def o(name):
+    return os.path.join(out_dir, name)
+
+
+run("simulate-inert", ["simulate", "--target", "1.7,0.3", "--r", "0.1"])
+run("simulate-flee", ["simulate", "--algo", "dynamic", "--target", "1,0.2", "--v", "2",
+                      "--t-freeze", "0.015625", "--r", "0.0625", "--max-diagonal", "4"])
+run("simulate-waypoints", ["simulate", "--waypoints", wp, "--r", "0.2", "--max-diagonal", "3"])
+run("simulate-trace", ["simulate", "--target", "30,0.1", "--r", "0.1", "--max-cost", "600.3",
+                       "--max-diagonal", "3", "--trace", o("t.trace")], ["t.trace"])
+run("sweep-static", ["sweep-static", "--D", "1,4", "--r", "0.25,0.0625", "--samples", "10", "--seed", "7",
+                     "--out", o("s.csv"), "--jsonl", o("s.jsonl")], ["s.csv", "s.jsonl"])
+run("sweep-dynamic", ["sweep-dynamic", "--v", "0,1,4", "--r", "0.25,0.0625", "--samples", "5", "--seed", "7",
+                      "--out", o("d.csv"), "--jsonl", o("d.jsonl")], ["d.csv", "d.jsonl"])
+loaded = [m for m in ("numpy", "xml.etree", "concurrent.futures.process") if m in sys.modules]
+run("adversary", ["adversary", "--i", "3", "--max-cost", "500", "--grid-res", "64"])
+run("impossibility", ["impossibility", "--c", "2"])
+run("export-svg", ["export-svg", "--max-cost", "300", "--out", o("p.svg")], ["p.svg"])
+print(json.dumps({"loaded": loaded, "digests": digests}))
+"""
+
+# (exit code, sha256) per command, recorded before the package deferred its numpy imports
+FRESH_PROCESS_DIGESTS = {
+    "simulate-inert": [0, "8032c8808c84e109936969be982cfe268c57c9282bd056575eec36b3d0b08981"],
+    "simulate-flee": [0, "132d378f8f4a6f9a353070a8903ba5dcc1610a124b800fa78972a77c5e649386"],
+    "simulate-waypoints": [0, "d523460b1c66fe6cf00db10f6034f5731f50043c0d255f13f90a4657c5d18b8b"],
+    "simulate-trace": [0, "aebd0ebe2732f956235873964f735565b8fd96bfd6c720729cf19cff744ead79"],
+    "sweep-static": [0, "250d8a96a55ca2d99d7bb15d1db7382796c07ebd851593abd2eb28b4c278fe05"],
+    "sweep-dynamic": [0, "d4d67888509d91bcd97ba32b95207e8f1d73b96fc38df83a9a22e75e9eb71fd8"],
+    "adversary": [0, "68053ee72dbd5d7a7d26aac0b39157de6c9587d6131856c9d8f277e7abedcbe3"],
+    "impossibility": [0, "6182534166a858db160d41befb5df97ec8bcd08d24f0ef4fa89397f98c6c8e39"],
+    "export-svg": [0, "011f57c237d320f68d8c20751a64e095b9ae36babaa579e53aca143f3af6c862"],
+}
+
+
+def test_hunt_commands_leave_numpy_unloaded(tmp_path):
+    # simulate and both sweeps import neither numpy, xml.etree nor the
+    # process pool; adversary, impossibility and export-svg load numpy
+    # later in the same process, with unchanged output
+    src = Path(planehunt.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS_RUN, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    report = json.loads(done.stdout)
+    assert report["loaded"] == []
+    assert report["digests"] == FRESH_PROCESS_DIGESTS

@@ -24,7 +24,7 @@ from planehunt.engine import (
 )
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
-from planehunt.target import inert, radial_flee, waypoints
+from planehunt.target import TargetStrategy, inert, radial_flee, waypoints
 from planehunt.trajectory import (
     _SIDES,
     MAX_DIAGONAL,
@@ -317,6 +317,31 @@ class TestBruteForceOracle:
             if exact.cost > 0:
                 seen.add((exact.stop_reason, exact.time < strategy.times[-1]))
         assert {("sensed", True), ("sensed", False), ("cost_budget", True)} <= seen
+
+    def test_subnormal_breakpoint_interval_matches_oracle(self):
+        # 1 / dt overflows for a subnormal dt, and 0 * inf made the catch NaN
+        P = Point(0.03125, 0.125)
+        cases = [
+            (TargetStrategy(times=(0.0, 2.5e-323), points=(P, P), v=1.0), SimConfig(r=0.03125, max_diagonal=1)),
+            (TargetStrategy(times=(0.0, 5e-324), points=(P, P), v=1.0), SimConfig(r=0.25, max_diagonal=1)),
+            (TargetStrategy(times=(0.0, 2.5e-323), points=(P, Point(P.x, P.y + 5e-324)), v=1.0),
+             SimConfig(r=0.127, max_diagonal=2)),
+            (TargetStrategy(times=(0.0, 1e-320, 0.5), points=(P, P, Point(0.5, 0.125)), v=1.0),
+             SimConfig(r=0.07, max_diagonal=2)),
+        ]
+        step = 1e-3
+        for strategy, cfg in cases:
+            exact = simulate(static_plan(), strategy, cfg)
+            approx = brute_force_oracle(static_plan(), strategy, cfg, step)
+            a, q = exact.agent_pos, exact.target_pos
+            assert all(math.isfinite(x) for x in (exact.time, exact.cost, a.x, a.y, q.x, q.y))
+            assert (exact.sensed, exact.stop_reason, exact.diagonal) == (
+                approx.sensed, approx.stop_reason, approx.diagonal
+            )
+            assert abs(exact.cost - approx.cost) <= 10 * step
+        # a target that never moves is hunted as the inert one
+        still = simulate(static_plan(), cases[0][0], cases[0][1])
+        assert still == simulate(static_plan(), inert(P), cases[0][1])
 
     def test_rejects_bad_step(self):
         cfg = SimConfig(r=0.5, max_diagonal=1)

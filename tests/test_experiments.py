@@ -87,6 +87,27 @@ class TestVectorizedDraws:
     def test_draws_equal_numpys_default_rng(self, seed, D, r, idx):
         assert sample_targets(seed, D, r, idx) == [_numpy_draw(seed, D, r, i) for i in idx]
 
+    def test_two_word_seeds_and_indices(self):
+        # entries of 2^32 and more take two words; the hoisted pool serves one-word indices
+        for seed in (2**32, 2**32 + 7, 2**63 + 1, 2**64 - 1):
+            idx = [0, 9, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1]
+            assert sample_targets(seed, 4.0, 0.0625, idx) == [_numpy_draw(seed, 4.0, 0.0625, i) for i in idx]
+
+    def test_subnormal_keys_give_a_short_prefix(self):
+        # a key below 2^32 is one word: with a one-word seed, (seed, key(D), key(r))
+        # is 3 words, fewer than the pool's 4, and every index runs the whole algorithm
+        tiny = (5e-324, 1e-320, 2.0e-314)
+        assert all(experiments._float_key(x) < 2**32 for x in tiny)
+        for D in tiny + (1.0,):
+            for r in tiny + (0.25,):
+                idx = [0, 1, 17, 2**32 - 1, 2**32, 2**70]
+                assert sample_targets(3, D, r, idx) == [_numpy_draw(3, D, r, i) for i in idx]
+
+    def test_mixed_word_counts_in_one_call(self):
+        idx = [2**64, 0, 2**32, 1, 2**96 + 3, 2**32 - 1, 5, 2**32 + 1]
+        for seed, D, r in ((7, 16.0, 2.0**-8), (7, 5e-324, 1e-320), (2**40, 5e-324, 0.25)):
+            assert sample_targets(seed, D, r, idx) == [_numpy_draw(seed, D, r, i) for i in idx]
+
     def test_a_cell_of_draws(self):
         for seed in (0, 1, 7, 7001, 2**32 - 1, 2**40 + 3):
             for D in (1.0, 16.0, 2.0 ** -40):

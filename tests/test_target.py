@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from planehunt.coverage import MAX_GRID_RES, _covered_cells
 from planehunt.geometry import Point
 from planehunt.target import (
+    SPEED_TOL,
     WITNESS_CHUNK,
     _min_distance_to_polyline,
     adversarial_static_placement,
@@ -57,6 +58,49 @@ class TestRadialFlee:
     def test_rejects_degenerate_direction(self):
         with pytest.raises(ValueError):
             radial_flee(Point(0, 0), Point(0, 0), v=1.0, t_freeze=1.0)
+
+    def test_short_flee_from_a_large_coordinate(self):
+        # 2 + 1e-12 rounds up to 2252 ulps of 2, a speed of 1.00009 over 1e-12
+        s = radial_flee(Point(0, 0), Point(2, 0), v=1.0, t_freeze=1e-12)
+        assert s.points[1] == Point(math.nextafter(2.0 + 1e-12, 0.0), 0.0)
+        assert (s.points[1] - s.points[0]).norm() / 1e-12 <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sx=st.floats(-1e12, 1e12),
+        sy=st.floats(-1e12, 1e12),
+        v=st.floats(1e-3, 16.0),
+        t_freeze=st.one_of(
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(0.0, 1e-300, exclude_min=True),  # subnormal flee lengths
+            st.floats(1e-6, 10.0),
+        ),
+    )
+    def test_end_point_within_the_bound_and_ulps_of_the_flee(self, sx, sy, v, t_freeze):
+        start = Point(sx, sy)
+        if start == Point(0, 0):
+            start = Point(1e6, 0.0)
+        s = radial_flee(Point(0, 0), start, v, t_freeze)
+        end = s.points[1]
+        assert (end - start).norm() / t_freeze <= v + SPEED_TOL
+        naive = start + start.scaled(1.0 / start.norm()).scaled(v * t_freeze)
+        if not (math.isfinite(naive.x) and math.isfinite(naive.y)):
+            return  # a subnormal |start|: 1 / |start| is inf
+        # a strategy the unchanged formula already allowed keeps its end point
+        if (naive - start).norm() / t_freeze <= v + SPEED_TOL:
+            assert end == naive
+        # otherwise the end is stepped back by a few ulps toward start
+        for e, n in ((end.x, naive.x), (end.y, naive.y)):
+            assert abs(e - n) <= 4 * math.ulp(n)
+
+    def test_subnormal_start(self):
+        # 1 / |start| is inf, and the direction is d / |d|
+        s = radial_flee(Point(0, 0), Point(0.0, 5e-324), v=1.0, t_freeze=1e-6)
+        assert s.points[1] == Point(0.0, 5e-324 + 1e-6)
+        s = radial_flee(Point(0, 0), Point(-5e-324, 5e-324), v=1.0, t_freeze=0.5)
+        assert -s.points[1].x == s.points[1].y == pytest.approx(0.5 * math.sqrt(0.5), rel=1e-15)
+        s = radial_flee(Point(0, 0), Point(3 * 5e-324, 4 * 5e-324), v=2.0, t_freeze=0.5)
+        assert (s.points[1].x, s.points[1].y) == pytest.approx((0.6, 0.8), rel=1e-15)
 
 
 class TestWaypoints:
