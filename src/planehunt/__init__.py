@@ -20,7 +20,7 @@ from .coverage import (
     tube_area,
 )
 from .engine import SimConfig, SimOutcome, brute_force_oracle, simulate
-from .geometry import Point, Segment, first_contact_time, point_segment_distance
+from .geometry import Point, first_contact_time
 from .searcher import (
     DynamicPrediction,
     SearcherPlan,
@@ -28,7 +28,6 @@ from .searcher import (
     dynamic_q,
     predict_dynamic,
     static_plan,
-    timing_table,
 )
 from .target import (
     TargetStrategy,

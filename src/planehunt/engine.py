@@ -8,10 +8,12 @@ length over the diagonal's speed.  The cost, time and legs at each block
 start come from a per-plan table (_block_table), summed once in walking
 order.  Targets are piecewise linear and inert after their last
 breakpoint, so the few legs that start while the target still moves are
-split at its breakpoints and each piece is solved as an exact quadratic;
-for every later leg the first contact with the target's final point is
-found by a scalar scan of the block's sides.  A trace is written from the
-same closed form and never changes the result.
+split at its breakpoints, which one forward walk over their index finds
+(one bisection at the block start, then leg by leg), and each piece is
+solved as an exact quadratic; for every later leg the first contact with
+the target's final point is found by a scalar scan of the block's sides.
+A trace is written from the same closed form and never changes the
+result.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back.
@@ -48,7 +50,7 @@ leg in walking order, bit for bit:
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -211,10 +213,7 @@ def _simulate(plan, strategy, cfg, tracer):
         allowance = max_cost - cost
         n, hit = 0, None
         if t < t_still:  # legs that start before t_still see a moving target
-            n = bisect_left(
-                range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed
-            )
-            hit = _first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
+            n, hit = _first_contact_moving(strategy, start, params, t, speed, r, allowance)
         if hit is None and far <= extent + margin:
             gate = term_gate[term]
             if gate is None:
@@ -243,28 +242,58 @@ def _simulate(plan, strategy, cfg, tracer):
     return _outcome(False, t, cost, cfg.agent_start, tgt, int(cfg.max_diagonal), legs, "diagonal_budget")
 
 
-def _first_contact_moving(strategy, start, params, n, t, speed, r, arc_allowance):
-    """First contact (arc, leg index) on the first n legs of a block, or None.
+def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
+    """(n, hit) for the legs of a block that start while the target moves.
 
-    The target may still move during these legs, so each leg is split at
-    the target's breakpoints and every constant-velocity piece is solved
-    exactly; only the first arc_allowance of arc length is admissible.
+    n is the first leg that starts at or after the target's last
+    breakpoint (or where the arc budget runs out), from which the inert
+    kernel takes over; hit is the first contact (arc, leg index) before
+    it, or None.  Each leg is split at the target's breakpoints, and every
+    constant-velocity piece is solved exactly; only the first
+    arc_allowance of arc length is admissible.  Leg starts only grow, so
+    one bisection at the block start and then a forward walk find each
+    leg's first breakpoint.
     """
-    for idx in range(n):
+    times, points = strategy.times, strategy.points
+    legs, t_still = 8 * (params.k + 1), times[-1]
+    after = bisect_right(times, t)  # the first breakpoint after the leg start
+    for idx in range(legs):
         arc0 = pi_arc_before(params, idx)
-        if arc0 >= arc_allowance:
-            return None
         t0 = t + arc0 / speed
+        if t0 >= t_still or arc0 >= arc_allowance:
+            return idx, None
+        while times[after] <= t0:
+            after += 1
         length = pi_leg_length(params, idx)
         (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
         vel = Point((bx - ax) * (speed / length), (by - ay) * (speed / length))
         pos = Point(float(start[0] + ax), float(start[1] + ay))
-        leg_dt = min(length, arc_allowance - arc0) / speed
-        for ts, te, tgt_pos, w in strategy.constant_velocity_pieces(t0, t0 + leg_dt):
-            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, tgt_pos, w, r, te - ts)
+        te = t0 + min(length, arc_allowance - arc0) / speed
+        ts, b = t0, after
+        while True:  # the piece from ts to the next breakpoint b or to te
+            end = times[b] if b < len(times) and times[b] < te else te
+            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, strategy.position(ts),
+                                     _segment_velocity(times, points, b), r, end - ts)
             if hit is not None:
-                return arc0 + speed * (ts + hit - t0), idx
-    return None
+                return idx, (arc0 + speed * (ts + hit - t0), idx)
+            if end == te:
+                break
+            ts, b = end, b + 1
+    return legs, None
+
+
+def _segment_velocity(times, points, b):
+    """Velocity on the segment that ends at breakpoint b; zero past the last one."""
+    if b == len(times):
+        return Point(0.0, 0.0)
+    dt = times[b] - times[b - 1]
+    d = points[b] - points[b - 1]
+    inv = 1.0 / dt
+    if math.isinf(inv):
+        # a subnormal dt: 0 * inf would be NaN, while d / dt is finite
+        # (the speed check bounds |d| / dt)
+        return Point(d.x / dt, d.y / dt)
+    return d.scaled(inv)
 
 
 def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
@@ -546,7 +575,7 @@ def brute_force_oracle(plan, strategy, cfg, step):
     for i, instr in full_schedule():
         if i > cfg.max_diagonal:
             tp = strategy.position(t)
-            return _outcome(False, float(t), cost, Point(*pos), tp, i - 1, legs, "diagonal_budget")
+            return _outcome(False, float(t), cost, Point(*pos.tolist()), tp, i - 1, legs, "diagonal_budget")
         speed = plan.speed_of_diagonal(i)
         ux, uy = UNIT[instr.direction]
         leg_len = min(instr.distance, cfg.max_cost - cost)
@@ -578,5 +607,5 @@ def brute_force_oracle(plan, strategy, cfg, step):
         legs += 1
         if truncated or cost >= cfg.max_cost:
             tp = strategy.position(t)
-            return _outcome(False, float(t), cost, Point(*pos), tp, i, legs, "cost_budget")
+            return _outcome(False, float(t), cost, Point(*pos.tolist()), tp, i, legs, "cost_budget")
     raise AssertionError("schedule is infinite")  # pragma: no cover

@@ -299,6 +299,8 @@ def _cell(args):
 
 def _sweep(plan, cells, samples, seed, jobs):
     """Run the cells serially or on a process pool; rows come in cell order."""
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     work = [(plan, *cell, samples, seed, i * samples) for i, cell in enumerate(cells)]
     if jobs <= 1 or len(work) <= 1:
         return [row for args in work for row in _cell(args)]

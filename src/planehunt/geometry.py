@@ -1,4 +1,4 @@
-"""Planar primitives: points, segments, and first-contact times.
+"""Planar primitives: points, exact 2-vector dots, and first-contact times.
 
 Everything here is a pure function over immutable values, safe to call
 from any number of workers.
@@ -47,14 +47,6 @@ class Point:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A line segment; a == b is allowed (degenerate point-segment)."""
-
-    a: Point
-    b: Point
-
-
 def fma_dot(x0, x1, y0, y1):
     """The 2-vector dot x0*y0 + x1*y1 rounded as fma(x1, y1, x0*y0), in Python floats.
 
@@ -97,18 +89,6 @@ def _fma_exact(x, y, z):
         return num / (dx * dy * dz)  # correctly rounded; an exact cancellation is +0
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def point_segment_distance(p, s):
-    """Minimum Euclidean distance from point p to segment s."""
-    d = s.b - s.a
-    len2 = d.dot(d)
-    if len2 == 0.0:
-        return (p - s.a).norm()
-    t = (p - s.a).dot(d) / len2
-    t = min(1.0, max(0.0, t))
-    closest = s.a + d.scaled(t)
-    return (p - closest).norm()
 
 
 def first_contact_time(p0, u, q0, w, r, horizon):

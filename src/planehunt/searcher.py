@@ -45,27 +45,6 @@ def dynamic_plan():
     return SearcherPlan(name="dynamic", speed_exponent=5)
 
 
-@dataclass(frozen=True)
-class TimingTable:
-    per_diagonal: tuple  # t_i for i = 1..n
-    cumulative: tuple
-    q: float  # certified upper bound on the total time (dynamic plan)
-
-
-def timing_table(plan, upto):
-    """Traversal and cumulative times for diagonals 1..upto."""
-    times = []
-    cum = []
-    total = 0.0
-    for i in range(1, upto + 1):
-        t = plan.traversal_time(i)
-        times.append(t)
-        total += t
-        cum.append(total)
-    q = dynamic_q(upto) if plan.speed_exponent > 0 else math.inf
-    return TimingTable(per_diagonal=tuple(times), cumulative=tuple(cum), q=q)
-
-
 @functools.lru_cache(maxsize=None)
 def dynamic_q(upto=DEFAULT_Q_TERMS):
     """Certified upper bound on the dynamic plan's total traversal time.

@@ -2,12 +2,14 @@
 
 A strategy is a finite piecewise-linear description of infinite motion:
 after its last breakpoint the target stays put.  The engine relies on
-this to split every searcher leg into intervals where both parties move
-at constant velocity.
+this: it walks the breakpoints forward once per block and splits every
+searcher leg at them into intervals where both parties move at constant
+velocity.  position finds a time's segment by bisection.
 """
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .coverage import MAX_GRID_RES, PAIR_BUDGET, _covered_cells, _dist2
@@ -56,41 +58,11 @@ class TargetStrategy:
             return self.points[0]
         if t >= self.times[-1]:
             return self.points[-1]
-        idx = 1
-        while self.times[idx] < t:
-            idx += 1
+        idx = bisect_left(self.times, t)  # times[0] == 0 < t, so idx >= 1
         t0, t1 = self.times[idx - 1], self.times[idx]
         frac = (t - t0) / (t1 - t0)
         p0, p1 = self.points[idx - 1], self.points[idx]
         return p0 + (p1 - p0).scaled(frac)
-
-    def constant_velocity_pieces(self, t_start, t_end):
-        """Yield (ts, te, position at ts, velocity) covering [t_start, t_end]."""
-        bounds = [t for t in self.times if t_start < t < t_end]
-        cut_times = [t_start] + bounds + [t_end]
-        for ts, te in zip(cut_times, cut_times[1:]):
-            pos = self.position(ts)
-            vel = self._velocity_after(ts)
-            yield ts, te, pos, vel
-
-    def _velocity_after(self, t):
-        if t >= self.times[-1]:
-            return Point(0.0, 0.0)
-        idx = 1
-        while self.times[idx] <= t:
-            idx += 1
-        dt = self.times[idx] - self.times[idx - 1]
-        d = self.points[idx] - self.points[idx - 1]
-        inv = 1.0 / dt
-        if math.isinf(inv):
-            # a subnormal dt: 0 * inf would be NaN, while d / dt is finite
-            # (the speed check bounds |d| / dt)
-            return Point(d.x / dt, d.y / dt)
-        return d.scaled(inv)
-
-    @property
-    def is_inert(self):
-        return len(self.times) == 1 or self.v == 0
 
 
 def inert(p):
@@ -149,16 +121,20 @@ def load_waypoints(path):
     times = []
     points = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if parts[0] == "v":
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: malformed header line {line!r}, expected `v <bound>`")
+                if v is not None:
+                    raise ValueError(f"{path}:{lineno}: second header line {line!r}")
                 v = float(parts[1])
                 continue
             if len(parts) != 3:
-                raise ValueError(f"{path}: malformed waypoint line {line!r}")
+                raise ValueError(f"{path}:{lineno}: malformed waypoint line {line!r}")
             t, x, y = map(float, parts)
             times.append(t)
             points.append(Point(x, y))

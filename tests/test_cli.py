@@ -114,6 +114,18 @@ def test_simulate_rejects_an_infinite_waypoint_speed_exit_2(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("text", ["v\n0 2 0\n", "v 1 2\n0 2 0\n", "v 1\n0 2 0\nv 4\n"])
+def test_simulate_rejects_a_malformed_waypoint_header_exit_2(text, tmp_path, capsys):
+    # a bare `v` exited 1 with "list index out of range"; the others ran
+    wp = tmp_path / "wp.txt"
+    wp.write_text(text)
+    code = run(["simulate", "--waypoints", str(wp), "--r", "0.5", "--max-diagonal", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {wp}:" in captured.err and "header line" in captured.err
+
+
 def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2
@@ -211,6 +223,22 @@ def test_sweep_negative_seed_exit_2_before_output(command, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "seed must be a non-negative integer" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-static", "--D", "1", "--r", "0.25"],
+    ["sweep-dynamic", "--v", "0,1", "--r", "0.25", "--D", "1"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_below_one_exit_2_before_output(command, jobs, tmp_path, capsys):
+    # --jobs -4 ran serially and exited 0
+    out = tmp_path / "rows.csv"
+    code = run([*command, "--samples", "2", "--seed", "1", "--jobs", jobs, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "jobs must be an integer >= 1" in captured.err
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from planehunt.engine import (
     brute_force_oracle,
     simulate,
 )
-from planehunt.geometry import Point
+from planehunt.geometry import Point, first_contact_time
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import TargetStrategy, inert, radial_flee, waypoints
 from planehunt.trajectory import (
@@ -342,6 +342,17 @@ class TestBruteForceOracle:
         # a target that never moves is hunted as the inert one
         still = simulate(static_plan(), cases[0][0], cases[0][1])
         assert still == simulate(static_plan(), inert(P), cases[0][1])
+
+    def test_unsensed_outcomes_hold_python_floats(self):
+        # repr compares types too: a numpy float in agent_pos would differ from simulate's
+        cases = [
+            (inert(Point(0.03125, 0.125)), SimConfig(r=0.03125, max_diagonal=1), "diagonal_budget"),
+            (inert(Point(3, 3)), SimConfig(r=0.03125, max_cost=7.3), "cost_budget"),
+        ]
+        for strategy, cfg, stop in cases:
+            approx = brute_force_oracle(static_plan(), strategy, cfg, step=1e-3)
+            assert approx.stop_reason == stop
+            assert repr(approx) == repr(simulate(static_plan(), strategy, cfg))
 
     def test_rejects_bad_step(self):
         cfg = SimConfig(r=0.5, max_diagonal=1)
@@ -762,8 +773,68 @@ def _sequential_walk(plan):
     return starts, (cost, t, legs)
 
 
+def _position_scan(strategy, t):
+    """TargetStrategy.position as a linear scan of the breakpoints."""
+    if t <= 0:
+        return strategy.points[0]
+    if t >= strategy.times[-1]:
+        return strategy.points[-1]
+    idx = 1
+    while strategy.times[idx] < t:
+        idx += 1
+    t0, t1 = strategy.times[idx - 1], strategy.times[idx]
+    frac = (t - t0) / (t1 - t0)
+    p0, p1 = strategy.points[idx - 1], strategy.points[idx]
+    return p0 + (p1 - p0).scaled(frac)
+
+
+def _velocity_after(strategy, t):
+    """Velocity of the segment after time t, by a linear scan; zero once inert."""
+    if t >= strategy.times[-1]:
+        return Point(0.0, 0.0)
+    idx = 1
+    while strategy.times[idx] <= t:
+        idx += 1
+    dt = strategy.times[idx] - strategy.times[idx - 1]
+    d = strategy.points[idx] - strategy.points[idx - 1]
+    inv = 1.0 / dt
+    if math.isinf(inv):
+        return Point(d.x / dt, d.y / dt)  # a subnormal dt
+    return d.scaled(inv)
+
+
+def _constant_velocity_pieces(strategy, t_start, t_end):
+    """(ts, te, position at ts, velocity) covering [t_start, t_end], cut at every breakpoint inside."""
+    bounds = [t for t in strategy.times if t_start < t < t_end]
+    cut_times = [t_start] + bounds + [t_end]
+    for ts, te in zip(cut_times, cut_times[1:]):
+        yield ts, te, _position_scan(strategy, ts), _velocity_after(strategy, ts)
+
+
+def _moving_legs(strategy, start, params, n, t, speed, r, arc_allowance):
+    """Reference for the moving walk: first contact (arc, leg index) on the first n legs, or None.
+
+    Every leg is cut into pieces by a scan of all the breakpoints.
+    """
+    for idx in range(n):
+        arc0 = pi_arc_before(params, idx)
+        if arc0 >= arc_allowance:
+            return None
+        t0 = t + arc0 / speed
+        length = pi_leg_length(params, idx)
+        (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
+        vel = Point((bx - ax) * (speed / length), (by - ay) * (speed / length))
+        pos = Point(float(start[0] + ax), float(start[1] + ay))
+        leg_dt = min(length, arc_allowance - arc0) / speed
+        for ts, te, tgt_pos, w in _constant_velocity_pieces(strategy, t0, t0 + leg_dt):
+            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, tgt_pos, w, r, te - ts)
+            if hit is not None:
+                return arc0 + speed * (ts + hit - t0), idx
+    return None
+
+
 def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
-    """The walk before the block table: running sums, and the inert kernel on every block."""
+    """The walk before the block table: running sums, _moving_legs, and the inert kernel on every block."""
     sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
     start = (sx, sy)
     final = strategy.points[-1]
@@ -788,7 +859,7 @@ def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
             n, hit = 0, None
             if t < t_still:
                 n = bisect_left(range(block_legs), t_still, key=lambda L: t + pi_arc_before(params, L) / speed)
-                hit = engine._first_contact_moving(strategy, start, params, n, t, speed, r, allowance)
+                hit = _moving_legs(strategy, start, params, n, t, speed, r, allowance)
             if hit is None:
                 hit = engine._first_contact_in_rings(params, n, q_rel, r, allowance)
             sensed = hit is not None
@@ -925,3 +996,75 @@ class TestGatedWalk:
                 assert out == _kernel_on_every_block(plan, inert(q), cfg)
                 assert out.stop_reason == "cost_budget" and (frac == 1.0 or out.diagonal == i)
         assert skipped >= 6
+
+
+def _circling(plan, radius, max_diagonal, still_frac=1.0):
+    """A waypoint target circling the start three times, and cut arcs that fall inside its pieces.
+
+    Its breakpoints are 0 and 5e-324 (a subnormal interval, where it
+    stands still), every other leg start of diagonals 1..max_diagonal
+    exactly, and a point inside every third leg; it stops at the last of
+    the first still_frac of them.  Each cut is the cost 3/16 into a leg
+    whose breakpoint inside lies 3/8 into it.
+    """
+    rows = engine._block_table(plan)[: max_diagonal * (max_diagonal + 1) // 2]
+    times, cuts = [0.0, 5e-324], []
+    for _, params, _, _, _, speed, block_legs, _, cost, t, _ in rows:
+        for leg in range(block_legs):
+            arc0, length = pi_arc_before(params, leg), pi_leg_length(params, leg)
+            if leg % 2 == 0:
+                times.append(t + arc0 / speed)
+            if leg % 3 == 1:
+                times.append(t + (arc0 + 0.375 * length) / speed)
+                cuts.append(cost + arc0 + 0.1875 * length)
+    times = sorted(set(times))
+    times = times[: int(len(times) * still_frac)]
+    omega = 6.0 * math.pi / times[-1]
+    points = [Point(radius * math.cos(omega * t), radius * math.sin(omega * t)) for t in times]
+    points[1] = points[0]
+    return waypoints(points, times, radius * omega * 1.01), cuts
+
+
+class TestMovingWalk:
+    """The forward breakpoint walk equals the per-leg scan of every breakpoint, outcome and trace."""
+
+    # (plan, radius, r, still_frac, cut, stop): a contact while the target
+    # moves, a cost budget cut inside a piece (an index into the cuts, or
+    # just before that contact, inside its leg), and a target that stops
+    # inside a block
+    HUNTS = [
+        pytest.param("static", 1.3, 0.003, 1.0, None, "sensed", id="static-contact-while-moving"),
+        pytest.param("dynamic", 1.3, 0.003, 1.0, None, "sensed", id="dynamic-contact-while-moving"),
+        pytest.param("static", 2.2, 0.003, 1.0, -7, "cost_budget", id="static-cut-inside-a-piece"),
+        pytest.param("dynamic", 2.2, 0.003, 1.0, -7, "cost_budget", id="dynamic-cut-inside-a-piece"),
+        pytest.param("static", 1.3, 0.003, 1.0, "contact", "cost_budget", id="static-cut-before-contact"),
+        pytest.param("dynamic", 1.3, 0.003, 1.0, "contact", "cost_budget", id="dynamic-cut-before-contact"),
+        pytest.param("static", 2.2, 0.003, 0.6, None, "diagonal_budget", id="static-stops-inside-a-block"),
+        pytest.param("dynamic", 1.3, 0.003, 0.6, None, "diagonal_budget", id="dynamic-stops-inside-a-block"),
+    ]
+
+    @pytest.mark.parametrize("name, radius, r, still_frac, cut, stop", HUNTS)
+    def test_matches_the_scan_of_every_breakpoint(self, name, radius, r, still_frac, cut, stop):
+        plan = PLANS[name]
+        strategy, cuts = _circling(plan, radius, 3, still_frac)
+        assert len(strategy.times) >= 1000
+        # 0 * (1 / 5e-324) would make the first piece's velocity NaN
+        assert strategy.times[1] == 5e-324 and strategy.points[1] == strategy.points[0]
+        if cut == "contact":
+            caught = _kernel_on_every_block(plan, strategy, SimConfig(r=r, max_diagonal=3))
+            max_cost = caught.cost * (1.0 - 1e-9)
+        else:
+            max_cost = math.inf if cut is None else cuts[cut]
+        cfg = SimConfig(r=r, max_cost=max_cost, max_diagonal=3)
+        want_sink, got_sink = io.StringIO(), io.StringIO()
+        want = _kernel_on_every_block(plan, strategy, cfg, engine._Trace(want_sink))
+        assert repr(simulate(plan, strategy, cfg)) == repr(want)
+        assert repr(simulate(plan, strategy, cfg, trace=got_sink)) == repr(want)
+        assert got_sink.getvalue() == want_sink.getvalue()
+        assert want.stop_reason == stop
+        if stop != "diagonal_budget":
+            assert want.time < strategy.times[-1]  # stopped while the target moves
+        if cut == "contact":
+            assert want.legs_processed == caught.legs_processed  # cut inside the contact's leg
+        if cut is not None:
+            assert want.cost == max_cost

@@ -210,6 +210,14 @@ class TestSweepStatic:
         sweep_static([1, 2], [1 / 4], samples=1, seed=5, jobs=1000)
         assert requested == [3, 4, 1]
 
+    @pytest.mark.parametrize("jobs", [0, -4, True, 2.0, "2", None])
+    def test_rejects_bad_jobs(self, jobs):
+        # a bool, a non-integer or a count below 1 ran serially before
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            sweep_static([1], [1 / 4], samples=1, seed=5, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            sweep_dynamic([0, 1], [1 / 4], D=1, samples=1, seed=5, jobs=jobs)
+
     def test_jobs_merge_is_deterministic(self):
         serial = sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=3, seed=5, jobs=1)
         parallel = sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=3, seed=5, jobs=2)

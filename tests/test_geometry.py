@@ -7,32 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planehunt.geometry import Point, Segment, first_contact_time, fma_dot, point_segment_distance
+from planehunt.geometry import Point, first_contact_time, fma_dot
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 speed = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-
-
-class TestPointSegmentDistance:
-    def test_perpendicular_foot_inside(self):
-        s = Segment(Point(-1, 0), Point(1, 0))
-        assert point_segment_distance(Point(0, 1), s) == pytest.approx(1.0)
-
-    def test_nearest_endpoint(self):
-        s = Segment(Point(-1, 0), Point(1, 0))
-        assert point_segment_distance(Point(2, 0), s) == pytest.approx(1.0)
-
-    def test_degenerate_segment(self):
-        s = Segment(Point(0, 0), Point(0, 0))
-        assert point_segment_distance(Point(3, 4), s) == pytest.approx(5.0)
-
-    @given(coord, coord, coord, coord, coord, coord)
-    def test_bounded_by_endpoint_distances(self, px, py, ax, ay, bx, by):
-        p = Point(px, py)
-        s = Segment(Point(ax, ay), Point(bx, by))
-        d = point_segment_distance(p, s)
-        assert d <= (p - s.a).norm() + 1e-9
-        assert d <= (p - s.b).norm() + 1e-9
 
 
 class TestFirstContactTime:

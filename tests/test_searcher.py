@@ -6,7 +6,6 @@ from planehunt.searcher import (
     dynamic_q,
     predict_dynamic,
     static_plan,
-    timing_table,
 )
 from planehunt.trajectory import diagonal_instructions, diagonal_length
 
@@ -84,17 +83,6 @@ class TestDynamicQ:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dynamic_q(0)
-
-
-class TestTimingTable:
-    def test_cumulative_matches_per_diagonal(self):
-        table = timing_table(dynamic_plan(), 6)
-        assert len(table.per_diagonal) == 6
-        running = 0.0
-        for t, cum in zip(table.per_diagonal, table.cumulative):
-            running += t
-            assert cum == pytest.approx(running)
-        assert table.q >= table.cumulative[-1]
 
 
 class TestPredictDynamic:
