@@ -57,24 +57,20 @@ def build_parser():
                      help=f"diagonal budget (index, 1..{MAX_DIAGONAL})")
     sim.add_argument("--trace", help="write per-event trace lines `t cost ax ay tx ty event` to this path")
 
-    sst = sub.add_parser("sweep-static", help="seeded sweep of the unit-speed searcher")
-    sst.add_argument("--D", type=_floats, required=True, help="comma list of distance bounds (length units)")
-    sst.add_argument("--r", type=_floats, required=True, help="comma list of sensing radii (length units)")
-    sst.add_argument("--samples", type=int, default=10, help="targets per (D, r) cell")
-    sst.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory, reproducibility)")
-    sst.add_argument("--jobs", type=int, default=1, help="parallel workers; output order is deterministic")
-    sst.add_argument("--out", help="CSV output path (stdout if omitted)")
-    sst.add_argument("--jsonl", help="optional line-delimited JSON output path")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--r", type=_floats, required=True, help="comma list of sensing radii (length units)")
+    sweep.add_argument("--samples", type=int, default=10, help="targets per parameter cell")
+    sweep.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory, reproducibility)")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers; output order is deterministic")
+    sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
+    sweep.add_argument("--jsonl", help="optional line-delimited JSON output path")
 
-    sdy = sub.add_parser("sweep-dynamic", help="seeded sweep of the accelerating searcher")
+    sst = sub.add_parser("sweep-static", parents=[sweep], help="seeded sweep of the unit-speed searcher")
+    sst.add_argument("--D", type=_floats, required=True, help="comma list of distance bounds (length units)")
+
+    sdy = sub.add_parser("sweep-dynamic", parents=[sweep], help="seeded sweep of the accelerating searcher")
     sdy.add_argument("--v", type=_floats, required=True, help="comma list of target speed bounds (length/time)")
-    sdy.add_argument("--r", type=_floats, required=True, help="comma list of sensing radii (length units)")
     sdy.add_argument("--D", type=float, default=1.0, help="initial distance bound (length units)")
-    sdy.add_argument("--samples", type=int, default=10, help="targets per (v, r) cell")
-    sdy.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory, reproducibility)")
-    sdy.add_argument("--jobs", type=int, default=1, help="parallel workers; output order is deterministic")
-    sdy.add_argument("--out", help="CSV output path (stdout if omitted)")
-    sdy.add_argument("--jsonl", help="optional line-delimited JSON output path")
 
     adv = sub.add_parser("adversary", help="hidden-target witnesses and tube report for a schedule prefix")
     adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i)")
@@ -117,24 +113,14 @@ def _cmd_simulate(args):
     return 0
 
 
-def _emit_rows(rows, args):
-    if args.out:
-        write_rows_csv(rows, args.out)
+def _cmd_sweep(args):
+    if args.command == "sweep-static":
+        rows = sweep_static(args.D, args.r, args.samples, args.seed, jobs=args.jobs)
     else:
-        write_rows_csv(rows, "/dev/stdout")
+        rows = sweep_dynamic(args.v, args.r, args.D, args.samples, args.seed, jobs=args.jobs)
+    write_rows_csv(rows, args.out or None)
     if args.jsonl:
         write_rows_jsonl(rows, args.jsonl)
-
-
-def _cmd_sweep_static(args):
-    rows = sweep_static(args.D, args.r, args.samples, args.seed, jobs=args.jobs)
-    _emit_rows(rows, args)
-    return 0
-
-
-def _cmd_sweep_dynamic(args):
-    rows = sweep_dynamic(args.v, args.r, args.D, args.samples, args.seed, jobs=args.jobs)
-    _emit_rows(rows, args)
     return 0
 
 
@@ -176,15 +162,15 @@ def _cmd_impossibility(args):
 
 def _cmd_export_svg(args):
     prefix = prefix_polyline(args.max_cost)
-    export_svg(prefix, [], args.out)
+    export_svg(prefix, args.out)
     print(args.out)
     return 0
 
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "sweep-static": _cmd_sweep_static,
-    "sweep-dynamic": _cmd_sweep_dynamic,
+    "sweep-static": _cmd_sweep,
+    "sweep-dynamic": _cmd_sweep,
     "adversary": _cmd_adversary,
     "impossibility": _cmd_impossibility,
     "export-svg": _cmd_export_svg,

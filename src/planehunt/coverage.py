@@ -94,6 +94,29 @@ def _dist2(gx, gy, a0, a1, d0, d1, len2):
     return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2
 
 
+def _segments(polyline):
+    """The segment table of an (n, 2) polyline: its columns and its boxes.
+
+    The columns are a0, a1, d0, d1, len2 for the segments a + [0, 1] d,
+    where len2 is d0*d0 + d1*d1 with zero replaced by 1, so a zero-length
+    segment gets t = 0 in _dist2 and is the point a.  The boxes are
+    lo_x, hi_x, lo_y, hi_y of a and the rounded a + d.  A one-vertex
+    polyline is one zero-length segment at its vertex.
+    """
+    import numpy as np
+
+    if len(polyline) == 1:
+        polyline = np.vstack([polyline, polyline])
+    a = polyline[:-1]
+    d = polyline[1:] - a
+    a0, a1, d0, d1 = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
+    len2 = d0 * d0 + d1 * d1
+    len2[len2 == 0.0] = 1.0
+    b0, b1 = a0 + d0, a1 + d1
+    boxes = (np.minimum(a0, b0), np.maximum(a0, b0), np.minimum(a1, b1), np.maximum(a1, b1))
+    return (a0, a1, d0, d1, len2), boxes
+
+
 def _within(gx, gy, a0, a1, d0, d1, len2, r):
     """dist^2 <= r^2 from cell centres (gx, gy) to segments a + [0, 1] d (_dist2)."""
     return _dist2(gx, gy, a0, a1, d0, d1, len2) <= r * r
@@ -105,7 +128,7 @@ def _covered_cells(xs, ys, polyline, r):
     xs and ys are the sorted cell-centre coordinates along each axis; the
     result is a bool array of shape (len(xs), len(ys)).  This is the one
     rasterizer behind tube_area and the adversary's witness search.  Each
-    segment's r-inflated bounding box is located on xs and ys with
+    segment's r-inflated box (_segments) is located on xs and ys with
     searchsorted, and the exact point-to-segment test _dist2 <= r^2 is
     evaluated only on the (segment, cell) pairs of those boxes.  Segments
     are taken in order, in groups of at most PAIR_BUDGET pairs, and each
@@ -126,31 +149,23 @@ def _covered_cells(xs, ys, polyline, r):
     """
     import numpy as np
 
-    if polyline.shape[0] == 1:
-        polyline = np.vstack([polyline, polyline])
-    a_all = polyline[:-1]
-    d_all = polyline[1:] - a_all
-    b_all = a_all + d_all
-    lo = np.minimum(a_all, b_all) - r
-    hi = np.maximum(a_all, b_all) + r
-    ix0 = np.searchsorted(xs, lo[:, 0], side="left")
-    ix1 = np.searchsorted(xs, hi[:, 0], side="right")
-    iy0 = np.searchsorted(ys, lo[:, 1], side="left")
-    iy1 = np.searchsorted(ys, hi[:, 1], side="right")
+    columns, (lo_x, hi_x, lo_y, hi_y) = _segments(polyline)
+    ix0 = np.searchsorted(xs, lo_x - r, side="left")
+    ix1 = np.searchsorted(xs, hi_x + r, side="right")
+    iy0 = np.searchsorted(ys, lo_y - r, side="left")
+    iy1 = np.searchsorted(ys, hi_y + r, side="right")
 
     marked = np.zeros((len(xs), len(ys)), dtype=bool)
     boxed = np.flatnonzero((ix0 < ix1) & (iy0 < iy1))
-    a0_all, a1_all = a_all[boxed, 0], a_all[boxed, 1]
-    d0_all, d1_all = d_all[boxed, 0], d_all[boxed, 1]
+    columns = [c[boxed] for c in columns]
+    d0, d1, len2 = columns[2:]
     ix0, iy0 = ix0[boxed], iy0[boxed]
     nx, ny = ix1[boxed] - ix0, iy1[boxed] - iy0
     cells = nx * ny
-    len2 = d0_all * d0_all + d1_all * d1_all
-    slanted = np.flatnonzero((d0_all != 0.0) & (d1_all != 0.0))
-    len2[slanted] = [fma_dot(d0, d1, d0, d1) for d0, d1 in d_all[boxed[slanted]].tolist()]
+    slanted = np.flatnonzero((d0 != 0.0) & (d1 != 0.0))
+    len2[slanted] = [fma_dot(x, y, x, y) for x, y in zip(d0[slanted].tolist(), d1[slanted].tolist())]
     len2[len2 == 0.0] = 1.0
 
-    columns = (a0_all, a1_all, d0_all, d1_all, len2)
     bounds = np.concatenate([[0], np.cumsum(cells)])
     start = 0
     while start < boxed.size:

@@ -26,9 +26,10 @@ leg in walking order, bit for bit:
     of a skipped block passes the filter; off the lines the side scan
     would keep no line either, as the gate's margin is ten times the
     scan's.  A second O(1) check skips a block whose lines within r
-    hold no leg long enough to come within r of the target.  Only the
-    extent test depends on the block's k; the other two depend on its
-    step alone, so the walk runs them once per term t (step 4^-t);
+    hold no leg long enough to come within r of the target; a block it
+    keeps passes the grid-line test too.  Only the extent test depends on
+    the block's k; the reach check depends on its step alone, so the walk
+    runs it, in place of the grid-line test, once per term t (step 4^-t);
   * the filter's closest point lies on the leg's own line, so its squared
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
@@ -195,15 +196,18 @@ def _simulate(plan, strategy, cfg, tracer):
             tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    # _may_flag and _may_reach for the inert kernel: the extent test per
-    # block, the grid-line and reach tests once per term (they depend on
-    # the step alone)
-    if r * r == math.inf:
+    # the inert kernel's gates: _may_flag's extent test per block, and
+    # _may_reach (which implies _may_flag's grid-line test) once per term,
+    # as it depends on the step alone
+    if r * r < math.inf:
+        far = max(abs(qx), abs(qy))  # inf for a target at infinity: no leg is within r of it
+    elif fma_dot(qx, qy, qx, qy) < math.inf:
         far = -math.inf  # every finite distance passes the filter
-    elif math.isfinite(qx) and math.isfinite(qy):
-        far = max(abs(qx), abs(qy))
     else:
-        far = math.inf  # no leg is within r of a target at infinity
+        # |q|^2 overflows, and so does every leg start's (legs stay within
+        # 2^13 of the start, below ulp(2^512) = 2^460): every contact
+        # quadratic is inf - inf = NaN, and the kernel rejects each leg
+        far = math.inf
     margin = r * (1.0 + 1e-9)
     term_gate = [None] * (MAX_DIAGONAL + 1)
 
@@ -217,7 +221,7 @@ def _simulate(plan, strategy, cfg, tracer):
         if hit is None and far <= extent + margin:
             gate = term_gate[term]
             if gate is None:
-                gate = term_gate[term] = _near_grid_line(step, qx, qy, r) and _may_reach(step, qx, qy, r)
+                gate = term_gate[term] = _may_reach(step, qx, qy, r)
             if gate:
                 hit = _first_contact_in_rings(params, n, q_rel, r, allowance)
         sensed = hit is not None
@@ -308,7 +312,7 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     finds that leg with scalar arithmetic, and the quadratic rounds each
     2-vector dot as one fma (geometry.fma_dot), so contact arcs are the
     same bits on every CPU.  The scan is exact on any block; the walk
-    calls it only on blocks that pass _may_flag's tests and _may_reach.
+    calls it only on blocks that pass _may_flag's extent test and _may_reach.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
     if not (math.isfinite(qx) and math.isfinite(qy)):
@@ -343,28 +347,18 @@ def _may_flag(k, step, qx, qy, r):
 
     False means one of two things.  The target is farther than r from the
     whole block, by a step of margin for rounding.  Or no axis line
-    x = m step or y = m step comes within r of it (_near_grid_line).
-    _simulate applies the same two tests apart: the extent per block, from
-    _block_table, and _near_grid_line once per term.
+    x = m step or y = m step comes within r of it: _first_flagged keeps a
+    side's line s only if s is within w + pad of that side's mid, and mid
+    is +-qx / step or +-qy / step shifted by an integer, so every side is
+    empty when both qx / step and qy / step are farther than w + 10 pad
+    from every integer (ten times the pad covers mid's rounding).
+    _simulate applies the extent test per block, from _block_table, and
+    _may_reach, which implies the grid-line test, once per term.
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
     if max(abs(qx), abs(qy)) > (k + 2) * step + r * (1.0 + 1e-9):
         return False
-    return _near_grid_line(step, qx, qy, r)
-
-
-def _near_grid_line(step, qx, qy, r):
-    """Whether an axis line x = m step or y = m step may come within r of the target; False is exact.
-
-    _first_flagged keeps a side's line s only if s is within w + pad of
-    that side's mid, and mid is +-qx / step or +-qy / step shifted by an
-    integer, so every side is empty when both qx / step and qy / step are
-    farther than w + 10 pad from every integer (ten times the pad covers
-    mid's rounding).  It depends on the step alone, not on the block's k.
-    """
-    if r * r == math.inf:
-        return True  # every finite distance passes the filter
     x, y, w = qx / step, qy / step, r / step
     tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
     return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
@@ -377,7 +371,9 @@ def _may_reach(step, qx, qy, r):
     and the same holds with x and y swapped.  A line y = m step within r
     has |m| step <= |qy| + r, so a leg on it can pass the filter only if
     |qx| <= |qy| + step + 2r; likewise a line x = m step only if
-    |qy| <= |qx| + step + 2r.  The slack is _near_grid_line's.
+    |qy| <= |qx| + step + 2r.  Its w and tol are _may_flag's grid-line
+    test's, as |q| / step is |q / step| exactly, and each branch needs one
+    of that test's remainders within tol, so True here implies True there.
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
@@ -400,9 +396,10 @@ def _first_flagged(k, step, q, r, n):
     their legs that stop short of it only the corners that _corner_range
     brackets; every kept leg gets the filter (_first_on_lines).  See the
     module docstring for why that is exact.  The walk gates the block
-    with _may_flag's tests and _may_reach first, so a target outside the
-    block's extent, off every grid line or past the ends of the legs on
-    its lines rarely gets here; the scan is exact without them.
+    with _may_flag's extent test and _may_reach first, so a target
+    outside the block's extent, off every grid line or past the ends of
+    the legs on its lines rarely gets here; the scan is exact without
+    them.
     """
     legs = 8 * (k + 1)
     rr = r * r

@@ -27,12 +27,14 @@ impossibility_report and export_svg import numpy (and export_svg
 xml.etree) when they are called.
 """
 
+import contextlib
 import csv
 import json
 import math
 import operator
 import os
 import struct
+import sys
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -235,11 +237,6 @@ def sample_targets(seed, D, r, indices):
     return points
 
 
-def sample_target(seed, D, r, sample_idx):
-    """The one-index case of sample_targets."""
-    return sample_targets(seed, D, r, [sample_idx])[0]
-
-
 def _growth_term(scale, r):
     return (math.log2(scale) + math.log2(1.0 / r)) * scale * scale / r
 
@@ -421,9 +418,9 @@ def impossibility_report(c, d, m_max):
     )
 
 
-def write_rows_csv(rows, path):
-    """Comma-separated sweep rows with the fixed documented header."""
-    with open(path, "w", newline="") as fh:
+def write_rows_csv(rows, path=None):
+    """Comma-separated sweep rows with the fixed documented header; path None writes to sys.stdout."""
+    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
         for row in rows:
@@ -437,12 +434,11 @@ def write_rows_jsonl(rows, path):
             fh.write(json.dumps({f: getattr(row, f) for f in SWEEP_FIELDS}) + "\n")
 
 
-def export_svg(prefix, events, path):
+def export_svg(prefix, path):
     """Standalone vector drawing of a trajectory prefix.
 
-    prefix: (n+1, 2) polyline of the searcher; events: sequence of
-    (label, Point) markers (e.g. ("sense", p)).  Coordinates are scaled
-    to a fixed SVG_CANVAS square with an SVG_MARGIN border.
+    prefix: (n+1, 2) polyline of the searcher, scaled to a fixed
+    SVG_CANVAS square with an SVG_MARGIN border; its start is marked.
     """
     import xml.etree.ElementTree as ET
 
@@ -451,12 +447,8 @@ def export_svg(prefix, events, path):
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim != 2 or prefix.shape[0] < 1:
         raise ValueError("prefix polyline must be a nonempty (n, 2) array")
-    pts = [prefix]
-    if events:
-        pts.append(np.array([[p.x, p.y] for _, p in events]))
-    allpts = np.vstack(pts)
-    lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
+    lo = prefix.min(axis=0)
+    hi = prefix.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     scale = (SVG_CANVAS - 2 * SVG_MARGIN) / span
 
@@ -480,12 +472,6 @@ def export_svg(prefix, events, path):
     ET.SubElement(root, "path", d=d, fill="none", stroke="black")
     sx, sy = to_canvas(prefix[0])
     ET.SubElement(root, "circle", cx=f"{sx:.3f}", cy=f"{sy:.3f}", r="4", fill="blue")
-    for label, p in events:
-        ex, ey = to_canvas((p.x, p.y))
-        ET.SubElement(
-            root, "circle", cx=f"{ex:.3f}", cy=f"{ey:.3f}", r="4",
-            fill="red", **{"data-label": label},
-        )
     try:
         ET.ElementTree(root).write(path)
     except OSError as exc:

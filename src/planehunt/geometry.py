@@ -96,7 +96,10 @@ def first_contact_time(p0, u, q0, w, r, horizon):
 
     Sensing is non-strict (<= r).  Returns None when the two points never
     come within r before the horizon.  Both points move at constant
-    velocity, so contact reduces to a quadratic in t.
+    velocity, so contact reduces to a quadratic in t.  Also None when its
+    discriminant leaves the float range, as it does once the squared
+    separation times the squared relative speed passes about 1e308: the
+    graze test cannot be evaluated there.
     """
     if r <= 0:
         raise ValueError("sensing radius must be positive")
@@ -113,6 +116,8 @@ def first_contact_time(p0, u, q0, w, r, horizon):
         return None
     b = 2.0 * d0.dot(rel)
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        return None
     if disc < 0.0:
         # accept a graze whose residual is within rounding of zero; the
         # tolerance is relative because -disc / 4a is the squared-distance

@@ -12,7 +12,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .coverage import MAX_GRID_RES, PAIR_BUDGET, _covered_cells, _dist2
+from .coverage import MAX_GRID_RES, PAIR_BUDGET, _covered_cells, _dist2, _segments
 from .geometry import Point
 
 SPEED_TOL = 1e-9
@@ -126,39 +126,25 @@ def load_waypoints(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            try:
+                values = [float(field) for field in (parts[1:] if parts[0] == "v" else parts)]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc} in line {line!r}") from None
             if parts[0] == "v":
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: malformed header line {line!r}, expected `v <bound>`")
                 if v is not None:
                     raise ValueError(f"{path}:{lineno}: second header line {line!r}")
-                v = float(parts[1])
+                v = values[0]
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: malformed waypoint line {line!r}")
-            t, x, y = map(float, parts)
+            t, x, y = values
             times.append(t)
             points.append(Point(x, y))
     if v is None:
         raise ValueError(f"{path}: missing `v <bound>` header line")
     return waypoints(points, times, v)
-
-
-def _segments(polyline):
-    """Columns a0, a1, d0, d1, len2 of the polyline's segments a + [0, 1] d.
-
-    len2 is d0*d0 + d1*d1, with zero replaced by 1.  A one-vertex polyline
-    is one zero-length segment at its vertex.
-    """
-    import numpy as np
-
-    if len(polyline) == 1:
-        polyline = np.vstack([polyline, polyline])
-    a = polyline[:-1]
-    d = polyline[1:] - a
-    a0, a1, d0, d1 = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
-    len2 = d0 * d0 + d1 * d1
-    len2[len2 == 0] = 1.0  # degenerate legs: projection param stays 0
-    return a0, a1, d0, d1, len2
 
 
 def _min_dist2(px, py, segments):
@@ -178,15 +164,16 @@ def _min_dist2(px, py, segments):
 def _min_distance_to_polyline(pts, polyline):
     """Min distance from each row of pts (n, 2) to an (m+1, 2) polyline.
 
-    coverage._dist2 over every segment, then the square root of the
-    minimum.  len2 is d0*d0 + d1*d1 for every segment; the rasterizer
-    differs from this only in the len2 of slanted segments (its BLAS dot).
+    coverage._dist2 over every segment of coverage._segments, then the
+    square root of the minimum.  len2 is d0*d0 + d1*d1 for every segment;
+    the rasterizer differs from this only in the len2 of slanted segments
+    (its fma).
     """
     import numpy as np
 
     pts = np.asarray(pts, dtype=np.float64)
     polyline = np.asarray(polyline, dtype=np.float64)
-    return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)))
+    return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)[0]))
 
 
 def _in_ring(cheb, j):
@@ -274,10 +261,7 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     if polyline.ndim != 2 or polyline.shape[0] < 1:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
     center = polyline[0]
-    segments = _segments(polyline)
-    a0, a1, d0, d1, _ = segments
-    b0, b1 = a0 + d0, a1 + d1
-    boxes = (np.minimum(a0, b0), np.maximum(a0, b0), np.minimum(a1, b1), np.maximum(a1, b1))
+    segments, boxes = _segments(polyline)
     results = []
     for j in range(1, i + 1):
         D_j = 2.0 ** j

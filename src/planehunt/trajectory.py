@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import chain, count
 
 DIRECTIONS = ("N", "E", "S", "W")
-OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 UNIT = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
 # The outbound half of a block, in units of its step: leg 4s + off lies on
@@ -69,9 +68,6 @@ class MoveInstruction:
             raise ValueError(f"unknown direction {self.direction!r}")
         if not self.distance > 0:
             raise ValueError("distance must be positive")
-
-    def reversed(self):
-        return MoveInstruction(OPPOSITE[self.direction], self.distance)
 
 
 @dataclass(frozen=True)

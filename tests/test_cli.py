@@ -126,6 +126,32 @@ def test_simulate_rejects_a_malformed_waypoint_header_exit_2(text, tmp_path, cap
     assert f"error: {wp}:" in captured.err and "header line" in captured.err
 
 
+@pytest.mark.parametrize("text, lineno, field", [("v abc\n0 2 0\n", 1, "abc"), ("v 1\n0 2 zz\n", 2, "zz")])
+def test_simulate_names_the_line_of_a_non_numeric_waypoint_field_exit_2(text, lineno, field, tmp_path, capsys):
+    # the diagnostic was only "could not convert string to float"
+    wp = tmp_path / "wp.txt"
+    wp.write_text(text)
+    code = run(["simulate", "--waypoints", str(wp), "--r", "0.5", "--max-diagonal", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {wp}:{lineno}: could not convert string to float: '{field}'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "1e300,0", "--v", "1", "--t-freeze", "10", "--r", "0.01"],
+    ["--target", "1e200,1e200", "--v", "1", "--t-freeze", "10", "--r", "0.5"],
+    ["--algo", "dynamic", "--target", "2e154,0", "--v", "1", "--t-freeze", "10", "--r", "0.01"],
+])
+def test_simulate_a_far_moving_target_is_not_sensed(argv, capsys):
+    # printed sensed=True cost=nan time=nan agent=(nan,nan) and exited 0
+    code = run(["simulate", *argv, "--max-diagonal", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("sensed=False ") and out.endswith(" stop=diagonal_budget\n")
+    assert "nan" not in out
+
+
 def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2
@@ -240,6 +266,30 @@ def test_sweep_jobs_below_one_exit_2_before_output(command, jobs, tmp_path, caps
     assert captured.out == ""
     assert "jobs must be an integer >= 1" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-static", "--D", "1,2", "--r", "0.25,0.0625"],
+    ["sweep-dynamic", "--v", "0,1", "--r", "0.25", "--D", "1"],
+])
+def test_sweep_to_stdout_writes_the_out_file_bytes(command, tmp_path, capsys):
+    # without --out the CSV went to a reopened /dev/stdout, past sys.stdout
+    argv = [*command, "--samples", "3", "--seed", "7"]
+    assert run([*argv, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_sweep_to_stdout_appends_to_a_redirected_file(tmp_path):
+    # `>> runs.csv` lost the file's earlier lines: the reopen truncated it
+    argv = ["sweep-static", "--D", "1", "--r", "0.25", "--samples", "2", "--seed", "7"]
+    assert run([*argv, "--out", str(tmp_path / "rows.csv")]) == 0
+    runs = tmp_path / "runs.csv"
+    runs.write_bytes(b"earlier,line\r\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(planehunt.__file__).resolve().parents[1])}
+    with open(runs, "ab") as fh:
+        subprocess.run([sys.executable, "-m", "planehunt.cli", *argv], stdout=fh, env=env, check=True)
+    assert runs.read_bytes() == b"earlier,line\r\n" + (tmp_path / "rows.csv").read_bytes()
 
 
 def test_impossibility_table(capsys):

@@ -93,6 +93,17 @@ class TestTubeArea:
             tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, grid_res=MAX_GRID_RES + 1)
 
 
+def test_a_slanted_segment_whose_length_underflows_is_its_start():
+    # fma(d1, d1, d0*d0) rounds to 0 for d = (1e-170, 1e-170); len2 is then
+    # replaced by 1 again, so the segment is the disc around its start
+    xs = (np.arange(16) + 0.5) / 8 - 1
+    polyline = np.array([[0.0, 0.0], [1e-170, 1e-170]])
+    want = _covered_cells(xs, xs, polyline[:1], 0.5)
+    assert want.any() and not want.all()
+    assert np.array_equal(_covered_cells(xs, xs, polyline, 0.5), want)
+    assert np.array_equal(_per_segment_scan(xs, xs, polyline, 0.5), want)
+
+
 def _per_segment_scan(xs, ys, polyline, r):
     """The one-segment-at-a-time rasterizer loop that the batched pass replaced."""
     if polyline.shape[0] == 1:

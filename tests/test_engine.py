@@ -1068,3 +1068,79 @@ class TestMovingWalk:
             assert want.legs_processed == caught.legs_processed  # cut inside the contact's leg
         if cut is not None:
             assert want.cost == max_cost
+
+
+def _near_grid_line(step, qx, qy, r):
+    """The grid-line test the walk ran before _may_reach alone, as the engine had it."""
+    if r * r == math.inf:
+        return True
+    x, y, w = qx / step, qy / step, r / step
+    tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
+    return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
+
+
+class TestReachImpliesGridLine:
+    """Wherever _may_reach keeps a term, the grid-line test keeps it too, so the walk gates on _may_reach alone."""
+
+    STEPS = [2.0 ** -(2 * t) for t in range(1, MAX_DIAGONAL + 1)]
+
+    def _check(self, step, qx, qy, r):
+        if _may_reach(step, qx, qy, r):
+            assert _near_grid_line(step, qx, qy, r), (step, qx, qy, r)
+            return True
+        return False
+
+    def test_seeded_targets(self):
+        rng = np.random.default_rng(1515)
+        kept = 0
+        for _ in range(50_000):
+            step = self.STEPS[rng.integers(len(self.STEPS))]
+            r = step * 2.0 ** float(rng.uniform(-6.0, 4.0))
+            qx, qy = rng.uniform(-40.0, 40.0, size=2) * step
+            if rng.integers(2):
+                qy = round(qy / step) * step + rng.uniform(-r, r)  # near a line y = m step
+            if rng.integers(2):
+                qx, qy = qy, qx
+            kept += self._check(step, float(qx), float(qy), r)
+        assert kept > 10_000
+
+    def test_edge_inputs(self):
+        kept = 0
+        for step in self.STEPS:
+            mags = [0.0, 5e-324, 1e-300, step / 2, step, 3 * step, 1.0, 2.0 ** 13, 1e150, 1e300]
+            for r in (5e-324, 1e-300, step / 8, step * 0.1, step, 4 * step, 1.0, 1e150, 1e200, 1e308):
+                near = [m * step + d for m in (0, 1, 7) for d in (r, -r, math.nextafter(r, 0.0), r * (1 + 1e-9))]
+                values = mags + near
+                values += [-v for v in values]
+                for qx in values:
+                    for qy in values:
+                        kept += self._check(step, qx, qy, r)
+        assert kept > 100_000
+
+
+class TestOverflowingRadius:
+    """r*r == inf: where |q|^2 overflows too, every contact quadratic is NaN and the walk skips the kernel."""
+
+    TARGETS = [
+        inert(Point(1e300, 0.0)),
+        inert(Point(-1e200, 1e200)),
+        inert(Point(1.5e154, 1e-3)),
+        # ends within r = 1e200 of the start, with a square that overflows
+        waypoints([Point(1e250, 0.0), Point(1e155, 0.0)], [0.0, 1e-3], 1e254),
+    ]
+
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+    @pytest.mark.parametrize("strategy", TARGETS)
+    def test_matches_the_kernel_on_every_block(self, plan, strategy):
+        for max_diagonal in (1, 2, 3):
+            cfg = SimConfig(r=1e200, max_diagonal=max_diagonal)
+            assert repr(simulate(plan, strategy, cfg)) == repr(_kernel_on_every_block(plan, strategy, cfg))
+
+    def test_the_default_budget_finishes_fast(self):
+        # every block reached the kernel: 0.05 s at diagonal 4, 15 s at 8,
+        # about an hour at 12
+        for max_diagonal in (8, MAX_DIAGONAL):
+            t0 = time.perf_counter()
+            out = simulate(static_plan(), inert(Point(1e300, 0.0)), SimConfig(r=1e200, max_diagonal=max_diagonal))
+            assert time.perf_counter() - t0 < 1.0
+            assert (out.sensed, out.diagonal, out.stop_reason) == (False, max_diagonal, "diagonal_budget")

@@ -19,7 +19,6 @@ from planehunt.experiments import (
     export_svg,
     flee_time_from_plan,
     impossibility_report,
-    sample_target,
     sample_targets,
     sweep_dynamic,
     sweep_static,
@@ -32,16 +31,16 @@ from planehunt.searcher import dynamic_plan
 
 class TestSampling:
     def test_deterministic_and_within_disc(self):
-        a = sample_target(7, 4.0, 0.25, 3)
-        b = sample_target(7, 4.0, 0.25, 3)
+        a = sample_targets(7, 4.0, 0.25, [3])[0]
+        b = sample_targets(7, 4.0, 0.25, [3])[0]
         assert a == b
         assert a.norm() <= 4.0
 
     def test_keyed_by_values_not_order(self):
         # same (seed, D, r, idx) regardless of which sweep asks
-        a = sample_target(7, 1.0, 0.25, 0)
-        b = sample_target(7, 1.0, 0.25, 0)
-        c = sample_target(8, 1.0, 0.25, 0)
+        a = sample_targets(7, 1.0, 0.25, [0])[0]
+        b = sample_targets(7, 1.0, 0.25, [0])[0]
+        c = sample_targets(8, 1.0, 0.25, [0])[0]
         assert a == b and a != c
 
     def test_same_draws_as_two_uniform_calls(self):
@@ -56,7 +55,7 @@ class TestSampling:
                         theta = rng.uniform(0.0, 2.0 * math.pi)
                         rad = D * math.sqrt(rng.uniform())
                         want = Point(rad * math.cos(theta), rad * math.sin(theta))
-                        assert sample_target(seed, D, r, i) == want
+                        assert sample_targets(seed, D, r, [i])[0] == want
 
 
 def _numpy_draw(seed, D, r, i):
@@ -114,7 +113,7 @@ class TestVectorizedDraws:
                 for r in (0.25, 2.0 ** -8):
                     want = [_numpy_draw(seed, D, r, i) for i in range(200)]
                     assert sample_targets(seed, D, r, range(200)) == want
-                    assert [sample_target(seed, D, r, i) for i in (0, 199)] == [want[0], want[199]]
+                    assert [sample_targets(seed, D, r, [i])[0] for i in (0, 199)] == [want[0], want[199]]
 
     def test_integers_coerced_as_numpy_coerces_them(self):
         assert sample_targets(np.int64(7), 1.0, 0.25, [np.uint8(3), True]) == [
@@ -310,7 +309,7 @@ class TestExportSvg:
         from planehunt.trajectory import diagonal_length, prefix_polyline
 
         path = tmp_path / "d1.svg"
-        export_svg(prefix_polyline(diagonal_length(1)), [], str(path))
+        export_svg(prefix_polyline(diagonal_length(1)), str(path))
         root = ET.parse(path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         paths = root.findall(f"{ns}path")
@@ -319,17 +318,5 @@ class TestExportSvg:
 
     def test_empty_events_still_valid(self, tmp_path):
         path = tmp_path / "e.svg"
-        export_svg(np.array([[0.0, 0.0], [1.0, 0.0]]), [], str(path))
+        export_svg(np.array([[0.0, 0.0], [1.0, 0.0]]), str(path))
         ET.parse(path)  # parses without error
-
-    def test_sensing_marker_present(self, tmp_path):
-        path = tmp_path / "m.svg"
-        export_svg(
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            [("sense", Point(0.5, 0.0))],
-            str(path),
-        )
-        root = ET.parse(path).getroot()
-        ns = "{http://www.w3.org/2000/svg}"
-        labels = [c.get("data-label") for c in root.findall(f"{ns}circle")]
-        assert "sense" in labels

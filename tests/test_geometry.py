@@ -83,6 +83,32 @@ class TestFirstContactTime:
         d = ((q0 + w.scaled(t)) - (p0 + u.scaled(t))).norm()
         assert d <= r + 1e-6
 
+    @given(st.lists(st.floats(min_value=1e150, max_value=1e308), min_size=4, max_size=4),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
+           coord, coord, speed, speed, speed, speed,
+           st.sampled_from(["far", "near", "origin"]),
+           st.one_of(st.floats(min_value=0.01, max_value=5), st.floats(min_value=1e150, max_value=1e200)),
+           st.floats(min_value=0.0, max_value=1e4))
+    @settings(max_examples=300)
+    @example([1e300, 1.0, 1e300, 1.0], [1.0] * 4, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, "origin", 0.01, 10.0)
+    @example([1e200, 3.0, 1e200, 3.0], [1.0] * 4, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, "origin", 0.01, 10.0)
+    @example([2e154, 1.0, 2e154, 1.0], [1.0] * 4, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, "origin", 0.01, 10.0)
+    def test_far_starts_give_no_nan(self, mags, signs, dx, dy, ux, uy, wx, wy, other, r, horizon):
+        # the squared separation overflowed past about 1.34e154 and the
+        # time came out NaN, or the graze test read an infinite tolerance
+        q0 = Point(signs[0] * mags[0], signs[1] * mags[1])
+        p0 = {"far": Point(signs[2] * mags[2], signs[3] * mags[3]),
+              "near": q0 + Point(dx, dy),
+              "origin": Point(dx, dy)}[other]
+        t = first_contact_time(p0, Point(ux, uy), q0, Point(wx, wy), r, horizon)
+        assert t is None or 0.0 <= t <= horizon
+
+    def test_a_far_crossing_is_no_contact(self):
+        # 1e200 apart, closest approach at t = 3 (the graze test took its
+        # infinite tolerance and reported 3.0) and at t = 0 (-0.0)
+        assert first_contact_time(Point(0, 0), Point(0, 1), Point(1e200, 3), Point(0, 0), 0.01, 10.0) is None
+        assert first_contact_time(Point(0, 0), Point(0, 1), Point(1e200, 0), Point(0, 0), 0.01, 10.0) is None
+
 
 def _nearest_float(exact):
     """The float nearest the nonzero Fraction exact, ties to an even significand.

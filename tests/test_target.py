@@ -148,6 +148,18 @@ class TestWaypointFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {match}")):
             load_waypoints(str(path))
 
+    @pytest.mark.parametrize("text, lineno, field", [
+        ("v abc\n0 0 0\n", 1, "abc"),
+        ("v 1\n0 2 zz\n", 2, "zz"),
+        ("v 1\n0 0 0\n# t x y\n\nt 1 0\n", 5, "t"),
+    ])
+    def test_non_numeric_field_names_its_line(self, tmp_path, text, lineno, field):
+        # the message was only "could not convert string to float"
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: could not convert string to float: '{field}'")):
+            load_waypoints(str(path))
+
 
 class TestAdversarialPlacement:
     def test_empty_trajectory_leaves_witnesses(self):

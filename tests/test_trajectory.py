@@ -69,7 +69,8 @@ class TestOutAndBack:
         assert instrs[-1] == MoveInstruction("W", 0.25)
         spiral = instrs[:8]
         rev = instrs[8:]
-        assert rev == [leg.reversed() for leg in reversed(spiral)]
+        opposite = {"N": "S", "S": "N", "E": "W", "W": "E"}
+        assert rev == [MoveInstruction(opposite[leg.direction], leg.distance) for leg in reversed(spiral)]
 
     def test_closed_form_length_example(self):
         assert pi_length(SpiralParams(1, 2)) == 10.0
