@@ -12,15 +12,19 @@ from planehunt import (
     pi_length,
     predict_static,
     simulate,
-    spiral_instructions,
     static_plan,
 )
+from planehunt.trajectory import pi_leg_length, pi_vertex
 
 # The searcher's basic building block is a rectangular spiral.  With
-# k = 1 rounds at step 2^-2 it looks like this:
+# k = 1 rounds at step 2^-2 it is the first 4(k+1) = 8 legs of the
+# out-and-back block, which the closed forms give one leg at a time:
 print("spiral(k=1, j=2) legs:")
-for instr in spiral_instructions(SpiralParams(1, 2)):
-    print(f"  go {instr.direction} for {instr.distance}")
+compass = {(1, 0): "E", (0, -1): "S", (-1, 0): "W", (0, 1): "N"}
+for leg in range(8):
+    (ax, ay), (bx, by) = pi_vertex(SpiralParams(1, 2), leg), pi_vertex(SpiralParams(1, 2), leg + 1)
+    direction = compass[(bx > ax) - (bx < ax), (by > ay) - (by < ay)]
+    print(f"  go {direction} for {pi_leg_length(SpiralParams(1, 2), leg)}")
 
 # Out-and-back trajectories return the searcher to its start, so the
 # infinite schedule can chain them without bookkeeping.

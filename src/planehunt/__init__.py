@@ -4,10 +4,10 @@ A searcher starting with no knowledge of the target's distance D, the
 sensing radius r, or the target's speed bound v walks an infinite
 schedule of out-and-back square spirals that simultaneously enlarges the
 searched square and refines its resolution.  The package provides the
-trajectory generators, the unit-speed and exponentially accelerating
-searchers with their cost certificates, adversarial target strategies,
-an exact simulator, the tube-area lower-bound machinery,
-and seeded experiment sweeps.
+schedule with each of its blocks in closed form, the unit-speed and
+exponentially accelerating searchers with their cost certificates,
+adversarial target strategies, an exact simulator, the tube-area
+lower-bound machinery, and seeded experiment sweeps.
 """
 
 from .coverage import (
@@ -39,16 +39,12 @@ from .target import (
 )
 from .trajectory import (
     CatchPrediction,
-    MoveInstruction,
     SpiralParams,
     diagonal_length,
     diagonal_terms,
-    full_schedule,
-    pi_instructions,
     pi_length,
     predict_static,
     prefix_polyline,
-    spiral_instructions,
 )
 
 __version__ = "0.1.0"

@@ -142,10 +142,10 @@ def _covered_cells(xs, ys, polyline, r):
     or d1 is zero that is the other square rounded once, which
     d0*d0 + d1*d1 gives too, so only slanted segments call fma_dot.  That
     rounding is the one difference from the witness confirmer
-    (target._min_distance_to_polyline), which evaluates the same _dist2
-    with d0*d0 + d1*d1 for every segment.  A zero-length segment gets
-    len2 = 1: its t is exactly 0 and the test is the disc around its
-    vertex.
+    (target._far, through target._min_dist2), which evaluates the same
+    _dist2 with the len2 of _segments, d0*d0 + d1*d1, for every segment.
+    A zero-length segment gets len2 = 1: its t is exactly 0 and the test
+    is the disc around its vertex.
     """
     import numpy as np
 

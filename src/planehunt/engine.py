@@ -20,16 +20,14 @@ lie on four families of axis lines (_SIDES), walked out and then back.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
 leg in walking order, bit for bit:
-  * O(1) gates skip a block that lies farther than r from the target
-    by a step of margin, and a block with no axis line x = m step or
-    y = m step within r of it.  Every leg lies on such a line, so no leg
-    of a skipped block passes the filter; off the lines the side scan
-    would keep no line either, as the gate's margin is ten times the
-    scan's.  A second O(1) check skips a block whose lines within r
-    hold no leg long enough to come within r of the target; a block it
-    keeps passes the grid-line test too.  Only the extent test depends on
-    the block's k; the reach check depends on its step alone, so the walk
-    runs it, in place of the grid-line test, once per term t (step 4^-t);
+  * two O(1) gates skip a block where no leg can pass the filter.  The
+    extent test skips a block that lies farther than r from the target
+    by a step of margin.  The reach test (_may_reach) skips a block
+    where no axis line x = m step or y = m step (every leg lies on one)
+    comes within r of the target, or where the legs on the lines that do
+    all end before they come within r of it.  Only the extent test
+    depends on the block's k; the reach test depends on its step alone,
+    so the walk runs it once per term t (step 4^-t);
   * the filter's closest point lies on the leg's own line, so its squared
     distance is at least o*o for the target's perpendicular offset o, and
     a leg with o*o > r*r is skipped exactly: O(1 + r/step) lines per side
@@ -59,9 +57,7 @@ from .geometry import Point, first_contact_time, fma_dot
 from .trajectory import (
     _SIDES,
     MAX_DIAGONAL,
-    UNIT,
     diagonal_terms,
-    full_schedule,
     pi_arc_before,
     pi_leg_length,
     pi_length,
@@ -164,7 +160,9 @@ def _block_table(plan):
     legs of row m (m + 1) / 2 are where diagonal m ends (the last row holds
     only those three).  They are the running sums the walk used to keep,
     added in the same order, so they are the same floats.  extent is
-    (k + 2) step, the half-width past which _may_flag rejects a block.
+    (k + 2) step: every leg of the block lies within (k + 1) step of its
+    origin in both coordinates, so a target farther than extent + r along
+    x or y is farther than r from the whole block, by a step of margin.
     """
     rows = []
     cost, t, legs = 0.0, 0.0, 0
@@ -196,9 +194,8 @@ def _simulate(plan, strategy, cfg, tracer):
             tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    # the inert kernel's gates: _may_flag's extent test per block, and
-    # _may_reach (which implies _may_flag's grid-line test) once per term,
-    # as it depends on the step alone
+    # the inert kernel's gates: the extent test per block, and _may_reach
+    # once per term, as it depends on the step alone
     if r * r < math.inf:
         far = max(abs(qx), abs(qy))  # inf for a target at infinity: no leg is within r of it
     elif fma_dot(qx, qy, qx, qy) < math.inf:
@@ -312,7 +309,7 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     finds that leg with scalar arithmetic, and the quadratic rounds each
     2-vector dot as one fma (geometry.fma_dot), so contact arcs are the
     same bits on every CPU.  The scan is exact on any block; the walk
-    calls it only on blocks that pass _may_flag's extent test and _may_reach.
+    calls it only on blocks that pass the extent test and _may_reach.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
     if not (math.isfinite(qx) and math.isfinite(qy)):
@@ -342,38 +339,20 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     return None
 
 
-def _may_flag(k, step, qx, qy, r):
-    """Whether a leg of block (k, step) can pass the filter, in O(1); False is exact.
-
-    False means one of two things.  The target is farther than r from the
-    whole block, by a step of margin for rounding.  Or no axis line
-    x = m step or y = m step comes within r of it: _first_flagged keeps a
-    side's line s only if s is within w + pad of that side's mid, and mid
-    is +-qx / step or +-qy / step shifted by an integer, so every side is
-    empty when both qx / step and qy / step are farther than w + 10 pad
-    from every integer (ten times the pad covers mid's rounding).
-    _simulate applies the extent test per block, from _block_table, and
-    _may_reach, which implies the grid-line test, once per term.
-    """
-    if r * r == math.inf:
-        return True  # every finite distance passes the filter
-    if max(abs(qx), abs(qy)) > (k + 2) * step + r * (1.0 + 1e-9):
-        return False
-    x, y, w = qx / step, qy / step, r / step
-    tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
-    return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
-
-
 def _may_reach(step, qx, qy, r):
     """Whether a grid line within r of the target has a leg that reaches it, in O(1); False is exact.
 
-    Every leg on the line y = m step spans |x| <= (|m| + 1) step (_SIDES),
-    and the same holds with x and y swapped.  A line y = m step within r
-    has |m| step <= |qy| + r, so a leg on it can pass the filter only if
-    |qx| <= |qy| + step + 2r; likewise a line x = m step only if
-    |qy| <= |qx| + step + 2r.  Its w and tol are _may_flag's grid-line
-    test's, as |q| / step is |q / step| exactly, and each branch needs one
-    of that test's remainders within tol, so True here implies True there.
+    _first_flagged keeps a side's line s only if s lies within w + pad of
+    the side's mid, which is +-qx / step or +-qy / step shifted by an
+    integer, with pad = 1e-12 (|mid| + w).  tol is at least w + 10 pad,
+    which covers mid's rounding, so where |qy| / step lies farther than
+    tol from every integer no side keeps a line y = m step, and likewise
+    for x.  Every leg on the line y = m step spans |x| <= (|m| + 1) step
+    (_SIDES), and the same holds with x and y swapped.  A line y = m step
+    within r has |m| step <= |qy| + r, so a leg on it can pass the filter
+    only if |qx| <= |qy| + step + 2r; likewise a line x = m step only if
+    |qy| <= |qx| + step + 2r.  reach is that bound over step, widened by
+    tol.
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
@@ -396,10 +375,9 @@ def _first_flagged(k, step, q, r, n):
     their legs that stop short of it only the corners that _corner_range
     brackets; every kept leg gets the filter (_first_on_lines).  See the
     module docstring for why that is exact.  The walk gates the block
-    with _may_flag's extent test and _may_reach first, so a target
-    outside the block's extent, off every grid line or past the ends of
-    the legs on its lines rarely gets here; the scan is exact without
-    them.
+    with the extent test and _may_reach first, so a target outside the
+    block's extent, off every grid line or past the ends of the legs on
+    its lines rarely gets here; the scan is exact without them.
     """
     legs = 8 * (k + 1)
     rr = r * r
@@ -543,8 +521,12 @@ def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
 def brute_force_oracle(plan, strategy, cfg, step):
     """Fixed-arc-step reference simulation, independent of `simulate`.
 
-    Advances the searcher `step` units of arc at a time and checks the
-    plain distance condition at each sample; converges to the exact
+    Walks the schedule leg by leg through its closed forms (each leg's
+    direction from pi_vertex, its length from pi_leg_length), keeping its
+    own running position, time, cost and leg count, and shares no gate or
+    kernel with `simulate`.  It advances the searcher `step` units of arc
+    at a time and checks the plain distance condition at each sample, by
+    hypot, so no square leaves the float range; it converges to the exact
     result as step -> 0.  Vectorized per leg but otherwise naive.
     """
     import numpy as np
@@ -556,53 +538,36 @@ def brute_force_oracle(plan, strategy, cfg, step):
     bp_y = np.array([p.y for p in strategy.points])
 
     pos = np.array([cfg.agent_start.x, cfg.agent_start.y])
-    t = 0.0
-    cost = 0.0
-    legs = 0
-
-    def target_at(times):
-        return np.column_stack(
-            [np.interp(times, bp_t, bp_x), np.interp(times, bp_t, bp_y)]
-        )
-
+    t, cost, legs = 0.0, 0.0, 0
     tgt0 = strategy.position(0.0)
     if math.hypot(tgt0.x - pos[0], tgt0.y - pos[1]) <= cfg.r:
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
-    for i, instr in full_schedule():
-        if i > cfg.max_diagonal:
-            tp = strategy.position(t)
-            return _outcome(False, float(t), cost, Point(*pos.tolist()), tp, i - 1, legs, "diagonal_budget")
+    for i in range(1, cfg.max_diagonal + 1):
         speed = plan.speed_of_diagonal(i)
-        ux, uy = UNIT[instr.direction]
-        leg_len = min(instr.distance, cfg.max_cost - cost)
-        truncated = leg_len < instr.distance
+        for params in diagonal_terms(i):
+            for leg in range(8 * (params.k + 1)):
+                (ax, ay), (bx, by) = pi_vertex(params, leg), pi_vertex(params, leg + 1)
+                ux, uy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+                distance = pi_leg_length(params, leg)
+                leg_len = min(distance, cfg.max_cost - cost)
 
-        n = int(math.ceil(leg_len / step))
-        arcs = np.minimum((np.arange(1, n + 1)) * step, leg_len)
-        ax = pos[0] + ux * arcs
-        ay = pos[1] + uy * arcs
-        times = t + arcs / speed
-        tgt = target_at(times)
-        d2 = (ax - tgt[:, 0]) ** 2 + (ay - tgt[:, 1]) ** 2
-        hits = np.nonzero(d2 <= cfg.r * cfg.r)[0]
-        if hits.size:
-            h = hits[0]
-            return _outcome(
-                True,
-                float(times[h]),
-                cost + float(arcs[h]),
-                Point(float(ax[h]), float(ay[h])),
-                Point(float(tgt[h, 0]), float(tgt[h, 1])),
-                i,
-                legs + 1,
-                "sensed",
-            )
-        pos = pos + np.array([ux * leg_len, uy * leg_len])
-        t += leg_len / speed
-        cost += leg_len
-        legs += 1
-        if truncated or cost >= cfg.max_cost:
-            tp = strategy.position(t)
-            return _outcome(False, float(t), cost, Point(*pos.tolist()), tp, i, legs, "cost_budget")
-    raise AssertionError("schedule is infinite")  # pragma: no cover
+                n = int(math.ceil(leg_len / step))
+                arcs = np.minimum((np.arange(1, n + 1)) * step, leg_len)
+                px, py = pos[0] + ux * arcs, pos[1] + uy * arcs
+                times = t + arcs / speed
+                tx, ty = np.interp(times, bp_t, bp_x), np.interp(times, bp_t, bp_y)
+                hits = np.nonzero(np.hypot(px - tx, py - ty) <= cfg.r)[0]
+                if hits.size:
+                    h = hits[0]
+                    agent, tgt = Point(float(px[h]), float(py[h])), Point(float(tx[h]), float(ty[h]))
+                    return _outcome(True, float(times[h]), cost + float(arcs[h]), agent, tgt, i, legs + 1, "sensed")
+                pos = pos + np.array([ux * leg_len, uy * leg_len])
+                t += leg_len / speed
+                cost += leg_len
+                legs += 1
+                if leg_len < distance or cost >= cfg.max_cost:
+                    tgt = strategy.position(t)
+                    return _outcome(False, float(t), cost, Point(*pos.tolist()), tgt, i, legs, "cost_budget")
+    tgt = strategy.position(t)
+    return _outcome(False, float(t), cost, Point(*pos.tolist()), tgt, int(cfg.max_diagonal), legs, "diagonal_budget")

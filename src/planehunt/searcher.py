@@ -1,10 +1,10 @@
 """Searcher plans: the shared trajectory schedule plus a speed profile.
 
-Both searchers walk the identical instruction stream; they differ only in
-how fast each diagonal is traversed.  The static searcher moves at unit
-speed (cost and elapsed time coincide); the exponential searcher uses
-speed 2^(5i) on diagonal i, which makes the total traversal time of all
-diagonals converge to a constant q.
+Both searchers walk the identical schedule of `trajectory`; they differ
+only in how fast each diagonal is traversed.  The static searcher moves
+at unit speed (cost and elapsed time coincide); the exponential searcher
+uses speed 2^(5i) on diagonal i, which makes the total traversal time of
+all diagonals converge to a constant q.
 """
 
 import functools

@@ -161,21 +161,6 @@ def _min_dist2(px, py, segments):
     return best
 
 
-def _min_distance_to_polyline(pts, polyline):
-    """Min distance from each row of pts (n, 2) to an (m+1, 2) polyline.
-
-    coverage._dist2 over every segment of coverage._segments, then the
-    square root of the minimum.  len2 is d0*d0 + d1*d1 for every segment;
-    the rasterizer differs from this only in the len2 of slanted segments
-    (its fma).
-    """
-    import numpy as np
-
-    pts = np.asarray(pts, dtype=np.float64)
-    polyline = np.asarray(polyline, dtype=np.float64)
-    return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)[0]))
-
-
 def _in_ring(cheb, j):
     """True where the Chebyshev norm cheb lies in ring j: Q(2^j) minus Q(2^(j-1))."""
     outer = 2.0 ** (j - 1)  # half-side of Q(2^j)
@@ -183,13 +168,6 @@ def _in_ring(cheb, j):
         return cheb <= outer
     inner = 2.0 ** (j - 2)
     return (cheb > inner) & (cheb <= outer)
-
-
-def annulus_membership(pts, j, center):
-    """True where pts lie in ring j: Q(2^j) minus Q(2^(j-1)), Chebyshev norm."""
-    import numpy as np
-
-    return _in_ring(np.max(np.abs(pts - center), axis=1), j)
 
 
 def _far(px, py, segments, boxes, r):
@@ -240,10 +218,10 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     unmarked, never mark a far one.  The unmarked in-ring cells, as flat
     indices into the grid (no per-cell coordinates are built), are then
     confirmed in grid order, in chunks of 1, 2, 4, ... up to WITNESS_CHUNK
-    candidates, by the exact _min_distance_to_polyline(...) > r_j, taken
-    over only the segments near the chunk (_far, which skips the others
-    exactly).  So the witness is the one a scan of every candidate through
-    that exact check would return.  Both distances are coverage._dist2;
+    candidates, by the exact sqrt(_min_dist2(...)) > r_j, taken over only
+    the segments near the chunk (_far, which skips the others exactly).
+    So the witness is the one a scan of every candidate through that
+    exact check would return.  Both distances are coverage._dist2;
     they differ only in the len2 of slanted segments, so on axis-aligned
     legs (every schedule leg) they agree bit for bit, and on slanted ones
     in the last bits, which the shrunk radius covers while coordinates and

@@ -13,23 +13,19 @@ The searcher's path is built from three layers:
     searched square and refines the resolution.
 
 The full schedule is the infinite concatenation diagonal(1) diagonal(2)...
-Nothing here materializes it: diagonal(12) alone has ~2^26 legs.  The
-instruction streams are lazy, and the engine and prefix_polyline read each
-block through its closed form: pi_vertex, pi_leg_length and pi_arc_before
-give one vertex, leg or arc in O(1) from the axis lines of _SIDES.  Each
-is an integer count of steps, exact in Python ints, times 2^-j, so it is
-exact below 2^53 steps: through diagonal 11, where a float running sum of
-the legs is exact and equal to it.  A simulation walks at most
-MAX_DIAGONAL = 12 diagonals.
+Nothing here materializes it: diagonal(12) alone has ~2^26 legs.  Each
+out-and-back block is read through its closed form: pi_vertex,
+pi_leg_length and pi_arc_before give one vertex, leg or arc in O(1) from
+the axis lines of _SIDES.  Each is an integer count of steps, exact in
+Python ints, times 2^-j, so it is exact below 2^53 steps: through
+diagonal 11, where a float running sum of the legs is exact and equal to
+it.  A simulation walks at most MAX_DIAGONAL = 12 diagonals.
 """
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count
-
-DIRECTIONS = ("N", "E", "S", "W")
-UNIT = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
 # The outbound half of a block, in units of its step: leg 4s + off lies on
 # the line perp = sign * (s + c_line) and runs along the other axis from
@@ -54,20 +50,6 @@ MAX_PREFIX_VERTICES = 2**16
 # 11; further out the blocks soon have more legs than a machine-size index
 # (diagonal 30) and pi_length overflows to inf (diagonal 255).
 MAX_DIAGONAL = 12
-
-
-@dataclass(frozen=True)
-class MoveInstruction:
-    """One leg of a polygonal trajectory: go `direction` for `distance`."""
-
-    direction: str
-    distance: float
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if not self.distance > 0:
-            raise ValueError("distance must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,38 +80,6 @@ def ceil_log2(x):
     return e - 1 if m == 0.5 else e
 
 
-def spiral_instructions(params):
-    """Yield the 4(k+1) legs of spiral(k, j) in walking order."""
-    step = 2.0 ** (-params.j)
-    for m in range(1, 2 * params.k + 3):
-        d = m * step
-        if m % 2 == 1:
-            yield MoveInstruction("E", d)
-            yield MoveInstruction("S", d)
-        else:
-            yield MoveInstruction("W", d)
-            yield MoveInstruction("N", d)
-
-
-def _spiral_reverse_instructions(params):
-    # reverse order, opposite directions: retraces the spiral to its start
-    step = 2.0 ** (-params.j)
-    for m in range(2 * params.k + 2, 0, -1):
-        d = m * step
-        if m % 2 == 1:
-            yield MoveInstruction("N", d)
-            yield MoveInstruction("W", d)
-        else:
-            yield MoveInstruction("S", d)
-            yield MoveInstruction("E", d)
-
-
-def pi_instructions(params):
-    """Yield the out-and-back trajectory: spiral(k, j) then its reverse."""
-    yield from spiral_instructions(params)
-    yield from _spiral_reverse_instructions(params)
-
-
 def pi_length(params):
     """Closed-form length of the out-and-back trajectory."""
     k, j = params.k, params.j
@@ -146,23 +96,6 @@ def diagonal_terms(i):
 def diagonal_length(i):
     """Exact length of diagonal i, summed from closed forms."""
     return sum(pi_length(p) for p in diagonal_terms(i))
-
-
-def diagonal_length_bound(i):
-    """The analytic bound 40 * i * 2^(2i+2) on diagonal_length(i)."""
-    return 40.0 * i * 2.0 ** (2 * i + 2)
-
-
-def diagonal_instructions(i):
-    for params in diagonal_terms(i):
-        yield from pi_instructions(params)
-
-
-def full_schedule():
-    """Infinite stream of (diagonal index, instruction)."""
-    for i in count(1):
-        for instr in diagonal_instructions(i):
-            yield i, instr
 
 
 def _cost_bound(y):

@@ -1,15 +1,21 @@
-"""Whole-block numpy views of the schedule, kept as test references.
+"""Reference implementations that the tests pin the package against.
 
-Verbatim copies of the array helpers the engine used before it read each
-block through the closed forms in `planehunt.trajectory`: the tests
-compare those closed forms, the kernel and prefix_polyline with them.
+pi_arrays is a whole-block numpy view of the schedule, built without the
+closed forms in `planehunt.trajectory`: the tests compare those closed
+forms, the kernel, prefix_polyline and the oracle's walk with it.  The
+other helpers are references that the tests pin and no package code
+uses: the per-block gate whose grid-line test _may_reach implies, the
+distance and ring checks behind the witness search, and the analytic
+bound on a diagonal's length.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from planehunt.trajectory import UNIT
+from planehunt.coverage import _segments
+from planehunt.target import _in_ring, _min_dist2
 
 
 @lru_cache(maxsize=64)
@@ -38,10 +44,56 @@ def pi_arrays(k, j):
     return verts, lengths, np.cumsum(lengths)
 
 
-def polyline_of(instructions, start=(0.0, 0.0)):
-    """Materialize instructions into an (n+1, 2) vertex array."""
-    pts = [np.asarray(start, dtype=np.float64)]
-    for instr in instructions:
-        ux, uy = UNIT[instr.direction]
-        pts.append(pts[-1] + np.array([ux * instr.distance, uy * instr.distance]))
-    return np.array(pts)
+def diagonal_length_bound(i):
+    """The analytic bound 40 * i * 2^(2i+2) on diagonal_length(i)."""
+    return 40.0 * i * 2.0 ** (2 * i + 2)
+
+
+def _near_grid_line(step, qx, qy, r):
+    """Whether the target lies within r of an axis line x = m step or y = m step, with margin; False is exact.
+
+    engine._first_flagged keeps a side's line s only if s is within
+    w + pad of that side's mid, and mid is +-qx / step or +-qy / step
+    shifted by an integer, so every side is empty when both qx / step and
+    qy / step are farther than w + 10 pad from every integer (ten times
+    the pad covers mid's rounding).
+    """
+    if r * r == math.inf:
+        return True
+    x, y, w = qx / step, qy / step, r / step
+    tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
+    return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
+
+
+def _may_flag(k, step, qx, qy, r):
+    """Whether a leg of block (k, step) can pass the filter, in O(1); False is exact.
+
+    False means one of two things.  The target is farther than r from the
+    whole block, by a step of margin for rounding.  Or no axis line comes
+    within r of it (_near_grid_line).  The engine's walk runs the same
+    extent test per block and, once per term, _may_reach, which implies
+    the grid-line test.
+    """
+    if r * r == math.inf:
+        return True  # every finite distance passes the filter
+    if max(abs(qx), abs(qy)) > (k + 2) * step + r * (1.0 + 1e-9):
+        return False
+    return _near_grid_line(step, qx, qy, r)
+
+
+def _min_distance_to_polyline(pts, polyline):
+    """Min distance from each row of pts (n, 2) to an (m+1, 2) polyline.
+
+    coverage._dist2 over every segment of coverage._segments, then the
+    square root of the minimum.  len2 is d0*d0 + d1*d1 for every segment;
+    the rasterizer differs from this only in the len2 of slanted segments
+    (its fma).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    polyline = np.asarray(polyline, dtype=np.float64)
+    return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)[0]))
+
+
+def annulus_membership(pts, j, center):
+    """True where pts lie in ring j: Q(2^j) minus Q(2^(j-1)), Chebyshev norm."""
+    return _in_ring(np.max(np.abs(pts - center), axis=1), j)

@@ -10,23 +10,15 @@ import time
 
 import numpy as np
 import pytest
-from block_arrays import polyline_of
+from block_arrays import _min_distance_to_polyline, diagonal_length_bound, pi_arrays
 
 from planehunt.coverage import tube_area
 from planehunt.engine import SimConfig, brute_force_oracle, simulate
 from planehunt.experiments import impossibility_report, sweep_dynamic, sweep_static
 from planehunt.geometry import Point
 from planehunt.searcher import static_plan
-from planehunt.target import _min_distance_to_polyline, adversarial_static_placement, inert
-from planehunt.trajectory import (
-    SpiralParams,
-    diagonal_length,
-    diagonal_length_bound,
-    pi_instructions,
-    pi_length,
-    prefix_polyline,
-    spiral_instructions,
-)
+from planehunt.target import adversarial_static_placement, inert
+from planehunt.trajectory import SpiralParams, diagonal_length, pi_length, prefix_polyline
 
 
 def _report(name, start, detail=""):
@@ -38,7 +30,7 @@ def test_criterion_1_length_formulas():
     start = time.time()
     for k, j in itertools.product(range(1, 65), (2, 4, 6)):
         closed = pi_length(SpiralParams(k, j))
-        summed = sum(instr.distance for instr in pi_instructions(SpiralParams(k, j)))
+        summed = sum(pi_arrays(k, j)[1].tolist())
         assert abs(summed - closed) <= 1e-12 * closed
         assert closed == 2 * (2 * k + 2) * (2 * k + 3) * 2.0 ** (-j)
     for i in range(1, 21):
@@ -52,7 +44,7 @@ def test_criterion_2_coverage_property():
     worst = 0.0
     for k in (1, 2, 4, 8, 16):
         for j in (2, 4):
-            poly = polyline_of(spiral_instructions(SpiralParams(k, j)))
+            poly = pi_arrays(k, j)[0][: 4 * (k + 1) + 1]  # spiral(k, j)
             half = k * 2.0 ** (-j)  # half-side of Q(2k 2^-j)
             g = np.linspace(-half, half, 101)
             gx, gy = np.meshgrid(g, g)

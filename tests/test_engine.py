@@ -2,11 +2,12 @@ import io
 import math
 import time
 import tracemalloc
+import warnings
 from bisect import bisect_left
 
 import numpy as np
 import pytest
-from block_arrays import pi_arrays
+from block_arrays import _may_flag, _near_grid_line, pi_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from planehunt.engine import (
     _corner_range,
     _first_contact_in_rings,
     _first_flagged,
-    _may_flag,
     _may_reach,
     brute_force_oracle,
     simulate,
@@ -353,6 +353,18 @@ class TestBruteForceOracle:
             approx = brute_force_oracle(static_plan(), strategy, cfg, step=1e-3)
             assert approx.stop_reason == stop
             assert repr(approx) == repr(simulate(static_plan(), strategy, cfg))
+
+    def test_distances_whose_squares_leave_the_float_range(self):
+        # as squares, 1e300 against r = 1e200 compares inf <= inf, and 2e-170 against 1e-170 compares 0 <= 0
+        strategy, cfg = inert(Point(1e300, 0)), SimConfig(r=1e200, max_diagonal=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = brute_force_oracle(static_plan(), strategy, cfg, 0.01)
+        assert repr(far) == repr(simulate(static_plan(), strategy, cfg))
+        assert (far.sensed, far.legs_processed, far.stop_reason) == (False, 72, "diagonal_budget")
+        # the samples pass through (0.25, 0), 2e-170 from the target
+        near = brute_force_oracle(static_plan(), inert(Point(0.25, 2e-170)), SimConfig(r=1e-170, max_diagonal=1), 0.01)
+        assert (near.sensed, near.stop_reason) == (False, "diagonal_budget")
 
     def test_rejects_bad_step(self):
         cfg = SimConfig(r=0.5, max_diagonal=1)
@@ -987,7 +999,7 @@ class TestGatedWalk:
             if cost + pi_length(params) >= caught.cost:
                 break
             step = 2.0 ** -params.j
-            if engine._may_flag(params.k, step, q.x, q.y, r) and engine._may_reach(step, q.x, q.y, r):
+            if _may_flag(params.k, step, q.x, q.y, r) and engine._may_reach(step, q.x, q.y, r):
                 continue
             skipped += 1
             for frac in (1e-9, 0.5, 1.0 - 1e-9, 1.0):
@@ -1068,15 +1080,6 @@ class TestMovingWalk:
             assert want.legs_processed == caught.legs_processed  # cut inside the contact's leg
         if cut is not None:
             assert want.cost == max_cost
-
-
-def _near_grid_line(step, qx, qy, r):
-    """The grid-line test the walk ran before _may_reach alone, as the engine had it."""
-    if r * r == math.inf:
-        return True
-    x, y, w = qx / step, qy / step, r / step
-    tol = w + 1e-11 * (max(abs(x), abs(y)) + 1.0 + w)
-    return abs(math.remainder(x, 1.0)) <= tol or abs(math.remainder(y, 1.0)) <= tol
 
 
 class TestReachImpliesGridLine:

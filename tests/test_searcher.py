@@ -7,7 +7,7 @@ from planehunt.searcher import (
     predict_dynamic,
     static_plan,
 )
-from planehunt.trajectory import diagonal_instructions, diagonal_length
+from planehunt.trajectory import diagonal_length, diagonal_terms
 
 
 class TestStaticPlan:
@@ -38,7 +38,11 @@ class TestDynamicPlan:
     def test_timing_from_instructions_matches_closed_form(self):
         plan = dynamic_plan()
         for i in range(1, 9):
-            summed = sum(instr.distance for instr in diagonal_instructions(i))
+            summed = 0.0
+            for p in diagonal_terms(i):
+                # spiral(k, j) walks m 2^-j twice for m = 1..2k+2; the block adds its reverse
+                spiral = tuple(m * 2.0 ** -p.j for m in range(1, 2 * p.k + 3) for _ in (0, 1))
+                summed += sum(spiral + spiral[::-1])
             t_closed = plan.traversal_time(i)
             t_summed = summed / plan.speed_of_diagonal(i)
             assert abs(t_summed - t_closed) <= 1e-12 * t_closed

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from block_arrays import _min_distance_to_polyline, annulus_membership, pi_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,7 @@ from planehunt.geometry import Point
 from planehunt.target import (
     SPEED_TOL,
     WITNESS_CHUNK,
-    _min_distance_to_polyline,
     adversarial_static_placement,
-    annulus_membership,
     inert,
     load_waypoints,
     radial_flee,
@@ -183,12 +182,8 @@ class TestAdversarialPlacement:
             assert annulus_membership(w, j, traj[0])[0]
 
     def test_covered_ring_returns_absent(self):
-        # a dense sweep of ring 1 at spacing << r_1 leaves no witness
-        from block_arrays import polyline_of
-
-        from planehunt.trajectory import SpiralParams, spiral_instructions
-
-        traj = polyline_of(spiral_instructions(SpiralParams(32, 4)))
+        # a dense sweep of ring 1 at spacing << r_1 leaves no witness: spiral(32, 4)
+        traj = pi_arrays(32, 4)[0][: 4 * 33 + 1]
         results = adversarial_static_placement(traj, 1, grid_res=64)
         j, D_j, r_j, witness = results[0]
         assert r_j == 0.25

@@ -3,35 +3,37 @@ import math
 
 import numpy as np
 import pytest
-from block_arrays import pi_arrays, polyline_of
+from block_arrays import _min_distance_to_polyline, diagonal_length_bound, pi_arrays
 
 from planehunt import trajectory
 from planehunt.trajectory import (
-    UNIT,
-    MoveInstruction,
     SpiralParams,
     ceil_log2,
-    diagonal_instructions,
     diagonal_length,
-    diagonal_length_bound,
     diagonal_terms,
-    full_schedule,
     pi_arc_before,
-    pi_instructions,
     pi_leg_length,
     pi_length,
     pi_vertex,
     predict_static,
     prefix_polyline,
-    spiral_instructions,
 )
 
+COMPASS = {(1, 0): "E", (0, -1): "S", (-1, 0): "W", (0, 1): "N"}
 
-def test_move_instruction_validation():
-    with pytest.raises(ValueError):
-        MoveInstruction("X", 1.0)
-    with pytest.raises(ValueError):
-        MoveInstruction("N", 0.0)
+
+def _legs(params, n):
+    """(direction, length) of the first n legs of out_and_back(k, j), from its closed forms."""
+    legs = []
+    for leg in range(n):
+        (ax, ay), (bx, by) = pi_vertex(params, leg), pi_vertex(params, leg + 1)
+        legs.append((COMPASS[(bx > ax) - (bx < ax), (by > ay) - (by < ay)], pi_leg_length(params, leg)))
+    return legs
+
+
+def _spiral(k, j):
+    """Vertices of spiral(k, j): the first 4(k+1) legs of the numpy view of out_and_back(k, j)."""
+    return pi_arrays(k, j)[0][: 4 * (k + 1) + 1]
 
 
 def test_spiral_params_validation():
@@ -43,7 +45,7 @@ def test_spiral_params_validation():
 
 class TestSpiral:
     def test_k1_j2_instruction_sequence(self):
-        got = [(i.direction, i.distance) for i in spiral_instructions(SpiralParams(1, 2))]
+        got = _legs(SpiralParams(1, 2), 8)
         assert got == [
             ("E", 0.25), ("S", 0.25), ("W", 0.5), ("N", 0.5),
             ("E", 0.75), ("S", 0.75), ("W", 1.0), ("N", 1.0),
@@ -51,41 +53,46 @@ class TestSpiral:
 
     @pytest.mark.parametrize("k,j", [(1, 2), (3, 1), (5, 4), (16, 2)])
     def test_instruction_count(self, k, j):
-        assert sum(1 for _ in spiral_instructions(SpiralParams(k, j))) == 4 * (k + 1)
+        # the spiral is the first 4(k+1) legs: half the block, ending on its longest leg
+        params = SpiralParams(k, j)
+        assert pi_arc_before(params, 4 * (k + 1)) == pi_length(params) / 2
+        assert pi_leg_length(params, 4 * k + 3) == pi_leg_length(params, 4 * k + 4) == (2 * k + 2) * 2.0 ** -j
 
     @pytest.mark.parametrize("k,j", [(1, 2), (2, 3), (8, 2), (16, 4)])
     def test_endpoint(self, k, j):
         # summed signed displacements: endpoint is (-(k+1), +(k+1)) * 2^-j
-        poly = polyline_of(spiral_instructions(SpiralParams(k, j)))
+        poly = _spiral(k, j)
         expect = np.array([-(k + 1), k + 1]) * 2.0 ** (-j)
         assert np.allclose(poly[-1], expect, atol=0)
+        assert pi_vertex(SpiralParams(k, j), 4 * (k + 1)) == tuple(expect)
 
 
 class TestOutAndBack:
     def test_k1_j2_reversal(self):
-        instrs = list(pi_instructions(SpiralParams(1, 2)))
-        assert len(instrs) == 16
-        # the reverse stream ends with the opposite of the spiral's first leg
-        assert instrs[-1] == MoveInstruction("W", 0.25)
-        spiral = instrs[:8]
-        rev = instrs[8:]
+        legs = _legs(SpiralParams(1, 2), 16)
+        assert pi_arc_before(SpiralParams(1, 2), 16) == pi_length(SpiralParams(1, 2))
+        # the return ends with the opposite of the spiral's first leg
+        assert legs[-1] == ("W", 0.25)
+        spiral = legs[:8]
+        rev = legs[8:]
         opposite = {"N": "S", "S": "N", "E": "W", "W": "E"}
-        assert rev == [MoveInstruction(opposite[leg.direction], leg.distance) for leg in reversed(spiral)]
+        assert rev == [(opposite[direction], length) for direction, length in reversed(spiral)]
 
     def test_closed_form_length_example(self):
         assert pi_length(SpiralParams(1, 2)) == 10.0
 
     def test_length_consistency_sweep(self):
-        # acceptance-style: summed instruction lengths match the closed form
+        # acceptance-style: summed leg lengths of the numpy view match the closed form
         for k, j in itertools.product(range(1, 65), (2, 4, 6)):
-            total = sum(i.distance for i in pi_instructions(SpiralParams(k, j)))
+            total = sum(pi_arrays(k, j)[1].tolist())
             closed = pi_length(SpiralParams(k, j))
             assert abs(total - closed) <= 1e-12 * closed
 
     @pytest.mark.parametrize("k,j", [(1, 2), (4, 2), (8, 4), (32, 6)])
     def test_returns_to_start_exactly(self, k, j):
-        poly = polyline_of(pi_instructions(SpiralParams(k, j)))
+        poly = pi_arrays(k, j)[0]
         assert poly[-1][0] == 0.0 and poly[-1][1] == 0.0
+        assert pi_vertex(SpiralParams(k, j), 8 * (k + 1)) == (0.0, 0.0)
 
 
 class TestDiagonals:
@@ -120,29 +127,8 @@ class TestDiagonals:
 
     def test_diagonal_length_matches_instruction_sum(self):
         for i in (1, 2, 3):
-            total = sum(instr.distance for instr in diagonal_instructions(i))
+            total = sum(length for p in diagonal_terms(i) for length in pi_arrays(p.k, p.j)[1].tolist())
             assert total == pytest.approx(diagonal_length(i), rel=1e-12)
-
-
-class TestFullSchedule:
-    def test_first_instruction(self):
-        i, instr = next(full_schedule())
-        assert i == 1
-        assert instr == MoveInstruction("E", 0.25)
-
-    def test_diagonal_one_has_72_instructions(self):
-        sched = full_schedule()
-        first = list(itertools.islice(sched, 73))
-        assert all(i == 1 for i, _ in first[:72])
-        assert first[72][0] == 2
-
-    def test_prefix_cost_after_two_diagonals(self):
-        total = 0.0
-        for i, instr in full_schedule():
-            if i > 2:
-                break
-            total += instr.distance
-        assert total == pytest.approx(171.0 + 1147.75)
 
 
 def _ceil_log2_by_powers(x):
@@ -191,9 +177,7 @@ class TestCoverageProperty:
     @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("j", [2, 4])
     def test_grid_within_resolution_of_spiral(self, k, j):
-        from planehunt.target import _min_distance_to_polyline
-
-        poly = polyline_of(spiral_instructions(SpiralParams(k, j)))
+        poly = _spiral(k, j)
         half = k * 2.0 ** (-j)  # Q(2k 2^-j) has half-side k 2^-j
         g = np.linspace(-half, half, 101)
         gx, gy = np.meshgrid(g, g)
@@ -210,11 +194,10 @@ class TestVectorizedView:
         verts = np.array([pi_vertex(params, L) for L in range(legs + 1)])
         lengths = [pi_leg_length(params, L) for L in range(legs)]
         cum = [pi_arc_before(params, L + 1) for L in range(legs)]
-        poly = polyline_of(pi_instructions(params))
+        poly, arr_len, arr_cum = pi_arrays(k, j)
         assert np.array_equal(verts, poly)
-        instr_len = [i.distance for i in pi_instructions(params)]
-        assert np.allclose(lengths, instr_len, rtol=0, atol=0)
-        assert cum == list(np.cumsum(instr_len))
+        assert np.allclose(lengths, arr_len, rtol=0, atol=0)
+        assert cum == arr_cum.tolist()
         assert cum[-1] == pytest.approx(pi_length(params))
 
     def test_closed_form_matches_arrays_bit_for_bit(self):
@@ -244,14 +227,17 @@ class TestVectorizedView:
     @pytest.mark.parametrize("max_cost", [0.0, 0.6, 10.0, 171.0, 400.0, 1318.75, 4000.0, 4000.3])
     def test_prefix_polyline_walks_the_instruction_stream(self, max_cost):
         poly = prefix_polyline(max_cost)
-        instrs = [instr for _, instr in itertools.islice(full_schedule(), len(poly) - 1)]
-        full = polyline_of(instrs)
-        assert np.array_equal(poly[:-1], full[:-1])
-        # the last leg is the stream's next leg, cut at the budget
-        cut = max_cost - sum(instr.distance for instr in instrs[:-1])
-        assert 0.0 <= cut <= instrs[-1].distance
-        ux, uy = UNIT[instrs[-1].direction]
-        assert np.array_equal(poly[-1], full[-2] + np.array([ux * cut, uy * cut]))
+        # the schedule through diagonal 3, block after block, from the numpy view
+        blocks = [pi_arrays(p.k, p.j) for i in (1, 2, 3) for p in diagonal_terms(i)]
+        full = np.concatenate([blocks[0][0]] + [verts[1:] for verts, _, _ in blocks[1:]])
+        lengths = np.concatenate([block_lengths for _, block_lengths, _ in blocks]).tolist()
+        n = len(poly) - 1
+        assert np.array_equal(poly[:-1], full[:n])
+        # the last leg is the schedule's next leg, cut at the budget
+        cut = max_cost - sum(lengths[: n - 1])
+        assert 0.0 <= cut <= lengths[n - 1]
+        ux, uy = (full[n] - full[n - 1]) / lengths[n - 1]
+        assert np.array_equal(poly[-1], full[n - 1] + np.array([ux * cut, uy * cut]))
 
     def test_prefix_polyline_vertex_limit_is_exact(self, monkeypatch):
         n = len(prefix_polyline(400.0))
