@@ -12,8 +12,7 @@ split at its breakpoints, which one forward walk over their index finds
 (one bisection at the block start, then leg by leg), and each piece is
 solved as an exact quadratic; for every later leg the first contact with
 the target's final point is found by a scalar scan of the block's sides.
-A trace is written from the same closed form and never changes the
-result.
+A trace is written after the walk, from its outcome.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back.
@@ -67,6 +66,8 @@ from .trajectory import (
 _SQRT_HALF = math.sqrt(0.5)
 # the sides of _SIDES flattened with their offset: (off, axis, sign, c_line, sign0, c0, c1)
 _SIDE_ROWS = tuple((off, *side) for off, side in enumerate(_SIDES))
+# trace lines a run may write, about 50-130 MB at 47 bytes a line
+MAX_TRACE_LINES = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,37 +113,26 @@ class SimOutcome:
     stop_reason: str  # "sensed" | "cost_budget" | "diagonal_budget"
 
 
-class _Trace:
-    """Line-per-event trace: `t cost ax ay tx ty event`."""
-
-    def __init__(self, sink):
-        self._own = isinstance(sink, str)
-        self._fh = open(sink, "w") if self._own else sink
-
-    def emit(self, t, cost, agent, tgt, event):
-        self._fh.write(
-            f"{t:.12g} {cost:.12g} {agent.x:.12g} {agent.y:.12g} "
-            f"{tgt.x:.12g} {tgt.y:.12g} {event}\n"
-        )
-
-    def close(self):
-        if self._own:
-            self._fh.close()
-
-
 def simulate(plan, strategy, cfg, trace=None):
     """Run one searcher plan against one target strategy.
 
     Stops at the first of: sensing (distance <= r), the arc-length budget
-    max_cost, or the end of diagonal max_diagonal.  Deterministic; the
-    optional trace records the walk without changing it.
+    max_cost, or the end of diagonal max_diagonal.  Deterministic.  A
+    trace (a path string or an open text file) is written after the walk,
+    from its outcome; one longer than MAX_TRACE_LINES raises ValueError
+    before the path is opened.
     """
-    tracer = _Trace(trace) if trace is not None else None
-    try:
-        return _simulate(plan, strategy, cfg, tracer)
-    finally:
-        if tracer is not None:
-            tracer.close()
+    out = _simulate(plan, strategy, cfg)
+    if trace is not None:
+        lines = 2 * out.legs_processed + (out.stop_reason == "cost_budget") if out.legs_processed else 1
+        if lines > MAX_TRACE_LINES:
+            raise ValueError(f"the trace would have {lines} lines, more than MAX_TRACE_LINES = {MAX_TRACE_LINES}")
+        if isinstance(trace, str):
+            with open(trace, "w") as fh:
+                _write_trace(fh, plan, strategy, cfg, out)
+        else:
+            _write_trace(trace, plan, strategy, cfg, out)
+    return out
 
 
 def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
@@ -179,7 +169,7 @@ def _block_table(plan):
     return tuple(rows)
 
 
-def _simulate(plan, strategy, cfg, tracer):
+def _simulate(plan, strategy, cfg):
     sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
     start = (sx, sy)
     final = strategy.points[-1]
@@ -190,16 +180,14 @@ def _simulate(plan, strategy, cfg, tracer):
 
     tgt0 = strategy.position(0.0)
     if (tgt0 - cfg.agent_start).norm() <= r:
-        if tracer:
-            tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
 
     # the inert kernel's gates: the extent test per block, and _may_reach
     # once per term, as it depends on the step alone
-    if r * r < math.inf:
-        far = max(abs(qx), abs(qy))  # inf for a target at infinity: no leg is within r of it
-    elif fma_dot(qx, qy, qx, qy) < math.inf:
-        far = -math.inf  # every finite distance passes the filter
+    if r * r < math.inf or fma_dot(qx, qy, qx, qy) < math.inf:
+        # inf for a target at infinity: no leg is within r of it.  Where
+        # only r*r overflows, |q| < r, so every block passes the extent test
+        far = max(abs(qx), abs(qy))
     else:
         # |q|^2 overflows, and so does every leg start's (legs stay within
         # 2^13 of the start, below ulp(2^512) = 2^460): every contact
@@ -230,17 +218,49 @@ def _simulate(plan, strategy, cfg, tracer):
             frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
             xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
             t_stop = float(t + arc / speed)
-            if tracer:
-                _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
             agent, tgt = Point(*xy), strategy.position(t_stop)
             stop_cost = cost + arc if sensed else max_cost
             reason = "sensed" if sensed else "cost_budget"
             return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
-        if tracer:
-            _trace_block(tracer, strategy, start, params, t, cost, speed)
     cost, t, legs = rows[n_blocks][-3:]
     tgt = strategy.position(t)
     return _outcome(False, t, cost, cfg.agent_start, tgt, int(cfg.max_diagonal), legs, "diagonal_budget")
+
+
+def _write_trace(fh, plan, strategy, cfg, out):
+    """Write the walk that ended in `out`, one `t cost ax ay tx ty event` line per event.
+
+    Each of the out.legs_processed legs walked has a leg_start line and,
+    but for the leg that a sensing or cost_budget stop cuts, a leg_end
+    line; then come the stop's lines at out.time and out.agent_pos: sense,
+    or leg_end and cost_budget.  Times, costs and positions are the walk's
+    own sums from the block table, so every line has the walk's bits.
+    """
+    sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
+    ends = out.legs_processed - (out.stop_reason != "diagonal_budget")  # legs walked to their end
+
+    def emit(at, cost, agent, event):
+        tgt = strategy.position(at)
+        fh.write(f"{at:.12g} {cost:.12g} {agent.x:.12g} {agent.y:.12g} {tgt.x:.12g} {tgt.y:.12g} {event}\n")
+
+    for _, params, _, _, _, speed, block_legs, _, cost, t, legs in _block_table(plan):
+        if legs >= out.legs_processed:
+            break
+
+        def vertex_line(vertex, event):
+            arc, (x, y) = pi_arc_before(params, vertex), pi_vertex(params, vertex)
+            emit(float(t + arc / speed), cost + arc, Point(float(sx + x), float(sy + y)), event)
+
+        for leg in range(min(block_legs, out.legs_processed - legs)):
+            vertex_line(leg, "leg_start")
+            if legs + leg < ends:
+                vertex_line(leg + 1, "leg_end")
+        stop_cost = cost + (cfg.max_cost - cost)  # the walk's sum, where a cost_budget stop cuts this block
+    if out.stop_reason == "cost_budget":
+        emit(out.time, stop_cost, out.agent_pos, "leg_end")
+        emit(out.time, stop_cost, out.agent_pos, "cost_budget")
+    elif out.sensed:
+        emit(out.time, out.cost, out.agent_pos, "sense")
 
 
 def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
@@ -403,15 +423,12 @@ def _first_flagged(k, step, q, r, n):
         # legs s < cov stop short of the target's parallel coordinate P
         P = abs(q_par)
         c_end = c0 if (q_par >= 0.0) == (sign0 > 0) else c1
+        # exact: P / step is (step is a power of two), and so is - c_end (0 or 1) where the clip keeps it
         cov = math.ceil(P / step - c_end)
         if cov < lo:
             cov = lo
         elif cov > hi + 1:
             cov = hi + 1
-        while cov > lo and P <= (cov - 1 + c_end) * step:
-            cov -= 1
-        while cov <= hi and P > (cov + c_end) * step:
-            cov += 1
         first, last = cov, cov - 1
         if cov > lo:
             first, last = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
@@ -487,35 +504,6 @@ def _corner_range(x, y, step, r, lo, hi):
     first = lo if mid - half <= lo else hi + 1 if mid - half > hi else math.ceil(mid - half)
     last = hi if mid + half >= hi else lo - 1 if mid + half < lo else math.floor(mid + half)
     return first, last
-
-
-def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
-    """leg_start/leg_end lines for one block walked from its start.
-
-    stop = (arc, idx, agent xy, sensed) ends the walk inside leg idx with
-    a sense line, or with leg_end and cost_budget lines.
-    """
-    sx, sy = start
-
-    def emit(arc, xy, event):
-        at = float(t + arc / speed)
-        agent = Point(float(xy[0]), float(xy[1]))
-        tracer.emit(at, cost + arc, agent, strategy.position(at), event)
-
-    def vertex(leg):
-        x, y = pi_vertex(params, leg)
-        return sx + x, sy + y
-
-    walked = 8 * (params.k + 1) if stop is None else stop[1]
-    for leg in range(walked):
-        emit(pi_arc_before(params, leg), vertex(leg), "leg_start")
-        emit(pi_arc_before(params, leg + 1), vertex(leg + 1), "leg_end")
-    if stop is not None:
-        arc, idx, xy, sensed = stop
-        emit(pi_arc_before(params, idx), vertex(idx), "leg_start")
-        if not sensed:
-            emit(arc, xy, "leg_end")
-        emit(arc, xy, "sense" if sensed else "cost_budget")
 
 
 def brute_force_oracle(plan, strategy, cfg, step):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,19 @@ def test_simulate_rejects_a_diagonal_past_the_limit_exit_2(budget, capsys):
     assert code == 2
     assert captured.out == ""
     assert "max_diagonal" in captured.err
+
+
+def test_simulate_trace_over_the_line_budget_exit_2_without_a_file(tmp_path, capsys):
+    # sensed after 178,874,446 legs: two trace lines a leg is far past MAX_TRACE_LINES
+    path = tmp_path / "trace.txt"
+    t0 = time.perf_counter()
+    code = run(["simulate", "--target", "3000,0", "--r", "0.01", "--max-diagonal", "12", "--trace", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "MAX_TRACE_LINES" in captured.err
+    assert not path.exists()
 
 
 def test_simulate_huge_cost_budget_stops_at_the_default_diagonal(capsys):

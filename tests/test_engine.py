@@ -845,6 +845,53 @@ def _moving_legs(strategy, start, params, n, t, speed, r, arc_allowance):
     return None
 
 
+class _Trace:
+    """The reference tracer: the walk calls it in the loop, and it writes `t cost ax ay tx ty event` lines."""
+
+    def __init__(self, sink):
+        self._own = isinstance(sink, str)
+        self._fh = open(sink, "w") if self._own else sink
+
+    def emit(self, t, cost, agent, tgt, event):
+        self._fh.write(
+            f"{t:.12g} {cost:.12g} {agent.x:.12g} {agent.y:.12g} "
+            f"{tgt.x:.12g} {tgt.y:.12g} {event}\n"
+        )
+
+    def close(self):
+        if self._own:
+            self._fh.close()
+
+
+def _trace_block(tracer, strategy, start, params, t, cost, speed, stop=None):
+    """leg_start/leg_end lines for one block walked from its start.
+
+    stop = (arc, idx, agent xy, sensed) ends the walk inside leg idx with
+    a sense line, or with leg_end and cost_budget lines.
+    """
+    sx, sy = start
+
+    def emit(arc, xy, event):
+        at = float(t + arc / speed)
+        agent = Point(float(xy[0]), float(xy[1]))
+        tracer.emit(at, cost + arc, agent, strategy.position(at), event)
+
+    def vertex(leg):
+        x, y = pi_vertex(params, leg)
+        return sx + x, sy + y
+
+    walked = 8 * (params.k + 1) if stop is None else stop[1]
+    for leg in range(walked):
+        emit(pi_arc_before(params, leg), vertex(leg), "leg_start")
+        emit(pi_arc_before(params, leg + 1), vertex(leg + 1), "leg_end")
+    if stop is not None:
+        arc, idx, xy, sensed = stop
+        emit(pi_arc_before(params, idx), vertex(idx), "leg_start")
+        if not sensed:
+            emit(arc, xy, "leg_end")
+        emit(arc, xy, "sense" if sensed else "cost_budget")
+
+
 def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
     """The walk before the block table: running sums, _moving_legs, and the inert kernel on every block."""
     sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
@@ -883,13 +930,13 @@ def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
                 xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
                 t_stop = float(t + arc / speed)
                 if tracer:
-                    engine._trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
+                    _trace_block(tracer, strategy, start, params, t, cost, speed, (arc, idx, xy, sensed))
                 stop_cost = cost + arc if sensed else cfg.max_cost
                 reason = "sensed" if sensed else "cost_budget"
                 return outcome(sensed, t_stop, stop_cost, Point(*xy), strategy.position(t_stop), i,
                                legs + idx + 1, reason)
             if tracer:
-                engine._trace_block(tracer, strategy, start, params, t, cost, speed)
+                _trace_block(tracer, strategy, start, params, t, cost, speed)
             cost += block_len
             t += block_len / speed
             legs += block_legs
@@ -985,7 +1032,7 @@ class TestGatedWalk:
         plan, strategy, cfg = hunt
         cfg = SimConfig(agent_start=cfg.agent_start, r=cfg.r, max_cost=cfg.max_cost, max_diagonal=min(cfg.max_diagonal, 2))
         want_sink, got_sink = io.StringIO(), io.StringIO()
-        want = _kernel_on_every_block(plan, strategy, cfg, engine._Trace(want_sink))
+        want = _kernel_on_every_block(plan, strategy, cfg, _Trace(want_sink))
         assert repr(simulate(plan, strategy, cfg, trace=got_sink)) == repr(want)
         assert got_sink.getvalue() == want_sink.getvalue()
 
@@ -1069,7 +1116,7 @@ class TestMovingWalk:
             max_cost = math.inf if cut is None else cuts[cut]
         cfg = SimConfig(r=r, max_cost=max_cost, max_diagonal=3)
         want_sink, got_sink = io.StringIO(), io.StringIO()
-        want = _kernel_on_every_block(plan, strategy, cfg, engine._Trace(want_sink))
+        want = _kernel_on_every_block(plan, strategy, cfg, _Trace(want_sink))
         assert repr(simulate(plan, strategy, cfg)) == repr(want)
         assert repr(simulate(plan, strategy, cfg, trace=got_sink)) == repr(want)
         assert got_sink.getvalue() == want_sink.getvalue()
@@ -1121,6 +1168,55 @@ class TestReachImpliesGridLine:
         assert kept > 100_000
 
 
+def _trace_lines(out):
+    """The lines a trace of the walk that ended in out has."""
+    return 1 if out.legs_processed == 0 else 2 * out.legs_processed + (out.stop_reason == "cost_budget")
+
+
+class TestTraceBudget:
+    """simulate counts a trace's lines from the outcome and refuses one past MAX_TRACE_LINES before writing."""
+
+    @given(_hunts())
+    @settings(max_examples=40, deadline=None)
+    def test_line_count_matches_the_reference_trace(self, hunt):
+        plan, strategy, cfg = hunt
+        cfg = SimConfig(agent_start=cfg.agent_start, r=cfg.r, max_cost=cfg.max_cost, max_diagonal=min(cfg.max_diagonal, 2))
+        sink = io.StringIO()
+        out = _kernel_on_every_block(plan, strategy, cfg, _Trace(sink))
+        lines = sink.getvalue().count("\n")
+        assert lines == _trace_lines(out)
+        # the budget admits exactly that many lines
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "MAX_TRACE_LINES", lines)
+            got = io.StringIO()
+            assert repr(simulate(plan, strategy, cfg, trace=got)) == repr(out)
+            assert got.getvalue() == sink.getvalue()
+            mp.setattr(engine, "MAX_TRACE_LINES", lines - 1)
+            untouched = io.StringIO()
+            with pytest.raises(ValueError, match="MAX_TRACE_LINES"):
+                simulate(plan, strategy, cfg, trace=untouched)
+            assert untouched.getvalue() == ""
+
+    def test_sensed_at_the_start_is_one_line(self):
+        sink = io.StringIO()
+        out = simulate(static_plan(), inert(Point(0.1, 0.0)), SimConfig(r=0.5, max_diagonal=1), trace=sink)
+        assert (out.legs_processed, _trace_lines(out)) == (0, 1)
+        assert sink.getvalue() == "0 0 0 0 0.1 0 sense\n"
+
+    def test_over_the_budget_raises_before_the_path_is_opened(self, tmp_path):
+        # sensed after 178,874,446 legs, in well under a millisecond untraced
+        path = tmp_path / "trace.txt"
+        cfg = SimConfig(r=0.01, max_diagonal=12)
+        out = simulate(static_plan(), inert(Point(3000.0, 0.0)), cfg)
+        assert out.sensed and out.legs_processed == 178_874_446
+        assert _trace_lines(out) > engine.MAX_TRACE_LINES
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_TRACE_LINES"):
+            simulate(static_plan(), inert(Point(3000.0, 0.0)), cfg, trace=str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert not path.exists()
+
+
 class TestOverflowingRadius:
     """r*r == inf: where |q|^2 overflows too, every contact quadratic is NaN and the walk skips the kernel."""
 
@@ -1138,6 +1234,20 @@ class TestOverflowingRadius:
         for max_diagonal in (1, 2, 3):
             cfg = SimConfig(r=1e200, max_diagonal=max_diagonal)
             assert repr(simulate(plan, strategy, cfg)) == repr(_kernel_on_every_block(plan, strategy, cfg))
+
+    def test_only_r_squared_overflows(self):
+        # r*r is inf and |q|^2 is not: every block passes the extent test,
+        # and the inert kernel runs from the leg boundary t = 0.25 on
+        strategy = waypoints([Point(1e250, 0.0), Point(1e150, 0.0)], [0.0, 0.25], 1e254)
+        cfg = SimConfig(r=1e200, max_diagonal=1)
+        out = simulate(static_plan(), strategy, cfg)
+        assert (out.sensed, out.time, out.cost, out.agent_pos) == (True, 0.25, 0.25, Point(0.25, 0.0))
+        assert (out.legs_processed, out.stop_reason) == (2, "sensed")
+        assert repr(out) == repr(_kernel_on_every_block(static_plan(), strategy, cfg))
+        # the oracle counts the contact at leg 0's end
+        want = brute_force_oracle(static_plan(), strategy, cfg, 1e-3)
+        assert (want.sensed, want.time, want.cost, want.legs_processed) == (True, 0.25, 0.25, 1)
+        assert (want.agent_pos, want.target_pos) == (out.agent_pos, out.target_pos)
 
     def test_the_default_budget_finishes_fast(self):
         # every block reached the kernel: 0.05 s at diagonal 4, 15 s at 8,

@@ -1,6 +1,7 @@
 import pytest
 
 from planehunt import searcher
+from planehunt.experiments import sweep_dynamic
 from planehunt.searcher import (
     dynamic_plan,
     dynamic_q,
@@ -110,6 +111,22 @@ class TestPredictDynamic:
         for v in (0.5, 1, 2, 4):
             p = predict_dynamic(1, v, 1 / 16)
             assert plan.traversal_time(p.y) <= 1.0 / (v * 2.0 ** (p.b + 1))
+
+    def test_raises_y_past_the_formula_where_the_condition_fails(self):
+        # y0 = 2 misses the timing condition 1 / (v 2^(b+1)) = 0.8929, so the loop raises y to 3
+        plan = dynamic_plan()
+        p = predict_dynamic(1.0, 0.14, 0.25)
+        assert (p.a, p.b, p.c, p.a_prime) == (0, 2, 1, 2)
+        assert p.a_prime + p.b // 2 - 1 == 2
+        limit = 1.0 / (0.14 * 2.0 ** (p.b + 1))
+        assert limit == pytest.approx(0.8929, abs=1e-4)
+        assert plan.traversal_time(2) == pytest.approx(1.1208, abs=1e-4) and plan.traversal_time(2) > limit
+        assert plan.traversal_time(3) == pytest.approx(0.1962, abs=1e-4) and plan.traversal_time(3) <= limit
+        assert p.y == 3 and p.cost_bound == 61440.0
+        assert p.condition_holds_at_formula_y is False
+        rows = sweep_dynamic([0.14], [0.25], 1.0, 200, 7)
+        assert len(rows) == 200
+        assert all(row.sensed and row.diagonal <= p.y and row.cost <= p.cost_bound for row in rows)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
