@@ -48,6 +48,7 @@ leg in walking order, bit for bit:
 
 import functools
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -118,16 +119,16 @@ def simulate(plan, strategy, cfg, trace=None):
 
     Stops at the first of: sensing (distance <= r), the arc-length budget
     max_cost, or the end of diagonal max_diagonal.  Deterministic.  A
-    trace (a path string or an open text file) is written after the walk,
-    from its outcome; one longer than MAX_TRACE_LINES raises ValueError
-    before the path is opened.
+    trace (a str or os.PathLike path, or an open text file) is written
+    after the walk, from its outcome; one longer than MAX_TRACE_LINES
+    raises ValueError before the path is opened.
     """
     out = _simulate(plan, strategy, cfg)
     if trace is not None:
         lines = 2 * out.legs_processed + (out.stop_reason == "cost_budget") if out.legs_processed else 1
         if lines > MAX_TRACE_LINES:
             raise ValueError(f"the trace would have {lines} lines, more than MAX_TRACE_LINES = {MAX_TRACE_LINES}")
-        if isinstance(trace, str):
+        if isinstance(trace, (str, os.PathLike)):
             with open(trace, "w") as fh:
                 _write_trace(fh, plan, strategy, cfg, out)
         else:

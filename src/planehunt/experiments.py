@@ -17,10 +17,10 @@ The pool after a cell's (seed, key(D), key(r)) words is mixed once per
 cell, and each target then mixes in only its index.
 
 Both sweeps run on one worker: sweep_static and sweep_dynamic check the
-desk-scale guard and list one cell per parameter pair, with its plan,
-prediction, diagonal cap and growth scale, and _sweep runs the cells
-serially or on a process pool and joins their rows in cell order.  The
-static sweep's cells have v = 0, so its targets are inert.
+guard and list one cell per parameter pair, with its plan, prediction and
+growth scale, and _sweep runs the cells serially or on a process pool and
+joins their rows in cell order.  Every hunt walks at most MAX_DIAGONAL
+diagonals.  The static sweep's cells have v = 0, so its targets are inert.
 
 The sweeps import neither numpy nor, at --jobs 1, the process pool;
 impossibility_report and export_svg import numpy (and export_svg
@@ -43,14 +43,17 @@ from .engine import SimConfig, simulate
 from .geometry import Point
 from .searcher import dynamic_plan, predict_dynamic, static_plan
 from .target import inert, radial_flee
-from .trajectory import diagonal_length, predict_static
+from .trajectory import MAX_DIAGONAL, diagonal_length, predict_static
 
-# Desk-scale guards: keep the static catch diagonal <= 7 and the simulated
-# dynamic search within diagonal 9, so runs stay near 10^5-10^6 legs.
-MAX_D = 16.0
-MIN_R = 2.0 ** (-8)
+# The guard admits a cell when predict_static(D, r).y < MAX_DIAGONAL = 12
+# and 0 <= v <= MAX_V, and every hunt walks at most MAX_DIAGONAL diagonals.
+# Block arcs are exact through diagonal 11 (`trajectory`), where an
+# admitted static hunt is caught.  A flee-then-freeze target moves at most
+# MAX_V * flee_time_from_plan(dynamic_plan()) = 16/64 = 0.25, which raises
+# the static catch diagonal of its end point by at most one, so a cap of 12
+# catches every admitted flee; a cap of 11 left 1 of 400 hunts with v = 16
+# unsensed at D = 32, r = 2^-14.
 MAX_V = 16.0
-DYNAMIC_MAX_DIAGONAL = 9
 
 # export_svg draws on a square canvas of this side, inside this border
 SVG_CANVAS = 800.0
@@ -251,28 +254,33 @@ def _check_draws(samples, seed):
 
 def _check_guard(Ds, rs, vs=()):
     for D in Ds:
-        if not 0 < D <= MAX_D:
-            raise ValueError(f"D={D} outside the desk-scale guard 0 < D <= {MAX_D}")
-    for r in rs:
-        if not MIN_R <= r:
-            raise ValueError(f"r={r} below the desk-scale guard r >= {MIN_R}")
+        for r in rs:
+            try:
+                y = predict_static(D, r).y
+            except ValueError as exc:
+                raise ValueError(f"D={D}, r={r} outside the guard: {exc}") from None
+            if y >= MAX_DIAGONAL:
+                raise ValueError(f"D={D}, r={r} outside the guard: predicted catch diagonal {y} >= {MAX_DIAGONAL}")
     for v in vs:
         if not 0 <= v <= MAX_V:
-            raise ValueError(f"v={v} outside the desk-scale guard 0 <= v <= {MAX_V}")
+            raise ValueError(f"v={v} outside the guard 0 <= v <= {MAX_V}")
 
 
 def _cell(args):
     """Rows of one (D, r, v) cell: `samples` seeded hunts of `plan`.
 
-    A target with v > 0 flees radially until t_freeze; otherwise it is
-    inert.  The ratio divides cost by the growth term at `scale`.
+    A target with v > 0 flees radially until t_freeze; otherwise, or if it
+    starts on the searcher's start, where it is caught at t = 0, it is
+    inert.  The ratio divides cost by the growth term at `scale`; it is nan
+    for an unsensed row and where that term is not positive (scale <= r).
     """
-    plan, D, r, v, t_freeze, pred, max_diagonal, scale, samples, seed, run_id0 = args
-    cfg = SimConfig(r=r, max_diagonal=max_diagonal)
+    plan, D, r, v, t_freeze, pred, scale, samples, seed, run_id0 = args
+    cfg = SimConfig(r=r, max_diagonal=MAX_DIAGONAL)
     growth = _growth_term(scale, r)
+    origin = Point(0.0, 0.0)
     rows = []
     for s, p in enumerate(sample_targets(seed, D, r, range(samples))):
-        strategy = radial_flee(Point(0.0, 0.0), p, v, t_freeze) if v > 0 else inert(p)
+        strategy = radial_flee(origin, p, v, t_freeze) if v > 0 and p != origin else inert(p)
         out = simulate(plan, strategy, cfg)
         rows.append(
             SweepRow(
@@ -287,7 +295,7 @@ def _cell(args):
                 diagonal=out.diagonal,
                 predicted_y=pred.y,
                 cost_bound=pred.cost_bound,
-                ratio=out.cost / growth if out.sensed else math.nan,
+                ratio=out.cost / growth if out.sensed and growth > 0 else math.nan,
                 seed=seed,
             )
         )
@@ -311,11 +319,7 @@ def sweep_static(Ds, rs, samples, seed, jobs=1):
     """Simulate the unit-speed searcher against seeded inert targets."""
     _check_draws(samples, seed)
     _check_guard(Ds, rs)
-    cells = []
-    for D in Ds:
-        for r in rs:
-            pred = predict_static(D, r)
-            cells.append((D, r, 0.0, 0.0, pred, pred.y, D))
+    cells = [(D, r, 0.0, 0.0, predict_static(D, r), D) for D in Ds for r in rs]
     return _sweep(static_plan(), cells, samples, seed, jobs)
 
 
@@ -351,8 +355,7 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     for v in vs:
         t_freeze = flee_time_from_plan(plan) if v > 0 else 0.0
         for r in rs:
-            pred = predict_dynamic(D, v, r)
-            cells.append((D, r, v, t_freeze, pred, min(pred.y, DYNAMIC_MAX_DIAGONAL), max(D, v, 1.0)))
+            cells.append((D, r, v, t_freeze, predict_dynamic(D, v, r), max(D, v, 1.0)))
     return _sweep(plan, cells, samples, seed, jobs)
 
 

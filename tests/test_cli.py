@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planehunt
 from planehunt.cli import run
@@ -247,9 +252,59 @@ def test_sweep_dynamic_runs(tmp_path):
 
 
 def test_sweep_guard_violation_exit_2(capsys):
-    code = run(["sweep-static", "--D", "64", "--r", "0.25", "--samples", "1", "--seed", "0"])
+    code = run(["sweep-static", "--D", "4096", "--r", "0.25", "--samples", "1", "--seed", "0"])
     assert code == 2
     assert "guard" in capsys.readouterr().err
+
+
+# every float, as test_experiments.TestGuard draws them
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, 1e308, 2048.0, 4096.0, 2.0**-22, 2.0**-23]),
+    st.floats(2.0**-3, 2.0**12),
+    st.floats(2.0**-24, 4.0),
+)
+
+
+@given(D=ANY_FLOAT, r=ANY_FLOAT, v=st.one_of(ANY_FLOAT, st.floats(0.0, 16.0)))
+@example(D=1.0, r=1.0, v=1.0)
+@example(D=5e-324, r=0.25, v=1.0)
+@settings(max_examples=100, deadline=None)
+def test_sweep_exits_2_without_output_exactly_where_the_library_raises(D, r, v):
+    sweeps = (
+        (["sweep-static", f"--D={D!r}"], lambda: sweep_static([D], [r], 2, 0)),
+        (["sweep-dynamic", f"--v={v!r}", f"--D={D!r}"], lambda: sweep_dynamic([v], [r], D, 2, 0)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, sweep in sweeps:
+            try:
+                sweep()
+                admitted = True
+            except ValueError:
+                admitted = False
+            out = os.path.join(tmp, "rows.csv")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run([*command, f"--r={r!r}", "--samples", "2", "--seed", "0", "--out", out])
+            if admitted:
+                assert code == 0 and os.path.exists(out)
+                os.remove(out)
+            else:
+                assert code == 2 and "guard" in stderr.getvalue()
+                assert stdout.getvalue() == "" and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-static", "--D", "1", "--r", "1"],
+    ["sweep-static", "--D", "0.25", "--r", "0.25"],
+    ["sweep-static", "--D", "0.25", "--r", "0.5"],
+    ["sweep-dynamic", "--v", "0,1", "--r", "1", "--D", "1"],
+])
+def test_sweep_ratio_is_nan_where_the_growth_term_is_not_positive(command, capsys):
+    # D = r exited 1 on a division by zero; D < r read -0.0
+    assert run([*command, "--samples", "2", "--seed", "0"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rows and all(row["sensed"] == "True" and row["ratio"] == "nan" for row in rows)
 
 
 @pytest.mark.parametrize("command", [

@@ -1216,6 +1216,18 @@ class TestTraceBudget:
         assert time.perf_counter() - t0 < 1.0
         assert not path.exists()
 
+    def test_a_path_object_writes_the_bytes_of_its_string(self, tmp_path):
+        # an os.PathLike trace raised AttributeError ('PosixPath' has no write) after the walk
+        cfg = SimConfig(r=0.5, max_diagonal=2)
+        by_str, by_path = tmp_path / "str.txt", tmp_path / "path.txt"
+        out = simulate(static_plan(), inert(Point(1.0, 0.0)), cfg, trace=str(by_str))
+        assert repr(simulate(static_plan(), inert(Point(1.0, 0.0)), cfg, trace=by_path)) == repr(out)
+        assert by_path.read_bytes() == by_str.read_bytes() != b""
+        over = tmp_path / "over.txt"
+        with pytest.raises(ValueError, match="MAX_TRACE_LINES"):
+            simulate(static_plan(), inert(Point(3000.0, 0.0)), SimConfig(r=0.01, max_diagonal=12), trace=over)
+        assert not over.exists()
+
 
 class TestOverflowingRadius:
     """r*r == inf: where |q|^2 overflows too, every contact quadratic is NaN and the walk skips the kernel."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from planehunt import experiments
 from planehunt.experiments import (
+    MAX_V,
     SWEEP_FIELDS,
     export_svg,
     flee_time_from_plan,
@@ -27,6 +29,7 @@ from planehunt.experiments import (
 )
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan
+from planehunt.trajectory import MAX_DIAGONAL, predict_static
 
 
 class TestSampling:
@@ -162,10 +165,21 @@ class TestSweepSeed:
 
 class TestSweepStatic:
     def test_guard_rejection(self):
+        # the first inputs past the limit, both with predicted catch diagonal 12
         with pytest.raises(ValueError, match="guard"):
-            sweep_static([32], [0.25], 1, 0)
+            sweep_static([4096], [0.25], 1, 0)
         with pytest.raises(ValueError, match="guard"):
-            sweep_static([1], [2.0 ** -10], 1, 0)
+            sweep_static([1], [2.0 ** -23], 1, 0)
+
+    def test_ratio_is_nan_unless_the_growth_term_is_positive(self):
+        # where the growth term was 0 (D = r here) the sweep raised
+        # ZeroDivisionError; where it was negative (D < r) the ratio read -0.0
+        zero = sweep_static([1.0], [1.0], 2, 0) + sweep_static([0.25], [0.25], 2, 0)
+        zero += sweep_dynamic([0.0, 1.0], [1.0], 1.0, 2, 0)
+        negative = sweep_static([0.25], [0.5], 2, 0) + sweep_dynamic([0.0, 1.0], [2.0], 1.0, 2, 0)
+        assert len(zero + negative) == 14
+        for row in zero + negative:
+            assert row.sensed and row.cost == 0.0 and math.isnan(row.ratio)
 
     def test_small_sweep_properties(self):
         rows = sweep_static([1, 2], [1 / 4, 1 / 16], samples=5, seed=3)
@@ -252,6 +266,88 @@ class TestSweepDynamic:
     def test_guard_rejection(self):
         with pytest.raises(ValueError, match="guard"):
             sweep_dynamic([32], [1 / 4], D=1, samples=1, seed=0)
+
+    def test_a_sample_on_the_searchers_start_is_caught_at_once(self):
+        # a subnormal D rounds D sqrt(u1) to 0, and radial_flee refused that start
+        origin = Point(0.0, 0.0)
+        points = sample_targets(0, 5e-324, 0.25, range(20))
+        rows = sweep_dynamic([1.0], [0.25], 5e-324, 20, 0)
+        assert origin in points and len(rows) == 20
+        for p, row in zip(points, rows):
+            assert row.sensed
+            if p == origin:
+                assert (row.cost, row.time) == (0.0, 0.0)
+
+
+# st.floats() draws NaN, +-inf, +-0 and subnormals; the rest lie at the
+# limit or inside it, where most draws of all floats do not
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, 1e308, 2048.0, 4096.0, 2.0**-22, 2.0**-23]),
+    st.floats(2.0**-3, 2.0**12),
+    st.floats(2.0**-24, 4.0),
+)
+
+
+def _admitted(D, r, v=0.0):
+    """Whether the guard admits a cell: a prediction before MAX_DIAGONAL and 0 <= v <= MAX_V."""
+    try:
+        y = predict_static(D, r).y
+    except ValueError:
+        return False
+    return y < MAX_DIAGONAL and 0 <= v <= MAX_V
+
+
+class TestGuard:
+    """A sweep rejects a cell before any hunt exactly where its predicted catch diagonal reaches MAX_DIAGONAL."""
+
+    # (D, r) = (2^a, 2^-b), a in -2..11 and b in 1..22, caught by the last admitted diagonal
+    EDGE = [
+        (2.0**a, 2.0**-b)
+        for a in range(-2, 12)
+        for b in range(1, 23)
+        if predict_static(2.0**a, 2.0**-b).y == MAX_DIAGONAL - 1
+    ]
+
+    @staticmethod
+    def _hunted(sweep, admitted):
+        """The rows of sweep(), or [] after checking it raised before any hunt."""
+        with mock.patch.object(experiments, "simulate", wraps=experiments.simulate) as hunts:
+            if admitted:
+                return sweep()
+            with pytest.raises(ValueError, match="guard"):
+                sweep()
+        assert hunts.call_count == 0
+        return []
+
+    @given(D=ANY_FLOAT, r=ANY_FLOAT, v=st.one_of(ANY_FLOAT, st.floats(0.0, MAX_V)))
+    @example(D=1.0, r=1.0, v=1.0)
+    @example(D=0.25, r=0.5, v=0.0)
+    @example(D=5e-324, r=0.25, v=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_before_any_hunt_or_senses_every_row(self, D, r, v):
+        for row in self._hunted(lambda: sweep_static([D], [r], 2, 0), _admitted(D, r)):
+            assert row.sensed and row.diagonal <= row.predicted_y and row.cost <= row.cost_bound
+        for row in self._hunted(lambda: sweep_dynamic([v], [r], D, 2, 0), _admitted(D, r, v)):
+            assert row.sensed and row.diagonal <= MAX_DIAGONAL
+
+    def test_every_cell_at_the_last_admitted_diagonal_is_caught(self):
+        assert len(self.EDGE) == 28
+        for D, r in self.EDGE:
+            for row in sweep_static([D], [r], 30, 7):
+                assert row.sensed and row.diagonal <= row.predicted_y and row.cost <= row.cost_bound
+            for row in sweep_dynamic([0.0, 0.5, 1.0, 4.0, 16.0], [r], D, 30, 7):
+                assert row.sensed and row.diagonal <= MAX_DIAGONAL
+
+    def test_their_neighbours_past_the_limit_are_rejected(self):
+        neighbours = {(2 * D, r) for D, r in self.EDGE} | {(D, r / 4) for D, r in self.EDGE}
+        past = [(D, r) for D, r in neighbours if predict_static(D, r).y == MAX_DIAGONAL]
+        assert {(4096.0, 0.25), (1.0, 2.0**-23)} <= set(past)
+        for D, r in past:
+            with pytest.raises(ValueError, match="guard"):
+                sweep_static([D], [r], 1, 0)
+            with pytest.raises(ValueError, match="guard"):
+                sweep_dynamic([1.0], [r], D, 1, 0)
 
 
 class TestImpossibilityReport:
