@@ -73,7 +73,7 @@ def build_parser():
     sdy.add_argument("--D", type=float, default=1.0, help="initial distance bound (length units)")
 
     adv = sub.add_parser("adversary", help="hidden-target witnesses and tube report for a schedule prefix")
-    adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i)")
+    adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i), 1..537")
     adv.add_argument("--max-cost", type=float, required=True, help="trajectory prefix arc length (length units)")
     adv.add_argument("--grid-res", type=int, default=256, help=f"witness grid resolution per ring, 32..{MAX_GRID_RES}")
 
@@ -125,35 +125,28 @@ def _cmd_sweep(args):
 
 
 def _cmd_adversary(args):
-    # validate up front: a report must not stop after its header line
-    if args.i < 1:
-        raise ValueError(f"--i must be >= 1, got {args.i}")
+    # every row is computed before the first line is printed, so a
+    # report that fails prints nothing
     if not 32 <= args.grid_res <= MAX_GRID_RES:
         raise ValueError(f"--grid-res must be in 32..{MAX_GRID_RES}, got {args.grid_res}")
     prefix = prefix_polyline(args.max_cost)
-    placements = adversarial_static_placement(prefix, args.i, grid_res=args.grid_res)
-    print("j D_j r_j witness_x witness_y tube_area tube_bound")
-    for j, D_j, r_j, witness in placements:
+    lines = ["j D_j r_j witness_x witness_y tube_area tube_bound"]
+    for j, D_j, r_j, witness in adversarial_static_placement(prefix, args.i, grid_res=args.grid_res):
         report = tube_area(prefix, r_j, grid_res=min(args.grid_res, 256))
-        if witness is None:
-            wtxt = "none none"
-        else:
-            wtxt = f"{witness.x:.9g} {witness.y:.9g}"
-        print(
-            f"{j} {D_j:g} {r_j:g} {wtxt} "
-            f"{report.estimated_area:.9g} {report.analytic_bound:.9g}"
-        )
+        wtxt = "none none" if witness is None else f"{witness.x:.9g} {witness.y:.9g}"
+        lines.append(f"{j} {D_j:g} {r_j:g} {wtxt} {report.estimated_area:.9g} {report.analytic_bound:.9g}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_impossibility(args):
     report = impossibility_report(args.c, args.d, args.m_max)
     print("m v r min_catch_time min_cost optimal_cost ratio exceeds crossover")
-    for row in report.rows:
-        mark = "*" if row.m == report.crossover_m else ""
+    for m, row in enumerate(report.rows, 1):
+        mark = "*" if m == report.crossover_m else ""
         print(
-            f"{row.m} {row.v:g} {row.r:g} {row.min_catch_time:.6g} "
-            f"{row.min_cost:.6g} {row.optimal_cost:.6g} {row.ratio:.6g} "
+            f"{m} {row.v:g} {row.r:g} {row.min_catch_time:.6g} "
+            f"{row.min_cost:.6g} {row.optimal_cost:.6g} {row.min_cost / row.optimal_cost:.6g} "
             f"{row.exceeds} {mark}"
         )
     print(f"# crossover_m={report.crossover_m} slope={report.slope:.4f} beta={report.beta:g}")

@@ -270,7 +270,8 @@ def poly_speed_certificate(c, v, r, d):
     (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta with
     beta = (c+1)/(c-1) > 1.  `exceeds` is set once that cost surpasses
     the optimal d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
-    and so must every cost: past the float range it raises ValueError.
+    and so must every cost and min_cost / optimal_cost: past the float
+    range it raises ValueError.
     """
     if not isinstance(c, int) or c < 2:
         raise ValueError("require integer speed exponent c >= 2 (c = 1 degenerates)")
@@ -285,7 +286,8 @@ def poly_speed_certificate(c, v, r, d):
     except OverflowError:  # float ** raises where * gives inf
         min_cost = math.inf
     optimal_cost = d * _log_term(v, r) * v * v / r
-    if not all(math.isfinite(x) for x in (base, min_cost, optimal_cost)):
+    finite = all(math.isfinite(x) for x in (base, min_cost, optimal_cost))
+    if not (finite and optimal_cost > 0 and math.isfinite(min_cost / optimal_cost)):
         raise ValueError(f"(c={c}, v={v}, r={r}, d={d}) puts the certificate beyond the float range")
     beta = (c + 1) / (c - 1)
     alpha = ((c + 1) / 2.0) ** beta / (c + 1)

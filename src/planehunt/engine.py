@@ -73,12 +73,12 @@ MAX_TRACE_LINES = 2**20
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sensing radius and budgets of one hunt; max_diagonal None means MAX_DIAGONAL."""
+    """Sensing radius and budgets of one hunt; every walk ends by diagonal max_diagonal <= MAX_DIAGONAL."""
 
     agent_start: Point = Point(0.0, 0.0)
     r: float = 1.0
     max_cost: float = math.inf
-    max_diagonal: int = None
+    max_diagonal: int = MAX_DIAGONAL
 
     def __post_init__(self):
         if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
@@ -92,10 +92,6 @@ class SimConfig:
             raise ValueError("sensing radius r must be finite and positive")
         if not self.max_cost > 0:
             raise ValueError("max_cost must be positive")
-        if math.isinf(self.max_cost) and self.max_diagonal is None:
-            raise ValueError("need a finite max_cost or max_diagonal")
-        if self.max_diagonal is None:
-            object.__setattr__(self, "max_diagonal", MAX_DIAGONAL)
         if isinstance(self.max_diagonal, bool) or not isinstance(self.max_diagonal, Integral):
             raise ValueError(f"max_diagonal must be an integer, got {self.max_diagonal!r}")
         if not 1 <= self.max_diagonal <= MAX_DIAGONAL:

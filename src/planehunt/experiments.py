@@ -22,9 +22,12 @@ growth scale, and _sweep runs the cells serially or on a process pool and
 joins their rows in cell order.  Every hunt walks at most MAX_DIAGONAL
 diagonals.  The static sweep's cells have v = 0, so its targets are inert.
 
-The sweeps import neither numpy nor, at --jobs 1, the process pool;
-impossibility_report and export_svg import numpy (and export_svg
-xml.etree) when they are called.
+The sweeps import neither numpy nor, at --jobs 1, the process pool.
+export_svg imports numpy and impossibility_report imports statistics
+when they are called; the impossibility table loads no numpy at all.
+Sweep rows are NamedTuples, written to CSV as they are and to JSONL by
+their _asdict().  The impossibility report's rows are the
+PolySpeedCertificates it computes.
 """
 
 import contextlib
@@ -35,15 +38,16 @@ import operator
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from .coverage import poly_speed_certificate
 from .engine import SimConfig, simulate
 from .geometry import Point
 from .searcher import dynamic_plan, predict_dynamic, static_plan
 from .target import inert, radial_flee
-from .trajectory import MAX_DIAGONAL, diagonal_length, predict_static
+from .trajectory import MAX_DIAGONAL, predict_static
 
 # The guard admits a cell when predict_static(D, r).y < MAX_DIAGONAL = 12
 # and 0 <= v <= MAX_V, and every hunt walks at most MAX_DIAGONAL diagonals.
@@ -60,8 +64,7 @@ SVG_CANVAS = 800.0
 SVG_MARGIN = 40.0
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     run_id: int
     D: float
     r: float
@@ -77,7 +80,7 @@ class SweepRow:
     seed: int
 
 
-SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
+SWEEP_FIELDS = SweepRow._fields
 
 
 def _float_key(x):
@@ -323,23 +326,15 @@ def sweep_static(Ds, rs, samples, seed, jobs=1):
     return _sweep(static_plan(), cells, samples, seed, jobs)
 
 
-def flee_time_from_plan(plan, arc=0.5):
-    """Time at which the plan has traversed `arc` units of path length.
+def flee_time_from_plan(plan):
+    """Time at which the plan has traversed its first half unit of arc.
 
     The flee-then-freeze adversary lets the target run exactly while the
-    searcher covers its first half unit of arc.
+    searcher covers that half unit.  It lies in the first block of the
+    schedule (k = 8, j = 2, arc length 171), which the plan walks at the
+    speed of diagonal 1.
     """
-    covered = 0.0
-    t = 0.0
-    i = 1
-    while True:
-        speed = plan.speed_of_diagonal(i)
-        length = diagonal_length(i)
-        if covered + length >= arc:
-            return t + (arc - covered) / speed
-        covered += length
-        t += length / speed
-        i += 1
+    return 0.5 / plan.speed_of_diagonal(1)
 
 
 def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
@@ -360,63 +355,41 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
 
 
 @dataclass(frozen=True)
-class ImpossibilityRow:
-    m: int
-    v: float
-    r: float
-    min_catch_time: float
-    min_cost: float
-    optimal_cost: float
-    ratio: float
-    exceeds: bool
-
-
-@dataclass(frozen=True)
 class ImpossibilityReport:
     c: int
     d: float
-    rows: tuple
+    rows: tuple  # the PolySpeedCertificate of m = 1..m_max, in order
     crossover_m: int  # first m from which min_cost > optimal_cost onward, or -1
     slope: float  # fitted d log(min_cost) / d log(v^2/r) over the last 4 rows
     beta: float  # analytic exponent (c+1)/(c-1)
 
 
 def impossibility_report(c, d, m_max):
-    """Tabulate the polynomial-speed contradiction along v=2^m, r=2^-m."""
-    import numpy as np
+    """Tabulate the polynomial-speed contradiction along v=2^m, r=2^-m.
+
+    Row m - 1 is the certificate of v = 2^m, r = 2^-m.  statistics is
+    imported here, as its import would add fractions and decimal to every
+    command's start.
+    """
+    from statistics import linear_regression
 
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
-    rows = []
-    for m in range(1, m_max + 1):
-        cert = poly_speed_certificate(c, 2.0 ** m, 2.0 ** (-m), d)
-        rows.append(
-            ImpossibilityRow(
-                m=m,
-                v=cert.v,
-                r=cert.r,
-                min_catch_time=cert.min_catch_time,
-                min_cost=cert.min_cost,
-                optimal_cost=cert.optimal_cost,
-                ratio=cert.min_cost / cert.optimal_cost,
-                exceeds=cert.exceeds,
-            )
-        )
+    rows = tuple(poly_speed_certificate(c, 2.0 ** m, 2.0 ** (-m), d) for m in range(1, m_max + 1))
     crossover = -1
     for idx in range(len(rows)):
         if all(row.exceeds for row in rows[idx:]):
-            crossover = rows[idx].m
+            crossover = idx + 1
             break
     tail = rows[-4:]
     xs = [math.log(row.v * row.v / row.r) for row in tail]
     ys = [math.log(row.min_cost) for row in tail]
-    slope = float(np.polyfit(xs, ys, 1)[0])
     return ImpossibilityReport(
         c=c,
         d=d,
-        rows=tuple(rows),
+        rows=rows,
         crossover_m=crossover,
-        slope=slope,
+        slope=linear_regression(xs, ys).slope,
         beta=(c + 1) / (c - 1),
     )
 
@@ -426,15 +399,14 @@ def write_rows_csv(rows, path=None):
     with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
-        for row in rows:
-            writer.writerow([getattr(row, f) for f in SWEEP_FIELDS])
+        writer.writerows(rows)
 
 
 def write_rows_jsonl(rows, path):
     """Line-delimited JSON variant of the sweep output."""
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps({f: getattr(row, f) for f in SWEEP_FIELDS}) + "\n")
+            fh.write(json.dumps(row._asdict()) + "\n")
 
 
 def export_svg(prefix, path):
@@ -442,9 +414,8 @@ def export_svg(prefix, path):
 
     prefix: (n+1, 2) polyline of the searcher, scaled to a fixed
     SVG_CANVAS square with an SVG_MARGIN border; its start is marked.
+    The document is three elements, written as one ASCII line.
     """
-    import xml.etree.ElementTree as ET
-
     import numpy as np
 
     prefix = np.asarray(prefix, dtype=np.float64)
@@ -462,21 +433,17 @@ def export_svg(prefix, path):
             SVG_CANVAS - SVG_MARGIN - (p[1] - lo[1]) * scale,
         )
 
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=f"{SVG_CANVAS:g}",
-        height=f"{SVG_CANVAS:g}",
-        viewBox=f"0 0 {SVG_CANVAS:g} {SVG_CANVAS:g}",
-    )
-    d = "M{:.3f} {:.3f}".format(*to_canvas(prefix[0]))
-    for p in prefix[1:]:
-        d += "L{:.3f} {:.3f}".format(*to_canvas(p))
-    ET.SubElement(root, "path", d=d, fill="none", stroke="black")
     sx, sy = to_canvas(prefix[0])
-    ET.SubElement(root, "circle", cx=f"{sx:.3f}", cy=f"{sy:.3f}", r="4", fill="blue")
+    d = f"M{sx:.3f} {sy:.3f}" + "".join("L{:.3f} {:.3f}".format(*to_canvas(p)) for p in prefix[1:])
+    side = f"{SVG_CANVAS:g}"
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" viewBox="0 0 {side} {side}">'
+        f'<path d="{d}" fill="none" stroke="black" />'
+        f'<circle cx="{sx:.3f}" cy="{sy:.3f}" r="4" fill="blue" /></svg>'
+    )
     try:
-        ET.ElementTree(root).write(path)
+        with open(path, "w") as fh:
+            fh.write(svg)
     except OSError as exc:
         raise OSError(f"failed to write SVG to {path}: {exc}") from exc
     return path

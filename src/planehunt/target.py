@@ -210,7 +210,8 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     of grid_res^2 candidates per ring is searched for a point farther than
     r_j from every point of the trajectory; the first such point (in grid
     order) is returned as the witness, or None when the grid is covered.
-    grid_res runs from 16 to coverage.MAX_GRID_RES.
+    i runs from 1 to 537, where r_1 = 2^-1074 is the least positive
+    float, and grid_res from 16 to coverage.MAX_GRID_RES.
 
     The candidates that the trajectory covers are marked by the bounding-box
     rasterizer that tube_area uses (coverage._covered_cells), run at r_j
@@ -231,8 +232,8 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     """
     import numpy as np
 
-    if i < 1:
-        raise ValueError("require i >= 1")
+    if not 1 <= i <= 537:  # the innermost radius 2^-2i is 0 past 537
+        raise ValueError(f"require 1 <= i <= 537, got {i}")
     if not 16 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
     polyline = np.asarray(polyline, dtype=np.float64)

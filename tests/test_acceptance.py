@@ -167,7 +167,7 @@ def test_criterion_8_impossibility_certifier():
     start = time.time()
     report = impossibility_report(2, 1.0, 12)
     assert report.crossover_m >= 1
-    assert all(row.exceeds for row in report.rows if row.m >= report.crossover_m)
+    assert all(row.exceeds for row in report.rows[report.crossover_m - 1 :])  # row m - 1 is m
     assert abs(report.slope - 3.0) <= 0.05
     assert time.time() - start < 1.0
     _report(

@@ -384,6 +384,17 @@ def test_impossibility_rejects_non_finite_input_exit_2(argv, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("d, code", [("1e-300", 2), ("1e-280", 0)])
+def test_impossibility_exits_2_without_output_where_a_ratio_overflows(d, code, capsys):
+    # --d 1e-300 printed inf in the ratio column with exit 0
+    assert run(["impossibility", "--c", "2", "--d", d]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and "float range" in captured.err
+    else:
+        assert len(captured.out.splitlines()) == 14 and "inf" not in captured.out
+
+
 @pytest.mark.parametrize("flags", [
     ["--v", "nan"],
     ["--v", "inf"],
@@ -446,6 +457,17 @@ def test_adversary_bad_sizes_exit_2_before_output(i, grid_res, capsys):
     assert code == 2
     assert captured.out == ""
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("i", ["538", "1024"])
+def test_adversary_rejects_a_ring_count_past_537_before_output(i, capsys):
+    # --i 538 printed the header, then exited 2 on the innermost radius
+    # 2^-1076 = 0; --i 1024 exited 1 on the OverflowError of 2.0 ** 1024
+    code = run(["adversary", "--i", i, "--max-cost", "10", "--grid-res", "32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "537" in captured.err
 
 
 def test_adversary_rejects_a_grid_above_the_cap_before_output(capsys):
@@ -574,3 +596,55 @@ def test_hunt_commands_leave_numpy_unloaded(tmp_path):
     report = json.loads(done.stdout)
     assert report["loaded"] == []
     assert report["digests"] == FRESH_PROCESS_DIGESTS
+
+
+def test_impossibility_leaves_numpy_unloaded():
+    # importing the CLI loads neither statistics nor xml.etree, and the
+    # impossibility table runs without numpy
+    src = Path(planehunt.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import planehunt.cli as cli\n"
+        "imported = [m for m in ('numpy', 'statistics', 'xml.etree') if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['impossibility', '--c', '2'])\n"
+        "print(json.dumps([imported, code, 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[], 0, False]
+
+
+# every float option of the commands that take one, apart from the sweeps'
+FLOAT_OPTIONS = [
+    (["simulate", "--max-diagonal", "2"], ["--r", "--v", "--t-freeze", "--max-cost"]),
+    (["simulate", "--algo", "dynamic", "--max-diagonal", "2", "--r", "0.25"], ["--v", "--t-freeze", "--max-cost"]),
+    (["adversary", "--i", "1", "--grid-res", "32"], ["--max-cost"]),
+    (["impossibility", "--c", "2"], ["--d"]),
+    (["export-svg"], ["--max-cost"]),
+]
+
+
+@given(
+    case=st.sampled_from(FLOAT_OPTIONS),
+    values=st.lists(ANY_FLOAT, min_size=6, max_size=6),
+)
+@example(case=FLOAT_OPTIONS[3], values=[1e-300] * 6)
+@settings(max_examples=150, deadline=None)
+def test_a_float_option_exits_0_with_finite_output_or_2_with_none(case, values):
+    command, options = case
+    argv = [*command, *(f"{flag}={value!r}" for flag, value in zip(options, values))]
+    if command[0] == "simulate":
+        argv.append(f"--target={values[-2]!r},{values[-1]!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if command[0] == "export-svg":
+            argv += ["--out", os.path.join(tmp, "p.svg")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        out = stdout.getvalue().replace(tmp, "OUT")
+    assert code in (0, 2), stderr.getvalue()
+    if code == 2:
+        assert out == ""
+    else:
+        assert "nan" not in out and "inf" not in out

@@ -40,8 +40,9 @@ from planehunt.trajectory import (
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(r=0.0, max_diagonal=1)
-    with pytest.raises(ValueError):
-        SimConfig(r=1.0)  # no budget at all
+    assert SimConfig(r=1.0).max_diagonal == MAX_DIAGONAL  # every walk ends by diagonal 12
+    with pytest.raises(ValueError, match="max_diagonal must be an integer"):
+        SimConfig(r=1.0, max_diagonal=None)
     with pytest.raises(ValueError):
         SimConfig(r=1.0, max_diagonal=0)
     for r in (math.nan, math.inf, -math.inf):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from planehunt.coverage import area_bound, dynamic_lb, poly_speed_certificate, static_lb
@@ -122,11 +122,13 @@ def test_poly_speed_certificate_rejects_a_non_finite_argument(c, data):
 
 
 @given(c=SPEED_EXPONENT, v=CERT_ARGS[0], r=CERT_ARGS[1], d=CERT_ARGS[2])
+@example(c=2, v=1.0, r=0.9999999999999999, d=5e-324)  # optimal_cost underflows to 0
 def test_poly_speed_certificate_is_finite_or_beyond_the_float_range(c, v, r, d):
-    # finite costs or ValueError: never OverflowError, never an inf column
+    # finite costs and ratio or ValueError: never OverflowError, never an inf column
     try:
         cert = poly_speed_certificate(c, v, r, d)
     except ValueError as exc:
         assert "float range" in str(exc)
         return
     assert all(map(math.isfinite, (cert.min_catch_time, cert.min_cost, cert.optimal_cost)))
+    assert cert.optimal_cost > 0 and math.isfinite(cert.min_cost / cert.optimal_cost)

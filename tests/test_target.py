@@ -196,6 +196,12 @@ class TestAdversarialPlacement:
         with pytest.raises(ValueError):
             adversarial_static_placement(traj, 2, grid_res=8)
 
+    def test_rejects_a_ring_count_whose_innermost_radius_underflows(self):
+        # r_1 = 2^-2i is 2^-1074 > 0 at i = 537 and 0 at i = 538
+        assert 2.0 ** (-2 * 537) > 0.0 == 2.0 ** (-2 * 538)
+        with pytest.raises(ValueError, match="537"):
+            adversarial_static_placement(np.array([[0.0, 0.0]]), 538, grid_res=16)
+
     def test_rejects_a_grid_above_the_cap(self):
         with pytest.raises(ValueError, match="grid_res"):
             adversarial_static_placement(np.array([[0.0, 0.0]]), 1, grid_res=MAX_GRID_RES + 1)

@@ -3,6 +3,9 @@
 A name that only the tests use belongs in the tests (block_arrays.py holds
 the references they pin).  Only code counts as a use: a Name or Attribute
 that is read, or an import alias.  Docstrings and other strings do not.
+Likewise every parameter with a default, in any src/ function, is passed
+by some call in src/, demos/ or bench/, by keyword or by position.  Calls
+are matched to functions by name alone, so a call to a namesake counts.
 """
 
 import ast
@@ -42,3 +45,45 @@ def test_every_top_level_name_in_src_is_used_outside_the_tests():
     unused = [f"{path.stem}.{name}" for path, tree in _trees("src/planehunt")
               for name in _defined(tree) if name not in used and not name.startswith("__")]
     assert unused == []
+
+
+def _defaulted(func):
+    """(name, position or None) of each parameter of func that has a default; position None is keyword-only."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    for pos, arg in enumerate(positional[first:], first):
+        yield arg.arg, pos
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, pos, method):
+    """Whether the call passes parameter `name` (at position pos, counting self if method)."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None is a ** mapping
+        return True
+    if pos is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return len(call.args) > pos - (method and isinstance(call.func, ast.Attribute))
+
+
+def test_every_defaulted_parameter_in_src_is_passed_by_some_call():
+    # a default that no caller overrides is a constant with extra steps
+    calls = {}
+    for _, tree in _trees("src", "demos", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    never = []
+    for path, tree in _trees("src/planehunt"):
+        methods = {f for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, pos in _defaulted(func):
+                if not any(_passes(call, name, pos, func in methods) for call in calls.get(func.name, [])):
+                    never.append(f"{path.stem}.{func.name}({name}=...)")
+    assert never == []
