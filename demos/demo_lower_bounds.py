@@ -10,7 +10,7 @@ from planehunt import (
     static_lb,
     tube_area,
 )
-from planehunt.experiments import impossibility_report
+from planehunt.coverage import impossibility_report
 from planehunt.trajectory import prefix_polyline
 
 # A searcher that has walked x units of path has seen at most an

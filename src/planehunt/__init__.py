@@ -13,6 +13,7 @@ lower-bound machinery, and seeded experiment sweeps.
 from .coverage import (
     CoverageReport,
     PolySpeedCertificate,
+    adversarial_static_placement,
     area_bound,
     dynamic_lb,
     poly_speed_certificate,
@@ -31,7 +32,6 @@ from .searcher import (
 )
 from .target import (
     TargetStrategy,
-    adversarial_static_placement,
     inert,
     load_waypoints,
     radial_flee,

@@ -9,11 +9,10 @@ import argparse
 import math
 import sys
 
-from .coverage import MAX_GRID_RES, tube_area
+from .coverage import MAX_GRID_RES, adversarial_static_placement, impossibility_report, tube_area
 from .engine import SimConfig, simulate
 from .experiments import (
     export_svg,
-    impossibility_report,
     sweep_dynamic,
     sweep_static,
     write_rows_csv,
@@ -21,7 +20,7 @@ from .experiments import (
 )
 from .geometry import Point
 from .searcher import dynamic_plan, static_plan
-from .target import adversarial_static_placement, inert, load_waypoints, radial_flee
+from .target import inert, load_waypoints, radial_flee
 from .trajectory import MAX_DIAGONAL, prefix_polyline
 
 
@@ -96,6 +95,8 @@ def _cmd_simulate(args):
     if not math.isfinite(args.t_freeze):
         raise ValueError(f"--t-freeze must be finite, got {args.t_freeze}")
     if args.waypoints is not None:
+        if args.v or args.t_freeze:  # the file declares its own motion
+            raise ValueError("--v and --t-freeze apply to --target, not to --waypoints")
         strategy = load_waypoints(args.waypoints)
     elif args.v > 0:
         strategy = radial_flee(Point(0.0, 0.0), args.target, args.v, args.t_freeze)

@@ -1,18 +1,23 @@
-"""Lower-bound machinery: tube areas and closed-form cost certifiers.
+"""The adversary's side: tube areas, hidden-target witnesses, cost floors.
 
 The key geometric fact is the sausage bound: the set of points within r
-of a curve of length x has area at most 2rx + pi r^2.  tube_area measures
-that set with the grid rasterizer _covered_cells, which the adversary's
-witness search (target.adversarial_static_placement) shares; the
+of a curve of length x has area at most 2rx + pi r^2, so a search path
+too short for a ring leaves part of it uncovered, and a target can hide
+there.  tube_area measures that set with the grid rasterizer
+_covered_cells, and the witness search adversarial_static_placement
+finds a hiding point in each ring with the same rasterizer, on the same
+segment table (_segments) and point-to-segment formula (_dist2).  The
 certifier functions evaluate the closed-form lower bounds on search cost
-that follow from it, plus the impossibility certificate for polynomially
-accelerating searchers.
+that follow from it, plus the impossibility certificate for a searcher
+whose speed is at most t^c, which pays alpha (v^2/r)^beta, and the
+table of those certificates (impossibility_report).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .geometry import fma_dot
+from .geometry import Point, fma_dot
 
 # (segment, cell) pairs per _covered_cells pass.  Each float temporary is
 # then 64 KB: it stays in cache, and malloc reuses it from the heap instead
@@ -21,6 +26,9 @@ PAIR_BUDGET = 2**13
 # largest grid_res of tube_area and the witness grid: a witness search holds
 # at most about 17 bytes per cell, so 4096^2 cells take about 300 MB
 MAX_GRID_RES = 4096
+# most unmarked witness candidates confirmed per exact distance check; the
+# chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
+WITNESS_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,9 @@ def _covered_cells(xs, ys, polyline, r):
     (geometry.fma_dot), so masks are the same bits on every CPU.  Where d0
     or d1 is zero that is the other square rounded once, which
     d0*d0 + d1*d1 gives too, so only slanted segments call fma_dot.  That
-    rounding is the one difference from the witness confirmer
-    (target._far, through target._min_dist2), which evaluates the same
-    _dist2 with the len2 of _segments, d0*d0 + d1*d1, for every segment.
+    rounding is the one difference from the witness confirmer (_far,
+    through _min_dist2), which evaluates the same _dist2 with the len2 of
+    _segments, d0*d0 + d1*d1, for every segment.
     A zero-length segment gets len2 = 1: its t is exactly 0 and the test
     is the disc around its vertex.
     """
@@ -191,6 +199,19 @@ def _covered_cells(xs, ys, polyline, r):
     return marked
 
 
+def _polyline(polyline):
+    """polyline as an (n, 2) float64 array with n >= 1, else ValueError.
+
+    The one check of tube_area and the witness search.
+    """
+    import numpy as np
+
+    polyline = np.asarray(polyline, dtype=np.float64)
+    if polyline.ndim != 2 or polyline.shape[0] < 1:
+        raise ValueError("polyline must be an (n, 2) array with n >= 1")
+    return polyline
+
+
 def tube_area(polyline, r, grid_res=256):
     """Rasterized area of the set of points within r of the polyline.
 
@@ -205,9 +226,7 @@ def tube_area(polyline, r, grid_res=256):
         raise ValueError("r must be finite and positive")
     if not 32 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
-    polyline = np.asarray(polyline, dtype=np.float64)
-    if polyline.ndim != 2 or polyline.shape[0] < 1:
-        raise ValueError("polyline must be an (n, 2) array with n >= 1")
+    polyline = _polyline(polyline)
 
     lo = polyline.min(axis=0) - r
     hi = polyline.max(axis=0) + r
@@ -228,6 +247,123 @@ def tube_area(polyline, r, grid_res=256):
         cell_area=cell_area,
         cell_diagonal=math.hypot(dx, dy),
     )
+
+
+def _min_dist2(px, py, segments):
+    """Squared distance from each point (px, py) to the nearest of the segments."""
+    import numpy as np
+
+    best = np.full(len(px), np.inf)
+    px, py = px[:, None], py[:, None]
+    # chunk over segments to bound the (points x segments) temporaries
+    step = max(1, PAIR_BUDGET // max(len(px), 1))
+    for s in range(0, len(segments[0]), step):
+        dist2 = _dist2(px, py, *(c[None, s : s + step] for c in segments))
+        np.minimum(best, dist2.min(axis=1), out=best)
+    return best
+
+
+def _in_ring(cheb, j):
+    """True where the Chebyshev norm cheb lies in ring j: Q(2^j) minus Q(2^(j-1))."""
+    outer = 2.0 ** (j - 1)  # half-side of Q(2^j)
+    if j == 1:
+        return cheb <= outer
+    inner = 2.0 ** (j - 2)
+    return (cheb > inner) & (cheb <= outer)
+
+
+def _far(px, py, segments, boxes, r):
+    """Which points (px, py) lie farther than r from every segment, exactly.
+
+    The points are tested only against the segments whose bounding box
+    meets the points' bounding box inflated by pad; with none left, every
+    point is far.  The skip is exact.  By monotone rounding, the closest
+    point a + t d that _dist2 computes lies inside the box of a and the
+    rounded a + d, which boxes holds.  A skipped box lies more than about
+    pad from every point along x or y, so each computed offset, square,
+    sum and root there stays within a few ulps of that gap, which exceeds
+    r.  pad is r plus one part in 1e9, plus 1e-12 of the points'
+    coordinates for the rounding of the box test.  The bound needs r*r to
+    be a normal float (a subnormal square loses its relative precision,
+    and may round to 0); below that no segment is skipped.
+    """
+    import numpy as np
+
+    lo_x, hi_x, lo_y, hi_y = boxes
+    if r * r < sys.float_info.min:
+        near = slice(None)
+    else:
+        x0, x1, y0, y1 = px.min(), px.max(), py.min(), py.max()
+        pad = r * (1.0 + 1e-9) + 1e-12 * max(-x0, x1, -y0, y1)
+        near = np.flatnonzero(
+            (lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad)
+        )
+        if near.size == 0:
+            return np.ones(len(px), dtype=bool)
+    return np.sqrt(_min_dist2(px, py, [c[near] for c in segments])) > r
+
+
+def adversarial_static_placement(polyline, i, grid_res=256):
+    """Hidden-target witnesses against a partial search trajectory.
+
+    For each ring index j in 1..i the adversary pairs distance scale
+    D_j = 2^j with sensing radius r_j = 2^(-2(i-j+1)) and hides the target
+    in the ring Q(2^j) \\ Q(2^(j-1)) around the searcher's start.  A grid
+    of grid_res^2 candidates per ring is searched for a point farther than
+    r_j from every point of the trajectory; the first such point (in grid
+    order) is returned as the witness, or None when the grid is covered.
+    i runs from 1 to 537, where r_1 = 2^-1074 is the least positive
+    float, and grid_res from 16 to MAX_GRID_RES.
+
+    The candidates that the trajectory covers are marked by the bounding-box
+    rasterizer that tube_area uses (_covered_cells), run at r_j shrunk by
+    one part in 1e9 so that rounding can only leave a covered cell
+    unmarked, never mark a far one.  The unmarked in-ring cells, as flat
+    indices into the grid (no per-cell coordinates are built), are then
+    confirmed in grid order, in chunks of 1, 2, 4, ... up to WITNESS_CHUNK
+    candidates, by the exact sqrt(_min_dist2(...)) > r_j, taken over only
+    the segments near the chunk (_far, which skips the others exactly).
+    So the witness is the one a scan of every candidate through that
+    exact check would return.  Both distances are _dist2; they differ
+    only in the len2 of slanted segments, so on axis-aligned legs (every
+    schedule leg) they agree bit for bit, and on slanted ones in the last
+    bits, which the shrunk radius covers while coordinates and segment
+    lengths stay below about 1e6 r_j.
+
+    Returns a list of (j, D_j, r_j, witness Point or None).
+    """
+    import numpy as np
+
+    if not 1 <= i <= 537:  # the innermost radius 2^-2i is 0 past 537
+        raise ValueError(f"require 1 <= i <= 537, got {i}")
+    if not 16 <= grid_res <= MAX_GRID_RES:
+        raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
+    polyline = _polyline(polyline)
+    center = polyline[0]
+    segments, boxes = _segments(polyline)
+    results = []
+    for j in range(1, i + 1):
+        D_j = 2.0 ** j
+        r_j = 2.0 ** (-2 * (i - j + 1))
+        half = 2.0 ** (j - 1)
+        xs = center[0] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
+        covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
+        ax, ay = np.abs(xs - center[0]), np.abs(ys - center[1])
+        ring = _in_ring(np.maximum(ax[:, None], ay[None, :]), j)
+        idx = np.flatnonzero(ring & ~covered)
+        witness = None
+        s, size = 0, 1
+        while s < idx.size:
+            cells = idx[s : s + size]
+            px, py = xs[cells // grid_res], ys[cells % grid_res]
+            far = np.flatnonzero(_far(px, py, segments, boxes, r_j))
+            if far.size:
+                witness = Point(float(px[far[0]]), float(py[far[0]]))
+                break
+            s, size = s + size, min(2 * size, WITNESS_CHUNK)
+        results.append((j, D_j, r_j, witness))
+    return results
 
 
 def _log_term(big, r):
@@ -270,8 +406,8 @@ def poly_speed_certificate(c, v, r, d):
     (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta with
     beta = (c+1)/(c-1) > 1.  `exceeds` is set once that cost surpasses
     the optimal d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
-    and so must every cost and min_cost / optimal_cost: past the float
-    range it raises ValueError.
+    and so must c + 1 as a float, every cost and min_cost / optimal_cost:
+    past the float range it raises ValueError.
     """
     if not isinstance(c, int) or c < 2:
         raise ValueError("require integer speed exponent c >= 2 (c = 1 degenerates)")
@@ -279,6 +415,9 @@ def poly_speed_certificate(c, v, r, d):
         raise ValueError(f"v, r and d must be finite, got v={v}, r={r}, d={d}")
     if v < 1 or not (0 < r < 1) or d <= 0:
         raise ValueError("require v >= 1, 0 < r < 1, d > 0")
+    if c + 1 > sys.float_info.max:  # (c + 1) * v would raise OverflowError converting c + 1
+        # its bit count, as an int past 4300 digits does not convert to str
+        raise ValueError(f"c of {c.bit_length()} bits puts the certificate beyond the float range")
     base = (c + 1) * v * v / (2.0 * r)
     min_catch_time = base ** (1.0 / (c - 1))
     try:
@@ -301,4 +440,44 @@ def poly_speed_certificate(c, v, r, d):
         exceeds=min_cost > optimal_cost,
         alpha=alpha,
         beta=beta,
+    )
+
+
+@dataclass(frozen=True)
+class ImpossibilityReport:
+    c: int
+    d: float
+    rows: tuple  # the PolySpeedCertificate of m = 1..m_max, in order
+    crossover_m: int  # first m from which min_cost > optimal_cost onward, or -1
+    slope: float  # fitted d log(min_cost) / d log(v^2/r) over the last 4 rows
+    beta: float  # analytic exponent (c+1)/(c-1)
+
+
+def impossibility_report(c, d, m_max):
+    """Tabulate the polynomial-speed contradiction along v=2^m, r=2^-m.
+
+    Row m - 1 is the certificate of v = 2^m, r = 2^-m.  statistics is
+    imported here, as its import would add fractions and decimal to every
+    command's start.
+    """
+    from statistics import linear_regression
+
+    if m_max < 4:
+        raise ValueError("m_max must be >= 4")
+    rows = tuple(poly_speed_certificate(c, 2.0 ** m, 2.0 ** (-m), d) for m in range(1, m_max + 1))
+    crossover = -1
+    for idx in range(len(rows)):
+        if all(row.exceeds for row in rows[idx:]):
+            crossover = idx + 1
+            break
+    tail = rows[-4:]
+    xs = [math.log(row.v * row.v / row.r) for row in tail]
+    ys = [math.log(row.min_cost) for row in tail]
+    return ImpossibilityReport(
+        c=c,
+        d=d,
+        rows=rows,
+        crossover_m=crossover,
+        slope=linear_regression(xs, ys).slope,
+        beta=(c + 1) / (c - 1),
     )

@@ -272,7 +272,7 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
     one bisection at the block start and then a forward walk find each
     leg's first breakpoint.
     """
-    times, points = strategy.times, strategy.points
+    times = strategy.times
     legs, t_still = 8 * (params.k + 1), times[-1]
     after = bisect_right(times, t)  # the first breakpoint after the leg start
     for idx in range(legs):
@@ -291,27 +291,13 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
         while True:  # the piece from ts to the next breakpoint b or to te
             end = times[b] if b < len(times) and times[b] < te else te
             hit = first_contact_time(pos + vel.scaled(ts - t0), vel, strategy.position(ts),
-                                     _segment_velocity(times, points, b), r, end - ts)
+                                     strategy.velocity(b), r, end - ts)
             if hit is not None:
                 return idx, (arc0 + speed * (ts + hit - t0), idx)
             if end == te:
                 break
             ts, b = end, b + 1
     return legs, None
-
-
-def _segment_velocity(times, points, b):
-    """Velocity on the segment that ends at breakpoint b; zero past the last one."""
-    if b == len(times):
-        return Point(0.0, 0.0)
-    dt = times[b] - times[b - 1]
-    d = points[b] - points[b - 1]
-    inv = 1.0 / dt
-    if math.isinf(inv):
-        # a subnormal dt: 0 * inf would be NaN, while d / dt is finite
-        # (the speed check bounds |d| / dt)
-        return Point(d.x / dt, d.y / dt)
-    return d.scaled(inv)
 
 
 def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):

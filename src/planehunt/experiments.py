@@ -22,12 +22,9 @@ growth scale, and _sweep runs the cells serially or on a process pool and
 joins their rows in cell order.  Every hunt walks at most MAX_DIAGONAL
 diagonals.  The static sweep's cells have v = 0, so its targets are inert.
 
-The sweeps import neither numpy nor, at --jobs 1, the process pool.
-export_svg imports numpy and impossibility_report imports statistics
-when they are called; the impossibility table loads no numpy at all.
-Sweep rows are NamedTuples, written to CSV as they are and to JSONL by
-their _asdict().  The impossibility report's rows are the
-PolySpeedCertificates it computes.
+The sweeps import neither numpy nor, at --jobs 1, the process pool;
+export_svg imports numpy when it is called.  Sweep rows are NamedTuples,
+written to CSV as they are and to JSONL by their _asdict().
 """
 
 import contextlib
@@ -38,11 +35,9 @@ import operator
 import os
 import struct
 import sys
-from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
-from .coverage import poly_speed_certificate
 from .engine import SimConfig, simulate
 from .geometry import Point
 from .searcher import dynamic_plan, predict_dynamic, static_plan
@@ -352,46 +347,6 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
         for r in rs:
             cells.append((D, r, v, t_freeze, predict_dynamic(D, v, r), max(D, v, 1.0)))
     return _sweep(plan, cells, samples, seed, jobs)
-
-
-@dataclass(frozen=True)
-class ImpossibilityReport:
-    c: int
-    d: float
-    rows: tuple  # the PolySpeedCertificate of m = 1..m_max, in order
-    crossover_m: int  # first m from which min_cost > optimal_cost onward, or -1
-    slope: float  # fitted d log(min_cost) / d log(v^2/r) over the last 4 rows
-    beta: float  # analytic exponent (c+1)/(c-1)
-
-
-def impossibility_report(c, d, m_max):
-    """Tabulate the polynomial-speed contradiction along v=2^m, r=2^-m.
-
-    Row m - 1 is the certificate of v = 2^m, r = 2^-m.  statistics is
-    imported here, as its import would add fractions and decimal to every
-    command's start.
-    """
-    from statistics import linear_regression
-
-    if m_max < 4:
-        raise ValueError("m_max must be >= 4")
-    rows = tuple(poly_speed_certificate(c, 2.0 ** m, 2.0 ** (-m), d) for m in range(1, m_max + 1))
-    crossover = -1
-    for idx in range(len(rows)):
-        if all(row.exceeds for row in rows[idx:]):
-            crossover = idx + 1
-            break
-    tail = rows[-4:]
-    xs = [math.log(row.v * row.v / row.r) for row in tail]
-    ys = [math.log(row.min_cost) for row in tail]
-    return ImpossibilityReport(
-        c=c,
-        d=d,
-        rows=rows,
-        crossover_m=crossover,
-        slope=linear_regression(xs, ys).slope,
-        beta=(c + 1) / (c - 1),
-    )
 
 
 def write_rows_csv(rows, path=None):

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from planehunt.coverage import _segments
-from planehunt.target import _in_ring, _min_dist2
+from planehunt.coverage import _in_ring, _min_dist2, _segments
 
 
 @lru_cache(maxsize=64)

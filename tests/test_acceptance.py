@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from block_arrays import _min_distance_to_polyline, diagonal_length_bound, pi_arrays
 
-from planehunt.coverage import tube_area
+from planehunt.coverage import adversarial_static_placement, impossibility_report, tube_area
 from planehunt.engine import SimConfig, brute_force_oracle, simulate
-from planehunt.experiments import impossibility_report, sweep_dynamic, sweep_static
+from planehunt.experiments import sweep_dynamic, sweep_static
 from planehunt.geometry import Point
 from planehunt.searcher import static_plan
-from planehunt.target import adversarial_static_placement, inert
+from planehunt.target import inert
 from planehunt.trajectory import SpiralParams, diagonal_length, pi_length, prefix_polyline
 
 

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -175,6 +177,23 @@ def test_simulate_requires_one_target_source(capsys):
     code = run(["simulate", "--r", "0.5"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--v", "3"],
+    ["--t-freeze", "0.2"],
+    ["--v", "3", "--t-freeze", "0.2"],
+    ["--t-freeze=-1"],
+])
+def test_simulate_rejects_flee_flags_with_waypoints_exit_2(flags, tmp_path, capsys):
+    # hunted the file's target with exit 0, dropping both flags
+    wp = tmp_path / "wp.txt"
+    wp.write_text("v 1.0\n0 2 0\n1 1 0\n")
+    code = run(["simulate", "--waypoints", str(wp), "--r", "0.5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--waypoints" in captured.err
 
 
 def test_sweep_static_golden_against_library(tmp_path):
@@ -395,6 +414,13 @@ def test_impossibility_exits_2_without_output_where_a_ratio_overflows(d, code, c
         assert len(captured.out.splitlines()) == 14 and "inf" not in captured.out
 
 
+def test_impossibility_speed_exponent_past_the_float_range_exits_2_without_output(capsys):
+    # exited 1 with "int too large to convert to float"
+    assert run(["impossibility", "--c", "1" + "0" * 309]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float range" in captured.err
+
+
 @pytest.mark.parametrize("flags", [
     ["--v", "nan"],
     ["--v", "inf"],
@@ -515,6 +541,18 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "--r" in out and "length units" in out
+
+
+def test_every_readme_command_exits_0(tmp_path, monkeypatch, capsys):
+    # run in a scratch directory holding README's waypoint example as path.txt
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.M | re.S)
+    (tmp_path / "path.txt").write_text(next(b for b in blocks if re.search(r"^v \S+$", b, re.M)))
+    commands = [shlex.split(line)[1:] for b in blocks for line in b.splitlines() if line.startswith("planehunt ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
 
 
 # Runs in a fresh interpreter: the hunt commands first, then the commands

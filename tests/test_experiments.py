@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planehunt import experiments
+from planehunt.coverage import impossibility_report
 from planehunt.experiments import (
     MAX_V,
     SWEEP_FIELDS,
     export_svg,
     flee_time_from_plan,
-    impossibility_report,
     sample_targets,
     sweep_dynamic,
     sweep_static,

@@ -132,3 +132,16 @@ def test_poly_speed_certificate_is_finite_or_beyond_the_float_range(c, v, r, d):
         return
     assert all(map(math.isfinite, (cert.min_catch_time, cert.min_cost, cert.optimal_cost)))
     assert cert.optimal_cost > 0 and math.isfinite(cert.min_cost / cert.optimal_cost)
+
+
+@given(c=st.integers(2, 10**400), v=CERT_ARGS[0], r=CERT_ARGS[1], d=CERT_ARGS[2])
+@example(c=10**309, v=2.0, r=0.5, d=1.0)  # raised OverflowError: int too large to convert to float
+@example(c=10**5000, v=2.0, r=0.5, d=1.0)  # more digits than int converts to str
+@example(c=10**300, v=1.0, r=0.5, d=1.0)  # finite
+def test_poly_speed_certificate_of_any_integer_c_is_finite_or_beyond_the_float_range(c, v, r, d):
+    try:
+        cert = poly_speed_certificate(c, v, r, d)
+    except ValueError as exc:
+        assert "float range" in str(exc)
+        return
+    assert all(map(math.isfinite, (cert.min_catch_time, cert.min_cost, cert.optimal_cost, cert.alpha, cert.beta)))

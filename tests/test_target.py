@@ -7,12 +7,10 @@ from block_arrays import _min_distance_to_polyline, annulus_membership, pi_array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planehunt.coverage import MAX_GRID_RES, _covered_cells
+from planehunt.coverage import MAX_GRID_RES, WITNESS_CHUNK, _covered_cells, adversarial_static_placement
 from planehunt.geometry import Point
 from planehunt.target import (
     SPEED_TOL,
-    WITNESS_CHUNK,
-    adversarial_static_placement,
     inert,
     load_waypoints,
     radial_flee,

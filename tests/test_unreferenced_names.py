@@ -6,12 +6,19 @@ that is read, or an import alias.  Docstrings and other strings do not.
 Likewise every parameter with a default, in any src/ function, is passed
 by some call in src/, demos/ or bench/, by keyword or by position.  Calls
 are matched to functions by name alone, so a call to a namesake counts.
+And no src/ module imports another's underscore name, but for the few
+that PRIVATE_IMPORTS names with the reason each is shared.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# underscore names one src/ module may import from another, and why
+PRIVATE_IMPORTS = {
+    "_SIDES": "engine scans the spiral sides on the same axis-line table that trajectory's closed forms read",
+    "_cost_bound": "searcher's dynamic prediction states its cost bound with trajectory's static formula",
+}
 
 
 def _defined(tree):
@@ -87,3 +94,13 @@ def test_every_defaulted_parameter_in_src_is_passed_by_some_call():
                 if not any(_passes(call, name, pos, func in methods) for call in calls.get(func.name, [])):
                     never.append(f"{path.stem}.{func.name}({name}=...)")
     assert never == []
+
+
+def test_no_src_module_imports_another_modules_underscore_name():
+    imported = []
+    for path, tree in _trees("src/planehunt"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("planehunt")):
+                imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and alias.name not in PRIVATE_IMPORTS]
+    assert imported == []
