@@ -207,7 +207,7 @@ def _polyline(polyline):
     import numpy as np
 
     polyline = np.asarray(polyline, dtype=np.float64)
-    if polyline.ndim != 2 or polyline.shape[0] < 1:
+    if polyline.ndim != 2 or polyline.shape[0] < 1 or polyline.shape[1] != 2:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
     return polyline
 
@@ -236,7 +236,7 @@ def tube_area(polyline, r, grid_res=256):
     ys = lo[1] + (np.arange(grid_res) + 0.5) * dy
     marked = _covered_cells(xs, ys, polyline, r)
 
-    cell_area = dx * dy
+    cell_area = float(dx * dy)
     length = polyline_length(polyline)
     return CoverageReport(
         trajectory_length=length,

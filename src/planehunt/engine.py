@@ -15,7 +15,8 @@ the target's final point is found by a scalar scan of the block's sides.
 A trace is written after the walk, from its outcome.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
-lie on four families of axis lines (_SIDES), walked out and then back.
+lie on four families of axis lines (_SIDES), walked out and then back;
+the return half retraces the same lines, so one loop scans both halves.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
 leg in walking order, bit for bit:
@@ -376,18 +377,21 @@ def _first_flagged(k, step, q, r, n):
         dist2 = |q - (a + t (b - a))|^2 <= r*r.
     Per side, only the lines within r of the target are kept, and of
     their legs that stop short of it only the corners that _corner_range
-    brackets; every kept leg gets the filter (_first_on_lines).  See the
-    module docstring for why that is exact.  The walk gates the block
-    with the extent test and _may_reach first, so a target outside the
-    block's extent, off every grid line or past the ends of the legs on
-    its lines rarely gets here; the scan is exact without them.
+    brackets; every kept leg gets the filter (_first_on_lines).  One loop
+    scans both halves of the block over the same side rows: out, the first
+    leg from n; back, the return leg nearest the turn, as the return half
+    walks the outbound legs in reverse.  See the module docstring for why
+    that is exact.  The walk gates the block with the extent test and
+    _may_reach first, so a target outside the block's extent, off every
+    grid line or past the ends of the legs on its lines rarely gets here;
+    the scan is exact without them.
     """
     legs = 8 * (k + 1)
     rr = r * r
     if rr == math.inf:
         return n if n < legs else None  # every finite distance passes
     w = r / step
-    # one row per side that keeps a line: (off, corners first..last, lines cov..hi, line)
+    # one row per side that keeps a line: (off, corners, lines, side), each range (first, last)
     sides = []
     for off, axis, sign, c_line, sign0, c0, c1 in _SIDE_ROWS:
         q_perp, q_par = q[axis], q[1 - axis]
@@ -412,43 +416,34 @@ def _first_flagged(k, step, q, r, n):
             cov = lo
         elif cov > hi + 1:
             cov = hi + 1
-        first, last = cov, cov - 1
+        corners = (cov, cov - 1)
         if cov > lo:
-            first, last = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
-        sides.append((off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1))
+            corners = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
+        sides.append((off, corners, (cov, hi), (q_perp, q_par, sign, c_line, sign0, c0, c1)))
 
     # outbound leg 4s + off is return leg legs - 1 - 4s - off.  Each pass
-    # keeps the legs from n to the first one found so far: out, corners
-    # before lines, each range from its first line; back, lines before
-    # corners, each range from its last line
-    found, top = None, legs - 1
-    for off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1 in sides:
-        s_lo, s_hi = (n - off + 3) // 4, (top - off) // 4
-        s, lo, up = None, (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
-        if lo <= up:
-            s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, False)
-        if s is None:
-            lo, up = (cov if cov > s_lo else s_lo), (hi if hi < s_hi else s_hi)
-            if lo <= up:
-                s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, False)
-        if s is not None:
-            found = top = 4 * s + off
-    if found is not None:
-        return found
-    bottom = 0  # outbound index of the return leg found so far
-    for off, first, last, cov, hi, q_perp, q_par, sign, c_line, sign0, c0, c1 in sides:
-        s_lo, s_hi = (bottom - off + 3) // 4, (legs - 1 - n - off) // 4
-        s, lo, up = None, (cov if cov > s_lo else s_lo), (hi if hi < s_hi else s_hi)
-        if lo <= up:
-            s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, True)
-        if s is None:
-            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
-            if lo <= up:
-                s = _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, up, True)
-        if s is not None:
-            bottom = 4 * s + off
-            found = legs - 1 - bottom
-    return found
+    # keeps a window [L_lo, L_hi] of outbound indices and narrows it to the
+    # leg found so far: out, the first from n, corners before lines, each
+    # range from its first line; back, the last up to legs - 1 - n, lines
+    # before corners, each range from its last line
+    for back in (False, True):
+        L_lo, L_hi = (0, legs - 1 - n) if back else (n, legs - 1)
+        found = None
+        for off, corners, lines, side in sides:
+            s_lo, s_hi = (L_lo - off + 3) // 4, (L_hi - off) // 4
+            for first, last in (lines, corners) if back else (corners, lines):
+                lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+                s = _first_on_lines(*side, step, rr, lo, up, back) if lo <= up else None
+                if s is not None:
+                    found = 4 * s + off
+                    if back:
+                        L_lo = found
+                    else:
+                        L_hi = found
+                    break
+        if found is not None:
+            return legs - 1 - found if back else found
+    return None
 
 
 def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi, back):

@@ -374,7 +374,7 @@ def export_svg(prefix, path):
     import numpy as np
 
     prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim != 2 or prefix.shape[0] < 1:
+    if prefix.ndim != 2 or prefix.shape[0] < 1 or prefix.shape[1] != 2:
         raise ValueError("prefix polyline must be a nonempty (n, 2) array")
     lo = prefix.min(axis=0)
     hi = prefix.max(axis=0)

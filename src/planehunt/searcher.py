@@ -107,10 +107,10 @@ def predict_dynamic(D, v, r):
             return True
         return plan.traversal_time(y) <= 1.0 / (v * 2.0 ** (b + 1))
 
-    holds = condition(y0)
     y = y0
     while not condition(y):  # t_y falls about 8x per step against a fixed bound > 0
         y += 1
+    holds = y == y0
     return DynamicPrediction(
         a=a,
         b=b,

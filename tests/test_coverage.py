@@ -10,6 +10,7 @@ from planehunt import coverage
 from planehunt.coverage import (
     MAX_GRID_RES,
     _covered_cells,
+    adversarial_static_placement,
     area_bound,
     dynamic_lb,
     poly_speed_certificate,
@@ -91,6 +92,22 @@ class TestTubeArea:
     def test_rejects_a_grid_above_the_cap(self):
         with pytest.raises(ValueError, match="grid_res"):
             tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, grid_res=MAX_GRID_RES + 1)
+
+    def test_report_areas_are_python_floats(self):
+        report = tube_area(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, grid_res=32)
+        assert type(report.estimated_area) is float and type(report.cell_area) is float
+
+
+# three columns, one column, none, no rows, one dimension
+NOT_N_BY_2 = [[[0.0, 0.0, 5.0], [1.0, 0.0, 7.0]], [[0.0], [1.0]], [[]], np.zeros((0, 2)), [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("polyline", NOT_N_BY_2)
+def test_polylines_other_than_n_by_2_are_rejected(polyline):
+    with pytest.raises(ValueError, match=r"polyline must be an \(n, 2\) array with n >= 1"):
+        tube_area(polyline, 0.5, grid_res=32)
+    with pytest.raises(ValueError, match=r"polyline must be an \(n, 2\) array with n >= 1"):
+        adversarial_static_placement(polyline, 2, grid_res=32)
 
 
 def test_a_slanted_segment_whose_length_underflows_is_its_start():

@@ -1270,3 +1270,17 @@ class TestOverflowingRadius:
             out = simulate(static_plan(), inert(Point(1e300, 0.0)), SimConfig(r=1e200, max_diagonal=max_diagonal))
             assert time.perf_counter() - t0 < 1.0
             assert (out.sensed, out.diagonal, out.stop_reason) == (False, max_diagonal, "diagonal_budget")
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="r*r and |a - q|^2 both overflow: the kernel gives up")
+def test_a_target_within_r_is_sensed_where_both_squares_overflow():
+    # the target stops 1e155 from the start, far inside r = 1e200, and the searcher returns to the start
+    strategy = waypoints([Point(1e250, 0.0), Point(1e155, 0.0)], [0.0, 1e-3], 1e254)
+    assert simulate(static_plan(), strategy, SimConfig(r=1e200, max_diagonal=12)).sensed
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="r*r and |a - q|^2 both underflow: 0 - 0 <= 0")
+def test_a_target_farther_than_r_is_not_sensed_where_both_squares_underflow():
+    # the first leg runs along y = 0, whose closest approach 2e-170 exceeds r = 1e-170
+    out = simulate(static_plan(), inert(Point(0.25, 2e-170)), SimConfig(r=1e-170, max_diagonal=1))
+    assert not out.sensed

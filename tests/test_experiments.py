@@ -413,3 +413,13 @@ class TestExportSvg:
         path = tmp_path / "e.svg"
         export_svg(np.array([[0.0, 0.0], [1.0, 0.0]]), str(path))
         ET.parse(path)  # parses without error
+
+    # three columns, one column, none, no rows, one dimension
+    @pytest.mark.parametrize(
+        "prefix", [[[0.0, 0.0, 5.0], [1.0, 0.0, 7.0]], [[0.0], [1.0]], [[]], np.zeros((0, 2)), [0.0, 1.0]]
+    )
+    def test_rejects_prefixes_other_than_n_by_2(self, tmp_path, prefix):
+        path = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match=r"prefix polyline must be a nonempty \(n, 2\) array"):
+            export_svg(prefix, str(path))
+        assert not path.exists()
