@@ -6,7 +6,10 @@ too short for a ring leaves part of it uncovered, and a target can hide
 there.  tube_area measures that set with the grid rasterizer
 _covered_cells, and the witness search adversarial_static_placement
 finds a hiding point in each ring with the same rasterizer, on the same
-segment table (_segments) and point-to-segment formula (_dist2).  The
+segment table (_segments) and point-to-segment formula (_dist2).  Both,
+and experiments.export_svg, take the path through the one polyline
+check as_polyline, which rejects a wrong shape, non-finite vertices and
+an extent past the float range.  The
 certifier functions evaluate the closed-form lower bounds on search cost
 that follow from it, plus the impossibility certificate for a searcher
 whose speed is at most t^c, which pays alpha (v^2/r)^beta, and the
@@ -67,15 +70,6 @@ def area_bound(length, r):
     return 2.0 * r * length + math.pi * r * r
 
 
-def polyline_length(polyline):
-    import numpy as np
-
-    polyline = np.asarray(polyline, dtype=np.float64)
-    if len(polyline) < 2:
-        return 0.0
-    return float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
-
-
 def _ranges(starts, lengths):
     """Concatenated aranges: starts[k], ..., starts[k] + lengths[k] - 1 for each k."""
     import numpy as np
@@ -123,11 +117,6 @@ def _segments(polyline):
     b0, b1 = a0 + d0, a1 + d1
     boxes = (np.minimum(a0, b0), np.maximum(a0, b0), np.minimum(a1, b1), np.maximum(a1, b1))
     return (a0, a1, d0, d1, len2), boxes
-
-
-def _within(gx, gy, a0, a1, d0, d1, len2, r):
-    """dist^2 <= r^2 from cell centres (gx, gy) to segments a + [0, 1] d (_dist2)."""
-    return _dist2(gx, gy, a0, a1, d0, d1, len2) <= r * r
 
 
 def _covered_cells(xs, ys, polyline, r):
@@ -186,29 +175,42 @@ def _covered_cells(xs, ys, polyline, r):
             band = max(1, PAIR_BUDGET // ny[s])
             for x0 in range(ix0[s], ix0[s] + nx[s], band):
                 bx = slice(x0, min(x0 + band, ix0[s] + nx[s]))
-                marked[bx, by] |= _within(xs[bx, None], ys[None, by], *(c[s] for c in columns), r)
+                marked[bx, by] |= _dist2(xs[bx, None], ys[None, by], *(c[s] for c in columns)) <= r * r
         else:
             g = slice(start, stop)
             # one row per (segment, x cell), one pair per (row, y cell)
             row_ny = np.repeat(ny[g], nx[g])
             ix = np.repeat(_ranges(ix0[g], nx[g]), row_ny)
             iy = _ranges(np.repeat(iy0[g], nx[g]), row_ny)
-            hit = _within(xs[ix], ys[iy], *(np.repeat(c[g], cells[g]) for c in columns), r)
+            # the pairs stay bound until the next group's replace them, so malloc
+            # reuses their blocks instead of trimming the heap and faulting them
+            # in again: a third of the page faults or fewer on the adversary
+            # benchmark command
+            pairs = xs[ix], ys[iy], *(np.repeat(c[g], cells[g]) for c in columns)
+            hit = _dist2(*pairs) <= r * r
             marked[ix[hit], iy[hit]] = True
         start = stop
     return marked
 
 
-def _polyline(polyline):
-    """polyline as an (n, 2) float64 array with n >= 1, else ValueError.
+def as_polyline(polyline):
+    """polyline as an (n, 2) float64 array, else ValueError.
 
-    The one check of tube_area and the witness search.
+    The one check of every function that takes the path as a polyline:
+    tube_area, the witness search and experiments.export_svg.  It needs
+    n >= 1, finite vertices, and a finite extent max - min along each
+    axis.  Rounding is monotone, so the extent bounds the difference
+    between any two vertices: the segment table is built from finite
+    steps, and the grid and the canvas from a finite extent.
     """
     import numpy as np
 
     polyline = np.asarray(polyline, dtype=np.float64)
     if polyline.ndim != 2 or polyline.shape[0] < 1 or polyline.shape[1] != 2:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
+    with np.errstate(over="ignore"):  # between finite vertices max - min can only overflow, to inf
+        if not (np.isfinite(polyline).all() and np.isfinite(np.ptp(polyline, axis=0)).all()):
+            raise ValueError("polyline must have finite vertices and a finite extent")
     return polyline
 
 
@@ -226,7 +228,7 @@ def tube_area(polyline, r, grid_res=256):
         raise ValueError("r must be finite and positive")
     if not 32 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
-    polyline = _polyline(polyline)
+    polyline = as_polyline(polyline)
 
     lo = polyline.min(axis=0) - r
     hi = polyline.max(axis=0) + r
@@ -237,7 +239,7 @@ def tube_area(polyline, r, grid_res=256):
     marked = _covered_cells(xs, ys, polyline, r)
 
     cell_area = float(dx * dy)
-    length = polyline_length(polyline)
+    length = float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
     return CoverageReport(
         trajectory_length=length,
         r=r,
@@ -338,7 +340,7 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         raise ValueError(f"require 1 <= i <= 537, got {i}")
     if not 16 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
-    polyline = _polyline(polyline)
+    polyline = as_polyline(polyline)
     center = polyline[0]
     segments, boxes = _segments(polyline)
     results = []

@@ -23,8 +23,9 @@ joins their rows in cell order.  Every hunt walks at most MAX_DIAGONAL
 diagonals.  The static sweep's cells have v = 0, so its targets are inert.
 
 The sweeps import neither numpy nor, at --jobs 1, the process pool;
-export_svg imports numpy when it is called.  Sweep rows are NamedTuples,
-written to CSV as they are and to JSONL by their _asdict().
+export_svg takes its polyline through coverage.as_polyline, which
+imports numpy when it is called.  Sweep rows are NamedTuples, written to
+CSV as they are and to JSONL by their _asdict().
 """
 
 import contextlib
@@ -38,6 +39,7 @@ import sys
 from numbers import Integral
 from typing import NamedTuple
 
+from .coverage import as_polyline
 from .engine import SimConfig, simulate
 from .geometry import Point
 from .searcher import dynamic_plan, predict_dynamic, static_plan
@@ -371,11 +373,7 @@ def export_svg(prefix, path):
     SVG_CANVAS square with an SVG_MARGIN border; its start is marked.
     The document is three elements, written as one ASCII line.
     """
-    import numpy as np
-
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim != 2 or prefix.shape[0] < 1 or prefix.shape[1] != 2:
-        raise ValueError("prefix polyline must be a nonempty (n, 2) array")
+    prefix = as_polyline(prefix)
     lo = prefix.min(axis=0)
     hi = prefix.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)

@@ -68,10 +68,11 @@ def fma_dot(x0, x1, y0, y1):
         c = _SPLIT * y1
         yh = c - (c - y1)
         yl = y1 - yh
-        try:
-            return math.fsum((h, ((xh * yh - h) + xh * yl + xl * yh) + xl * yl, p))
-        except OverflowError:  # a partial sum past the float range: round it exactly
-            pass
+        # fsum cannot overflow here: |h| < 2^960 and its error term is smaller,
+        # so with |p| <= DBL_MAX no partial sum reaches 2^1024 - 2^970, where
+        # fsum overflows; a non-finite p takes fsum's inf/nan path, which never
+        # raises OverflowError
+        return math.fsum((h, ((xh * yh - h) + xh * yl + xl * yh) + xl * yl, p))
     return _fma_exact(x1, y1, p)
 
 
@@ -99,12 +100,15 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     velocity, so contact reduces to a quadratic in t.  Also None when its
     discriminant leaves the float range, as it does once the squared
     separation times the squared relative speed passes about 1e308: the
-    graze test cannot be evaluated there.
+    graze test cannot be evaluated there.  r, the positions and the
+    velocities must be finite, and the horizon nonnegative (inf allowed).
     """
-    if r <= 0:
-        raise ValueError("sensing radius must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"sensing radius must be finite and positive, got {r}")
+    if not horizon >= 0.0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    if not all(map(math.isfinite, (p0.x, p0.y, u.x, u.y, q0.x, q0.y, w.x, w.y))):
+        raise ValueError("positions and velocities must be finite")
     d0 = q0 - p0
     rel = w - u
     c = d0.dot(d0) - r * r

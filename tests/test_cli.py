@@ -102,6 +102,14 @@ def test_simulate_waypoints_file(tmp_path, capsys):
     assert "sensed=True" in capsys.readouterr().out
 
 
+def test_simulate_rejects_a_target_without_a_comma_exit_2(capsys):
+    code = run(["simulate", "--target", "1", "--r", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected x,y got '1'" in captured.err
+
+
 def test_simulate_rejects_nan_radius_exit_2(capsys):
     code = run(["simulate", "--target", "1,0", "--r", "nan", "--max-diagonal", "2"])
     assert code == 2
@@ -530,6 +538,15 @@ def test_export_svg(tmp_path, capsys):
     code = run(["export-svg", "--max-cost", "10", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_export_svg_into_a_missing_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.svg"
+    code = run(["export-svg", "--max-cost", "10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"runtime error: failed to write SVG to {out}")
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -12,11 +12,13 @@ from planehunt.coverage import (
     _covered_cells,
     adversarial_static_placement,
     area_bound,
+    as_polyline,
     dynamic_lb,
     poly_speed_certificate,
     static_lb,
     tube_area,
 )
+from planehunt.experiments import export_svg
 from planehunt.trajectory import prefix_polyline
 
 
@@ -108,6 +110,36 @@ def test_polylines_other_than_n_by_2_are_rejected(polyline):
         tube_area(polyline, 0.5, grid_res=32)
     with pytest.raises(ValueError, match=r"polyline must be an \(n, 2\) array with n >= 1"):
         adversarial_static_placement(polyline, 2, grid_res=32)
+
+
+# A NaN vertex: export_svg wrote cx="nan" cy="nan", tube_area failed late in
+# area_bound, and the witness search skipped the NaN segment.  A step past the
+# float range: d0 = -inf made every witness distance NaN, so the witness search
+# reported both rings covered, although (1e308, -0.96875) lies 0.97 from it.
+# Finite steps whose extent overflows: export_svg wrote "Lnan 760.000".
+@pytest.mark.parametrize(
+    "polyline",
+    [
+        [[0.0, 0.0], [math.nan, 0.0]],
+        [[0.0, 0.0], [0.0, -math.inf]],
+        [[math.nan, 0.0]],
+        [[1e308, 0.0], [-1e308, 0.0]],
+        [[-1e308, 0.0], [0.0, 0.0], [1e308, 0.0]],
+    ],
+    ids=["nan-vertex", "inf-vertex", "one-nan-vertex", "overflowing-step", "overflowing-extent"],
+)
+def test_every_polyline_consumer_rejects_non_finite_polylines(polyline, tmp_path):
+    match = "polyline must have finite vertices and a finite extent"
+    with pytest.raises(ValueError, match=match):
+        as_polyline(polyline)
+    with pytest.raises(ValueError, match=match):
+        tube_area(polyline, 0.5, grid_res=32)
+    with pytest.raises(ValueError, match=match):
+        adversarial_static_placement(polyline, 2, grid_res=32)
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match=match):
+        export_svg(polyline, str(path))
+    assert not path.exists()
 
 
 def test_a_slanted_segment_whose_length_underflows_is_its_start():

@@ -162,6 +162,12 @@ class TestSweepSeed:
         assert sweep_static([1], [0.25], 3, np.int64(7)) == sweep_static([1], [0.25], 3, 7)
         assert sweep_dynamic([1], [0.25], 1, 2, np.uint16(7)) == sweep_dynamic([1], [0.25], 1, 2, 7)
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sweep_static([1], [0.25], 0, 7)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sweep_dynamic([0, 1], [0.25], D=1, samples=0, seed=7)
+
 
 class TestSweepStatic:
     def test_guard_rejection(self):
@@ -420,6 +426,6 @@ class TestExportSvg:
     )
     def test_rejects_prefixes_other_than_n_by_2(self, tmp_path, prefix):
         path = tmp_path / "bad.svg"
-        with pytest.raises(ValueError, match=r"prefix polyline must be a nonempty \(n, 2\) array"):
+        with pytest.raises(ValueError, match=r"polyline must be an \(n, 2\) array"):
             export_svg(prefix, str(path))
         assert not path.exists()

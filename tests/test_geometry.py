@@ -43,6 +43,33 @@ class TestFirstContactTime:
         with pytest.raises(ValueError):
             first_contact_time(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0), 1.0, -1.0)
 
+    # r = nan and a nan position gave None, r = inf gave 0.0, horizon = nan gave 1.5
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_radius(self, r):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            first_contact_time(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0), r, 5.0)
+
+    def test_rejects_a_nan_horizon_and_takes_an_infinite_one(self):
+        with pytest.raises(ValueError, match="horizon"):
+            first_contact_time(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0), 0.5, math.nan)
+        assert first_contact_time(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0), 0.5, math.inf) == 1.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", range(8))
+    def test_rejects_non_finite_positions_and_velocities(self, bad, which):
+        coords = [0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+        coords[which] = bad
+        p0, u, q0, w = (Point(coords[k], coords[k + 1]) for k in range(0, 8, 2))
+        with pytest.raises(ValueError, match="positions and velocities must be finite"):
+            first_contact_time(p0, u, q0, w, 0.5, 5.0)
+
+    def test_a_contact_just_in_the_past_is_taken_at_zero(self):
+        # the target passes 1e-7 ahead of the searcher at speed 1e3, so its
+        # closest approach, a graze at distance r, was 1e-10 ago: within
+        # TIME_TOL it is reported now; 1e-8 ago it is past
+        assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e-7, 1), Point(1e3, 0), 1.0, 10.0) == 0.0
+        assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e-5, 1), Point(1e3, 0), 1.0, 10.0) is None
+
     def test_contact_distance_equals_r_and_no_earlier_contact(self):
         # invariant at 1000 sampled earlier times, on a transversal case
         p0, u = Point(0, 0), Point(1, 0.3)

@@ -20,6 +20,10 @@ class TestStaticPlan:
     def test_traversal_time_is_length(self):
         assert static_plan().traversal_time(1) == 171.0
 
+    def test_rejects_diagonal_zero(self):
+        with pytest.raises(ValueError, match="diagonal index must be >= 1"):
+            static_plan().speed_of_diagonal(0)
+
 
 class TestDynamicPlan:
     def test_speed_schedule(self):

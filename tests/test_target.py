@@ -11,6 +11,7 @@ from planehunt.coverage import MAX_GRID_RES, WITNESS_CHUNK, _covered_cells, adve
 from planehunt.geometry import Point
 from planehunt.target import (
     SPEED_TOL,
+    TargetStrategy,
     inert,
     load_waypoints,
     radial_flee,
@@ -55,6 +56,11 @@ class TestRadialFlee:
     def test_rejects_degenerate_direction(self):
         with pytest.raises(ValueError):
             radial_flee(Point(0, 0), Point(0, 0), v=1.0, t_freeze=1.0)
+
+    @pytest.mark.parametrize("v", [0.0, -1.0])
+    def test_rejects_a_speed_that_is_not_positive(self, v):
+        with pytest.raises(ValueError, match="flee speed must be positive"):
+            radial_flee(Point(0, 0), Point(1, 0), v=v, t_freeze=1.0)
 
     def test_short_flee_from_a_large_coordinate(self):
         # 2 + 1e-12 rounds up to 2252 ulps of 2, a speed of 1.00009 over 1e-12
@@ -117,6 +123,15 @@ class TestWaypoints:
         with pytest.raises(ValueError):
             waypoints([Point(0, 0), Point(0, 1), Point(0, 2)], [0, 1, 1], v=10.0)
 
+    @pytest.mark.parametrize("times, points, match", [
+        ((), (), "nonempty and equal length"),
+        ((0.0, 1.0), (Point(0, 0),), "nonempty and equal length"),
+        ((1.0,), (Point(0, 0),), "first breakpoint must be at t = 0"),
+    ])
+    def test_strategy_needs_one_point_per_time_from_time_zero(self, times, points, match):
+        with pytest.raises(ValueError, match=match):
+            TargetStrategy(times, points, 0.0)
+
 
 class TestWaypointFile:
     def test_round_trip(self, tmp_path):
@@ -126,6 +141,12 @@ class TestWaypointFile:
         assert s.v == 2.0
         assert s.position(1.0) == Point(1, 0)
         assert s.position(100.0) == Point(1, 2)
+
+    def test_two_field_waypoint_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("v 1\n0 0 0\n1 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed waypoint line '1 1'")):
+            load_waypoints(str(path))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
