@@ -21,7 +21,7 @@ plan = dynamic_plan()
 print("traversal times of the first diagonals:")
 for i in range(1, 6):
     print(f"  diagonal {i}: speed 2^{5 * i}, time {plan.traversal_time(i):.6f}")
-print(f"certified bound on the total traversal time: q <= {dynamic_q(48):.6f}")
+print(f"certified bound on the total traversal time: q <= {dynamic_q():.6f}")
 
 # The worst adversary flees radially while the searcher covers its first
 # half unit of arc, then freezes.

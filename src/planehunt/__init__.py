@@ -23,7 +23,6 @@ from .coverage import (
 from .engine import SimConfig, SimOutcome, brute_force_oracle, simulate
 from .geometry import Point, first_contact_time
 from .searcher import (
-    DynamicPrediction,
     SearcherPlan,
     dynamic_plan,
     dynamic_q,

@@ -72,7 +72,7 @@ def build_parser():
     sdy.add_argument("--D", type=float, default=1.0, help="initial distance bound (length units)")
 
     adv = sub.add_parser("adversary", help="hidden-target witnesses and tube report for a schedule prefix")
-    adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i), 1..537")
+    adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i), 1..510")
     adv.add_argument("--max-cost", type=float, required=True, help="trajectory prefix arc length (length units)")
     adv.add_argument("--grid-res", type=int, default=256, help=f"witness grid resolution per ring, 32..{MAX_GRID_RES}")
 

@@ -14,6 +14,10 @@ certifier functions evaluate the closed-form lower bounds on search cost
 that follow from it, plus the impossibility certificate for a searcher
 whose speed is at most t^c, which pays alpha (v^2/r)^beta, and the
 table of those certificates (impossibility_report).
+
+tube_area and the witness search also need the polyline's box, widened
+to hold their grid, to have w^2 + h^2 <= 2^1022 (_check_extent), so that
+no squared step or grid offset leaves the float range.
 """
 
 import math
@@ -59,7 +63,6 @@ class PolySpeedCertificate:
     min_cost: float
     optimal_cost: float
     exceeds: bool
-    alpha: float
     beta: float
 
 
@@ -214,13 +217,29 @@ def as_polyline(polyline):
     return polyline
 
 
+def _check_extent(extent, margin):
+    """ValueError unless a polyline's box, widened by margin, has w^2 + h^2 <= 2^1022.
+
+    extent is the polyline's max - min along each axis, and the widened
+    box must hold every grid cell centre too.  Each squared step, grid
+    offset and distance that _segments and _dist2 form is then at most
+    w^2 + h^2, and so is each dot product of two such differences, so
+    numpy never overflows on them, rounding included.
+    """
+    w, h = (float(e) + margin for e in extent)
+    if not w * w + h * h <= 2.0 ** 1022:  # Python floats: inf, with no warning
+        raise ValueError(f"a {w:g} x {h:g} box of polyline and grid puts squared distances beyond the float range")
+
+
 def tube_area(polyline, r, grid_res=256):
     """Rasterized area of the set of points within r of the polyline.
 
     Counts the cells of a grid_res x grid_res grid over the r-inflated
     bounding box that the shared bounding-box rasterizer (_covered_cells)
     marks as within r of the polyline; the estimate carries a
-    discretization slack of 4 * cell diagonal * length.
+    discretization slack of 4 * cell diagonal * length.  The inflated box
+    must have w^2 + h^2 <= 2^1022, so that no squared step or grid offset
+    leaves the float range; else ValueError (_check_extent).
     """
     import numpy as np
 
@@ -229,9 +248,10 @@ def tube_area(polyline, r, grid_res=256):
     if not 32 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
     polyline = as_polyline(polyline)
+    lo, hi = polyline.min(axis=0), polyline.max(axis=0)
+    _check_extent(hi - lo, 2 * r)
+    lo, hi = lo - r, hi + r
 
-    lo = polyline.min(axis=0) - r
-    hi = polyline.max(axis=0) + r
     dx = (hi[0] - lo[0]) / grid_res
     dy = (hi[1] - lo[1]) / grid_res
     xs = lo[0] + (np.arange(grid_res) + 0.5) * dx
@@ -297,9 +317,10 @@ def _far(px, py, segments, boxes, r):
     else:
         x0, x1, y0, y1 = px.min(), px.max(), py.min(), py.max()
         pad = r * (1.0 + 1e-9) + 1e-12 * max(-x0, x1, -y0, y1)
-        near = np.flatnonzero(
-            (lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad)
-        )
+        with np.errstate(over="ignore"):  # x1 + pad may round to inf, which keeps every box
+            near = np.flatnonzero(
+                (lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad)
+            )
         if near.size == 0:
             return np.ones(len(px), dtype=bool)
     return np.sqrt(_min_dist2(px, py, [c[near] for c in segments])) > r
@@ -315,7 +336,11 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     r_j from every point of the trajectory; the first such point (in grid
     order) is returned as the witness, or None when the grid is covered.
     i runs from 1 to 537, where r_1 = 2^-1074 is the least positive
-    float, and grid_res from 16 to MAX_GRID_RES.
+    float, and grid_res from 16 to MAX_GRID_RES.  The polyline's box,
+    widened by the side 2^i of ring i's square, must have
+    w^2 + h^2 <= 2^1022, so that no squared step or grid offset leaves
+    the float range; else ValueError (_check_extent).  So i is at most
+    510.
 
     The candidates that the trajectory covers are marked by the bounding-box
     rasterizer that tube_area uses (_covered_cells), run at r_j shrunk by
@@ -341,6 +366,7 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     if not 16 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
     polyline = as_polyline(polyline)
+    _check_extent(np.ptp(polyline, axis=0), 2.0 ** i)
     center = polyline[0]
     segments, boxes = _segments(polyline)
     results = []
@@ -405,9 +431,10 @@ def poly_speed_certificate(c, v, r, d):
 
     Such a searcher needs time at least ((c+1) v^2 / 2r)^(1/(c-1)) to
     reach a fleeing target, hence cost at least
-    (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta with
-    beta = (c+1)/(c-1) > 1.  `exceeds` is set once that cost surpasses
-    the optimal d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
+    min_cost = (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta
+    with beta = (c+1)/(c-1) > 1 and alpha = ((c+1)/2)^beta / (c+1).
+    `exceeds` is set once that cost surpasses the optimal
+    d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
     and so must c + 1 as a float, every cost and min_cost / optimal_cost:
     past the float range it raises ValueError.
     """
@@ -430,8 +457,6 @@ def poly_speed_certificate(c, v, r, d):
     finite = all(math.isfinite(x) for x in (base, min_cost, optimal_cost))
     if not (finite and optimal_cost > 0 and math.isfinite(min_cost / optimal_cost)):
         raise ValueError(f"(c={c}, v={v}, r={r}, d={d}) puts the certificate beyond the float range")
-    beta = (c + 1) / (c - 1)
-    alpha = ((c + 1) / 2.0) ** beta / (c + 1)
     return PolySpeedCertificate(
         c=c,
         v=v,
@@ -440,15 +465,12 @@ def poly_speed_certificate(c, v, r, d):
         min_cost=min_cost,
         optimal_cost=optimal_cost,
         exceeds=min_cost > optimal_cost,
-        alpha=alpha,
-        beta=beta,
+        beta=(c + 1) / (c - 1),
     )
 
 
 @dataclass(frozen=True)
 class ImpossibilityReport:
-    c: int
-    d: float
     rows: tuple  # the PolySpeedCertificate of m = 1..m_max, in order
     crossover_m: int  # first m from which min_cost > optimal_cost onward, or -1
     slope: float  # fitted d log(min_cost) / d log(v^2/r) over the last 4 rows
@@ -476,8 +498,6 @@ def impossibility_report(c, d, m_max):
     xs = [math.log(row.v * row.v / row.r) for row in tail]
     ys = [math.log(row.min_cost) for row in tail]
     return ImpossibilityReport(
-        c=c,
-        d=d,
         rows=rows,
         crossover_m=crossover,
         slope=linear_regression(xs, ys).slope,

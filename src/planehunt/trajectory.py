@@ -20,11 +20,15 @@ the axis lines of _SIDES.  Each is an integer count of steps, exact in
 Python ints, times 2^-j, so it is exact below 2^53 steps: through
 diagonal 11, where a float running sum of the legs is exact and equal to
 it.  A simulation walks at most MAX_DIAGONAL = 12 diagonals.
+
+CatchPrediction is the guarantee of either searcher: caught by diagonal
+y, at cost at most 80 y 2^(2y+2), which it sets from y.  predict_static
+builds it here, and searcher.predict_dynamic for a moving target.
 """
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count
 
 # The outbound half of a block, in units of its step: leg 4s + off lies on
@@ -64,12 +68,22 @@ class SpiralParams:
 
 @dataclass(frozen=True)
 class CatchPrediction:
-    """Guaranteed catch diagonal and cost bound for the static searcher."""
+    """Guaranteed catch diagonal y of either searcher, and its cost bound.
+
+    a and b are the distance and resolution indices the prediction starts
+    from.  cost_bound is 80 y 2^(2y+2), set from y; ValueError where it
+    is beyond the float range (y >= 504).
+    """
 
     a: int
     b: int
     y: int
-    cost_bound: float
+    cost_bound: float = field(init=False)
+
+    def __post_init__(self):
+        if 2 * self.y + 2 + math.log2(80 * self.y) >= 1024:  # y >= 504
+            raise ValueError(f"the cost bound of catch diagonal {self.y} is beyond the float range")
+        object.__setattr__(self, "cost_bound", 80.0 * self.y * 2.0 ** (2 * self.y + 2))
 
 
 def ceil_log2(x):
@@ -98,13 +112,6 @@ def diagonal_length(i):
     return sum(pi_length(p) for p in diagonal_terms(i))
 
 
-def _cost_bound(y):
-    """80 y 2^(2y+2), the cost bound of a catch by diagonal y, while it is a finite float."""
-    if 2 * y + 2 + math.log2(80 * y) >= 1024:  # y >= 504
-        raise ValueError(f"the cost bound of catch diagonal {y} is beyond the float range")
-    return 80.0 * y * 2.0 ** (2 * y + 2)
-
-
 def predict_static(D, r):
     """Catch diagonal and cost bound for a target at distance <= D.
 
@@ -127,7 +134,7 @@ def predict_static(D, r):
     # row indices start at 1, so the catch spiral lives in row max(a, 1);
     # for a >= 1 this is the plain formula a + b/2 - 1
     y = max(a, 1) + b // 2 - 1
-    return CatchPrediction(a=a, b=b, y=y, cost_bound=_cost_bound(y))
+    return CatchPrediction(a, b, y)
 
 
 def pi_vertex(params, legs_walked):

@@ -504,6 +504,16 @@ def test_adversary_rejects_a_ring_count_past_537_before_output(i, capsys):
     assert "537" in captured.err
 
 
+@pytest.mark.parametrize("i", ["511", "537"])
+def test_adversary_rejects_a_ring_square_past_the_float_range_before_output(i, capsys):
+    # ring i's square has side 2^i, so its squared grid offsets pass 2^1022
+    code = run(["adversary", "--i", i, "--max-cost", "10", "--grid-res", "32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "beyond the float range" in captured.err
+
+
 def test_adversary_rejects_a_grid_above_the_cap_before_output(capsys):
     code = run(["adversary", "--i", "1", "--max-cost", "10", "--grid-res", str(MAX_GRID_RES + 1)])
     captured = capsys.readouterr()

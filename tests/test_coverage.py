@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from planehunt.coverage import (
     tube_area,
 )
 from planehunt.experiments import export_svg
+from planehunt.geometry import Point
 from planehunt.trajectory import prefix_polyline
 
 
@@ -140,6 +142,62 @@ def test_every_polyline_consumer_rejects_non_finite_polylines(polyline, tmp_path
     with pytest.raises(ValueError, match=match):
         export_svg(polyline, str(path))
     assert not path.exists()
+
+
+# Squares past the float range, each a RuntimeWarning (an error here) before:
+# "overflow encountered in multiply" for the squared 1e200 step, "in square"
+# for the grid offsets of r = 1e200, "in add" for those of r = 1e154.  Ring
+# 537's square has side 2^537, so its offsets overflowed when coordinates near
+# 1e308 widened _far's pad to take in the segment.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tube_area([[0, 0], [1e200, 0]], 1.0, grid_res=32),
+        lambda: adversarial_static_placement([[0, 0], [1e200, 0]], 2, grid_res=32),
+        lambda: tube_area([[0, 0], [1, 0]], 1e200, grid_res=32),
+        lambda: tube_area([[0, 0], [1, 0]], 1e154, grid_res=32),
+        lambda: tube_area([[0, 0], [1e154, 1e154]], 1.0, grid_res=32),
+        lambda: tube_area([[-1.7e308, 0]], 1e308, grid_res=32),
+        lambda: adversarial_static_placement([[1e308, 0], [1e308, 1]], 537, grid_res=16),
+        lambda: adversarial_static_placement([[0, 0]], 511, grid_res=16),
+    ],
+    ids=["tube-step", "witness-step", "tube-r1e200", "tube-r1e154", "tube-slanted", "tube-edge",
+         "witness-ring-537", "witness-ring-511"],
+)
+def test_squares_past_the_float_range_raise_before_numpy_warns(call):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        call()
+
+
+def test_squares_at_the_limit_are_finite():
+    # the box of polyline and grid may reach w^2 + h^2 = 2^1022
+    report = tube_area([[0.0, 0.0]], 2.0 ** 509, grid_res=32)
+    assert math.isfinite(report.estimated_area) and report.estimated_area > 0
+    assert math.isfinite(report.analytic_bound)
+    assert adversarial_static_placement([[0.0, 0.0]], 510, grid_res=16)[-1][3] is not None
+    # a step past the limit is still drawn
+    assert export_svg([[0.0, 0.0], [1e200, 0.0]], os.devnull) == os.devnull
+
+
+def test_witness_boxes_near_the_float_range_keep_every_segment():
+    # x1 + pad rounded past the float range: "overflow encountered in scalar add"
+    top = np.finfo(np.float64).max
+    results = adversarial_static_placement([[top, 0.0], [top, 1.0]], 3, grid_res=16)
+    assert [w for *_, w in results] == [Point(top, -0.9375), Point(top, -1.875), Point(top, -3.75)]
+
+
+@given(
+    st.lists(st.tuples(*[st.floats(-(2.0 ** 511), 2.0 ** 511)] * 2), min_size=1, max_size=4),
+    st.floats(2.0 ** -1074, 2.0 ** 511),
+)
+@settings(max_examples=100, deadline=None)
+def test_tube_area_near_the_limit_raises_or_never_overflows(polyline, r):
+    try:
+        report = tube_area(polyline, r, grid_res=32)
+    except ValueError as exc:
+        assert "beyond the float range" in str(exc)
+        return
+    assert math.isfinite(report.estimated_area) and math.isfinite(report.cell_diagonal)
 
 
 def test_a_slanted_segment_whose_length_underflows_is_its_start():

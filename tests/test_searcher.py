@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from planehunt import searcher
@@ -8,7 +10,7 @@ from planehunt.searcher import (
     predict_dynamic,
     static_plan,
 )
-from planehunt.trajectory import diagonal_length, diagonal_terms
+from planehunt.trajectory import CatchPrediction, diagonal_length, diagonal_terms, predict_static
 
 
 class TestStaticPlan:
@@ -53,9 +55,22 @@ class TestDynamicPlan:
             assert abs(t_summed - t_closed) <= 1e-12 * t_closed
 
 
+def _partial(n):
+    """t_1 + ... + t_n for the dynamic plan, summed in dynamic_q's order."""
+    plan = dynamic_plan()
+    return sum(plan.traversal_time(i) for i in range(1, n + 1))
+
+
+def _formula_y(D, v, r):
+    """(a, b, y0) of predict_dynamic's closed formula, before the timing loop."""
+    base = predict_static(D, r)
+    a_prime = max(base.a, math.ceil(dynamic_q() * v)) + 1
+    return base.a, base.b, max(1, a_prime + base.b // 2 - 1)
+
+
 class TestDynamicQ:
     def test_lower_bounded_by_t1(self):
-        assert dynamic_q(1) >= 171 / 32
+        assert dynamic_q() >= 171 / 32
 
     def test_partial_sums(self):
         t1 = 171 / 32
@@ -63,52 +78,57 @@ class TestDynamicQ:
         t3 = diagonal_length(3) / 2.0 ** 15
         assert t2 == pytest.approx(1.12085, abs=1e-5)
         assert t3 == pytest.approx(0.19616, abs=1e-5)
-        assert dynamic_q(3) >= t1 + t2 + t3
+        assert dynamic_q() >= t1 + t2 + t3
 
     def test_stable_beyond_30_terms(self):
-        assert abs(dynamic_q(30) - dynamic_q(40)) < 1e-9
+        assert abs(_partial(30) - _partial(40)) < 1e-9
+        assert abs(dynamic_q() - _partial(30)) < 1e-9
 
     def test_upper_bounds_partial_sums(self):
-        plan = dynamic_plan()
-        for upto in (1, 5, 12, 25):
-            partial = sum(plan.traversal_time(i) for i in range(1, upto + 1))
-            assert dynamic_q(upto) >= partial
+        for upto in range(1, 49):
+            assert dynamic_q() >= _partial(upto)
 
     def test_non_increasing_once_tail_applies(self):
-        values = [dynamic_q(upto) for upto in range(10, 30)]
+        # partial(n) + 4^-n / 3 bounds q for each n >= 8; each added term
+        # is at most the tail term it replaces, so 48 terms bound best
+        values = [_partial(n) + 4.0 ** (-n) / 3.0 for n in range(10, 49)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-15
+        assert values[-1] == dynamic_q()
+
+    def test_is_the_48_term_partial_sum_plus_the_geometric_tail(self):
+        assert dynamic_q() == _partial(48) + 4.0 ** -48 / 3.0
+        assert dynamic_q() == 6.698370077012264
+
+    def test_tail_premise_holds_for_every_finite_speed(self):
+        # the tail sum_{i > 48} 4^-i dominates the terms it replaces; the
+        # speed 2^(5i) is a finite float through i = 204
+        plan = dynamic_plan()
+        for i in range(49, 205):
+            assert plan.traversal_time(i) <= 4.0 ** -i
 
     def test_cached_values_bit_identical_to_uncached(self, monkeypatch):
         uncached = dynamic_q.__wrapped__
         assert dynamic_q() == uncached()
-        for upto in (1, 3, 10, 30, 48):
-            assert dynamic_q(upto) == uncached(upto)
         cases = [(1, 1, 1 / 16), (4, 0.5, 1 / 4), (2, 16, 1 / 64), (8, 3, 0.01)]
         cached = [predict_dynamic(D, v, r) for D, v, r in cases]
         monkeypatch.setattr(searcher, "dynamic_q", uncached)
         assert cached == [predict_dynamic(D, v, r) for D, v, r in cases]
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            dynamic_q(0)
-
 
 class TestPredictDynamic:
     def test_inert_reduction(self):
+        # a' = max(2, 0) + 1 = 3, so y = 3 + 4/2 - 1 = 4
         p = predict_dynamic(4, 0, 1 / 16)
-        assert p.c == 0
-        assert p.a_prime == 3  # max(2, 0) + 1
-        assert p.y == 4
+        assert _formula_y(4, 0, 1 / 16) == (2, 4, 4)
+        assert p == CatchPrediction(2, 4, 4)
 
     def test_unit_speed_uses_q(self):
-        q = dynamic_q(48)
+        # a' = ceil(q) + 1 = 8, so y = 8 + 4/2 - 1 = 9
+        assert math.ceil(dynamic_q()) == 7
         p = predict_dynamic(1, 1, 1 / 16)
-        import math
-
-        assert p.c == math.ceil(q)
-        assert p.a_prime == p.c + 1
-        assert p.y == p.a_prime + p.b // 2 - 1
+        assert _formula_y(1, 1, 1 / 16) == (0, 4, 9)
+        assert (p.a, p.b, p.y) == (0, 4, 9)
 
     def test_condition_verified_for_returned_y(self):
         plan = dynamic_plan()
@@ -120,14 +140,13 @@ class TestPredictDynamic:
         # y0 = 2 misses the timing condition 1 / (v 2^(b+1)) = 0.8929, so the loop raises y to 3
         plan = dynamic_plan()
         p = predict_dynamic(1.0, 0.14, 0.25)
-        assert (p.a, p.b, p.c, p.a_prime) == (0, 2, 1, 2)
-        assert p.a_prime + p.b // 2 - 1 == 2
+        assert _formula_y(1.0, 0.14, 0.25) == (0, 2, 2)  # a' = max(0, ceil(0.94)) + 1 = 2
+        assert (p.a, p.b) == (0, 2)
         limit = 1.0 / (0.14 * 2.0 ** (p.b + 1))
         assert limit == pytest.approx(0.8929, abs=1e-4)
         assert plan.traversal_time(2) == pytest.approx(1.1208, abs=1e-4) and plan.traversal_time(2) > limit
         assert plan.traversal_time(3) == pytest.approx(0.1962, abs=1e-4) and plan.traversal_time(3) <= limit
         assert p.y == 3 and p.cost_bound == 61440.0
-        assert p.condition_holds_at_formula_y is False
         rows = sweep_dynamic([0.14], [0.25], 1.0, 200, 7)
         assert len(rows) == 200
         assert all(row.sensed and row.diagonal <= p.y and row.cost <= p.cost_bound for row in rows)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from block_arrays import _min_distance_to_polyline, diagonal_length_bound, pi_ar
 
 from planehunt import trajectory
 from planehunt.trajectory import (
+    CatchPrediction,
     SpiralParams,
     ceil_log2,
     diagonal_length,
@@ -155,6 +157,22 @@ def test_ceil_log2_matches_the_loop_over_powers():
     for x in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             ceil_log2(x)
+
+
+class TestCatchPrediction:
+    def test_cost_bound_is_derived_from_y(self):
+        p = CatchPrediction(2, 4, 3)
+        assert p.cost_bound == 80 * 3 * 2 ** 8
+        assert repr(p) == "CatchPrediction(a=2, b=4, y=3, cost_bound=61440.0)"
+        assert [f.name for f in fields(p)] == ["a", "b", "y", "cost_bound"]
+        assert p == predict_static(4, 1 / 16) and p != CatchPrediction(2, 4, 4)
+        with pytest.raises(TypeError):
+            CatchPrediction(2, 4, 3, 61440.0)
+
+    def test_cost_bound_beyond_the_float_range_raises(self):
+        assert CatchPrediction(0, 2, 503).cost_bound == 80.0 * 503 * 2.0 ** 1008
+        with pytest.raises(ValueError, match="beyond the float range"):
+            CatchPrediction(0, 2, 504)
 
 
 class TestPredictStatic:
