@@ -22,7 +22,7 @@ no squared step or grid offset leaves the float range.
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Point, fma_dot
 
@@ -38,8 +38,7 @@ MAX_GRID_RES = 4096
 WITNESS_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     trajectory_length: float
     r: float
     estimated_area: float
@@ -54,8 +53,7 @@ class CoverageReport:
         return 4.0 * self.cell_diagonal * self.trajectory_length
 
 
-@dataclass(frozen=True)
-class PolySpeedCertificate:
+class PolySpeedCertificate(NamedTuple):
     c: int
     v: float
     r: float
@@ -67,10 +65,13 @@ class PolySpeedCertificate:
 
 
 def area_bound(length, r):
-    """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x."""
+    """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x; ValueError past the float range."""
     if not (math.isfinite(length) and length >= 0 and math.isfinite(r) and r > 0):
         raise ValueError("require finite length >= 0 and finite r > 0")
-    return 2.0 * r * length + math.pi * r * r
+    bound = 2.0 * r * length + math.pi * r * r
+    if not math.isfinite(bound):  # Python floats: inf, with no warning
+        raise ValueError(f"the area bound of length {length:g} and r = {r:g} is beyond the float range")
+    return bound
 
 
 def _ranges(starts, lengths):
@@ -239,7 +240,12 @@ def tube_area(polyline, r, grid_res=256):
     marks as within r of the polyline; the estimate carries a
     discretization slack of 4 * cell diagonal * length.  The inflated box
     must have w^2 + h^2 <= 2^1022, so that no squared step or grid offset
-    leaves the float range; else ValueError (_check_extent).
+    leaves the float range (_check_extent), the area bound must be
+    finite, and the float spacing at the grid's coordinates must be at
+    most two cells along each axis, so that rounding moves no cell centre
+    by more than a cell; else ValueError.  The last fails where the box
+    is under grid_res / 2 times the float spacing at its coordinates, as
+    for r = 1 around x = 1e17, where its cells would be 0 wide.
     """
     import numpy as np
 
@@ -256,15 +262,20 @@ def tube_area(polyline, r, grid_res=256):
     dy = (hi[1] - lo[1]) / grid_res
     xs = lo[0] + (np.arange(grid_res) + 0.5) * dx
     ys = lo[1] + (np.arange(grid_res) + 0.5) * dy
+    spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    if not (spacing[0] <= 2 * dx and spacing[1] <= 2 * dy):
+        raise ValueError(f"the grid of r = {r:g} at ({lo[0]:g}, {lo[1]:g}) needs cells finer than the floats there, "
+                         "beyond the float range")
+    length = float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
+    bound = area_bound(length, r)
     marked = _covered_cells(xs, ys, polyline, r)
 
     cell_area = float(dx * dy)
-    length = float(np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum())
     return CoverageReport(
         trajectory_length=length,
         r=r,
         estimated_area=float(marked.sum()) * cell_area,
-        analytic_bound=area_bound(length, r),
+        analytic_bound=bound,
         grid_res=grid_res,
         cell_area=cell_area,
         cell_diagonal=math.hypot(dx, dy),
@@ -469,8 +480,7 @@ def poly_speed_certificate(c, v, r, d):
     )
 
 
-@dataclass(frozen=True)
-class ImpossibilityReport:
+class ImpossibilityReport(NamedTuple):
     rows: tuple  # the PolySpeedCertificate of m = 1..m_max, in order
     crossover_m: int  # first m from which min_cost > optimal_cost onward, or -1
     slope: float  # fitted d log(min_cost) / d log(v^2/r) over the last 4 rows

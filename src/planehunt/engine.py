@@ -51,8 +51,8 @@ import functools
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from numbers import Integral, Real
+from typing import NamedTuple
 
 from .geometry import Point, first_contact_time, fma_dot
 from .trajectory import (
@@ -72,16 +72,20 @@ _SIDE_ROWS = tuple((off, *side) for off, side in enumerate(_SIDES))
 MAX_TRACE_LINES = 2**20
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
+    agent_start: Point
+    r: float
+    max_cost: float
+    max_diagonal: int
+
+
+class SimConfig(_SimConfig):
     """Sensing radius and budgets of one hunt; every walk ends by diagonal max_diagonal <= MAX_DIAGONAL."""
 
-    agent_start: Point = Point(0.0, 0.0)
-    r: float = 1.0
-    max_cost: float = math.inf
-    max_diagonal: int = MAX_DIAGONAL
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, agent_start=Point(0.0, 0.0), r=1.0, max_cost=math.inf, max_diagonal=MAX_DIAGONAL):
+        self = super().__new__(cls, agent_start, r, max_cost, max_diagonal)
         if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
             raise ValueError("agent_start must be finite")
         for name in ("r", "max_cost"):
@@ -97,10 +101,10 @@ class SimConfig:
             raise ValueError(f"max_diagonal must be an integer, got {self.max_diagonal!r}")
         if not 1 <= self.max_diagonal <= MAX_DIAGONAL:
             raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {self.max_diagonal}")
+        return self
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(NamedTuple):
     sensed: bool
     time: float
     cost: float

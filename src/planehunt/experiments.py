@@ -30,7 +30,6 @@ CSV as they are and to JSONL by their _asdict().
 
 import contextlib
 import csv
-import json
 import math
 import operator
 import os
@@ -360,7 +359,12 @@ def write_rows_csv(rows, path=None):
 
 
 def write_rows_jsonl(rows, path):
-    """Line-delimited JSON variant of the sweep output."""
+    """Line-delimited JSON variant of the sweep output.
+
+    json is imported here, as no other command needs it at start.
+    """
+    import json
+
     with open(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row._asdict()) + "\n")

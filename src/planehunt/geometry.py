@@ -5,7 +5,7 @@ from any number of workers.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Tolerances (see module notes): a quadratic root is accepted when the
 # residual of the discriminant is within ROOT_TOL of zero; reported
@@ -24,9 +24,11 @@ _SPLIT = 134217729.0
 _SPLIT_LO, _SPLIT_HI = 2.0 ** -480, 2.0 ** 480
 
 
-@dataclass(frozen=True)
-class Point:
-    """A position or displacement in the plane (length units)."""
+class Point(NamedTuple):
+    """A position or displacement in the plane (length units).
+
+    A NamedTuple, so also the tuple (x, y); + and - are vector sums.
+    """
 
     x: float
     y: float

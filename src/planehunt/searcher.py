@@ -11,13 +11,12 @@ type of both searchers.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trajectory import CatchPrediction, diagonal_length, predict_static
 
 
-@dataclass(frozen=True)
-class SearcherPlan:
+class SearcherPlan(NamedTuple):
     """Immutable description of a searcher: trajectory plus speeds."""
 
     name: str

@@ -10,7 +10,7 @@ segment by bisection.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Point
 
@@ -19,15 +19,19 @@ SPEED_TOL = 1e-9
 FLEE_STEPS = 8
 
 
-@dataclass(frozen=True)
-class TargetStrategy:
-    """Piecewise-linear target motion with a declared speed bound v."""
-
+class _TargetStrategy(NamedTuple):
     times: tuple  # strictly increasing, times[0] == 0
     points: tuple  # Point at each breakpoint
     v: float  # declared speed bound (>= any segment speed)
 
-    def __post_init__(self):
+
+class TargetStrategy(_TargetStrategy):
+    """Piecewise-linear target motion with a declared speed bound v."""
+
+    __slots__ = ()
+
+    def __new__(cls, times, points, v):
+        self = super().__new__(cls, times, points, v)
         if len(self.times) != len(self.points) or not self.times:
             raise ValueError("times and points must be nonempty and equal length")
         if self.times[0] != 0:
@@ -47,6 +51,7 @@ class TargetStrategy:
                     f"segment {idx} moves at speed {speed:.6g} "
                     f"exceeding the declared bound {self.v:.6g}"
                 )
+        return self
 
     def position(self, t):
         """Target position at time t >= 0 (inert after the last breakpoint)."""

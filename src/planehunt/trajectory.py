@@ -28,8 +28,8 @@ builds it here, and searcher.predict_dynamic for a moving target.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, count
+from typing import NamedTuple
 
 # The outbound half of a block, in units of its step: leg 4s + off lies on
 # the line perp = sign * (s + c_line) and runs along the other axis from
@@ -56,34 +56,46 @@ MAX_PREFIX_VERTICES = 2**16
 MAX_DIAGONAL = 12
 
 
-@dataclass(frozen=True)
-class SpiralParams:
+class _SpiralParams(NamedTuple):
     k: int
     j: int
 
-    def __post_init__(self):
+
+class SpiralParams(_SpiralParams):
+    __slots__ = ()
+
+    def __new__(cls, k, j):
+        self = super().__new__(cls, k, j)
         if self.k < 1 or self.j < 1:
             raise ValueError("spiral parameters require k >= 1 and j >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class CatchPrediction:
-    """Guaranteed catch diagonal y of either searcher, and its cost bound.
-
-    a and b are the distance and resolution indices the prediction starts
-    from.  cost_bound is 80 y 2^(2y+2), set from y; ValueError where it
-    is beyond the float range (y >= 504).
-    """
-
+class _CatchPrediction(NamedTuple):
     a: int
     b: int
     y: int
-    cost_bound: float = field(init=False)
+    cost_bound: float
 
-    def __post_init__(self):
-        if 2 * self.y + 2 + math.log2(80 * self.y) >= 1024:  # y >= 504
-            raise ValueError(f"the cost bound of catch diagonal {self.y} is beyond the float range")
-        object.__setattr__(self, "cost_bound", 80.0 * self.y * 2.0 ** (2 * self.y + 2))
+
+class CatchPrediction(_CatchPrediction):
+    """Guaranteed catch diagonal y of either searcher, and its cost bound.
+
+    Built as CatchPrediction(a, b, y): a and b are the distance and
+    resolution indices the prediction starts from.  cost_bound is
+    80 y 2^(2y+2), set from y; ValueError where it is beyond the float
+    range (y >= 504).  Pickled, like built, from (a, b, y).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, y):
+        if 2 * y + 2 + math.log2(80 * y) >= 1024:  # y >= 504
+            raise ValueError(f"the cost bound of catch diagonal {y} is beyond the float range")
+        return super().__new__(cls, a, b, y, 80.0 * y * 2.0 ** (2 * y + 2))
+
+    def __getnewargs__(self):
+        return self.a, self.b, self.y
 
 
 def ceil_log2(x):

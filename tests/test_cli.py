@@ -680,6 +680,24 @@ def test_impossibility_leaves_numpy_unloaded():
     assert json.loads(done.stdout) == [[], 0, False]
 
 
+def test_importing_the_cli_adds_no_heavy_module():
+    # every command starts by importing the CLI: its records are NamedTuples,
+    # and json, numpy and statistics are imported by the functions that use
+    # them.  Only what the import adds counts, as a site hook may load some
+    # of these first; the script imports nothing else before it.
+    src = Path(planehunt.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import planehunt.cli\n"
+        "heavy = ('dataclasses', 'json', 'numpy', 'statistics', 'xml.etree')\n"
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 # every float option of the commands that take one, apart from the sweeps'
 FLOAT_OPTIONS = [
     (["simulate", "--max-diagonal", "2"], ["--r", "--v", "--t-freeze", "--max-cost"]),

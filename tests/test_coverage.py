@@ -169,6 +169,28 @@ def test_squares_past_the_float_range_raise_before_numpy_warns(call):
         call()
 
 
+def test_a_tube_thinner_than_the_floats_at_its_coordinates_raises():
+    # around x = 1e17 the floats are 16 apart, so lo - r and hi + r rounded to
+    # the same x and every cell was 0 wide: an area of 0 without an error
+    with pytest.raises(ValueError, match="cells finer than the floats there"):
+        tube_area([[1e17, 0.0], [1e17, 1.0]], 1.0, grid_res=32)
+    with pytest.raises(ValueError, match="cells finer than the floats there"):
+        tube_area([[0.0, 0.0]], 5e-324, grid_res=32)  # cells of 2^-1074 / 16 underflow to 0
+    # around x = 1e15 the floats are 1/8 apart, two cells of 1/16
+    report = tube_area([[1e15, 0.0], [1e15, 1.0]], 1.0, grid_res=32)
+    assert report.estimated_area == 5.0859375
+    assert abs(report.estimated_area - (2.0 + math.pi)) <= report.slack
+
+
+def test_an_area_bound_past_the_float_range_raises():
+    # 2 r x overflowed to inf in Python floats, without a warning
+    with pytest.raises(ValueError, match="area bound .* is beyond the float range"):
+        area_bound(1e308, 10.0)
+    with pytest.raises(ValueError, match="area bound .* is beyond the float range"):
+        tube_area([[0, 0], [1e153, 0]] * 100, 1e153, grid_res=32)
+    assert area_bound(1e300, 1e7) == pytest.approx(2e307)
+
+
 def test_squares_at_the_limit_are_finite():
     # the box of polyline and grid may reach w^2 + h^2 = 2^1022
     report = tube_area([[0.0, 0.0]], 2.0 ** 509, grid_res=32)

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -164,7 +163,7 @@ class TestCatchPrediction:
         p = CatchPrediction(2, 4, 3)
         assert p.cost_bound == 80 * 3 * 2 ** 8
         assert repr(p) == "CatchPrediction(a=2, b=4, y=3, cost_bound=61440.0)"
-        assert [f.name for f in fields(p)] == ["a", "b", "y", "cost_bound"]
+        assert p._fields == ("a", "b", "y", "cost_bound")
         assert p == predict_static(4, 1 / 16) and p != CatchPrediction(2, 4, 4)
         with pytest.raises(TypeError):
             CatchPrediction(2, 4, 3, 61440.0)
