@@ -6,10 +6,15 @@ too short for a ring leaves part of it uncovered, and a target can hide
 there.  tube_area measures that set with the grid rasterizer
 _covered_cells, and the witness search adversarial_static_placement
 finds a hiding point in each ring with the same rasterizer, on the same
-segment table (_segments) and point-to-segment formula (_dist2).  Both,
-and experiments.export_svg, take the path through the one polyline
-check as_polyline, which rejects a wrong shape, non-finite vertices and
-an extent past the float range.  The
+segment table (_segments) and point-to-segment formula (_dist2).  The
+rasterizer makes one pass over (segment, grid line) rows: in each row
+the cells that an axis-aligned segment surely covers form one run, the
+cells surely beyond r are skipped, and _dist2 decides the rest, so its
+masks are the bits that _dist2 gives on every cell; one rounding margin
+(_margin) draws those lines there and in the witness search's exact
+skip (_far).  Both callers, and experiments.export_svg, take the path
+through the one polyline check as_polyline, which rejects a wrong
+shape, non-finite vertices and an extent past the float range.  The
 certifier functions evaluate the closed-form lower bounds on search cost
 that follow from it, plus the impossibility certificate for a searcher
 whose speed is at most t^c, which pays alpha (v^2/r)^beta, and the
@@ -26,12 +31,12 @@ from typing import NamedTuple
 
 from .geometry import Point, fma_dot
 
-# (segment, cell) pairs per _covered_cells pass.  Each float temporary is
-# then 64 KB: it stays in cache, and malloc reuses it from the heap instead
-# of mapping and faulting in fresh pages for every pass.
+# (segment, cell) or (point, segment) pairs per exact distance pass, and four
+# times the (segment, grid line) rows per _covered_cells group: each float
+# temporary is then at most 64 KB, and memory is bounded before the run starts.
 PAIR_BUDGET = 2**13
 # largest grid_res of tube_area and the witness grid: a witness search holds
-# at most about 17 bytes per cell, so 4096^2 cells take about 300 MB
+# at most about 18 bytes per cell, so 4096^2 cells take about 300 MB
 MAX_GRID_RES = 4096
 # most unmarked witness candidates confirmed per exact distance check; the
 # chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
@@ -123,20 +128,76 @@ def _segments(polyline):
     return (a0, a1, d0, d1, len2), boxes
 
 
+def _margin(r, big):
+    """The rounding margin of an exact decision at radius r among coordinates at most big in magnitude.
+
+    It is 1e-9 r + 1e-12 big.  A point that exact arithmetic puts farther
+    than r + margin from a segment's box is farther than r in _dist2's
+    rounded arithmetic too, and for an axis-aligned segment whose step
+    has a normal square, one within r - margin is within r: each rounding
+    there moves an offset by a few ulps of big, or a square by a few ulps
+    of r^2, far less than the margin (_covered_cells and _far rest on
+    this).  That needs r*r to be a normal float, as a subnormal square
+    loses its relative precision; below that the margin is inf, so
+    nothing is decided by it.
+    """
+    return 1e-9 * r + 1e-12 * big if r * r >= sys.float_info.min else math.inf
+
+
+def _chunks(sizes, budget):
+    """Slices of consecutive sizes whose sum is at most budget, or of one size alone."""
+    import numpy as np
+
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(sizes):
+        start, i = i, max(int(np.searchsorted(ends, ends[i] - sizes[i] + budget, side="right")), i + 1)
+        yield slice(start, i)
+
+
 def _covered_cells(xs, ys, polyline, r):
     """Mask of the grid cells whose centre lies within r of the polyline.
 
     xs and ys are the sorted cell-centre coordinates along each axis; the
     result is a bool array of shape (len(xs), len(ys)).  This is the one
-    rasterizer behind tube_area and the adversary's witness search.  Each
-    segment's r-inflated box (_segments) is located on xs and ys with
-    searchsorted, and the exact point-to-segment test _dist2 <= r^2 is
-    evaluated only on the (segment, cell) pairs of those boxes.  Segments
-    are taken in order, in groups of at most PAIR_BUDGET pairs, and each
-    group is one flat numpy pass over its pairs.  A group of one segment
-    (its box alone may be larger) is broadcast over the box's rows and
-    columns instead, at most PAIR_BUDGET cells of rows at a time.  A
-    one-vertex polyline is a disc.
+    rasterizer behind tube_area and the adversary's witness search.  A
+    cell is marked where _dist2 <= r^2 for a segment whose r-inflated box
+    (_segments, located on xs and ys with searchsorted) holds it, and one
+    pass (_runs) finds those cells while evaluating _dist2 on few of them.
+
+    Each box is cut into rows, one per grid line along its segment: grid
+    rows for a horizontal segment, grid columns for every other.  In the
+    column x, at distance e from the box's [lo_x, hi_x], the cells within
+    rad of the box are the run [lo_y - h, hi_y + h] with
+    h = sqrt((rad - e)(rad + e)), none where e >= rad.  With the margin m
+    (_margin) of r and of the largest magnitude among the cell centres and
+    box coordinates, a row's box cells fall in three classes:
+      * within rad = r - m, sure.  For an axis-aligned segment _dist2
+        clips t to 0 or 1, or puts a + t d within a few ulps of the
+        segment's point level with the cell, so each offset and square it
+        forms is within rounding of the exact one, and its distance is at
+        most r;
+      * beyond rad = r + m, skipped, as _far skips a box: a + t d lies in
+        the box by monotone rounding, so the computed distance exceeds r;
+      * the rest get _dist2 <= r^2.
+    So the mask is the one that _dist2 <= r^2 gives on every cell of every
+    box, bit for bit.  The margin alone decides where that argument
+    fails.  A slanted segment, and one whose step has a square below the
+    normal floats (a nonzero one has an inexact t; a zero-length one is
+    a disc, kept whole so that one comparison decides), get m = inf, and
+    so does every segment where r*r is subnormal (_margin); where m >= r
+    no cell is sure.  Such a box is tested whole, as every box was
+    before.  Where r + m or the run's ends round to inf, the whole box is
+    kept.
+
+    Runs are merged with no count per cell: a run [b, c) of a grid line
+    writes c at b, and a running maximum along the line marks each cell
+    that lies before the largest end so far.  Along the columns that is
+    one numpy accumulate; down the rows it is one vector maximum per row,
+    as numpy's accumulate across rows is several times slower, and each
+    row is OR-ed into the mask as it is finished.  So the pass holds one
+    run end per cell (2 bytes up to 65,535 cells a side) besides the
+    mask.  A one-vertex polyline is a disc.
 
     len2 is each segment's |d|^2 rounded as one fma, fma(d1, d1, d0*d0)
     (geometry.fma_dot), so masks are the same bits on every CPU.  Where d0
@@ -150,51 +211,75 @@ def _covered_cells(xs, ys, polyline, r):
     """
     import numpy as np
 
-    columns, (lo_x, hi_x, lo_y, hi_y) = _segments(polyline)
-    ix0 = np.searchsorted(xs, lo_x - r, side="left")
-    ix1 = np.searchsorted(xs, hi_x + r, side="right")
-    iy0 = np.searchsorted(ys, lo_y - r, side="left")
-    iy1 = np.searchsorted(ys, hi_y + r, side="right")
+    (a0, a1, d0, d1, len2), (lo_x, hi_x, lo_y, hi_y) = _segments(polyline)
+    ix0, ix1 = np.searchsorted(xs, lo_x - r, side="left"), np.searchsorted(xs, hi_x + r, side="right")
+    iy0, iy1 = np.searchsorted(ys, lo_y - r, side="left"), np.searchsorted(ys, hi_y + r, side="right")
+    slanted = (d0 != 0.0) & (d1 != 0.0)
+    len2[slanted] = [fma_dot(x, y, x, y) or 1.0 for x, y in zip(d0[slanted].tolist(), d1[slanted].tolist())]
+    m = _margin(r, max(-xs[0], xs[-1], -ys[0], ys[-1], *(np.abs(b).max() for b in (lo_x, hi_x, lo_y, hi_y))))
+    margin = np.where(slanted | (d0 * d0 + d1 * d1 < sys.float_info.min), np.inf, m)
+    rad = r + np.stack([margin, -margin])  # the skip beyond the first, the sure cells within the second
 
-    marked = np.zeros((len(xs), len(ys)), dtype=bool)
-    boxed = np.flatnonzero((ix0 < ix1) & (iy0 < iy1))
-    columns = [c[boxed] for c in columns]
-    d0, d1, len2 = columns[2:]
-    ix0, iy0 = ix0[boxed], iy0[boxed]
-    nx, ny = ix1[boxed] - ix0, iy1[boxed] - iy0
-    cells = nx * ny
-    slanted = np.flatnonzero((d0 != 0.0) & (d1 != 0.0))
-    len2[slanted] = [fma_dot(x, y, x, y) for x, y in zip(d0[slanted].tolist(), d1[slanted].tolist())]
-    len2[len2 == 0.0] = 1.0
-
-    bounds = np.concatenate([[0], np.cumsum(cells)])
-    start = 0
-    while start < boxed.size:
-        stop = int(np.searchsorted(bounds, bounds[start] + PAIR_BUDGET, side="right")) - 1
-        stop = max(stop, start + 1)
-        if stop == start + 1:
-            # one segment: broadcast over its box, a band of rows at a time
-            s = start
-            by = slice(iy0[s], iy0[s] + ny[s])
-            band = max(1, PAIR_BUDGET // ny[s])
-            for x0 in range(ix0[s], ix0[s] + nx[s], band):
-                bx = slice(x0, min(x0 + band, ix0[s] + nx[s]))
-                marked[bx, by] |= _dist2(xs[bx, None], ys[None, by], *(c[s] for c in columns)) <= r * r
-        else:
-            g = slice(start, stop)
-            # one row per (segment, x cell), one pair per (row, y cell)
-            row_ny = np.repeat(ny[g], nx[g])
-            ix = np.repeat(_ranges(ix0[g], nx[g]), row_ny)
-            iy = _ranges(np.repeat(iy0[g], nx[g]), row_ny)
-            # the pairs stay bound until the next group's replace them, so malloc
-            # reuses their blocks instead of trimming the heap and faulting them
-            # in again: a third of the page faults or fewer on the adversary
-            # benchmark command
-            pairs = xs[ix], ys[iy], *(np.repeat(c[g], cells[g]) for c in columns)
-            hit = _dist2(*pairs) <= r * r
-            marked[ix[hit], iy[hit]] = True
-        start = stop
+    along_x = (d1 == 0.0) & (d0 != 0.0)
+    dtype = np.min_scalar_type(max(len(xs), len(ys)))  # run ends are grid indices
+    ends = np.zeros((len(xs), len(ys) + 1), dtype=dtype)
+    _runs(xs, ys, r, rad, ~along_x, (a0, a1, d0, d1, len2, lo_x, hi_x, lo_y, hi_y, ix0, ix1, iy0, iy1), ends)
+    np.maximum.accumulate(ends, axis=1, out=ends)
+    marked = ends[:, :-1] > np.arange(len(ys), dtype=dtype)
+    del ends
+    ends = np.zeros((len(xs) + 1, len(ys)), dtype=dtype)
+    _runs(ys, xs, r, rad, along_x, (a1, a0, d1, d0, len2, lo_y, hi_y, lo_x, hi_x, iy0, iy1, ix0, ix1), ends.T)
+    for k in range(len(xs)):
+        marked[k] |= ends[k] > k
+        np.maximum(ends[k], ends[k + 1], out=ends[k + 1])
     return marked
+
+
+def _runs(xs, ys, r, rad, chosen, table, ends):
+    """Write the runs of the chosen segments into ends, one row per (segment, grid column).
+
+    table holds the segment columns of _dist2 (a0, a1, d0, d1, len2),
+    then the boxes (lo_x, hi_x, lo_y, hi_y) and the indices of their
+    inflated boxes on xs and ys (ix0, ix1, iy0, iy1); rad holds each
+    segment's skip and sure radius.  The rows of a segment are the
+    columns ix0..ix1 - 1 of its box, and its runs lie along y
+    (_covered_cells swaps x and y for runs along x).  ends is a
+    (len(xs), len(ys) + 1) view of any strides: a run [b, c) of column i
+    writes c at ends[i, b] where that is larger, and the last entry of a
+    column takes the empty runs at its end.  Rows are taken in groups of
+    at most PAIR_BUDGET // 4 (or one segment), as a row's temporaries
+    are a few times a pair's, and the cells between a row's sure run and
+    its skipped ends get _dist2 <= r^2 in chunks of at most PAIR_BUDGET
+    pairs (or one run); each hit is a run of one cell.
+    """
+    import numpy as np
+
+    lo_x, hi_x, lo_y, hi_y, ix0, ix1, iy0, iy1 = table[5:]
+    chosen = np.flatnonzero(chosen & (ix0 < ix1) & (iy0 < iy1))
+    nx = ix1[chosen] - ix0[chosen]
+    flat = ends.ravel(order="K")  # a view: ends is contiguous in one order or the other
+    step_x, step_y = (s // ends.itemsize for s in ends.strides)
+    for g in _chunks(nx, PAIR_BUDGET // 4):
+        seg = np.repeat(chosen[g], nx[g])
+        ix = _ranges(ix0[chosen[g]], nx[g])
+        e = np.maximum(np.maximum(lo_x[seg] - xs[ix], xs[ix] - hi_x[seg]), 0.0)
+        rs = rad[:, seg]
+        with np.errstate(over="ignore"):  # rad^2 and the run's ends may round to inf, which keeps the whole box
+            h = np.where(e < rs, np.sqrt(np.maximum((rs - e) * (rs + e), 0.0)), -np.inf)
+            (a, b), (d, c) = np.searchsorted(ys, lo_y[seg] - h, "left"), np.searchsorted(ys, hi_y[seg] + h, "right")
+        # the row's box cells within the skip radius are [a, d), and the sure run [b, c) lies within them
+        a = np.maximum(a, iy0[seg])
+        d = np.maximum(np.minimum(d, iy1[seg]), a)
+        b = np.clip(b, a, d)
+        c = np.clip(c, b, d)
+        base = ix * step_x
+        np.maximum.at(flat, base + b * step_y, c.astype(flat.dtype))
+        first, size = np.concatenate([a, c]), np.concatenate([b - a, d - c])
+        for p in _chunks(size, PAIR_BUDGET):
+            row = np.arange(p.start, p.stop).repeat(size[p]) % seg.size
+            iy = _ranges(first[p], size[p])
+            hit = _dist2(xs[ix[row]], ys[iy], *(col[seg[row]] for col in table[:5])) <= r * r
+            np.maximum.at(flat, base[row[hit]] + iy[hit] * step_y, (iy[hit] + 1).astype(flat.dtype))
 
 
 def as_polyline(polyline):
@@ -315,25 +400,21 @@ def _far(px, py, segments, boxes, r):
     rounded a + d, which boxes holds.  A skipped box lies more than about
     pad from every point along x or y, so each computed offset, square,
     sum and root there stays within a few ulps of that gap, which exceeds
-    r.  pad is r plus one part in 1e9, plus 1e-12 of the points'
-    coordinates for the rounding of the box test.  The bound needs r*r to
-    be a normal float (a subnormal square loses its relative precision,
-    and may round to 0); below that no segment is skipped.
+    r.  pad is r plus the margin (_margin) of r and the points' largest
+    magnitude, which covers the rounding of the box test too; a box
+    coordinate larger than that lies farther from the points by its
+    excess.  Where r*r is subnormal the margin is inf, and no segment is
+    skipped.
     """
     import numpy as np
 
     lo_x, hi_x, lo_y, hi_y = boxes
-    if r * r < sys.float_info.min:
-        near = slice(None)
-    else:
-        x0, x1, y0, y1 = px.min(), px.max(), py.min(), py.max()
-        pad = r * (1.0 + 1e-9) + 1e-12 * max(-x0, x1, -y0, y1)
-        with np.errstate(over="ignore"):  # x1 + pad may round to inf, which keeps every box
-            near = np.flatnonzero(
-                (lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad)
-            )
-        if near.size == 0:
-            return np.ones(len(px), dtype=bool)
+    x0, x1, y0, y1 = px.min(), px.max(), py.min(), py.max()
+    pad = r + _margin(r, max(-x0, x1, -y0, y1))
+    with np.errstate(over="ignore"):  # x1 + pad may round to inf, which keeps every box
+        near = np.flatnonzero((lo_x <= x1 + pad) & (hi_x >= x0 - pad) & (lo_y <= y1 + pad) & (hi_y >= y0 - pad))
+    if near.size == 0:
+        return np.ones(len(px), dtype=bool)
     return np.sqrt(_min_dist2(px, py, [c[near] for c in segments])) > r
 
 

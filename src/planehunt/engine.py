@@ -138,7 +138,7 @@ def simulate(plan, strategy, cfg, trace=None):
 
 
 def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
-    """SimOutcome from values of its field types; cost may be a numpy float (a moving target's)."""
+    """SimOutcome from values of its field types; cost may be a numpy float, where r or max_cost is one."""
     return SimOutcome(sensed, t, float(cost), agent, tgt, diagonal, legs, reason)
 
 

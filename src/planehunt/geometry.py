@@ -42,9 +42,6 @@ class Point(NamedTuple):
     def scaled(self, s):
         return Point(self.x * s, self.y * s)
 
-    def dot(self, other):
-        return self.x * other.x + self.y * other.y
-
     def norm(self):
         return math.hypot(self.x, self.y)
 
@@ -109,18 +106,20 @@ def first_contact_time(p0, u, q0, w, r, horizon):
         raise ValueError(f"sensing radius must be finite and positive, got {r}")
     if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    if not all(map(math.isfinite, (p0.x, p0.y, u.x, u.y, q0.x, q0.y, w.x, w.y))):
+    # unpacked once: a NamedTuple field read is a descriptor call, a local is not
+    (p0x, p0y), (ux, uy), (q0x, q0y), (wx, wy) = p0, u, q0, w
+    if not all(map(math.isfinite, (p0x, p0y, ux, uy, q0x, q0y, wx, wy))):
         raise ValueError("positions and velocities must be finite")
-    d0 = q0 - p0
-    rel = w - u
-    c = d0.dot(d0) - r * r
+    d0x, d0y = q0x - p0x, q0y - p0y
+    relx, rely = wx - ux, wy - uy
+    c = d0x * d0x + d0y * d0y - r * r
     if c <= 0.0:
         return 0.0
-    a = rel.dot(rel)
+    a = relx * relx + rely * rely
     if a < LINEAR_EPS:
         # constant separation beyond r
         return None
-    b = 2.0 * d0.dot(rel)
+    b = 2.0 * (d0x * relx + d0y * rely)
     disc = b * b - 4.0 * a * c
     if not math.isfinite(disc):
         return None

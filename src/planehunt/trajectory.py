@@ -45,8 +45,9 @@ _SIDES = (
 
 # prefix_polyline refuses prefixes with more vertices than this (arc
 # length about 6.85e5, inside diagonal 6).  `adversary --i 4` at its
-# default grid takes about 9 s on a prefix this long, 2-core x86 VM, and
-# grows linearly with it; the tests, demos and bench use at most 3,215.
+# default grid takes about 0.7 s on a prefix this long, 2-core x86 VM, and
+# grows linearly with it; the tests use at most 12,392, the demos and bench
+# at most 3,215.
 MAX_PREFIX_VERTICES = 2**16
 
 # The last diagonal a simulation may walk: the CLI default, and the largest

@@ -467,6 +467,24 @@ def test_adversary_benchmark_command_golden(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--i", "2", "--max-cost", "100000", "--grid-res", "512"],
+         "86db67cbc16d94fd919f24e3773d80908aa2d28f6ecab7fb10c77927d77c671f"),
+        (["--i", "5", "--max-cost", "30000", "--grid-res", "1024"],
+         "613c7eac97c11368230bb70509ada4226862aec6b7598883b2c4b98818be0ba1"),
+    ],
+    ids=["i2-512", "i5-1024"],
+)
+def test_adversary_long_prefix_digests(argv, digest, capsys):
+    # frozen sha256 of stdout, recorded from the rasterizer that tested every
+    # (segment, cell) pair of each box: these prefixes' legs cross the grids
+    code = run(["adversary", *argv])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("max_cost", ["nan", "inf"])
 def test_adversary_rejects_nonfinite_max_cost(max_cost, capsys):
     code = run(["adversary", "--i", "2", "--max-cost", max_cost, "--grid-res", "32"])

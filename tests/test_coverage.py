@@ -344,6 +344,76 @@ class TestBatchedRasterizer:
                 assert d @ d == d[0] * d[0] + d[1] * d[1]
 
 
+@st.composite
+def _extreme_raster_cases(draw):
+    """Axis-aligned, zero-length and tiny legs where rounding is at its worst for _covered_cells.
+
+    r runs from 2^-1074 (r*r subnormal below 2^-511) up, the picture sits
+    up to 1e14 r from the origin (where the margin reaches r), vertices may
+    be signed zeros, and cells lie on and just off the circles and bands
+    of radius r around the vertices.
+    """
+    r = max(math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-1074, 40))), 5e-324)
+    scale = draw(st.sampled_from([0.0, 1.0, 1e6, 1e9, 1e12, 1e14]))
+    origin = [scale * r * draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 2.0)) for _ in range(2)]
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        points = [(origin[0] + 3 * r * draw(unit), origin[1] + 3 * r * draw(unit))]
+    else:
+        points = [(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))]
+    for kind in draw(st.lists(st.sampled_from(["across", "along", "repeat", "tiny"]), max_size=5)):
+        x, y = points[-1]
+        step = 6 * r * draw(unit)
+        if kind == "across":
+            points.append((x + step, y))
+        elif kind == "along":
+            points.append((x, y + step))
+        elif kind == "repeat":
+            points.append((x, y))
+        else:  # a step whose square is below the normal floats
+            points.append((x + math.ldexp(draw(unit), draw(st.integers(-1074, -512))), y))
+    axes = []
+    for k in range(2):
+        n = draw(st.integers(1, 16))
+        lo = points[0][k] + 4 * r * draw(unit)
+        axes.append(list(lo + (np.arange(n) + 0.5) * (r * draw(st.floats(0.05, 0.6)))))
+    for x, y in draw(st.lists(st.sampled_from(points), max_size=3)):
+        # cells (x + c, y), (x, y - c) and one at an angle, c from the vertex
+        c = r * draw(st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-15, 1 + 1e-15]))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        axes[0] += [x, x + c, x + c * math.cos(angle)]
+        axes[1] += [y, y - c, y + c * math.sin(angle)]
+    radius = r * draw(st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-12]))
+    return np.sort(axes[0]), np.sort(axes[1]), np.array(points, dtype=np.float64), radius
+
+
+@pytest.mark.parametrize("budget", [1, coverage.PAIR_BUDGET])
+@settings(max_examples=300, deadline=None)
+@given(case=_extreme_raster_cases())
+def test_rounding_margin_keeps_the_per_segment_mask(budget, case):
+    # sure runs and skipped cells must leave every bit of the pair-by-pair mask
+    xs, ys, polyline, r = case
+    with mock.patch.object(coverage, "PAIR_BUDGET", budget):
+        got = _covered_cells(xs, ys, polyline, r)
+    assert np.array_equal(got, _per_segment_scan(xs, ys, polyline, r))
+
+
+def test_a_step_whose_square_underflows_gets_no_sure_cells():
+    # d0*d0 rounds to 0, so len2 is 1, t is about 0 and _dist2 measures from
+    # the start: a cell 4e-163 past r from the start, but within r - m of the
+    # box's far end, would be marked sure if the margin trusted the box
+    r = 2.0**-511
+    xs, ys, polyline = np.array([r + 4e-163]), np.array([0.0]), np.array([[0.0, 0.0], [1e-162, 0.0]])
+    assert not _per_segment_scan(xs, ys, polyline, r).any()
+    assert not _covered_cells(xs, ys, polyline, r).any()
+
+
+def test_the_margin_is_inf_where_r_squared_is_subnormal():
+    assert coverage._margin(2.0**-511, 0.0) == 1e-9 * 2.0**-511
+    assert coverage._margin(2.0**-512, 0.0) == math.inf
+    assert coverage._margin(1.0, 1e14) == 1e-9 + 1e2
+
+
 class TestAreaBound:
     def test_examples(self):
         assert area_bound(2, 0.5) == pytest.approx(2.7853981633974483)

@@ -84,6 +84,21 @@ def test_config_rejects_bool_radius_and_budget():
         assert simulate(static_plan(), inert(Point(1.7, 0.3)), SimConfig(r=r, max_cost=max_cost)) == want
 
 
+@pytest.mark.parametrize(
+    "r, max_cost, target, reason",
+    [
+        (np.float64(1.0), 40.0, Point(1.7, 0.3), "sensed"),
+        (np.float64(0.01), 5.0, Point(3000.0, 0.0), "cost_budget"),
+        (0.01, np.float32(5.5), Point(3000.0, 0.0), "cost_budget"),
+    ],
+)
+def test_numpy_radius_or_budget_gives_python_float_fields(r, max_cost, target, reason):
+    # the stop cost is cost + arc or max_cost, a numpy float where r or max_cost is one
+    out = simulate(static_plan(), inert(target), SimConfig(r=r, max_cost=max_cost))
+    assert out.stop_reason == reason
+    assert [type(v) for v in (out.time, out.cost, *out.agent_pos, *out.target_pos)] == [float] * 6
+
+
 def test_config_diagonal_limit():
     # past MAX_DIAGONAL block arcs lose exactness and leg indices outgrow bisect
     assert SimConfig(r=0.5, max_diagonal=MAX_DIAGONAL).max_diagonal == MAX_DIAGONAL
