@@ -36,7 +36,7 @@ from .geometry import Point, fma_dot
 # temporary is then at most 64 KB, and memory is bounded before the run starts.
 PAIR_BUDGET = 2**13
 # largest grid_res of tube_area and the witness grid: a witness search holds
-# at most about 18 bytes per cell, so 4096^2 cells take about 300 MB
+# at most about 16 bytes per cell, so 4096^2 cells take about 260 MB
 MAX_GRID_RES = 4096
 # most unmarked witness candidates confirmed per exact distance check; the
 # chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
@@ -96,11 +96,13 @@ def _dist2(gx, gy, a0, a1, d0, d1, len2):
     the same bits on broadcast rows and columns as on flat arrays of
     (segment, point) pairs, whatever the BLAS.  len2 is the caller's
     |d|^2 with zero replaced by 1, so a zero-length segment gets t = 0 and
-    is the point a.
+    is the point a.  A quotient past the float range rounds to +-inf,
+    which the clip takes to 1 or 0, as it would the exact parameter.
     """
     import numpy as np
 
-    t = ((gx - a0) * d0 + (gy - a1) * d1) / len2
+    with np.errstate(over="ignore"):  # a tiny len2 may round t to +-inf, which the clip keeps
+        t = ((gx - a0) * d0 + (gy - a1) * d1) / len2
     np.clip(t, 0.0, 1.0, out=t)
     return (gx - (a0 + t * d0)) ** 2 + (gy - (a1 + t * d1)) ** 2
 
@@ -381,15 +383,6 @@ def _min_dist2(px, py, segments):
     return best
 
 
-def _in_ring(cheb, j):
-    """True where the Chebyshev norm cheb lies in ring j: Q(2^j) minus Q(2^(j-1))."""
-    outer = 2.0 ** (j - 1)  # half-side of Q(2^j)
-    if j == 1:
-        return cheb <= outer
-    inner = 2.0 ** (j - 2)
-    return (cheb > inner) & (cheb <= outer)
-
-
 def _far(px, py, segments, boxes, r):
     """Which points (px, py) lie farther than r from every segment, exactly.
 
@@ -470,7 +463,10 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
         covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
         ax, ay = np.abs(xs - center[0]), np.abs(ys - center[1])
-        ring = _in_ring(np.maximum(ax[:, None], ay[None, :]), j)
+        # ring j is Q(2^j) minus Q(2^(j-1)), by per-axis tests: no float per cell
+        ring = (ax <= half)[:, None] & (ay <= half)[None, :]
+        if j > 1:
+            ring &= (ax > half / 2)[:, None] | (ay > half / 2)[None, :]
         idx = np.flatnonzero(ring & ~covered)
         witness = None
         s, size = 0, 1

@@ -10,8 +10,10 @@ order.  Targets are piecewise linear and inert after their last
 breakpoint, so the few legs that start while the target still moves are
 split at its breakpoints, which one forward walk over their index finds
 (one bisection at the block start, then leg by leg), and each piece is
-solved as an exact quadratic; for every later leg the first contact with
-the target's final point is found by a scalar scan of the block's sides.
+decided the way a leg of the inert scan is, by its closest point, before
+a clamped quadratic root gives the time (geometry.first_contact_time);
+for every later leg the first contact with the target's final point is
+found by a scalar scan of the block's sides.
 A trace is written after the walk, from its outcome.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs

@@ -1,21 +1,17 @@
 """Planar primitives: points, exact 2-vector dots, and first-contact times.
 
+first_contact_time has no tolerance: the closest approach of the relative
+motion over [0, horizon] decides whether two points come within r, as the
+engine's inert scan decides a leg by its closest point, and only then
+does the clamped root of the contact quadratic give the time.  Where the
+quadratic's discriminant leaves the float range it reports no contact.
+
 Everything here is a pure function over immutable values, safe to call
 from any number of workers.
 """
 
 import math
 from typing import NamedTuple
-
-# Tolerances (see module notes): a quadratic root is accepted when the
-# residual of the discriminant is within ROOT_TOL of zero; reported
-# contact times are meaningful to TIME_TOL.
-ROOT_TOL = 1e-12
-TIME_TOL = 1e-9
-
-# Relative motion slower than sqrt(LINEAR_EPS) is treated as constant
-# distance; avoids catastrophic cancellation in the quadratic.
-LINEAR_EPS = 1e-18
 
 # fma_dot's fast path: 2^27 + 1 splits a double into two 26-bit halves
 # (Veltkamp), and factors within 2^-480..2^480 keep the split finite and
@@ -96,10 +92,14 @@ def first_contact_time(p0, u, q0, w, r, horizon):
 
     Sensing is non-strict (<= r).  Returns None when the two points never
     come within r before the horizon.  Both points move at constant
-    velocity, so contact reduces to a quadratic in t.  Also None when its
-    discriminant leaves the float range, as it does once the squared
-    separation times the squared relative speed passes about 1e308: the
-    graze test cannot be evaluated there.  r, the positions and the
+    velocity, so their offset is d0 + rel t.  Contact is decided at its
+    closest approach: tc = -(d0.rel) / |rel|^2 clipped to [0, horizon] (0
+    where rel is 0), and the points meet iff |d0 + rel tc|^2 <= r*r; a NaN
+    there is no contact.  On contact the time is the smaller root of
+    |d0 + rel t|^2 = r^2, (-b - sqrt(disc)) / 2a, with disc clamped at 0
+    and t clamped to [0, horizon].  Also None when disc leaves the float
+    range, as it does once the squared separation times the squared
+    relative speed passes about 1e308.  r, the positions and the
     velocities must be finite, and the horizon nonnegative (inf allowed).
     """
     if not 0.0 < r < math.inf:
@@ -116,26 +116,21 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     if c <= 0.0:
         return 0.0
     a = relx * relx + rely * rely
-    if a < LINEAR_EPS:
-        # constant separation beyond r
+    dot = d0x * relx + d0y * rely
+    # the closest approach over [0, horizon] decides: unless the points
+    # close, it is at t = 0, beyond r; a NaN is no contact.  The clips are
+    # comparisons: a min or max call costs more than the float arithmetic
+    if not (dot < 0.0 and a > 0.0):
         return None
-    b = 2.0 * (d0x * relx + d0y * rely)
+    tc = -dot / a
+    if tc > horizon:
+        tc = horizon
+    ex, ey = d0x + relx * tc, d0y + rely * tc
+    if not ex * ex + ey * ey <= r * r:
+        return None
+    b = 2.0 * dot
     disc = b * b - 4.0 * a * c
     if not math.isfinite(disc):
         return None
-    if disc < 0.0:
-        # accept a graze whose residual is within rounding of zero; the
-        # tolerance is relative because -disc / 4a is the squared-distance
-        # miss, which an absolute floor would let grow as a shrinks
-        scale = max(b * b, abs(4.0 * a * c))
-        if disc < -ROOT_TOL * scale:
-            return None
-        disc = 0.0
-    t = (-b - math.sqrt(disc)) / (2.0 * a)
-    if t < 0.0:
-        if t < -TIME_TOL:
-            return None  # closest approach was in the past
-        t = 0.0
-    if t > horizon:
-        return None
-    return t
+    t = (-b - math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * a)
+    return 0.0 if t < 0.0 else t if t < horizon else horizon

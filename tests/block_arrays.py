@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from planehunt.coverage import _in_ring, _min_dist2, _segments
+from planehunt.coverage import _min_dist2, _segments
 
 
 @lru_cache(maxsize=64)
@@ -91,6 +91,15 @@ def _min_distance_to_polyline(pts, polyline):
     pts = np.asarray(pts, dtype=np.float64)
     polyline = np.asarray(polyline, dtype=np.float64)
     return np.sqrt(_min_dist2(pts[:, 0], pts[:, 1], _segments(polyline)[0]))
+
+
+def _in_ring(cheb, j):
+    """True where the Chebyshev norm cheb lies in ring j: Q(2^j) minus Q(2^(j-1))."""
+    outer = 2.0 ** (j - 1)  # half-side of Q(2^j)
+    if j == 1:
+        return cheb <= outer
+    inner = 2.0 ** (j - 2)
+    return (cheb > inner) & (cheb <= outer)
 
 
 def annulus_membership(pts, j, center):

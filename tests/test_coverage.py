@@ -222,6 +222,16 @@ def test_tube_area_near_the_limit_raises_or_never_overflows(polyline, r):
     assert math.isfinite(report.estimated_area) and math.isfinite(report.cell_diagonal)
 
 
+def test_a_projection_past_the_float_range_is_clipped():
+    # |d|^2 = 7.9e-317 is subnormal, so (g - a).d / |d|^2 rounds past the
+    # float range: "overflow encountered in divide" before the clip
+    xs = np.array([-1.6e150, 0.0, 1.6e150])
+    polyline = np.array([[0.0, 0.0], [0.0, 8.887520062512839e-159]])
+    assert np.array_equal(_covered_cells(xs, xs, polyline, 1.65e150), _covered_cells(xs, xs, polyline[:1], 1.65e150))
+    report = tube_area(polyline, 1.6492422208769047e150, grid_res=32)
+    assert math.isfinite(report.estimated_area) and report.estimated_area > 0
+
+
 def test_a_slanted_segment_whose_length_underflows_is_its_start():
     # fma(d1, d1, d0*d0) rounds to 0 for d = (1e-170, 1e-170); len2 is then
     # replaced by 1 again, so the segment is the disc around its start

@@ -1299,3 +1299,15 @@ def test_a_target_farther_than_r_is_not_sensed_where_both_squares_underflow():
     # the first leg runs along y = 0, whose closest approach 2e-170 exceeds r = 1e-170
     out = simulate(static_plan(), inert(Point(0.25, 2e-170)), SimConfig(r=1e-170, max_diagonal=1))
     assert not out.sensed
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="r*r and |q0 - p0|^2 both overflow: disc is NaN")
+def test_first_contact_time_takes_a_start_within_r_where_both_squares_overflow():
+    # the target stands 1e155 from the searcher, far inside r = 1e200
+    assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e155, 0), Point(0, 0), 1e200, 1.0) == 0.0
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="r*r and the closest square both underflow: 0 <= 0")
+def test_first_contact_time_finds_no_contact_where_both_squares_underflow():
+    # the searcher passes the target at t = 0.5, 2e-170 away, beyond r = 1e-170
+    assert first_contact_time(Point(0, 0), Point(1, 0), Point(0.5, 2e-170), Point(0, 0), 1e-170, 1.0) is None

@@ -13,6 +13,38 @@ coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity
 speed = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
 
+# zero, or magnitudes in 2^-20..2^20: every difference of two is 0 or at
+# least 2^-72, so no square of a difference, of r or of the closest offset
+# near r leaves the normal floats
+EXACT_COORD = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=2.0 ** -20, max_value=2.0 ** 20).flatmap(lambda m: st.sampled_from([m, -m])))
+EXACT_R = st.floats(min_value=2.0 ** -20, max_value=2.0 ** 20)
+
+
+def _exact_closest_approach(p0, u, q0, w, horizon):
+    """(m^2, scale): the exact squared closest distance over [0, horizon].
+
+    From the float inputs as Fractions: d0 = q0 - p0 and rel = w - u, the
+    closest time tc = -(d0.rel) / |rel|^2 clipped to [0, horizon] (0 where
+    rel is 0), and m^2 = |d0 + rel tc|^2.  scale bounds every magnitude
+    the float computation carries: the coordinates, plus the speeds times tc.
+    """
+    F = Fraction
+    dx, dy = F(q0.x) - F(p0.x), F(q0.y) - F(p0.y)
+    vx, vy = F(w.x) - F(u.x), F(w.y) - F(u.y)
+    a = vx * vx + vy * vy
+    tc = F(0)
+    if a:
+        tc = max(-(dx * vx + dy * vy) / a, F(0))
+        if horizon != math.inf:
+            tc = min(tc, F(horizon))
+    ex, ey = dx + vx * tc, dy + vy * tc
+    speeds = sum(abs(F(c)) for c in (*u, *w))
+    scale = sum(abs(F(c)) for c in (*p0, *q0)) + speeds * tc
+    return ex * ex + ey * ey, scale
+
+
 class TestFirstContactTime:
     def test_head_on_closing(self):
         t = first_contact_time(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 0), 1.0, 5.0)
@@ -21,7 +53,7 @@ class TestFirstContactTime:
     def test_equal_velocities_no_contact(self):
         t = first_contact_time(Point(0, 0), Point(1, 0), Point(0.5, 0), Point(1, 0), 0.1, 10.0)
         assert t is None
-        # relative speed 1e-9 sits just above the constant-separation cutoff
+        # a relative speed of 1e-9 at right angles to the gap: the target drifts away
         t = first_contact_time(Point(2, 0), Point(0, 0), Point(0, 0), Point(0, 1e-9), 1.0, 50.0)
         assert t is None
 
@@ -63,12 +95,56 @@ class TestFirstContactTime:
         with pytest.raises(ValueError, match="positions and velocities must be finite"):
             first_contact_time(p0, u, q0, w, 0.5, 5.0)
 
-    def test_a_contact_just_in_the_past_is_taken_at_zero(self):
+    def test_a_contact_just_in_the_past_is_no_contact(self):
         # the target passes 1e-7 ahead of the searcher at speed 1e3, so its
-        # closest approach, a graze at distance r, was 1e-10 ago: within
-        # TIME_TOL it is reported now; 1e-8 ago it is past
-        assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e-7, 1), Point(1e3, 0), 1.0, 10.0) == 0.0
+        # closest approach, a graze at distance r, was 1e-10 ago: at t = 0 it
+        # is sqrt(1 + 1e-14) > r away and receding, so there is no contact
+        assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e-7, 1), Point(1e3, 0), 1.0, 10.0) is None
         assert first_contact_time(Point(0, 0), Point(0, 0), Point(1e-5, 1), Point(1e3, 0), 1.0, 10.0) is None
+
+    def test_the_closest_approach_decides_near_the_threshold(self):
+        P = Point
+        # a slow closer: 1 - 1e-10 rounds to a rel of about -1.0000000827e-10,
+        # and the gap 1 closes to r = 0.5 at 0.5 / |rel|, within the horizon
+        rel = (1 - 1e-10) - 1.0
+        assert first_contact_time(P(0, 0), P(1, 0), P(1, 0), P(1 - 1e-10, 0), 0.5, 1e10) == 0.5 / -rel
+        assert 0.5 / -rel == 4999999586.29818
+        # a near-graze: the closest approach, at t = 1, is 0.5 (1 + 4e-13) > r
+        assert first_contact_time(P(-1, 0.5 * (1 + 4e-13)), P(1, 0), P(0, 0), P(0, 0), 0.5, 2.0) is None
+        # the third, a receding target, is test_a_contact_just_in_the_past_is_no_contact
+
+    @given(st.lists(EXACT_COORD, min_size=8, max_size=8),
+           st.one_of(st.floats(min_value=0.0, max_value=2.0 ** 20), st.just(math.inf)),
+           st.one_of(EXACT_R.map(lambda r: ("r", r)),
+                     st.sampled_from([0.0, 1e-3, -1e-3, 1e-9, -1e-9, 1e-12, -1e-12, 1e-15, -1e-15]).map(
+                         lambda offset: ("near", offset))))
+    @settings(max_examples=400)
+    @example([0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1 - 1e-10, 0.0], 1e10, ("r", 0.5))
+    @example([-1.0, 0.5 * (1 + 4e-13), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2.0, ("r", 0.5))
+    @example([0.0, 0.0, 0.0, 0.0, 1e-7, 1.0, 1e3, 0.0], 10.0, ("r", 1.0))
+    def test_contact_is_the_exact_closest_approach(self, coords, horizon, radius):
+        # r is drawn outright, or as the exact closest distance m times
+        # (1 + offset), so that many cases lie near the threshold
+        p0, u, q0, w = (Point(coords[k], coords[k + 1]) for k in range(0, 8, 2))
+        m2, scale = _exact_closest_approach(p0, u, q0, w, horizon)
+        kind, value = radius
+        r = value if kind == "r" else math.sqrt(float(m2)) * (1.0 + value)
+        if r == 0.0:
+            return
+        t = first_contact_time(p0, u, q0, w, r, horizon)
+        assert t is None or 0.0 <= t <= horizon
+        # where the two may disagree: the float test rounds d0, rel, tc, the
+        # offset at tc and its square.  Each rounding moves the offset by a
+        # few units u = 2^-53 of the largest magnitude it carries, at most
+        # scale, so near m = r the float m^2 is off by about
+        # 2 r (k u scale) + (k u scale)^2 + k u r^2 for a small k.  An error
+        # in tc moves it only to second order: tc is the unclipped minimum,
+        # or a bound that the float takes exactly unless the minimum lies
+        # within rounding of it.  The band |m^2 - r^2| <= 2^-45 (r + scale)^2
+        # = 256 u (r + scale)^2 covers that; outside it the two agree
+        gap = m2 - Fraction(r) ** 2
+        if abs(gap) > Fraction(2.0 ** -45) * (Fraction(r) + scale) ** 2:
+            assert (t is None) == (gap > 0), (m2, r, t)
 
     def test_contact_distance_equals_r_and_no_earlier_contact(self):
         # invariant at 1000 sampled earlier times, on a transversal case
