@@ -73,6 +73,7 @@ def area_bound(length, r):
     """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x; ValueError past the float range."""
     if not (math.isfinite(length) and length >= 0 and math.isfinite(r) and r > 0):
         raise ValueError("require finite length >= 0 and finite r > 0")
+    length, r = float(length), float(r)  # a numpy float32 would give a float32 bound, and warn on overflow
     bound = 2.0 * r * length + math.pi * r * r
     if not math.isfinite(bound):  # Python floats: inf, with no warning
         raise ValueError(f"the area bound of length {length:g} and r = {r:g} is beyond the float range")
@@ -338,6 +339,7 @@ def tube_area(polyline, r, grid_res=256):
 
     if not (math.isfinite(r) and r > 0):
         raise ValueError("r must be finite and positive")
+    r = float(r)  # a numpy float32 would round r * r, and every squared distance compared to it, to float32
     if not 32 <= grid_res <= MAX_GRID_RES:
         raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
     polyline = as_polyline(polyline)
@@ -376,9 +378,8 @@ def _min_dist2(px, py, segments):
     best = np.full(len(px), np.inf)
     px, py = px[:, None], py[:, None]
     # chunk over segments to bound the (points x segments) temporaries
-    step = max(1, PAIR_BUDGET // max(len(px), 1))
-    for s in range(0, len(segments[0]), step):
-        dist2 = _dist2(px, py, *(c[None, s : s + step] for c in segments))
+    for s in _chunks(np.full(len(segments[0]), len(px)), PAIR_BUDGET):
+        dist2 = _dist2(px, py, *(c[None, s] for c in segments))
         np.minimum(best, dist2.min(axis=1), out=best)
     return best
 

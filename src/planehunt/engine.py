@@ -8,12 +8,12 @@ length over the diagonal's speed.  The cost, time and legs at each block
 start come from a per-plan table (_block_table), summed once in walking
 order.  Targets are piecewise linear and inert after their last
 breakpoint, so the few legs that start while the target still moves are
-split at its breakpoints, which one forward walk over their index finds
-(one bisection at the block start, then leg by leg), and each piece is
-decided the way a leg of the inert scan is, by its closest point, before
-a clamped quadratic root gives the time (geometry.first_contact_time);
-for every later leg the first contact with the target's final point is
-found by a scalar scan of the block's sides.
+split at its breakpoints, which one bisection per leg finds, and each
+piece is decided the way a leg of the inert scan is, by its closest
+point, before a clamped quadratic root gives the time
+(geometry.first_contact_time); for every later leg the first contact
+with the target's final point is found by a scalar scan of the block's
+sides.
 A trace is written after the walk, from its outcome.
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
@@ -49,6 +49,7 @@ leg in walking order, bit for bit:
     when it is called.
 """
 
+import contextlib
 import functools
 import math
 import os
@@ -87,23 +88,22 @@ class SimConfig(_SimConfig):
     __slots__ = ()
 
     def __new__(cls, agent_start=Point(0.0, 0.0), r=1.0, max_cost=math.inf, max_diagonal=MAX_DIAGONAL):
-        self = super().__new__(cls, agent_start, r, max_cost, max_diagonal)
-        if not (math.isfinite(self.agent_start.x) and math.isfinite(self.agent_start.y)):
+        if not (math.isfinite(agent_start.x) and math.isfinite(agent_start.y)):
             raise ValueError("agent_start must be finite")
-        for name in ("r", "max_cost"):
-            value = getattr(self, name)
+        for name, value in (("r", r), ("max_cost", max_cost)):
             # numpy's bool_ is no Real; its ints and floats are
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.r) and self.r > 0):
+        if not (math.isfinite(r) and r > 0):
             raise ValueError("sensing radius r must be finite and positive")
-        if not self.max_cost > 0:
+        if not max_cost > 0:
             raise ValueError("max_cost must be positive")
-        if isinstance(self.max_diagonal, bool) or not isinstance(self.max_diagonal, Integral):
-            raise ValueError(f"max_diagonal must be an integer, got {self.max_diagonal!r}")
-        if not 1 <= self.max_diagonal <= MAX_DIAGONAL:
-            raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {self.max_diagonal}")
-        return self
+        if isinstance(max_diagonal, bool) or not isinstance(max_diagonal, Integral):
+            raise ValueError(f"max_diagonal must be an integer, got {max_diagonal!r}")
+        if not 1 <= max_diagonal <= MAX_DIAGONAL:
+            raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {max_diagonal}")
+        # Python floats: in a numpy float32, r * r and max_cost - cost would round to float32
+        return super().__new__(cls, agent_start, float(r), float(max_cost), max_diagonal)
 
 
 class SimOutcome(NamedTuple):
@@ -131,16 +131,13 @@ def simulate(plan, strategy, cfg, trace=None):
         lines = 2 * out.legs_processed + (out.stop_reason == "cost_budget") if out.legs_processed else 1
         if lines > MAX_TRACE_LINES:
             raise ValueError(f"the trace would have {lines} lines, more than MAX_TRACE_LINES = {MAX_TRACE_LINES}")
-        if isinstance(trace, (str, os.PathLike)):
-            with open(trace, "w") as fh:
-                _write_trace(fh, plan, strategy, cfg, out)
-        else:
-            _write_trace(trace, plan, strategy, cfg, out)
+        with open(trace, "w") if isinstance(trace, (str, os.PathLike)) else contextlib.nullcontext(trace) as fh:
+            _write_trace(fh, plan, strategy, cfg, out)
     return out
 
 
 def _outcome(sensed, t, cost, agent, tgt, diagonal, legs, reason):
-    """SimOutcome from values of its field types; cost may be a numpy float, where r or max_cost is one."""
+    """SimOutcome from values of its field types; cost may be a numpy float, where the target's times are."""
     return SimOutcome(sensed, t, float(cost), agent, tgt, diagonal, legs, reason)
 
 
@@ -275,26 +272,22 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
     kernel takes over; hit is the first contact (arc, leg index) before
     it, or None.  Each leg is split at the target's breakpoints, and every
     constant-velocity piece is solved exactly; only the first
-    arc_allowance of arc length is admissible.  Leg starts only grow, so
-    one bisection at the block start and then a forward walk find each
-    leg's first breakpoint.
+    arc_allowance of arc length is admissible.  One bisection per leg
+    finds the first breakpoint after its start.
     """
     times = strategy.times
     legs, t_still = 8 * (params.k + 1), times[-1]
-    after = bisect_right(times, t)  # the first breakpoint after the leg start
     for idx in range(legs):
         arc0 = pi_arc_before(params, idx)
         t0 = t + arc0 / speed
         if t0 >= t_still or arc0 >= arc_allowance:
             return idx, None
-        while times[after] <= t0:
-            after += 1
         length = pi_leg_length(params, idx)
         (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
         vel = Point((bx - ax) * (speed / length), (by - ay) * (speed / length))
         pos = Point(float(start[0] + ax), float(start[1] + ay))
         te = t0 + min(length, arc_allowance - arc0) / speed
-        ts, b = t0, after
+        ts, b = t0, bisect_right(times, t0)  # b: the first breakpoint after the leg start
         while True:  # the piece from ts to the next breakpoint b or to te
             end = times[b] if b < len(times) and times[b] < te else te
             hit = first_contact_time(pos + vel.scaled(ts - t0), vel, strategy.position(ts),

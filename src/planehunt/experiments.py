@@ -13,8 +13,11 @@ gives, bit for bit, computed in Python ints from numpy's own algorithm:
 `SeedSequence` entropy mixing (pool of four 32-bit words), then PCG64 (a
 128-bit LCG with XSL-RR output) seeded from four of its 64-bit words,
 then `Generator.random()`, which keeps the top 53 bits of each output.
-The pool after a cell's (seed, key(D), key(r)) words is mixed once per
-cell, and each target then mixes in only its index.
+One hash and one mix, on ints that hold a 32-bit word in each 64-bit
+lane, serve two paths: the pool after a cell's (seed, key(D), key(r))
+words is mixed once per cell, and each target then mixes in only its
+index; a prefix under four words or an index of 2^32 or more instead
+mixes each target's whole entropy.
 
 Both sweeps run on one worker: sweep_static and sweep_dynamic check the
 guard and list one cell per parameter pair, with its plan, prediction and
@@ -110,48 +113,60 @@ def _int_words(n):
     return words
 
 
-def _hashes(h, mult, count):
-    """(xor, multiplier) pairs of `count` successive SeedSequence hashes from constant h, and the next h.
+def _hash_consts(h, mult):
+    """The (xor, multiplier) pairs of successive SeedSequence hashes from constant h, without end.
 
     A hash maps x to (x ^ h) * h' mod 2^32, then x ^ (x >> 16), where
     h' = h * mult is the next constant: the constants advance the same way
     whatever value they hash.
     """
-    out = []
-    for _ in range(count):
+    while True:
         nxt = h * mult & _MASK32
-        out.append((h, nxt))
+        yield h, nxt
         h = nxt
-    return out, h
 
 
-def _seed_pool(entropy):
-    """SeedSequence's pool after it absorbs the 32-bit words of `entropy`, and its next hash constant."""
-    consts, h = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE))
-    consts = iter(consts)
+def _hash(v, consts, ones=1):
+    """SeedSequence's hash of each 32-bit lane of v, with the next constant of consts.
 
-    def hashmix(value):
-        x, m = next(consts)
-        value = (value ^ x) * m & _MASK32
-        return value ^ (value >> 16)
+    v holds one 32-bit word in each 64-bit lane of `ones` (1 for a plain
+    word); the products with 32-bit constants stay below 2^64, so no lane
+    carries into the next.
+    """
+    x, m = next(consts)
+    mask = _MASK32 * ones
+    v = (v ^ x * ones) * m & mask
+    return v ^ v >> 16 & mask
 
-    def mix(x, y):
-        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return result ^ (result >> 16)
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+def _absorb(pool, word, consts, ones=1, skip=None):
+    """Mix the hash of `word` into each pool word but pool[skip], in place, lane by lane.
+
+    SeedSequence's mix(p, y) is v = (L p - R y) mod 2^32, then
+    v ^ (v >> 16); the subtraction is taken from a lane value 2^32 higher,
+    so no lane borrows from the next.
+    """
+    mask = _MASK32 * ones
+    for dst in range(_POOL_SIZE):
+        if dst != skip:
+            y = _hash(word, consts, ones)
+            v = (_MIX_MULT_L * pool[dst] & mask) + (ones << 32) - (_MIX_MULT_R * y & mask) & mask
+            pool[dst] = v ^ v >> 16 & mask
+
+
+def _seed_pool(entropy, consts):
+    """SeedSequence's pool after it absorbs the 32-bit words of `entropy`, hashing with consts.
+
+    The pool starts as the hashes of the first four words (0 past the
+    end), mixes each of its words into the others, then absorbs each
+    further word.
+    """
+    pool = [_hash(entropy[i] if i < len(entropy) else 0, consts) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        _absorb(pool, pool[src], consts, skip=src)
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, h
-
-
-# generate_state's eight hashes, of pool words 0, 1, 2, 3, 0, 1, 2, 3
-_STATE_HASHES = _hashes(_INIT_B, _MULT_B, 8)[0]
+        _absorb(pool, word, consts)
+    return pool
 
 
 def _lanes(values):
@@ -192,16 +207,16 @@ def sample_targets(seed, D, r, indices):
     for bit, in Python ints: SeedSequence -> PCG64 -> random().  Ints are
     coerced to 32-bit words as numpy coerces them.
 
-    The 32-bit stages run once over every index, as the 64-bit lanes of
-    one Python int: a lane holds a 32-bit word, its products with 32-bit
-    constants stay below 2^64, and a subtraction is taken from a lane
-    value 2^32 higher, so no lane carries or borrows into the next.  When
-    the prefix words of (seed, key(D), key(r)) fill the pool (4 words or
-    more) and every index is one word, the pool after the prefix, the hash
-    constants that come next and the pool's mix products are computed
-    once, and each index takes four hash-and-mix steps; otherwise each
-    index runs the whole entropy mixing.  generate_state's eight hashes
-    follow in lanes too, and the three 128-bit LCG steps run per index.
+    The 32-bit stages run on lane ints, one Python int with a 32-bit word
+    in each 64-bit lane (a plain word is one lane): one hash (_hash, fed
+    by the running constants of _hash_consts) and one mix (_absorb) serve
+    them all, in one of two paths.  When the prefix words of (seed,
+    key(D), key(r)) fill the pool (4 words or more) and every index is one
+    word, the prefix is absorbed once and each index then in its lane, as
+    SeedSequence absorbs an extra word; otherwise each index absorbs its
+    whole entropy and the pools are put in lanes.  generate_state's eight
+    hashes follow in lanes too, and the three 128-bit LCG steps run per
+    index.
     """
     prefix = [w for n in (seed, _float_key(D), _float_key(r)) for w in _int_words(n)]
     indices = [operator.index(i) for i in indices]
@@ -209,23 +224,18 @@ def sample_targets(seed, D, r, indices):
     if n == 0:
         return []
     ones = _lanes([1] * n)
-    mask = _MASK32 * ones
-
-    def hash_lanes(v, x, m):
-        v = (v ^ x * ones) * m & mask
-        return v ^ v >> 16 & mask
-
     if len(prefix) >= _POOL_SIZE and all(0 <= i <= _MASK32 for i in indices):
-        pool, h = _seed_pool(prefix)
-        words = _lanes(indices)
-        pools = []
-        for p, (x, m) in zip(pool, _hashes(h, _MULT_A, _POOL_SIZE)[0]):
-            # mix(p, hashmix(i)) = (L p - R hashmix(i)) mod 2^32, then x ^ (x >> 16)
-            v = ((_MIX_MULT_L * p & _MASK32) + 2**32) * ones - (_MIX_MULT_R * hash_lanes(words, x, m) & mask) & mask
-            pools.append(v ^ v >> 16 & mask)
+        # the prefix is absorbed once, then each index in its lane
+        consts = _hash_consts(_INIT_A, _MULT_A)
+        pools = [p * ones for p in _seed_pool(prefix, consts)]
+        _absorb(pools, _lanes(indices), consts, ones)
     else:
-        pools = [_lanes(col) for col in zip(*(_seed_pool(prefix + _int_words(i))[0] for i in indices))]
-    state = [hash_lanes(pools[k % _POOL_SIZE], x, m) for k, (x, m) in enumerate(_STATE_HASHES)]
+        # each index absorbs its whole entropy
+        pools = (_seed_pool(prefix + _int_words(i), _hash_consts(_INIT_A, _MULT_A)) for i in indices)
+        pools = [_lanes(col) for col in zip(*pools)]
+    # generate_state hashes pool words 0, 1, 2, 3, 0, 1, 2, 3
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = [_hash(pools[k % _POOL_SIZE], consts, ones) for k in range(8)]
     # little-endian pairs of the eight 32-bit words are the uint64 words s0 s1 i0 i1
     s0, s1, i0, i1 = (
         struct.unpack(f"<{n}Q", (state[2 * j] | state[2 * j + 1] << 32).to_bytes(8 * n, "little")) for j in range(4)
@@ -318,6 +328,8 @@ def sweep_static(Ds, rs, samples, seed, jobs=1):
     """Simulate the unit-speed searcher against seeded inert targets."""
     _check_draws(samples, seed)
     _check_guard(Ds, rs)
+    # Python floats: a numpy float32 D or r would draw, hunt and write its rows in float32
+    Ds, rs = list(map(float, Ds)), list(map(float, rs))
     cells = [(D, r, 0.0, 0.0, predict_static(D, r), D) for D in Ds for r in rs]
     return _sweep(static_plan(), cells, samples, seed, jobs)
 
@@ -341,6 +353,7 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     """
     _check_draws(samples, seed)
     _check_guard([D], rs, vs)
+    D, rs, vs = float(D), list(map(float, rs)), list(map(float, vs))  # as in sweep_static
     plan = dynamic_plan()
     cells = []
     for v in vs:

@@ -110,6 +110,8 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     (p0x, p0y), (ux, uy), (q0x, q0y), (wx, wy) = p0, u, q0, w
     if not all(map(math.isfinite, (p0x, p0y, ux, uy, q0x, q0y, wx, wy))):
         raise ValueError("positions and velocities must be finite")
+    # Python floats: a numpy float32 would round every product below to float32
+    r, horizon, p0x, p0y, ux, uy, q0x, q0y, wx, wy = map(float, (r, horizon, p0x, p0y, ux, uy, q0x, q0y, wx, wy))
     d0x, d0y = q0x - p0x, q0y - p0y
     relx, rely = wx - ux, wy - uy
     c = d0x * d0x + d0y * d0y - r * r

@@ -69,6 +69,7 @@ def predict_dynamic(D, v, r):
     """
     if not (all(map(math.isfinite, (D, v, r))) and D > 0 and r > 0 and v >= 0):
         raise ValueError("require finite D > 0, r > 0, v >= 0")
+    v = float(v)  # a numpy float32 would round q v and the timing bound to float32; predict_static converts D and r
     base = predict_static(D, r)
     a, b = base.a, base.b
     plan = dynamic_plan()

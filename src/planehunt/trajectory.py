@@ -137,6 +137,7 @@ def predict_static(D, r):
     """
     if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
         raise ValueError("D and r must be finite and positive")
+    D, r = float(D), float(r)  # in a numpy float32, 1 / r would overflow from r < 2^-128
     if 1.0 / r == math.inf:  # r < 2^-1024: y > 512
         raise ValueError(f"r={r} puts the cost bound beyond the float range")
     a = ceil_log2(D)

@@ -425,6 +425,14 @@ def test_the_margin_is_inf_where_r_squared_is_subnormal():
 
 
 class TestAreaBound:
+    def test_float32_inputs_give_python_floats(self):
+        r = np.float32(0.3)
+        assert type(area_bound(1.0, r)) is float and area_bound(np.float32(1.5), r) == area_bound(1.5, float(r))
+        polyline = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        report = tube_area(polyline, r, 64)
+        assert repr(report) == repr(tube_area(polyline, float(r), 64))
+        assert all(type(value) is float for value in (report.trajectory_length, report.r, report.analytic_bound))
+
     def test_examples(self):
         assert area_bound(2, 0.5) == pytest.approx(2.7853981633974483)
         assert area_bound(0, 1) == pytest.approx(math.pi)

@@ -1311,3 +1311,26 @@ def test_first_contact_time_takes_a_start_within_r_where_both_squares_overflow()
 def test_first_contact_time_finds_no_contact_where_both_squares_underflow():
     # the searcher passes the target at t = 0.5, 2e-170 away, beyond r = 1e-170
     assert first_contact_time(Point(0, 0), Point(1, 0), Point(0.5, 2e-170), Point(0, 0), 1e-170, 1.0) is None
+
+
+class TestNumpyFloatConfig:
+    """A numpy float32 r or max_cost hunts as the Python float of its value, not in float32."""
+
+    def test_a_float32_radius(self):
+        # in float32, r * r rounds up and senses the target 1.7e-5 beyond r
+        r = np.float32(0.15892547369003296)
+        strategy = inert(Point(-5.8501720942015805, 5.558939790995723))
+        cfg = SimConfig(r=r, max_diagonal=8)
+        assert type(cfg.r) is float and cfg.r == r
+        want = simulate(static_plan(), strategy, SimConfig(r=float(r), max_diagonal=8))
+        assert repr(simulate(static_plan(), strategy, cfg)) == repr(want)
+
+    def test_a_float32_budget(self):
+        # in float32, max_cost - cost rounds the cut, and the stop lands 9e-16 off the budget's point
+        max_cost = np.float32(2848.542)
+        strategy = inert(Point(-7.311780282316228, 5.566728670062528))
+        cfg = SimConfig(r=0.01, max_cost=max_cost, max_diagonal=8)
+        assert type(cfg.max_cost) is float and cfg.max_cost == max_cost
+        want = simulate(static_plan(), strategy, SimConfig(r=0.01, max_cost=float(max_cost), max_diagonal=8))
+        assert want.stop_reason == "cost_budget"
+        assert repr(simulate(static_plan(), strategy, cfg)) == repr(want)

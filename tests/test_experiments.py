@@ -301,6 +301,24 @@ def _admitted(D, r, v=0.0):
     return y < MAX_DIAGONAL and 0 <= v <= MAX_V
 
 
+class TestNumpyFloatParameters:
+    """A numpy float32 D, r or v sweeps as the Python float of its value, not in float32."""
+
+    def test_static_sweep(self, tmp_path):
+        D = np.float32(3.3)
+        rows = sweep_static([D], [0.25], 2, 7)
+        assert repr(rows) == repr(sweep_static([float(D)], [0.25], 2, 7))
+        assert rows[0].cost == 9.624893749300009  # 9.624893758070002 with targets drawn at a float32 D
+        assert all(type(value) is float for row in rows for value in (row.D, row.r, row.v, row.cost, row.ratio))
+        write_rows_jsonl(rows, tmp_path / "rows.jsonl")  # json has no float32
+
+    def test_dynamic_sweep(self):
+        f32 = np.float32
+        rows = sweep_dynamic([f32(0.0), f32(1.5)], [f32(0.25)], f32(3.3), 2, 7)
+        want = sweep_dynamic([0.0, 1.5], [float(f32(0.25))], float(f32(3.3)), 2, 7)
+        assert repr(rows) == repr(want)
+
+
 class TestGuard:
     """A sweep rejects a cell before any hunt exactly where its predicted catch diagonal reaches MAX_DIAGONAL."""
 

@@ -268,6 +268,20 @@ MID = st.floats(min_value=-(2.0 ** 400), max_value=2.0 ** 400)
 MODEST = st.floats(min_value=-(2.0 ** 40), max_value=2.0 ** 40)
 
 
+def test_float32_inputs_are_taken_as_their_values():
+    # the closest approach is 0.158925, beyond r = float32(0.158925) = 0.1589249968...,
+    # but r * r in float32 rounds up past its square
+    r = np.float32(0.158925)
+    path = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 0.158925), Point(0.0, 0.0))
+    assert first_contact_time(*path, float(r), 1.0) is None
+    assert first_contact_time(*path, r, 1.0) is None
+    # float32 coordinates and horizon are their values too: a pass 0.05 from the target
+    f32 = [Point(np.float32(x), np.float32(y)) for x, y in ((0, 0), (1, 0), (0.5, 0.05), (0, 0))]
+    want = first_contact_time(*(Point(float(p.x), float(p.y)) for p in f32), 0.1, 1.0)
+    got = first_contact_time(*f32, 0.1, np.float32(1.0))
+    assert type(got) is float and got == want
+
+
 class TestFmaDot:
     """fma_dot is fma(x1, y1, x0*y0), against an exact Fraction reference; no BLAS involved."""
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from planehunt import searcher
@@ -150,6 +151,13 @@ class TestPredictDynamic:
         rows = sweep_dynamic([0.14], [0.25], 1.0, 200, 7)
         assert len(rows) == 200
         assert all(row.sensed and row.diagonal <= p.y and row.cost <= p.cost_bound for row in rows)
+
+    def test_a_float32_speed_is_taken_as_its_value(self):
+        # in float32, v 2^(b + 1) overflows for b = 130, with a RuntimeWarning
+        assert predict_dynamic(1.0, np.float32(1.0), 2.0 ** -130) == predict_dynamic(1.0, 1.0, 2.0 ** -130)
+        assert predict_dynamic(np.float32(3.3), 2.0, np.float32(0.1)) == predict_dynamic(
+            float(np.float32(3.3)), 2.0, float(np.float32(0.1))
+        )
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,12 @@ class TestPredictStatic:
         p = predict_static(8, 0.1)
         assert (p.a, p.b, p.y) == (3, 4, 4)
 
+    def test_float32_inputs_are_taken_as_their_values(self):
+        # in float32, 1 / r overflows for r < 2^-128
+        r = np.float32(1e-39)
+        assert predict_static(1.0, r) == predict_static(1.0, float(r)) and predict_static(1.0, r).y == 65
+        assert predict_static(np.float32(3.3), 0.25) == predict_static(float(np.float32(3.3)), 0.25)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             predict_static(0, 0.5)
