@@ -11,10 +11,18 @@ breakpoint, so the few legs that start while the target still moves are
 split at its breakpoints, which one bisection per leg finds, and each
 piece is decided the way a leg of the inert scan is, by its closest
 point, before a clamped quadratic root gives the time
-(geometry.first_contact_time); for every later leg the first contact
-with the target's final point is found by a scalar scan of the block's
-sides.
+(geometry.contact_time, the unchecked core of first_contact_time); for
+every later leg the first contact with the target's final point is found
+by a scalar scan of the block's sides.
 A trace is written after the walk, from its outcome.
+
+Per leg the work is float arithmetic on locals: one closed-form call
+(trajectory.pi_leg) gives a leg's ends, arc and length to the moving
+loop, to the inert quadratic and to the stop, and a moving piece reads
+the target's position and velocity as numbers (TargetStrategy.state)
+and builds no Point.  A moving leg of a two-breakpoint waypoint hunt
+costs about 3.5 us, against 10-13 us through Points and the checked
+first_contact_time (2-core x86 VM, Python 3.11).
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back;
@@ -41,12 +49,15 @@ leg in walking order, bit for bit:
   * every tested leg gets the filter in Python floats, which rounds as
     numpy does: einsum over two columns is x0*y0 + x1*y1, and the rest is
     elementwise;
-  * the quadratic rounds each 2-vector dot as one fma, fma(x1, y1, x0*y0),
-    exactly (geometry.fma_dot).  The recorded sweeps came from OpenBLAS's
-    Haswell `ddot`, which rounds a 2-vector dot that way, and fma_dot
-    gives the same bits on every CPU and BLAS.  The hot path makes no
-    numpy call; numpy is left to brute_force_oracle, which imports it
-    when it is called.
+  * the quadratic rounds its 2-vector dots as one fma, fma(x1, y1,
+    x0*y0), exactly (geometry.fma_dot).  The recorded sweeps came from
+    OpenBLAS's Haswell `ddot`, which rounds a 2-vector dot that way, and
+    fma_dot gives the same bits on every CPU and BLAS.  Every leg is
+    axis-aligned, so the direction u is (+-1, 0) or (0, +-1) exactly and
+    the linear coefficient (a - q).u is +-rx or +-ry, the fma's value up
+    to the sign of a zero, which only adds +-0 to the arc.  The hot path
+    makes no numpy call; numpy is left to brute_force_oracle, which
+    imports it when it is called.
 """
 
 import contextlib
@@ -57,12 +68,13 @@ from bisect import bisect_left, bisect_right
 from numbers import Integral, Real
 from typing import NamedTuple
 
-from .geometry import Point, first_contact_time, fma_dot
+from .geometry import Point, contact_time, first_contact_time, fma_dot
 from .trajectory import (
     _SIDES,
     MAX_DIAGONAL,
     diagonal_terms,
     pi_arc_before,
+    pi_leg,
     pi_leg_length,
     pi_length,
     pi_vertex,
@@ -171,17 +183,16 @@ def _block_table(plan):
 
 
 def _simulate(plan, strategy, cfg):
-    sx, sy = float(cfg.agent_start.x), float(cfg.agent_start.y)
+    agent_start, r, max_cost, max_diagonal = cfg
+    (x0, y0), tgt0, final = agent_start, strategy.points[0], strategy.points[-1]
+    sx, sy = float(x0), float(y0)
     start = (sx, sy)
-    final = strategy.points[-1]
-    qx, qy = float(final.x) - sx, float(final.y) - sy
+    qx, qy = float(final[0]) - sx, float(final[1]) - sy
     q_rel = (qx, qy)
     t_still = strategy.times[-1]  # the target is inert from here on
-    r, max_cost = cfg.r, cfg.max_cost
 
-    tgt0 = strategy.position(0.0)
-    if (tgt0 - cfg.agent_start).norm() <= r:
-        return _outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
+    if math.hypot(tgt0[0] - x0, tgt0[1] - y0) <= r:  # tgt0 is position(0.0)
+        return SimOutcome(True, 0.0, 0.0, agent_start, tgt0, 0, 0, "sensed")
 
     # the inert kernel's gates: the extent test per block, and _may_reach
     # once per term, as it depends on the step alone
@@ -198,7 +209,7 @@ def _simulate(plan, strategy, cfg):
     term_gate = [None] * (MAX_DIAGONAL + 1)
 
     rows = _block_table(plan)
-    n_blocks = cfg.max_diagonal * (cfg.max_diagonal + 1) // 2
+    n_blocks = max_diagonal * (max_diagonal + 1) // 2
     for i, params, term, step, extent, speed, block_legs, block_len, cost, t, legs in rows[:n_blocks]:
         allowance = max_cost - cost
         n, hit = 0, None
@@ -215,17 +226,17 @@ def _simulate(plan, strategy, cfg):
             arc, idx = hit if sensed else (allowance, bisect_left(
                 range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)
             ))
-            (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
-            frac = (arc - pi_arc_before(params, idx)) / pi_leg_length(params, idx)
-            xy = (float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
+            ax, ay, bx, by, arc0, length = pi_leg(params, idx)
+            frac = (arc - arc0) / length
             t_stop = float(t + arc / speed)
-            agent, tgt = Point(*xy), strategy.position(t_stop)
+            agent = Point(float(sx + (ax + frac * (bx - ax))), float(sy + (ay + frac * (by - ay))))
+            tgt = strategy.position(t_stop)
             stop_cost = cost + arc if sensed else max_cost
             reason = "sensed" if sensed else "cost_budget"
             return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
     cost, t, legs = rows[n_blocks][-3:]
     tgt = strategy.position(t)
-    return _outcome(False, t, cost, cfg.agent_start, tgt, int(cfg.max_diagonal), legs, "diagonal_budget")
+    return _outcome(False, t, cost, agent_start, tgt, int(max_diagonal), legs, "diagonal_budget")
 
 
 def _write_trace(fh, plan, strategy, cfg, out):
@@ -273,25 +284,33 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
     it, or None.  Each leg is split at the target's breakpoints, and every
     constant-velocity piece is solved exactly; only the first
     arc_allowance of arc length is admissible.  One bisection per leg
-    finds the first breakpoint after its start.
+    finds the first breakpoint after its start.  A leg is one pi_leg call
+    and a piece one TargetStrategy.state call and one contact_time call on
+    Python floats, with no Point: the values first_contact_time would get,
+    without its checks, which a validated target and a finite speed always
+    pass.  A non-finite plan speed goes through first_contact_time, which
+    raises its ValueError on the first piece.
     """
-    times = strategy.times
-    legs, t_still = 8 * (params.k + 1), times[-1]
+    times, state = strategy.times, strategy.state
+    legs, n_times, t_still = 8 * (params.k + 1), len(times), times[-1]
+    contact = contact_time if math.isfinite(speed) else lambda *a: first_contact_time(
+        a[:2], a[2:4], a[4:6], a[6:8], *a[8:])
     for idx in range(legs):
-        arc0 = pi_arc_before(params, idx)
+        ax, ay, bx, by, arc0, length = pi_leg(params, idx)
         t0 = t + arc0 / speed
         if t0 >= t_still or arc0 >= arc_allowance:
             return idx, None
-        length = pi_leg_length(params, idx)
-        (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
-        vel = Point((bx - ax) * (speed / length), (by - ay) * (speed / length))
-        pos = Point(float(start[0] + ax), float(start[1] + ay))
+        vx, vy = (bx - ax) * (speed / length), (by - ay) * (speed / length)
+        px, py = float(start[0] + ax), float(start[1] + ay)
         te = t0 + min(length, arc_allowance - arc0) / speed
         ts, b = t0, bisect_right(times, t0)  # b: the first breakpoint after the leg start
         while True:  # the piece from ts to the next breakpoint b or to te
-            end = times[b] if b < len(times) and times[b] < te else te
-            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, strategy.position(ts),
-                                     strategy.velocity(b), r, end - ts)
+            end = times[b] if b < n_times and times[b] < te else te
+            # Python floats, as first_contact_time takes them: the target's may be numpy's
+            qx, qy, wx, wy = state(ts, b)
+            dt = ts - t0
+            hit = contact(float(px + vx * dt), float(py + vy * dt), vx, vy,
+                          float(qx), float(qy), float(wx), float(wy), r, float(end - ts))
             if hit is not None:
                 return idx, (arc0 + speed * (ts + hit - t0), idx)
             if end == te:
@@ -309,9 +328,9 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     leg from n in walking order: the first leg whose filtered squared
     distance is <= r*r gets the exact contact arc, and the scan stops at
     the first leg that starts at or after arc_allowance.  _first_flagged
-    finds that leg with scalar arithmetic, and the quadratic rounds each
-    2-vector dot as one fma (geometry.fma_dot), so contact arcs are the
-    same bits on every CPU.  The scan is exact on any block; the walk
+    finds that leg with scalar arithmetic, and the quadratic rounds |a - q|^2
+    as one fma (geometry.fma_dot), so contact arcs are the same bits on
+    every CPU.  The scan is exact on any block; the walk
     calls it only on blocks that pass the extent test and _may_reach.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
@@ -320,19 +339,19 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     k, step = params.k, 2.0 ** (-params.j)
     idx = _first_flagged(k, step, (qx, qy), r, n)
     while idx is not None:
-        cum_prev = pi_arc_before(params, idx)
+        ax, ay, bx, by, cum_prev, length = pi_leg(params, idx)
         if cum_prev >= arc_allowance:
             return None
         # exact first-contact arc on this leg: |a + u*l - q|^2 = r^2
-        length = pi_leg_length(params, idx)
-        (ax, ay), (bx, by) = pi_vertex(params, idx), pi_vertex(params, idx + 1)
-        ux, uy = (bx - ax) / length, (by - ay) / length
         rx, ry = ax - qx, ay - qy
         c0 = fma_dot(rx, ry, rx, ry) - r * r
         if c0 <= 0.0:
             arc = cum_prev
         else:
-            bh = fma_dot(rx, ry, ux, uy)  # half of the linear coefficient
+            # half the linear coefficient, r.u: the leg is axis-aligned, so u is (+-1, 0) or
+            # (0, +-1) exactly and fma_dot's r.u is +-rx or +-ry, up to the sign of a zero,
+            # which only adds +-0 to cum_prev
+            bh = rx if bx > ax else -rx if bx < ax else ry if by > ay else -ry
             disc = max(bh * bh - c0, 0.0)
             ell = -bh - math.sqrt(disc)
             arc = cum_prev + min(max(ell, 0.0), length)

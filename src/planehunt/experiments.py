@@ -218,6 +218,7 @@ def sample_targets(seed, D, r, indices):
     hashes follow in lanes too, and the three 128-bit LCG steps run per
     index.
     """
+    D = float(D)  # a numpy float32 D draws at its value, not in float32
     prefix = [w for n in (seed, _float_key(D), _float_key(r)) for w in _int_words(n)]
     indices = [operator.index(i) for i in indices]
     n = len(indices)

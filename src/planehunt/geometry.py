@@ -5,6 +5,8 @@ motion over [0, horizon] decides whether two points come within r, as the
 engine's inert scan decides a leg by its closest point, and only then
 does the clamped root of the contact quadratic give the time.  Where the
 quadratic's discriminant leaves the float range it reports no contact.
+contact_time is that decision and root on Python floats, without the
+input checks: the engine's moving loop calls it once per piece.
 
 Everything here is a pure function over immutable values, safe to call
 from any number of workers.
@@ -111,7 +113,15 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     if not all(map(math.isfinite, (p0x, p0y, ux, uy, q0x, q0y, wx, wy))):
         raise ValueError("positions and velocities must be finite")
     # Python floats: a numpy float32 would round every product below to float32
-    r, horizon, p0x, p0y, ux, uy, q0x, q0y, wx, wy = map(float, (r, horizon, p0x, p0y, ux, uy, q0x, q0y, wx, wy))
+    return contact_time(*map(float, (p0x, p0y, ux, uy, q0x, q0y, wx, wy, r, horizon)))
+
+
+def contact_time(p0x, p0y, ux, uy, q0x, q0y, wx, wy, r, horizon):
+    """first_contact_time on Python floats, unchecked: its decision and root, and nothing else.
+
+    The caller guarantees what first_contact_time checks: finite
+    positions and velocities, 0 < r < inf and horizon >= 0.
+    """
     d0x, d0y = q0x - p0x, q0y - p0y
     relx, rely = wx - ux, wy - uy
     c = d0x * d0x + d0y * d0y - r * r

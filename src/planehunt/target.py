@@ -2,10 +2,11 @@
 
 A strategy is a finite piecewise-linear description of infinite motion:
 after its last breakpoint the target stays put.  The engine relies on
-this: it walks the breakpoints forward once per block and splits every
-searcher leg at them into intervals where both parties move at constant
-velocity, each at the strategy's velocity.  position finds a time's
-segment by bisection.
+this: it splits every searcher leg that starts before the last
+breakpoint at the breakpoints into intervals where both parties move at
+constant velocity.  One accessor, TargetStrategy.state, gives a time's
+position (its segment found by bisection) and a segment's velocity as
+numbers; position, velocity and the engine's pieces all read it.
 """
 
 import math
@@ -53,30 +54,49 @@ class TargetStrategy(_TargetStrategy):
                 )
         return self
 
+    # _replace builds through _make, so a replaced field is checked as a new one is
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def position(self, t):
         """Target position at time t >= 0 (inert after the last breakpoint)."""
-        if t <= 0:
-            return self.points[0]
         if t >= self.times[-1]:
-            return self.points[-1]
-        idx = bisect_left(self.times, t)  # times[0] == 0 < t, so idx >= 1
-        t0, t1 = self.times[idx - 1], self.times[idx]
-        frac = (t - t0) / (t1 - t0)
-        p0, p1 = self.points[idx - 1], self.points[idx]
-        return p0 + (p1 - p0).scaled(frac)
+            return self.points[-1]  # where a hunt mostly stops: no Point to build
+        x, y, _, _ = self.state(t, len(self.times))
+        return Point(x, y)
 
     def velocity(self, b):
         """Velocity on the segment that ends at breakpoint b; zero past the last one."""
-        if b == len(self.times):
-            return Point(0.0, 0.0)
-        dt = self.times[b] - self.times[b - 1]
-        d = self.points[b] - self.points[b - 1]
+        _, _, vx, vy = self.state(self.times[-1], b)
+        return Point(vx, vy)
+
+    def state(self, t, b):
+        """(x, y, vx, vy): the position at time t, and the velocity on the segment that ends at breakpoint b.
+
+        The numbers are those of the fields' type, unconverted.  b is
+        len(times) past the last breakpoint, where the velocity is zero.
+        """
+        times, points = self.times, self.points
+        if t <= 0:
+            x, y = points[0]
+        elif t >= times[-1]:
+            x, y = points[-1]
+        else:
+            idx = bisect_left(times, t)  # times[0] == 0 < t, so idx >= 1
+            t0 = times[idx - 1]
+            frac = (t - t0) / (times[idx] - t0)
+            (x0, y0), (x1, y1) = points[idx - 1], points[idx]
+            x, y = x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac
+        if b == len(times):
+            return x, y, 0.0, 0.0
+        dt = times[b] - times[b - 1]
+        (x0, y0), (x1, y1) = points[b - 1], points[b]
+        dx, dy = x1 - x0, y1 - y0
         inv = 1.0 / dt
         if math.isinf(inv):
             # a subnormal dt: 0 * inf would be NaN, while d / dt is finite
             # (the speed check bounds |d| / dt)
-            return Point(d.x / dt, d.y / dt)
-        return d.scaled(inv)
+            return x, y, dx / dt, dy / dt
+        return x, y, dx * inv, dy * inv
 
 
 def inert(p):

@@ -167,6 +167,30 @@ def pi_leg_length(params, leg):
     return ((back if back < leg else leg) // 2 + 1) * 2.0 ** (-params.j)
 
 
+def pi_leg(params, leg):
+    """(ax, ay, bx, by, arc_before, length) of leg `leg` (0-based) of out_and_back(k, j).
+
+    The bits of pi_vertex(leg), pi_vertex(leg + 1), pi_arc_before(leg) and
+    pi_leg_length(leg) in one call: a return leg retraces outbound leg
+    8(k+1) - 1 - leg from its end to its start.
+    """
+    k, step = params[0], 2.0 ** -params[1]
+    back = 8 * k + 7 - leg
+    out = back if back < leg else leg  # the outbound leg on the same line
+    s, off = out >> 2, out & 3
+    axis, sign, c_line, sign0, c0, c1 = _SIDES[off]
+    perp, a, b = sign * (s + c_line) * step, sign0 * (s + c0) * step, -sign0 * (s + c1) * step
+    if back < leg:
+        a, b = b, a
+    m = 8 * k + 8 - leg  # past the turn pi_arc_before mirrors leg m: pi_length(params) - arc
+    n = m if m < leg else leg
+    arc = (n - n // 2) * (n // 2 + 1) * step
+    if m < leg:
+        arc = 2.0 * (2 * k + 2) * (2 * k + 3) * step - arc
+    length = (out // 2 + 1) * step
+    return (perp, a, perp, b, arc, length) if axis == 0 else (a, perp, b, perp, arc, length)
+
+
 def pi_arc_before(params, leg):
     """Arc walked on out_and_back(k, j) before leg `leg` (0..8(k+1)).
 

@@ -23,7 +23,7 @@ from planehunt.engine import (
     simulate,
 )
 from planehunt.geometry import Point, first_contact_time
-from planehunt.searcher import dynamic_plan, static_plan
+from planehunt.searcher import SearcherPlan, dynamic_plan, static_plan
 from planehunt.target import TargetStrategy, inert, radial_flee, waypoints
 from planehunt.trajectory import (
     _SIDES,
@@ -267,6 +267,18 @@ class TestSimulateMoving:
         assert lines[-1][1] == f"{plain.cost:.12g}"
 
 
+@pytest.mark.parametrize("exponent, message", [
+    (math.inf, "positions and velocities must be finite"),
+    (math.nan, "horizon must be nonnegative, got nan"),
+])
+def test_a_non_finite_speed_raises_first_contact_times_error(exponent, message):
+    # the moving loop solves pieces unchecked; a plan speed of inf or nan makes the
+    # first piece non-finite, which first_contact_time's checks reject as they always did
+    strategy = radial_flee(Point(0.0, 0.0), Point(3.0, 1.0), 1.0, 0.5)
+    with pytest.raises(ValueError, match=message):
+        simulate(SearcherPlan("x", exponent), strategy, SimConfig(r=0.25, max_diagonal=2))
+
+
 class TestBruteForceOracle:
     def test_hand_traced_case(self):
         cfg = SimConfig(r=0.5, max_diagonal=2)
@@ -501,6 +513,27 @@ class TestRingWindow:
                 got = self._check(params, 0, q, r, float(allowance))
                 seen.add((got is None, allowance < hit[0] if hit else None))
         assert {(True, True), (False, False)} <= seen
+
+    def test_targets_on_a_legs_line_with_signed_zeros(self):
+        # every leg is axis-aligned, so the kernel takes r.u as +-rx or +-ry: targets on
+        # a leg's line (the offset across the leg is zero) and level with its start (the
+        # offset along it is zero), each zero coordinate as +0.0 and as -0.0, on both
+        # halves of the block, scanned from n = 0 and from the leg itself
+        for params in (SpiralParams(1, 1), SpiralParams(8, 2)):
+            step = 2.0 ** -params.j
+            for leg in range(8 * (params.k + 1)):
+                (ax, ay), (bx, by) = pi_vertex(params, leg), pi_vertex(params, leg + 1)
+                ux, uy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+                length = pi_leg_length(params, leg)
+                targets = [(ax + ux * f * length, ay + uy * f * length) for f in (0.25, 0.5, 1.0)]
+                targets += [(ax + uy * step / 2, ay + ux * step / 2), (ax - uy * step / 2, ay - ux * step / 2)]
+                signed = [(x, y) for qx, qy in targets
+                          for x in ((0.0, -0.0) if qx == 0.0 else (qx,))
+                          for y in ((0.0, -0.0) if qy == 0.0 else (qy,))]
+                for q in signed:
+                    for r in (step / 8, step / 2):
+                        self._check(params, 0, q, r)
+                        self._check(params, leg, q, r)
 
     def test_target_at_infinity_is_never_sensed(self):
         for q in ((math.inf, 0.0), (math.nan, 1.0), (-math.inf, math.inf)):

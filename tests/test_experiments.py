@@ -60,6 +60,14 @@ class TestSampling:
                         want = Point(rad * math.cos(theta), rad * math.sin(theta))
                         assert sample_targets(seed, D, r, [i])[0] == want
 
+    def test_a_float32_D_draws_at_its_value(self):
+        # in float32, rad = D * sqrt(u1) would round: Point(np.float32(-0.86662585), ...)
+        got = sample_targets(7, np.float32(3.3), 0.25, [0])
+        want = sample_targets(7, float(np.float32(3.3)), 0.25, [0])
+        assert got == want and repr(got) == repr(want)
+        assert all(type(c) is float for c in got[0])
+        assert got[0] == Point(-0.8666258222480475, 0.09602361518195407)
+
 
 def _numpy_draw(seed, D, r, i):
     # the oracle: numpy's own default_rng, one generator per target
@@ -317,6 +325,26 @@ class TestNumpyFloatParameters:
         rows = sweep_dynamic([f32(0.0), f32(1.5)], [f32(0.25)], f32(3.3), 2, 7)
         want = sweep_dynamic([0.0, 1.5], [float(f32(0.25))], float(f32(3.3)), 2, 7)
         assert repr(rows) == repr(want)
+
+
+class TestHuntLookup:
+    """Each sweep hunt calls experiments.simulate, looked up on the module, once: a wrapper there sees every hunt."""
+
+    @pytest.mark.parametrize("sweep, cells", [
+        (lambda: sweep_static([1.0, 2.0], [0.25, 0.5], 3, 7), 4),
+        (lambda: sweep_dynamic([0.0, 1.0, 2.0], [0.25], 1.0, 3, 7), 3),
+    ], ids=["static", "dynamic"])
+    def test_once_per_hunt(self, sweep, cells, monkeypatch):
+        calls = []
+        hunt = experiments.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return hunt(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate", counting)
+        rows = sweep()
+        assert len(calls) == len(rows) == cells * 3
 
 
 class TestGuard:

@@ -132,6 +132,22 @@ class TestWaypoints:
         with pytest.raises(ValueError, match=match):
             TargetStrategy(times, points, 0.0)
 
+    def test_replace_checks_its_fields(self):
+        # the engine solves moving pieces unchecked, so no strategy may skip the checks
+        s = waypoints([Point(3, 0), Point(3, 1)], [0.0, 100.0], v=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            s._replace(points=(Point(3, 0), Point(math.nan, 1)))
+        with pytest.raises(ValueError, match="segment 1"):
+            s._replace(v=0.001)
+        moved = s._replace(times=(0.0, 50.0))
+        assert type(moved) is TargetStrategy and moved.position(25.0) == Point(3.0, 0.5)
+
+    def test_state_is_position_and_velocity(self):
+        s = waypoints([Point(0, 0), Point(2, 0), Point(2, 4)], [0.0, 2.0, 4.0], v=2.0)
+        assert s.state(1.0, 1) == (1.0, 0.0, 1.0, 0.0)
+        assert s.state(3.0, 2) == (*s.position(3.0), *s.velocity(2)) == (2.0, 2.0, 0.0, 2.0)
+        assert s.state(9.0, 3) == (2, 4, 0.0, 0.0)
+
 
 class TestWaypointFile:
     def test_round_trip(self, tmp_path):

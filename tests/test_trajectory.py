@@ -13,6 +13,7 @@ from planehunt.trajectory import (
     diagonal_length,
     diagonal_terms,
     pi_arc_before,
+    pi_leg,
     pi_leg_length,
     pi_length,
     pi_vertex,
@@ -207,6 +208,40 @@ class TestCoverageProperty:
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         dists = _min_distance_to_polyline(pts, poly)
         assert dists.max() < 2.0 ** (-j)
+
+
+class TestLegClosedForm:
+    """pi_leg is pi_vertex at both ends, pi_arc_before and pi_leg_length, bit for bit."""
+
+    @staticmethod
+    def _bits(values):
+        # == takes -0.0 for 0.0; copysign tells the two zeros apart
+        return [(v, math.copysign(1.0, v)) for v in values]
+
+    def _check(self, params, leg):
+        want = (*pi_vertex(params, leg), *pi_vertex(params, leg + 1), pi_arc_before(params, leg),
+                pi_leg_length(params, leg))
+        got = pi_leg(params, leg)
+        assert all(type(v) is float for v in got)
+        assert self._bits(got) == self._bits(want), (params, leg)
+
+    def test_every_leg_of_diagonals_1_to_4(self):
+        # both halves of every block, leg 0 and the last leg among them
+        for i in range(1, 5):
+            for params in diagonal_terms(i):
+                for leg in range(8 * (params.k + 1)):
+                    self._check(params, leg)
+
+    def test_seeded_legs_of_diagonals_5_to_12(self):
+        rng = np.random.default_rng(28)
+        for i in range(5, 13):
+            for params in diagonal_terms(i):
+                legs = 8 * (params.k + 1)
+                half = legs // 2
+                picks = [0, 1, half - 1, half, half + 1, legs - 2, legs - 1]
+                picks += [int(leg) for leg in rng.integers(0, legs, size=40)]
+                for leg in picks:
+                    self._check(params, leg)
 
 
 class TestVectorizedView:
