@@ -14,7 +14,7 @@ from planehunt import (
     simulate,
     static_plan,
 )
-from planehunt.trajectory import pi_leg_length, pi_vertex
+from planehunt.trajectory import pi_leg
 
 # The searcher's basic building block is a rectangular spiral.  With
 # k = 1 rounds at step 2^-2 it is the first 4(k+1) = 8 legs of the
@@ -22,9 +22,9 @@ from planehunt.trajectory import pi_leg_length, pi_vertex
 print("spiral(k=1, j=2) legs:")
 compass = {(1, 0): "E", (0, -1): "S", (-1, 0): "W", (0, 1): "N"}
 for leg in range(8):
-    (ax, ay), (bx, by) = pi_vertex(SpiralParams(1, 2), leg), pi_vertex(SpiralParams(1, 2), leg + 1)
+    ax, ay, bx, by, _, length = pi_leg(SpiralParams(1, 2), leg)
     direction = compass[(bx > ax) - (bx < ax), (by > ay) - (by < ay)]
-    print(f"  go {direction} for {pi_leg_length(SpiralParams(1, 2), leg)}")
+    print(f"  go {direction} for {length}")
 
 # Out-and-back trajectories return the searcher to its start, so the
 # infinite schedule can chain them without bookkeeping.

@@ -18,11 +18,12 @@ A trace is written after the walk, from its outcome.
 
 Per leg the work is float arithmetic on locals: one closed-form call
 (trajectory.pi_leg) gives a leg's ends, arc and length to the moving
-loop, to the inert quadratic and to the stop, and a moving piece reads
-the target's position and velocity as numbers (TargetStrategy.state)
-and builds no Point.  A moving leg of a two-breakpoint waypoint hunt
-costs about 3.5 us, against 10-13 us through Points and the checked
-first_contact_time (2-core x86 VM, Python 3.11).
+loop, to the inert quadratic, to the stop and to the trace (a cost
+budget's stop finds its leg by trajectory.pi_leg_at), and a moving piece
+reads the target's position and velocity as numbers
+(TargetStrategy.state) and builds no Point.  A moving leg of a
+two-breakpoint waypoint hunt costs about 3.5 us, against 10-13 us through
+Points and the checked first_contact_time (2-core x86 VM, Python 3.11).
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back;
@@ -64,21 +65,12 @@ import contextlib
 import functools
 import math
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from numbers import Integral, Real
 from typing import NamedTuple
 
 from .geometry import Point, contact_time, first_contact_time, fma_dot
-from .trajectory import (
-    _SIDES,
-    MAX_DIAGONAL,
-    diagonal_terms,
-    pi_arc_before,
-    pi_leg,
-    pi_leg_length,
-    pi_length,
-    pi_vertex,
-)
+from .trajectory import _SIDES, MAX_DIAGONAL, diagonal_terms, pi_leg, pi_leg_at, pi_length
 
 _SQRT_HALF = math.sqrt(0.5)
 # the sides of _SIDES flattened with their offset: (off, axis, sign, c_line, sign0, c0, c1)
@@ -116,6 +108,9 @@ class SimConfig(_SimConfig):
             raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {max_diagonal}")
         # Python floats: in a numpy float32, r * r and max_cost - cost would round to float32
         return super().__new__(cls, agent_start, float(r), float(max_cost), max_diagonal)
+
+    # _replace builds through _make, so a replaced field is checked as a new one is
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class SimOutcome(NamedTuple):
@@ -223,9 +218,7 @@ def _simulate(plan, strategy, cfg):
                 hit = _first_contact_in_rings(params, n, q_rel, r, allowance)
         sensed = hit is not None
         if sensed or block_len >= allowance:
-            arc, idx = hit if sensed else (allowance, bisect_left(
-                range(block_legs), allowance, key=lambda L: pi_arc_before(params, L + 1)
-            ))
+            arc, idx = hit if sensed else (allowance, pi_leg_at(params, allowance))
             ax, ay, bx, by, arc0, length = pi_leg(params, idx)
             frac = (arc - arc0) / length
             t_stop = float(t + arc / speed)
@@ -259,14 +252,16 @@ def _write_trace(fh, plan, strategy, cfg, out):
         if legs >= out.legs_processed:
             break
 
-        def vertex_line(vertex, event):
-            arc, (x, y) = pi_arc_before(params, vertex), pi_vertex(params, vertex)
+        def vertex_line(arc, x, y, event):
             emit(float(t + arc / speed), cost + arc, Point(float(sx + x), float(sy + y)), event)
 
         for leg in range(min(block_legs, out.legs_processed - legs)):
-            vertex_line(leg, "leg_start")
+            ax, ay, bx, by, arc, length = pi_leg(params, leg)
+            vertex_line(arc, ax, ay, "leg_start")
             if legs + leg < ends:
-                vertex_line(leg + 1, "leg_end")
+                # the arc before the next leg, exactly: a trace of at most MAX_TRACE_LINES
+                # lines ends long before diagonal 12, so every arc is a step count below 2^53
+                vertex_line(arc + length, bx, by, "leg_end")
         stop_cost = cost + (cfg.max_cost - cost)  # the walk's sum, where a cost_budget stop cuts this block
     if out.stop_reason == "cost_budget":
         emit(out.time, stop_cost, out.agent_pos, "leg_end")
@@ -505,10 +500,10 @@ def _corner_range(x, y, step, r, lo, hi):
 def brute_force_oracle(plan, strategy, cfg, step):
     """Fixed-arc-step reference simulation, independent of `simulate`.
 
-    Walks the schedule leg by leg through its closed forms (each leg's
-    direction from pi_vertex, its length from pi_leg_length), keeping its
-    own running position, time, cost and leg count, and shares no gate or
-    kernel with `simulate`.  It advances the searcher `step` units of arc
+    Walks the schedule leg by leg through its closed form (each leg's
+    direction and length from pi_leg), keeping its own running position,
+    time, cost and leg count, and shares no gate or kernel with
+    `simulate`.  It advances the searcher `step` units of arc
     at a time and checks the plain distance condition at each sample, by
     hypot, so no square leaves the float range; it converges to the exact
     result as step -> 0.  Vectorized per leg but otherwise naive.
@@ -531,9 +526,8 @@ def brute_force_oracle(plan, strategy, cfg, step):
         speed = plan.speed_of_diagonal(i)
         for params in diagonal_terms(i):
             for leg in range(8 * (params.k + 1)):
-                (ax, ay), (bx, by) = pi_vertex(params, leg), pi_vertex(params, leg + 1)
+                ax, ay, bx, by, _, distance = pi_leg(params, leg)
                 ux, uy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
-                distance = pi_leg_length(params, leg)
                 leg_len = min(distance, cfg.max_cost - cost)
 
                 n = int(math.ceil(leg_len / step))

@@ -18,6 +18,10 @@ from .geometry import Point
 SPEED_TOL = 1e-9
 # most ulps radial_flee steps its rounded end point back toward the start
 FLEE_STEPS = 8
+# field types a strategy keeps as given (np.float64 is a float): the goldens
+# pin their reprs.  Any other number, a numpy float32 say, would compute at
+# its own precision
+_KEPT = (float, int)
 
 
 class _TargetStrategy(NamedTuple):
@@ -27,7 +31,11 @@ class _TargetStrategy(NamedTuple):
 
 
 class TargetStrategy(_TargetStrategy):
-    """Piecewise-linear target motion with a declared speed bound v."""
+    """Piecewise-linear target motion with a declared speed bound v.
+
+    Fields that are floats or ints are kept as given; any other number is
+    stored as the float of its value.
+    """
 
     __slots__ = ()
 
@@ -39,9 +47,14 @@ class TargetStrategy(_TargetStrategy):
             raise ValueError("first breakpoint must be at t = 0")
         if not (math.isfinite(self.v) and self.v >= 0):
             raise ValueError(f"speed bound must be finite and nonnegative, got {self.v}")
+        convert = not isinstance(self.v, _KEPT)
         for t, p in zip(self.times, self.points):
             if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
+            convert = convert or not (isinstance(t, _KEPT) and isinstance(p.x, _KEPT) and isinstance(p.y, _KEPT))
+        if convert:
+            kept = lambda x: x if isinstance(x, _KEPT) else float(x)
+            return cls(tuple(map(kept, self.times)), tuple(Point(kept(x), kept(y)) for x, y in self.points), kept(self.v))
         for idx in range(1, len(self.times)):
             dt = self.times[idx] - self.times[idx - 1]
             if dt <= 0:
@@ -72,8 +85,9 @@ class TargetStrategy(_TargetStrategy):
     def state(self, t, b):
         """(x, y, vx, vy): the position at time t, and the velocity on the segment that ends at breakpoint b.
 
-        The numbers are those of the fields' type, unconverted.  b is
-        len(times) past the last breakpoint, where the velocity is zero.
+        The numbers are those of the fields' type (float or int),
+        unconverted.  b is len(times) past the last breakpoint, where the
+        velocity is zero.
         """
         times, points = self.times, self.points
         if t <= 0:

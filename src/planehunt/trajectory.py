@@ -14,12 +14,13 @@ The searcher's path is built from three layers:
 
 The full schedule is the infinite concatenation diagonal(1) diagonal(2)...
 Nothing here materializes it: diagonal(12) alone has ~2^26 legs.  Each
-out-and-back block is read through its closed form: pi_vertex,
-pi_leg_length and pi_arc_before give one vertex, leg or arc in O(1) from
-the axis lines of _SIDES.  Each is an integer count of steps, exact in
-Python ints, times 2^-j, so it is exact below 2^53 steps: through
-diagonal 11, where a float running sum of the legs is exact and equal to
-it.  A simulation walks at most MAX_DIAGONAL = 12 diagonals.
+out-and-back block is read through its closed form: pi_leg gives one
+leg's two ends, the arc before it and its length in O(1) from the axis
+lines of _SIDES, and pi_leg_at finds the leg at an arc by bisection on
+it.  Each value is an integer count of steps, exact in Python ints, times
+2^-j, so it is exact below 2^53 steps: through diagonal 11, where a float
+running sum of the legs is exact and equal to it.  A simulation walks at
+most MAX_DIAGONAL = 12 diagonals.
 
 CatchPrediction is the guarantee of either searcher: caught by diagonal
 y, at cost at most 80 y 2^(2y+2), which it sets from y.  predict_static
@@ -71,6 +72,9 @@ class SpiralParams(_SpiralParams):
             raise ValueError("spiral parameters require k >= 1 and j >= 1")
         return self
 
+    # _replace builds through _make, so a replaced field is checked as a new one is
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
 
 class _CatchPrediction(NamedTuple):
     a: int
@@ -85,7 +89,9 @@ class CatchPrediction(_CatchPrediction):
     Built as CatchPrediction(a, b, y): a and b are the distance and
     resolution indices the prediction starts from.  cost_bound is
     80 y 2^(2y+2), set from y; ValueError where it is beyond the float
-    range (y >= 504).  Pickled, like built, from (a, b, y).
+    range (y >= 504).  Pickled, made (_make) and replaced (_replace), like
+    built, from (a, b, y): a replaced y gets its own cost_bound, and
+    cost_bound is no argument.
     """
 
     __slots__ = ()
@@ -97,6 +103,11 @@ class CatchPrediction(_CatchPrediction):
 
     def __getnewargs__(self):
         return self.a, self.b, self.y
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def _replace(self, **fields):
+        return type(self)(**{"a": self.a, "b": self.b, "y": self.y, **fields})
 
 
 def ceil_log2(x):
@@ -151,28 +162,14 @@ def predict_static(D, r):
     return CatchPrediction(a, b, y)
 
 
-def pi_vertex(params, legs_walked):
-    """(x, y) after legs_walked legs of out_and_back(k, j), and after 8(k+1) - legs_walked legs."""
-    back = 8 * (params.k + 1) - legs_walked
-    s, off = divmod(back if back < legs_walked else legs_walked, 4)
-    axis, sign, c_line, sign0, c0, _ = _SIDES[off]
-    step = 2.0 ** (-params.j)
-    perp, par = sign * (s + c_line) * step, sign0 * (s + c0) * step
-    return (perp, par) if axis == 0 else (par, perp)
-
-
-def pi_leg_length(params, leg):
-    """Length of leg `leg` (0-based) of out_and_back(k, j)."""
-    back = 8 * params.k + 7 - leg
-    return ((back if back < leg else leg) // 2 + 1) * 2.0 ** (-params.j)
-
-
 def pi_leg(params, leg):
     """(ax, ay, bx, by, arc_before, length) of leg `leg` (0-based) of out_and_back(k, j).
 
-    The bits of pi_vertex(leg), pi_vertex(leg + 1), pi_arc_before(leg) and
-    pi_leg_length(leg) in one call: a return leg retraces outbound leg
-    8(k+1) - 1 - leg from its end to its start.
+    The leg runs from (ax, ay) to (bx, by) after arc_before of arc.  The
+    first L legs out make ceil(L/2) (floor(L/2) + 1) steps, and outbound
+    leg L makes floor(L/2) + 1.  A return leg retraces outbound leg
+    8(k+1) - 1 - leg from its end to its start, and the arc before it
+    mirrors the arc before leg 8(k+1) - leg.
     """
     k, step = params[0], 2.0 ** -params[1]
     back = 8 * k + 7 - leg
@@ -182,7 +179,7 @@ def pi_leg(params, leg):
     perp, a, b = sign * (s + c_line) * step, sign0 * (s + c0) * step, -sign0 * (s + c1) * step
     if back < leg:
         a, b = b, a
-    m = 8 * k + 8 - leg  # past the turn pi_arc_before mirrors leg m: pi_length(params) - arc
+    m = 8 * k + 8 - leg  # past the turn the arc mirrors the arc before leg m: pi_length(params) - arc
     n = m if m < leg else leg
     arc = (n - n // 2) * (n // 2 + 1) * step
     if m < leg:
@@ -191,15 +188,13 @@ def pi_leg(params, leg):
     return (perp, a, perp, b, arc, length) if axis == 0 else (a, perp, b, perp, arc, length)
 
 
-def pi_arc_before(params, leg):
-    """Arc walked on out_and_back(k, j) before leg `leg` (0..8(k+1)).
+def pi_leg_at(params, arc):
+    """Index of the first leg of out_and_back(k, j) whose end arc reaches arc, 0 <= arc <= pi_length(params).
 
-    The first L legs out make ceil(L/2) (floor(L/2) + 1) steps; the return mirrors them.
+    Legs 0..8k+6 end where the next one starts; the last leg, 8k+7, ends
+    at the block's length, so it is the answer where no earlier leg is.
     """
-    back = 8 * (params.k + 1) - leg
-    if back < leg:
-        return pi_length(params) - pi_arc_before(params, back)
-    return (leg - leg // 2) * (leg // 2 + 1) * 2.0 ** (-params.j)
+    return bisect_left(range(8 * params.k + 7), arc, key=lambda L: pi_leg(params, L + 1)[4])
 
 
 def prefix_polyline(max_cost):
@@ -218,7 +213,7 @@ def prefix_polyline(max_cost):
     for params in chain.from_iterable(map(diagonal_terms, count(1))):
         legs, ends_here = 8 * (params.k + 1), pi_length(params) >= remaining
         if ends_here:  # the walk stops on the first leg whose end arc reaches the budget
-            legs = 1 + bisect_left(range(legs), remaining, key=lambda L: pi_arc_before(params, L + 1))
+            legs = 1 + pi_leg_at(params, remaining)
         walked.append((params, legs))
         n_vertices += legs
         if n_vertices > MAX_PREFIX_VERTICES:
@@ -226,9 +221,9 @@ def prefix_polyline(max_cost):
         if ends_here:
             break
         remaining -= pi_length(params)
-    xy = chain.from_iterable(pi_vertex(p, L) for p, n in walked for L in range(1, n + 1))
+    xy = chain.from_iterable(pi_leg(p, L)[2:4] for p, n in walked for L in range(n))
     pts = np.fromiter(chain((0.0, 0.0), xy), np.float64, 2 * n_vertices).reshape(-1, 2)
     # cut the last leg at the budget: a + u * d for its unit direction u
-    a, last = pts[-2], legs - 1
-    pts[-1] = a + (pts[-1] - a) / pi_leg_length(params, last) * (remaining - pi_arc_before(params, last))
+    a, (_, _, _, _, arc0, length) = pts[-2], pi_leg(params, legs - 1)
+    pts[-1] = a + (pts[-1] - a) / length * (remaining - arc0)
     return pts

@@ -1,12 +1,15 @@
 """Reference implementations that the tests pin the package against.
 
 pi_arrays is a whole-block numpy view of the schedule, built without the
-closed forms in `planehunt.trajectory`: the tests compare those closed
-forms, the kernel, prefix_polyline and the oracle's walk with it.  The
-other helpers are references that the tests pin and no package code
-uses: the per-block gate whose grid-line test _may_reach implies, the
-distance and ring checks behind the witness search, and the analytic
-bound on a diagonal's length.
+closed form in `planehunt.trajectory`: the tests compare that closed
+form, the kernel, prefix_polyline and the oracle's walk with it.
+pi_vertex, pi_leg_length and pi_arc_before are the per-vertex, per-leg
+and per-arc closed forms that trajectory.pi_leg joins into one call; the
+tests check pi_leg and pi_leg_at against them bit for bit.  The other
+helpers are references that the tests pin and no package code uses: the
+per-block gate whose grid-line test _may_reach implies, the distance and
+ring checks behind the witness search, and the analytic bound on a
+diagonal's length.
 """
 
 import math
@@ -15,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from planehunt.coverage import _min_dist2, _segments
+from planehunt.trajectory import _SIDES, pi_length
 
 
 @lru_cache(maxsize=64)
@@ -41,6 +45,33 @@ def pi_arrays(k, j):
     verts = np.concatenate([np.zeros((1, 2)), np.cumsum(disp, axis=0)])
     lengths = np.concatenate([dist, dist[::-1]])
     return verts, lengths, np.cumsum(lengths)
+
+
+def pi_vertex(params, legs_walked):
+    """(x, y) after legs_walked legs of out_and_back(k, j), and after 8(k+1) - legs_walked legs."""
+    back = 8 * (params.k + 1) - legs_walked
+    s, off = divmod(back if back < legs_walked else legs_walked, 4)
+    axis, sign, c_line, sign0, c0, _ = _SIDES[off]
+    step = 2.0 ** (-params.j)
+    perp, par = sign * (s + c_line) * step, sign0 * (s + c0) * step
+    return (perp, par) if axis == 0 else (par, perp)
+
+
+def pi_leg_length(params, leg):
+    """Length of leg `leg` (0-based) of out_and_back(k, j)."""
+    back = 8 * params.k + 7 - leg
+    return ((back if back < leg else leg) // 2 + 1) * 2.0 ** (-params.j)
+
+
+def pi_arc_before(params, leg):
+    """Arc walked on out_and_back(k, j) before leg `leg` (0..8(k+1)).
+
+    The first L legs out make ceil(L/2) (floor(L/2) + 1) steps; the return mirrors them.
+    """
+    back = 8 * (params.k + 1) - leg
+    if back < leg:
+        return pi_length(params) - pi_arc_before(params, back)
+    return (leg - leg // 2) * (leg // 2 + 1) * 2.0 ** (-params.j)
 
 
 def diagonal_length_bound(i):

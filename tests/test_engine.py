@@ -7,7 +7,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from block_arrays import _may_flag, _near_grid_line, pi_arrays
+from block_arrays import _may_flag, _near_grid_line, pi_arc_before, pi_arrays, pi_leg_length, pi_vertex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,10 +30,7 @@ from planehunt.trajectory import (
     MAX_DIAGONAL,
     SpiralParams,
     diagonal_terms,
-    pi_arc_before,
-    pi_leg_length,
     pi_length,
-    pi_vertex,
 )
 
 

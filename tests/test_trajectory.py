@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from block_arrays import _min_distance_to_polyline, diagonal_length_bound, pi_arrays
+from block_arrays import (
+    _min_distance_to_polyline,
+    diagonal_length_bound,
+    pi_arc_before,
+    pi_arrays,
+    pi_leg_length,
+    pi_vertex,
+)
 
 from planehunt import trajectory
 from planehunt.trajectory import (
@@ -12,11 +19,8 @@ from planehunt.trajectory import (
     ceil_log2,
     diagonal_length,
     diagonal_terms,
-    pi_arc_before,
     pi_leg,
-    pi_leg_length,
     pi_length,
-    pi_vertex,
     predict_static,
     prefix_polyline,
 )
