@@ -36,7 +36,8 @@ from .geometry import Point, fma_dot
 # temporary is then at most 64 KB, and memory is bounded before the run starts.
 PAIR_BUDGET = 2**13
 # largest grid_res of tube_area and the witness grid: a witness search holds
-# at most about 16 bytes per cell, so 4096^2 cells take about 260 MB
+# about 3 bytes per cell (the rasterizer's 2-byte run ends and its mask) plus
+# one block of candidates, so 4096^2 cells take about 50 MB
 MAX_GRID_RES = 4096
 # most unmarked witness candidates confirmed per exact distance check; the
 # chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
@@ -432,10 +433,11 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     rasterizer that tube_area uses (_covered_cells), run at r_j shrunk by
     one part in 1e9 so that rounding can only leave a covered cell
     unmarked, never mark a far one.  The unmarked in-ring cells, as flat
-    indices into the grid (no per-cell coordinates are built), are then
-    confirmed in grid order, in chunks of 1, 2, 4, ... up to WITNESS_CHUNK
-    candidates, by the exact sqrt(_min_dist2(...)) > r_j, taken over only
-    the segments near the chunk (_far, which skips the others exactly).
+    indices into the grid (no per-cell coordinates are built), one block
+    of grid rows at a time, are then confirmed in grid order, in chunks of
+    1, 2, 4, ... up to WITNESS_CHUNK candidates within each block, by the
+    exact sqrt(_min_dist2(...)) > r_j, taken over only the segments near
+    the chunk (_far, which skips the others exactly).
     So the witness is the one a scan of every candidate through that
     exact check would return.  Both distances are _dist2; they differ
     only in the len2 of slanted segments, so on axis-aligned legs (every
@@ -455,6 +457,9 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     _check_extent(np.ptp(polyline, axis=0), 2.0 ** i)
     center = polyline[0]
     segments, boxes = _segments(polyline)
+    # the candidates are taken a block of grid rows at a time, 32 PAIR_BUDGET
+    # cells (2^18): one block's flat indices take at most 2 MB
+    rows = 32 * PAIR_BUDGET // grid_res
     results = []
     for j in range(1, i + 1):
         D_j = 2.0 ** j
@@ -464,21 +469,26 @@ def adversarial_static_placement(polyline, i, grid_res=256):
         ys = center[1] + (np.arange(grid_res) + 0.5) / grid_res * 2 * half - half
         covered = _covered_cells(xs, ys, polyline, r_j * (1.0 - 1e-9))
         ax, ay = np.abs(xs - center[0]), np.abs(ys - center[1])
-        # ring j is Q(2^j) minus Q(2^(j-1)), by per-axis tests: no float per cell
-        ring = (ax <= half)[:, None] & (ay <= half)[None, :]
-        if j > 1:
-            ring &= (ax > half / 2)[:, None] | (ay > half / 2)[None, :]
-        idx = np.flatnonzero(ring & ~covered)
-        witness = None
-        s, size = 0, 1
-        while s < idx.size:
-            cells = idx[s : s + size]
-            px, py = xs[cells // grid_res], ys[cells % grid_res]
-            far = np.flatnonzero(_far(px, py, segments, boxes, r_j))
-            if far.size:
-                witness = Point(float(px[far[0]]), float(py[far[0]]))
+        witness, size = None, 1
+        for row0 in range(0, grid_res, rows):
+            bx = ax[row0 : row0 + rows]
+            # ring j is Q(2^j) minus Q(2^(j-1)), by per-axis tests: no float per cell
+            ring = (bx <= half)[:, None] & (ay <= half)[None, :]
+            if j > 1:
+                ring &= (bx > half / 2)[:, None] | (ay > half / 2)[None, :]
+            idx = np.flatnonzero(ring & ~covered[row0 : row0 + rows]) + row0 * grid_res
+            s = 0
+            while s < idx.size:
+                cells = idx[s : s + size]
+                px, py = xs[cells // grid_res], ys[cells % grid_res]
+                far = np.flatnonzero(_far(px, py, segments, boxes, r_j))
+                if far.size:
+                    witness = Point(float(px[far[0]]), float(py[far[0]]))
+                    break
+                s, size = s + size, min(2 * size, WITNESS_CHUNK)
+            if witness is not None:
                 break
-            s, size = s + size, min(2 * size, WITNESS_CHUNK)
+        del covered  # before the next ring's rasterizer runs
         results.append((j, D_j, r_j, witness))
     return results
 

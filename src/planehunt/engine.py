@@ -11,9 +11,12 @@ breakpoint, so the few legs that start while the target still moves are
 split at its breakpoints, which one bisection per leg finds, and each
 piece is decided the way a leg of the inert scan is, by its closest
 point, before a clamped quadratic root gives the time
-(geometry.contact_time, the unchecked core of first_contact_time); for
-every later leg the first contact with the target's final point is found
-by a scalar scan of the block's sides.
+(geometry.contact_time, the unchecked core of first_contact_time, the
+moving loop's one contact call); for every later leg the first contact
+with the target's final point is found by a scalar scan of the block's
+sides.  The table rejects an unusable plan (a speed that is not positive,
+or a leg velocity or time past the float range) with ValueError before
+any leg is walked, whatever the target, so every piece is finite.
 A trace is written after the walk, from its outcome.
 
 Per leg the work is float arithmetic on locals: one closed-form call
@@ -69,7 +72,7 @@ from bisect import bisect_right
 from numbers import Integral, Real
 from typing import NamedTuple
 
-from .geometry import Point, contact_time, first_contact_time, fma_dot
+from .geometry import Point, contact_time, fma_dot
 from .trajectory import _SIDES, MAX_DIAGONAL, diagonal_terms, pi_leg, pi_leg_at, pi_length
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -161,18 +164,32 @@ def _block_table(plan):
     (k + 2) step: every leg of the block lies within (k + 1) step of its
     origin in both coordinates, so a target farther than extent + r along
     x or y is farther than r from the whole block, by a step of margin.
+
+    The table is the one place the walk reads the plan's speeds, and it
+    rejects an unusable plan with a ValueError naming the plan and the
+    diagonal: where a speed cannot be formed (2.0 ** n past the float
+    range) or is not positive, where a leg's velocity, the speed over the
+    shortest leg (2^-24), is not finite, or where the time walked by the
+    diagonal's end is not.  So every time and velocity of the walk is a
+    finite float.
     """
     rows = []
     cost, t, legs = 0.0, 0.0, 0
-    for i in range(1, MAX_DIAGONAL + 1):
-        speed = plan.speed_of_diagonal(i)
-        for params in diagonal_terms(i):
-            block_legs, block_len, step = 8 * (params.k + 1), pi_length(params), 2.0 ** (-params.j)
-            rows.append((i, params, params.j // 2, step, (params.k + 2) * step, speed, block_legs, block_len,
-                         cost, t, legs))
-            cost += block_len
-            t += block_len / speed
-            legs += block_legs
+    try:
+        for i in range(1, MAX_DIAGONAL + 1):
+            speed = plan.speed_of_diagonal(i)
+            for params in diagonal_terms(i):
+                block_legs, block_len, step = 8 * (params.k + 1), pi_length(params), 2.0 ** (-params.j)
+                rows.append((i, params, params.j // 2, step, (params.k + 2) * step, speed, block_legs, block_len,
+                             cost, t, legs))
+                cost += block_len
+                t += block_len / speed
+                legs += block_legs
+            # the walk's leg velocity is speed / length, and the shortest leg is 2^-24 long
+            if not (0.0 < speed / 2.0 ** -24 < math.inf and t < math.inf):
+                raise ArithmeticError
+    except ArithmeticError:  # also a speed 2.0 ** n past the float range, and a zero speed's division
+        raise ValueError(f"plan {plan.name!r}, diagonal {i}: speed <= 0, NaN, or too big or small for floats") from None
     rows.append((None,) * 8 + (cost, t, legs))
     return tuple(rows)
 
@@ -186,6 +203,7 @@ def _simulate(plan, strategy, cfg):
     q_rel = (qx, qy)
     t_still = strategy.times[-1]  # the target is inert from here on
 
+    rows = _block_table(plan)  # first: it rejects an unusable plan, whatever the target
     if math.hypot(tgt0[0] - x0, tgt0[1] - y0) <= r:  # tgt0 is position(0.0)
         return SimOutcome(True, 0.0, 0.0, agent_start, tgt0, 0, 0, "sensed")
 
@@ -203,7 +221,6 @@ def _simulate(plan, strategy, cfg):
     margin = r * (1.0 + 1e-9)
     term_gate = [None] * (MAX_DIAGONAL + 1)
 
-    rows = _block_table(plan)
     n_blocks = max_diagonal * (max_diagonal + 1) // 2
     for i, params, term, step, extent, speed, block_legs, block_len, cost, t, legs in rows[:n_blocks]:
         allowance = max_cost - cost
@@ -282,14 +299,11 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
     finds the first breakpoint after its start.  A leg is one pi_leg call
     and a piece one TargetStrategy.state call and one contact_time call on
     Python floats, with no Point: the values first_contact_time would get,
-    without its checks, which a validated target and a finite speed always
-    pass.  A non-finite plan speed goes through first_contact_time, which
-    raises its ValueError on the first piece.
+    without its checks, which a validated target and a plan that passed
+    _block_table always pass (finite positions, velocities and horizons).
     """
     times, state = strategy.times, strategy.state
     legs, n_times, t_still = 8 * (params.k + 1), len(times), times[-1]
-    contact = contact_time if math.isfinite(speed) else lambda *a: first_contact_time(
-        a[:2], a[2:4], a[4:6], a[6:8], *a[8:])
     for idx in range(legs):
         ax, ay, bx, by, arc0, length = pi_leg(params, idx)
         t0 = t + arc0 / speed
@@ -304,8 +318,8 @@ def _first_contact_moving(strategy, start, params, t, speed, r, arc_allowance):
             # Python floats, as first_contact_time takes them: the target's may be numpy's
             qx, qy, wx, wy = state(ts, b)
             dt = ts - t0
-            hit = contact(float(px + vx * dt), float(py + vy * dt), vx, vy,
-                          float(qx), float(qy), float(wx), float(wy), r, float(end - ts))
+            hit = contact_time(float(px + vx * dt), float(py + vy * dt), vx, vy,
+                               float(qx), float(qy), float(wx), float(wy), r, float(end - ts))
             if hit is not None:
                 return idx, (arc0 + speed * (ts + hit - t0), idx)
             if end == te:

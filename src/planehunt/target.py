@@ -6,7 +6,7 @@ this: it splits every searcher leg that starts before the last
 breakpoint at the breakpoints into intervals where both parties move at
 constant velocity.  One accessor, TargetStrategy.state, gives a time's
 position (its segment found by bisection) and a segment's velocity as
-numbers; position, velocity and the engine's pieces all read it.
+numbers; position and the engine's moving pieces read it.
 """
 
 import math
@@ -76,11 +76,6 @@ class TargetStrategy(_TargetStrategy):
             return self.points[-1]  # where a hunt mostly stops: no Point to build
         x, y, _, _ = self.state(t, len(self.times))
         return Point(x, y)
-
-    def velocity(self, b):
-        """Velocity on the segment that ends at breakpoint b; zero past the last one."""
-        _, _, vx, vy = self.state(self.times[-1], b)
-        return Point(vx, vy)
 
     def state(self, t, b):
         """(x, y, vx, vy): the position at time t, and the velocity on the segment that ends at breakpoint b.

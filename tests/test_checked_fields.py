@@ -3,7 +3,7 @@
 _replace builds through _make, which builds through __new__, so a
 replaced field gets the checks of a new one.  A target field that is
 neither a float nor an int (a numpy float32, say) is stored as the float
-of its value, so position, velocity and the engine do not compute at its
+of its value, so position, state and the engine do not compute at its
 precision.
 """
 
@@ -61,7 +61,7 @@ class TestTargetFieldTypes:
                            [0.0, 3.0], 1.0)
         # in float32, position(1.0) was Point(np.float32(0.43333334), np.float32(0.23333335))
         assert repr(s.position(1.0)) == repr(values.position(1.0)) == "Point(x=0.43333334227403003, y=0.2333333392937978)"
-        assert repr(s.velocity(1)) == repr(values.velocity(1))
+        assert repr(s.state(1.0, 1)) == repr(values.state(1.0, 1))
         assert repr(s) == repr(values)
 
     def test_a_float32_waypoint_hunt_is_the_hunt_on_its_values(self):

@@ -264,16 +264,30 @@ class TestSimulateMoving:
         assert lines[-1][1] == f"{plain.cost:.12g}"
 
 
-@pytest.mark.parametrize("exponent, message", [
-    (math.inf, "positions and velocities must be finite"),
-    (math.nan, "horizon must be nonnegative, got nan"),
-])
-def test_a_non_finite_speed_raises_first_contact_times_error(exponent, message):
-    # the moving loop solves pieces unchecked; a plan speed of inf or nan makes the
-    # first piece non-finite, which first_contact_time's checks reject as they always did
-    strategy = radial_flee(Point(0.0, 0.0), Point(3.0, 1.0), 1.0, 0.5)
-    with pytest.raises(ValueError, match=message):
+# (speed exponent, the first diagonal it fails on): 2^inf is inf and 2^nan nan;
+# 2.0 ** 2000 raises OverflowError and 2.0 ** -2000 is 0; 2^(84 * 12) = 2^1008 is
+# finite, but its velocity on the shortest leg, 2^1008 / 2^-24, is not; and
+# 2^(-83 * 12) is positive, but the time walked by diagonal 12's end is not finite
+UNUSABLE_PLANS = [(math.inf, 1), (math.nan, 1), (2000, 1), (-2000, 1), (84, 12), (-83, 12)]
+
+
+@pytest.mark.parametrize("exponent, diagonal", UNUSABLE_PLANS)
+@pytest.mark.parametrize("strategy", [
+    inert(Point(3.0, 1.0)),
+    radial_flee(Point(0.0, 0.0), Point(3.0, 1.0), 1.0, 0.5),
+    inert(Point(0.1, 0.0)),  # within r of the start: the plan is checked before that return
+], ids=["inert", "fleeing", "at-start"])
+def test_an_unusable_plan_raises_before_the_walk(exponent, diagonal, strategy):
+    # the moving loop solves pieces unchecked, so the block table rejects a plan whose
+    # speeds, leg velocities or times leave the floats, naming the plan and the diagonal
+    with pytest.raises(ValueError, match=rf"^plan 'x', diagonal {diagonal}: speed <= 0, NaN, or too big or small"):
         simulate(SearcherPlan("x", exponent), strategy, SimConfig(r=0.25, max_diagonal=2))
+
+
+def test_the_searchers_plans_are_usable():
+    # and so are the plans one step inside the limits of UNUSABLE_PLANS
+    for plan in (static_plan(), dynamic_plan(), SearcherPlan("x", 83), SearcherPlan("x", -82)):
+        assert math.isfinite(engine._block_table(plan)[-1][-2])
 
 
 class TestBruteForceOracle:
@@ -1329,6 +1343,18 @@ def test_a_target_farther_than_r_is_not_sensed_where_both_squares_underflow():
     # the first leg runs along y = 0, whose closest approach 2e-170 exceeds r = 1e-170
     out = simulate(static_plan(), inert(Point(0.25, 2e-170)), SimConfig(r=1e-170, max_diagonal=1))
     assert not out.sensed
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="the moving loop forms a piece's arc from absolute times")
+def test_a_still_target_declared_moving_is_hunted_as_the_inert_one():
+    # under the dynamic plan the clock nears q = 6.7, where an ulp is 2^-50, and the loop
+    # forms each piece's horizon and contact arc as differences of absolute times (end - ts,
+    # ts + hit - t0): the arc is quantized to 2^(5i - 50), and on diagonal 8 the cost is
+    # 2.4e-5 off.  At P = (-2.9, 4.05) and r = 2^-15 the hunt senses 205 r from the target
+    # on diagonal 9, but takes 17 s; the static plan hunts both to the same bits
+    p, cfg = Point(1.1, -7.4), SimConfig(r=2.0 ** -13, max_diagonal=12)
+    still = waypoints([p, p], [0.0, 100.0], 1.0)
+    assert repr(simulate(dynamic_plan(), still, cfg)) == repr(simulate(dynamic_plan(), inert(p), cfg))
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason="r*r and |q0 - p0|^2 both overflow: disc is NaN")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,7 +146,8 @@ class TestWaypoints:
     def test_state_is_position_and_velocity(self):
         s = waypoints([Point(0, 0), Point(2, 0), Point(2, 4)], [0.0, 2.0, 4.0], v=2.0)
         assert s.state(1.0, 1) == (1.0, 0.0, 1.0, 0.0)
-        assert s.state(3.0, 2) == (*s.position(3.0), *s.velocity(2)) == (2.0, 2.0, 0.0, 2.0)
+        # the velocity on the segment that ends at breakpoint 2 is the same at every time
+        assert s.state(3.0, 2) == (*s.position(3.0), *s.state(1.0, 2)[2:]) == (2.0, 2.0, 0.0, 2.0)
         assert s.state(9.0, 3) == (2, 4, 0.0, 0.0)
 
 
@@ -381,6 +383,39 @@ class TestWitnessChunks:
         j, _, _, witness = adversarial_static_placement(prefix, 4, 128)[1]
         assert j == 2
         assert witness == Point(*candidates[129]) != Point(*candidates[0])
+
+
+class TestWitnessBlocks:
+    """The candidates are scanned a block of grid rows at a time (2^18 cells, 256 rows at grid_res 1024)."""
+
+    # x = -0.875, -0.5 and -0.125 from y = -1.25 to 1.25 cover ring 1 up to x = 0.125 at r_1 = 0.25,
+    # so the witness lies in row 576 or later, in the third block
+    COLUMNS = [[0.0, 0.0], [-0.125, 0.0], [-0.125, 1.25], [-0.125, -1.25], [-0.5, -1.25], [-0.5, 1.25],
+               [-0.875, 1.25], [-0.875, -1.25]]
+
+    @pytest.mark.parametrize("polyline, i", [
+        (COLUMNS, 1),
+        (prefix_polyline(10.0), 2),
+        (pi_arrays(32, 4)[0][: 4 * 33 + 1], 1),  # ring 1 covered: every block is scanned
+    ], ids=["past-the-first-block", "first-candidate", "covered"])
+    def test_equals_the_search_over_the_whole_grid(self, polyline, i):
+        assert adversarial_static_placement(polyline, i, 1024) == _meshgrid_search(polyline, i, 1024)
+
+    def test_the_witness_past_the_first_block(self):
+        (_, _, r_j, witness), = adversarial_static_placement(self.COLUMNS, 1, 1024)
+        assert r_j == 0.25 and 0.125 < witness.x < 0.13
+
+    def test_memory_follows_the_block_not_the_grid(self):
+        # the flat indices of every unmarked in-ring cell took 58 MB here; a block's take 2 MB,
+        # besides the rasterizer's 3 bytes per cell
+        prefix = prefix_polyline(10.0)
+        tracemalloc.start()
+        try:
+            adversarial_static_placement(prefix, 2, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def _einsum_min_distance(pts, polyline):

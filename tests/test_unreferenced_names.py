@@ -1,8 +1,10 @@
-"""Every top-level name that src/ defines is used by src/, demos/ or bench/.
+"""Every top-level name and public method that src/ defines is used by src/, demos/ or bench/.
 
 A name that only the tests use belongs in the tests (block_arrays.py holds
 the references they pin).  Only code counts as a use: a Name or Attribute
 that is read, or an import alias.  Docstrings and other strings do not.
+A public method is a def in a src/ class body whose name has no leading
+underscore; it counts as used where its name is read, on any object.
 Likewise every parameter with a default, in any src/ function, is passed
 by some call in src/, demos/ or bench/, by keyword or by position.  Calls
 are matched to functions by name alone, so a call to a namesake counts.
@@ -47,10 +49,30 @@ def _trees(*folders):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _public_methods(tree):
+    """(class, method) for each def in a class body of tree whose name has no leading underscore."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                    yield cls.name, node.name
+
+
+def _used_outside_the_tests():
+    return {name for _, tree in _trees("src", "demos", "bench") for name in _used(tree)}
+
+
 def test_every_top_level_name_in_src_is_used_outside_the_tests():
-    used = {name for _, tree in _trees("src", "demos", "bench") for name in _used(tree)}
+    used = _used_outside_the_tests()
     unused = [f"{path.stem}.{name}" for path, tree in _trees("src/planehunt")
               for name in _defined(tree) if name not in used and not name.startswith("__")]
+    assert unused == []
+
+
+def test_every_public_method_in_src_is_used_outside_the_tests():
+    used = _used_outside_the_tests()
+    unused = [f"{path.stem}.{cls}.{name}" for path, tree in _trees("src/planehunt")
+              for cls, name in _public_methods(tree) if name not in used]
     assert unused == []
 
 
