@@ -30,7 +30,8 @@ Points and the checked first_contact_time (2-core x86 VM, Python 3.11).
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back;
-the return half retraces the same lines, so one loop scans both halves.
+the return half retraces the same lines, so both halves are scanned
+over the same side rows, the outbound half first.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
 leg in walking order, bit for bit:
@@ -50,6 +51,15 @@ leg in walking order, bit for bit:
     clips to exactly 0 or 1, so its closest point is the leg's end vertex,
     exactly; these corners lie on one diagonal line, so a quadratic bounds
     the ones within r and only those are tested;
+  * a side is scanned only if it can flag a leg (_first_flagged drops the
+    rest): its range of kept lines is not negative, and it has a line
+    whose legs span the target or a corner in the quadratic's bracket.
+    Where every kept leg stops short, a side whose nearest leg end lies
+    more than w + 2 steps short of the target along the leg (w = r / step,
+    with a relative margin of 1e-9) is dropped in O(1), with no bracket:
+    every corner then lies farther than r + 2 steps from the target along
+    the leg alone, so the filter, which rounds far less than a step,
+    passes none;
   * every tested leg gets the filter in Python floats, which rounds as
     numpy does: einsum over two columns is x0*y0 + x1*y1, and the rest is
     elementwise;
@@ -69,6 +79,7 @@ import functools
 import math
 import os
 from bisect import bisect_right
+from itertools import islice
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -222,7 +233,7 @@ def _simulate(plan, strategy, cfg):
     term_gate = [None] * (MAX_DIAGONAL + 1)
 
     n_blocks = max_diagonal * (max_diagonal + 1) // 2
-    for i, params, term, step, extent, speed, block_legs, block_len, cost, t, legs in rows[:n_blocks]:
+    for i, params, term, step, extent, speed, block_legs, block_len, cost, t, legs in islice(rows, n_blocks):
         allowance = max_cost - cost
         n, hit = 0, None
         if t < t_still:  # legs that start before t_still see a moving target
@@ -343,10 +354,11 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
     calls it only on blocks that pass the extent test and _may_reach.
     """
     qx, qy = float(q_rel[0]), float(q_rel[1])
+    q = (qx, qy)
     if not (math.isfinite(qx) and math.isfinite(qy)):
         return None  # no leg is within r of a target at infinity
     k, step = params.k, 2.0 ** (-params.j)
-    idx = _first_flagged(k, step, (qx, qy), r, n)
+    idx = _first_flagged(k, step, q, r, n)
     while idx is not None:
         ax, ay, bx, by, cum_prev, length = pi_leg(params, idx)
         if cum_prev >= arc_allowance:
@@ -361,12 +373,13 @@ def _first_contact_in_rings(params, n, q_rel, r, arc_allowance):
             # (0, +-1) exactly and fma_dot's r.u is +-rx or +-ry, up to the sign of a zero,
             # which only adds +-0 to cum_prev
             bh = rx if bx > ax else -rx if bx < ax else ry if by > ay else -ry
-            disc = max(bh * bh - c0, 0.0)
-            ell = -bh - math.sqrt(disc)
-            arc = cum_prev + min(max(ell, 0.0), length)
+            # max and min without the calls: a conditional that keeps the same operand
+            disc = bh * bh - c0
+            ell = -bh - math.sqrt(0.0 if disc < 0.0 else disc)
+            arc = cum_prev + (0.0 if ell < 0.0 else length if ell > length else ell)
         if arc <= arc_allowance:
             return arc, idx
-        idx = _first_flagged(k, step, (qx, qy), r, idx + 1)
+        idx = _first_flagged(k, step, q, r, idx + 1)
     return None
 
 
@@ -387,11 +400,13 @@ def _may_reach(step, qx, qy, r):
     """
     if r * r == math.inf:
         return True  # every finite distance passes the filter
-    x, y, w = abs(qx) / step, abs(qy) / step, r / step
-    tol = w + 1e-11 * (max(x, y) + 1.0 + w)
+    # |qx| / step is |qx / step| exactly; the conditionals are abs and max without the calls
+    x, y, w = qx / step, qy / step, r / step
+    x, y = (-x if x < 0.0 else x), (-y if y < 0.0 else y)
+    tol = w + 1e-11 * ((x if x > y else y) + 1.0 + w)
     reach = 1.0 + w + tol
-    return (abs(math.remainder(y, 1.0)) <= tol and x <= y + reach) or (
-        abs(math.remainder(x, 1.0)) <= tol and y <= x + reach
+    return (x <= y + reach and -tol <= math.remainder(y, 1.0) <= tol) or (
+        y <= x + reach and -tol <= math.remainder(x, 1.0) <= tol
     )
 
 
@@ -404,11 +419,23 @@ def _first_flagged(k, step, q, r, n):
         dist2 = |q - (a + t (b - a))|^2 <= r*r.
     Per side, only the lines within r of the target are kept, and of
     their legs that stop short of it only the corners that _corner_range
-    brackets; every kept leg gets the filter (_first_on_lines).  One loop
-    scans both halves of the block over the same side rows: out, the first
-    leg from n; back, the return leg nearest the turn, as the return half
-    walks the outbound legs in reverse.  See the module docstring for why
-    that is exact.  The walk gates the block with the extent test and
+    brackets; every kept leg gets the filter (_first_on_lines).  A side
+    gets a row only if it can flag a leg; three rules drop the others:
+      * negative line range: floor(mid + w + pad) < 0, before its lo and
+        cov are computed;
+      * corner-only, far short: every kept line stops short of the target
+        (cov > hi), and the nearest end, on line hi, lies more than w + 2
+        steps short along the leg, u - hi > w + 2 + 1e-9 (u + w) with
+        u = P / step - c_end.  Every corner then lies more than r + 2 steps
+        from the target along the leg alone, which no rounding of the
+        filter can bring within r, so the side is dropped in O(1), without
+        _corner_range;
+      * nothing to scan: the corner bracket is empty and no line spans
+        the target.
+    Then two passes scan the rows, out and back over the same lines: out,
+    the first leg from n; back, the return leg nearest the turn, as the
+    return half walks the outbound legs in reverse.  See the module
+    docstring for why that is exact.  The walk gates the block with the extent test and
     _may_reach first, so a target outside the block's extent, off every
     grid line or past the ends of the legs on its lines rarely gets here;
     the scan is exact without them.
@@ -418,7 +445,7 @@ def _first_flagged(k, step, q, r, n):
     if rr == math.inf:
         return n if n < legs else None  # every finite distance passes
     w = r / step
-    # one row per side that keeps a line: (off, corners, lines, side), each range (first, last)
+    # one row per side that can flag a leg: (off, corners, lines, side), each range (first, last)
     sides = []
     for off, axis, sign, c_line, sign0, c0, c1 in _SIDE_ROWS:
         q_perp, q_par = q[axis], q[1 - axis]
@@ -426,7 +453,10 @@ def _first_flagged(k, step, q, r, n):
         p = sign * q_perp
         mid = p / step - c_line
         pad = 1e-12 * (abs(mid) + w)
-        lo, hi = math.ceil(mid - w - pad), math.floor(mid + w + pad)
+        upper = mid + w + pad
+        if upper < 0.0:
+            continue  # floor(upper) < 0: no line s >= 0 is kept
+        hi, lo = math.floor(upper), math.ceil(mid - w - pad)
         if lo < 0:
             lo = 0
         if hi > k:
@@ -438,43 +468,56 @@ def _first_flagged(k, step, q, r, n):
         P = abs(q_par)
         c_end = c0 if (q_par >= 0.0) == (sign0 > 0) else c1
         # exact: P / step is (step is a power of two), and so is - c_end (0 or 1) where the clip keeps it
-        cov = math.ceil(P / step - c_end)
-        if cov < lo:
-            cov = lo
-        elif cov > hi + 1:
+        u = P / step - c_end
+        cov = math.ceil(u)
+        if cov > hi:
+            # every kept leg stops short: past the margin, its nearest end lies more than r + 2 steps short
+            if u - hi > w + 2.0 + 1e-9 * (u + w):
+                continue
             cov = hi + 1
+        elif cov < lo:
+            cov = lo
         corners = (cov, cov - 1)
         if cov > lo:
             corners = _corner_range(p - c_line * step, P - c_end * step, step, r, lo, cov - 1)
+            if cov > hi and corners[0] > corners[1]:
+                continue  # no corner within r and no spanning line
         sides.append((off, corners, (cov, hi), (q_perp, q_par, sign, c_line, sign0, c0, c1)))
 
     # outbound leg 4s + off is return leg legs - 1 - 4s - off.  Each pass
-    # keeps a window [L_lo, L_hi] of outbound indices and narrows it to the
-    # leg found so far: out, the first from n, corners before lines, each
-    # range from its first line; back, the last up to legs - 1 - n, lines
-    # before corners, each range from its last line
-    for back in (False, True):
-        L_lo, L_hi = (0, legs - 1 - n) if back else (n, legs - 1)
-        found = None
-        for off, corners, lines, side in sides:
-            s_lo, s_hi = (L_lo - off + 3) // 4, (L_hi - off) // 4
-            for first, last in (lines, corners) if back else (corners, lines):
-                lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
-                s = _first_on_lines(*side, step, rr, lo, up, back) if lo <= up else None
+    # keeps a window of outbound indices and narrows it to the leg found so
+    # far: out, the first from n, corners before lines, each range from its
+    # first line, lowering the window's top; back, the last up to legs - 1 - n,
+    # lines before corners, each range from its last line, raising its bottom
+    found = None
+    top = legs - 1
+    for off, corners, lines, side in sides:
+        s_lo, s_hi = (n - off + 3) // 4, (top - off) // 4
+        for first, last in (corners, lines):
+            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+            if lo <= up:
+                s = _first_on_lines(side, step, rr, lo, up, False)
                 if s is not None:
-                    found = 4 * s + off
-                    if back:
-                        L_lo = found
-                    else:
-                        L_hi = found
+                    top = found = 4 * s + off
                     break
-        if found is not None:
-            return legs - 1 - found if back else found
-    return None
+    if found is not None:
+        return found
+    bottom = 0
+    for off, corners, lines, side in sides:
+        s_lo, s_hi = (bottom - off + 3) // 4, (legs - 1 - n - off) // 4
+        for first, last in (lines, corners):
+            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+            if lo <= up:
+                s = _first_on_lines(side, step, rr, lo, up, True)
+                if s is not None:
+                    bottom = found = 4 * s + off
+                    break
+    return None if found is None else legs - 1 - found
 
 
-def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi, back):
-    """First s of lo..hi (from hi down if back) whose leg passes the filter."""
+def _first_on_lines(side, step, rr, lo, hi, back):
+    """First s of lo..hi (from hi down if back) whose leg on side passes the filter."""
+    q_perp, q_par, sign, c_line, sign0, c0, c1 = side
     for s in range(hi, lo - 1, -1) if back else range(lo, hi + 1):
         o = q_perp - sign * (s + c_line) * step
         if o * o > rr:
@@ -483,7 +526,8 @@ def _first_on_lines(q_perp, q_par, sign, c_line, sign0, c0, c1, step, rr, lo, hi
         if back:
             a, b = b, a
         d = b - a
-        t = min(max((q_par - a) * d / (d * d), 0.0), 1.0)
+        t = (q_par - a) * d / (d * d)
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # min(max(t, 0.0), 1.0), without the calls
         e = q_par - (a + t * d)
         if e * e + o * o <= rr:
             return s
@@ -517,15 +561,18 @@ def brute_force_oracle(plan, strategy, cfg, step):
     Walks the schedule leg by leg through its closed form (each leg's
     direction and length from pi_leg), keeping its own running position,
     time, cost and leg count, and shares no gate or kernel with
-    `simulate`.  It advances the searcher `step` units of arc
-    at a time and checks the plain distance condition at each sample, by
-    hypot, so no square leaves the float range; it converges to the exact
-    result as step -> 0.  Vectorized per leg but otherwise naive.
+    `simulate`; it shares only the block table's check of the plan, so an
+    unusable plan raises simulate's ValueError.  It advances the searcher
+    `step` units of arc at a time and checks the plain distance condition
+    at each sample, by hypot, so no square leaves the float range; it
+    converges to the exact result as step -> 0.  Vectorized per leg but
+    otherwise naive.
     """
     import numpy as np
 
     if step <= 0:
         raise ValueError("step must be positive")
+    _block_table(plan)  # for its check alone: an unusable plan raises simulate's ValueError
     bp_t = np.array(strategy.times)
     bp_x = np.array([p.x for p in strategy.points])
     bp_y = np.array([p.y for p in strategy.points])

@@ -1,0 +1,40 @@
+"""tools/ab_hunts.py, the in-process A/B timing of a benchmark workload, on one checkout against itself."""
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_a_checkout_against_itself_gives_equal_digests():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT),
+         "--workload", "pursuit_hunts", "--seed", "7", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pursuit_hunts, seed 7: 270 hunts x 1 repeats" in proc.stdout
+    digests = re.findall(r"^(parent|change) +median +[0-9.]+ us per hunt  outcomes sha256 ([0-9a-f]{64})$",
+                         proc.stdout, re.MULTILINE)
+    assert [side for side, _ in digests] == ["parent", "change"]
+    assert digests[0][1] == digests[1][1]
+
+
+def test_differing_outcomes_exit_1(tmp_path):
+    # a change whose simulate reports every hunt one leg later
+    change = tmp_path / "change" / "src" / "planehunt"
+    shutil.copytree(ROOT / "src" / "planehunt", change, ignore=shutil.ignore_patterns("__pycache__"))
+    call = "    out = _simulate(plan, strategy, cfg)\n"
+    text = (change / "engine.py").read_text()
+    assert text.count(call) == 1
+    (change / "engine.py").write_text(text.replace(call, call + "    out = out._replace(legs_processed=out.legs_processed + 1)\n"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(tmp_path / "change"),
+         "--workload", "pursuit_hunts", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "outcomes differ" in proc.stderr

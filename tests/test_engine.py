@@ -284,6 +284,14 @@ def test_an_unusable_plan_raises_before_the_walk(exponent, diagonal, strategy):
         simulate(SearcherPlan("x", exponent), strategy, SimConfig(r=0.25, max_diagonal=2))
 
 
+@pytest.mark.parametrize("exponent", [math.inf, math.nan, 2000, -2000])
+def test_the_oracle_rejects_an_unusable_plan(exponent):
+    # without the block table's check these gave sensed=True at time 0.0 (inf), a
+    # time=nan outcome (nan), OverflowError (2000) and ZeroDivisionError (-2000)
+    with pytest.raises(ValueError, match=r"^plan 'x', diagonal 1: speed <= 0, NaN, or too big or small"):
+        brute_force_oracle(SearcherPlan("x", exponent), inert(Point(3.0, 1.0)), SimConfig(r=0.25, max_diagonal=2), 0.01)
+
+
 def test_the_searchers_plans_are_usable():
     # and so are the plans one step inside the limits of UNUSABLE_PLANS
     for plan in (static_plan(), dynamic_plan(), SearcherPlan("x", 83), SearcherPlan("x", -82)):
@@ -683,6 +691,71 @@ class TestSideScan:
                 got = self._check(params, n, q, r, float(allowance))
                 seen.add(got is None)
         assert seen == {True, False}
+
+    @staticmethod
+    def _short_of_the_ends(params, off, s0, w, par_sign, delta):
+        """(target, margin): a target on line s0 of side off, past the ends of the
+        kept lines, with the nearest leg end w + 2 + delta steps short of it along
+        the leg; margin is the drop rule's 1e-9 (u + w) at delta = 0."""
+        k, step = params.k, 2.0 ** -params.j
+        axis, sign, c_line, sign0, c0, c1 = _SIDES[off]
+        hi = min(k, s0 + math.floor(w))  # the last kept line: the target lies on line s0
+        c_end = c0 if (par_sign > 0) == (sign0 > 0) else c1
+        u = hi + w + 2.0 + delta
+        q = [0.0, 0.0]
+        q[axis], q[1 - axis] = sign * (s0 + c_line) * step, par_sign * (u + c_end) * step
+        return tuple(q), 1e-9 * (u + w)
+
+    def test_targets_w_plus_two_steps_past_the_leg_ends(self):
+        # every side, both signs of the parallel coordinate, both halves of the block,
+        # w = r / step from 1/8 to 1024: the nearest leg end w + 2 steps short of the
+        # target, a few ulps either way, at and past the rule's margin, 0.5 and 1 step
+        # either way, and 2 and 3 steps nearer
+        seen = set()
+        for params, s0 in ((SpiralParams(64, 6), 3), (SpiralParams(1024, 10), 512)):
+            step, legs = 2.0 ** -params.j, 8 * (params.k + 1)
+            for e in range(-3, 11):
+                w = 2.0 ** e
+                for off in range(4):
+                    for par_sign in (1.0, -1.0):
+                        q0, margin = self._short_of_the_ends(params, off, s0, w, par_sign, 0.0)
+                        axis = _SIDES[off][0]
+                        targets = [q0]
+                        for delta in (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, margin, 2.0 * margin):  # -2: a corner r short
+                            targets.append(self._short_of_the_ends(params, off, s0, w, par_sign, delta)[0])
+                        for ulps in (-3, -1, 1, 3):  # along the leg, away from the end for ulps > 0
+                            q = list(q0)
+                            for _ in range(abs(ulps)):
+                                q[1 - axis] = math.nextafter(q[1 - axis], par_sign * ulps * math.inf)
+                            targets.append(tuple(q))
+                        for q in targets:
+                            for n in (0, 4 * s0 + off, legs // 2 + 1):
+                                seen.add(self._check(params, n, q, w * step) is None)
+        assert seen == {True, False}
+
+    def test_a_side_past_the_margin_is_neither_scanned_nor_bracketed(self, monkeypatch):
+        # the target lies on the outermost line of a side, and w < 2k + 1 keeps the
+        # opposite side's lines farther than r, so that side alone can keep a line (the
+        # other two sides' lines lie w + 1 + delta steps away); past the margin it is
+        # dropped in O(1), and within it its corners are bracketed
+        visits, brackets = [], []
+        scan, bracket = engine._first_on_lines, engine._corner_range
+        monkeypatch.setattr(engine, "_first_on_lines", lambda *a: visits.append(a) or scan(*a))
+        monkeypatch.setattr(engine, "_corner_range", lambda *a: brackets.append(a) or bracket(*a))
+        for params in (SpiralParams(64, 6), SpiralParams(1024, 10)):
+            k, step = params.k, 2.0 ** -params.j
+            for w in (2.0 ** e for e in range(-3, 11) if 2.0 ** e < 2 * k + 1):
+                for off in range(4):
+                    for par_sign in (1.0, -1.0):
+                        for delta in (-1.0, 0.5, 1.0):
+                            q, _ = self._short_of_the_ends(params, off, k, w, par_sign, delta)
+                            visits.clear()
+                            brackets.clear()
+                            hit = _first_flagged(k, step, q, w * step, 0)
+                            if delta < 0.0:
+                                assert brackets, (params, off, q, w)
+                                continue
+                            assert hit is None and not visits and not brackets, (params, off, q, w, delta)
 
     def test_extreme_magnitudes(self):
         # r*r overflows or underflows; both scans' quadratics overflow alike

@@ -19,6 +19,7 @@ import pytest
 
 from planehunt.cli import run
 from planehunt.engine import SimConfig, simulate
+from planehunt.experiments import sweep_dynamic, sweep_static, write_rows_csv
 from planehunt.geometry import Point
 from planehunt.searcher import dynamic_plan, static_plan
 from planehunt.target import inert, radial_flee, waypoints
@@ -57,6 +58,22 @@ DEMO_SHAS = {
     "demo_dynamic_pursuit.py": "bb7f5fbc95e850b05d7a96276e8e53e95608c149e6d65705ca15e36a59dd14a4",
     "demo_lower_bounds.py": "2a7a4f7ac663c83df2a66c16b208c81395b091d98ecd8f0074f2145b81929bf0",
     "demo_static_search.py": "f24ca617d6084dacdaf0aba69698b9abe660b6bf4eeb5a3d8d0fd8b014e8fe17",
+}
+
+# the benchmark's two sweeps at its reference seed 7, as `write_rows_csv` writes
+# them: (sweep, arguments, sha256 of the CSV bytes).  The static digest is that of
+# bench/reference/static_hunts.csv.gz unpacked.  They reach diagonal 7 and
+# r = 2^-8, where no other golden goes, and depend on libm's cos and sin, which
+# draw the targets
+SWEEP_CASES = {
+    "static_hunts": (
+        sweep_static, ([1.0, 2.0, 4.0, 8.0, 16.0], [0.25, 0.0625, 0.015625, 0.00390625], 200, 7),
+        "9e9185247566e7c365bbb80c39a31ae2bcb01d95ce71e7705bc55c885292b079",
+    ),
+    "pursuit_hunts": (
+        sweep_dynamic, ([1.0, 4.0, 16.0], [0.0625, 0.015625, 0.00390625], 1.0, 30, 7),
+        "cc87a1a993d4a25b84461faf54f667b470c3cf61532cd0d09f5749318137f8e9",
+    ),
 }
 
 WAYPOINT_FILE = "v 1.5\n0 2 0.5\n1 1.5 -0.25\n2.5 0.75 1\n"
@@ -125,6 +142,14 @@ def demo_digests():
 def test_simulate_trace_bytes(name, tmp_path):
     _, stdout_sha, trace_sha = TRACE_CASES[name]
     assert trace_digest(name, tmp_path) == (stdout_sha, trace_sha)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_bench_sweep_bytes(name, tmp_path):
+    sweep, args, sha = SWEEP_CASES[name]
+    out = tmp_path / f"{name}.csv"
+    write_rows_csv(sweep(*args), out)
+    assert _sha(out.read_bytes()) == sha
 
 
 def test_seeded_outcome_reprs():
