@@ -288,26 +288,15 @@ def _cell(args):
     cfg = SimConfig(r=r, max_diagonal=MAX_DIAGONAL)
     growth = _growth_term(scale, r)
     origin = Point(0.0, 0.0)
+    name, y, bound = plan.name, pred.y, pred.cost_bound
     rows = []
     for s, p in enumerate(sample_targets(seed, D, r, range(samples))):
         strategy = radial_flee(origin, p, v, t_freeze) if v > 0 and p != origin else inert(p)
         out = simulate(plan, strategy, cfg)
+        ratio = out.cost / growth if out.sensed and growth > 0 else math.nan
+        # by position, in SWEEP_FIELDS order: a keyword build takes over twice as long
         rows.append(
-            SweepRow(
-                run_id=run_id0 + s,
-                D=D,
-                r=r,
-                v=v,
-                algorithm=plan.name,
-                sensed=out.sensed,
-                cost=out.cost,
-                time=out.time,
-                diagonal=out.diagonal,
-                predicted_y=pred.y,
-                cost_bound=pred.cost_bound,
-                ratio=out.cost / growth if out.sensed and growth > 0 else math.nan,
-                seed=seed,
-            )
+            SweepRow(run_id0 + s, D, r, v, name, out.sensed, out.cost, out.time, out.diagonal, y, bound, ratio, seed)
         )
     return rows
 

@@ -4,9 +4,11 @@ Both searchers walk the identical schedule of `trajectory`; they differ
 only in how fast each diagonal is traversed.  The static searcher moves
 at unit speed (cost and elapsed time coincide); the exponential searcher
 uses speed 2^(5i) on diagonal i, which makes the total traversal time of
-all diagonals converge to a constant q (dynamic_q).  predict_dynamic
-states its guarantee as trajectory's CatchPrediction, the one prediction
-type of both searchers.
+all diagonals converge to a constant q (dynamic_q).  q is the float sum of
+t_1 .. t_48 plus a geometric tail, and that sum stops at diagonal 25: each
+later t_i is below half an ulp of the sum, so it would round away.
+predict_dynamic states its guarantee as trajectory's CatchPrediction, the
+one prediction type of both searchers.
 """
 
 import functools
@@ -41,19 +43,25 @@ def dynamic_plan():
     return SearcherPlan(name="dynamic", speed_exponent=5)
 
 
+# dynamic_q's float sum of t_i stops after this diagonal, with the bits of the sum through diagonal 48
+_Q_TERMS = 25
+
+
 @functools.lru_cache(maxsize=None)
 def dynamic_q():
     """Certified upper bound on the dynamic plan's total traversal time.
 
-    The exact partial sum of t_i for i <= 48, plus the geometric tail
+    The float sum t_1 + ... + t_48, plus the geometric tail
     sum_{i > 48} 4^-i = 4^-48 / 3, which dominates the remaining terms
-    since t_i <= 4^-i from i = 9 on.  Cached because predict_dynamic asks
-    for it once per sweep cell.
+    since t_i <= 4^-i from i = 9 on.  The sum stops at _Q_TERMS = 25 with
+    the same bits: every partial sum lies in [4, 8) (t_1 = 5.34), where
+    half an ulp is 2^-51, and from diagonal 26 on t_i <= 4^-i <= 2^-52,
+    so rounding to nearest drops each of t_26 .. t_48.  Cached because
+    predict_dynamic asks for it once per sweep cell.
     """
     plan = dynamic_plan()
-    n = 48
-    partial = sum(plan.traversal_time(i) for i in range(1, n + 1))
-    return partial + 4.0 ** (-n) / 3.0
+    partial = sum(plan.traversal_time(i) for i in range(1, _Q_TERMS + 1))
+    return partial + 4.0 ** (-48) / 3.0
 
 
 def predict_dynamic(D, v, r):

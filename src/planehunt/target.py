@@ -41,30 +41,29 @@ class TargetStrategy(_TargetStrategy):
 
     def __new__(cls, times, points, v):
         self = super().__new__(cls, times, points, v)
-        if len(self.times) != len(self.points) or not self.times:
+        times, points, v = self
+        if len(times) != len(points) or not times:
             raise ValueError("times and points must be nonempty and equal length")
-        if self.times[0] != 0:
+        if times[0] != 0:
             raise ValueError("first breakpoint must be at t = 0")
-        if not (math.isfinite(self.v) and self.v >= 0):
-            raise ValueError(f"speed bound must be finite and nonnegative, got {self.v}")
-        convert = not isinstance(self.v, _KEPT)
-        for t, p in zip(self.times, self.points):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"speed bound must be finite and nonnegative, got {v}")
+        convert = not isinstance(v, _KEPT)
+        for t, p in zip(times, points):
             if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
             convert = convert or not (isinstance(t, _KEPT) and isinstance(p.x, _KEPT) and isinstance(p.y, _KEPT))
         if convert:
             kept = lambda x: x if isinstance(x, _KEPT) else float(x)
-            return cls(tuple(map(kept, self.times)), tuple(Point(kept(x), kept(y)) for x, y in self.points), kept(self.v))
-        for idx in range(1, len(self.times)):
-            dt = self.times[idx] - self.times[idx - 1]
+            return cls(tuple(map(kept, times)), tuple(Point(kept(x), kept(y)) for x, y in points), kept(v))
+        for idx in range(1, len(times)):
+            dt = times[idx] - times[idx - 1]
             if dt <= 0:
                 raise ValueError("breakpoint times must be strictly increasing")
-            speed = (self.points[idx] - self.points[idx - 1]).norm() / dt
-            if speed > self.v + SPEED_TOL:
-                raise ValueError(
-                    f"segment {idx} moves at speed {speed:.6g} "
-                    f"exceeding the declared bound {self.v:.6g}"
-                )
+            p0, p1 = points[idx - 1], points[idx]
+            speed = math.hypot(p1.x - p0.x, p1.y - p0.y) / dt
+            if speed > v + SPEED_TOL:
+                raise ValueError(f"segment {idx} moves at speed {speed:.6g} exceeding the declared bound {v:.6g}")
         return self
 
     # _replace builds through _make, so a replaced field is checked as a new one is
@@ -118,35 +117,39 @@ def radial_flee(origin, start, v, t_freeze):
 
     The flee-then-freeze adversary of the dynamic lower bound: move
     radially away until t_freeze, stay inert at the reached point forever.
+    The end point is start + (d / |d|) v t_freeze for d = start - origin,
+    formed coordinate by coordinate on the numbers of start and origin.
     """
     if v <= 0:
         raise ValueError("flee speed must be positive")
     if t_freeze < 0:
         raise ValueError("freeze time must be nonnegative")
-    d = start - origin
-    dist = d.norm()
+    sx, sy = start.x, start.y
+    dx, dy = sx - origin.x, sy - origin.y
+    dist = math.hypot(dx, dy)
     if dist == 0:
         raise ValueError("start must differ from origin (flee direction undefined)")
     if t_freeze == 0:
         return TargetStrategy(times=(0.0,), points=(start,), v=v)
     inv = 1.0 / dist
     if math.isinf(inv):  # a subnormal dist: scale d by a power of two, exactly
-        d = d.scaled(2.0**1000)
-        inv = 1.0 / d.norm()
-    end = start + d.scaled(inv).scaled(v * t_freeze)
+        dx, dy = dx * 2.0**1000, dy * 2.0**1000
+        inv = 1.0 / math.hypot(dx, dy)
+    reach = v * t_freeze
+    ex, ey = sx + dx * inv * reach, sy + dy * inv * reach
     # rounding the end point to its coordinates' ulp may overshoot v t_freeze,
     # which a short flee turns into a speed past the bound: step it back
     # toward start, which takes a few ulps (the loop stops at FLEE_STEPS)
     steps = 0
     while (
         steps < FLEE_STEPS
-        and math.isfinite(end.x)
-        and math.isfinite(end.y)
-        and (end - start).norm() / t_freeze > v + SPEED_TOL
+        and math.isfinite(ex)
+        and math.isfinite(ey)
+        and math.hypot(ex - sx, ey - sy) / t_freeze > v + SPEED_TOL
     ):
-        end = Point(math.nextafter(end.x, start.x), math.nextafter(end.y, start.y))
+        ex, ey = math.nextafter(ex, sx), math.nextafter(ey, sy)
         steps += 1
-    return TargetStrategy(times=(0.0, t_freeze), points=(start, end), v=v)
+    return TargetStrategy(times=(0.0, t_freeze), points=(start, Point(ex, ey)), v=v)
 
 
 def waypoints(points, times, v):

@@ -119,8 +119,8 @@ def ceil_log2(x):
 
 
 def pi_length(params):
-    """Closed-form length of the out-and-back trajectory."""
-    k, j = params.k, params.j
+    """Closed-form length of out_and_back(k, j), for params (k, j)."""
+    k, j = params
     return 2.0 * (2 * k + 2) * (2 * k + 3) * 2.0 ** (-j)
 
 
@@ -132,8 +132,15 @@ def diagonal_terms(i):
 
 
 def diagonal_length(i):
-    """Exact length of diagonal i, summed from closed forms."""
-    return sum(pi_length(p) for p in diagonal_terms(i))
+    """Length of diagonal i: pi_length of each term, summed in term order.
+
+    Each term is the int pair (k, j) of diagonal_terms, with no SpiralParams
+    built.  The sum is exact through diagonal 11, as the block arcs are;
+    past it, it rounds.
+    """
+    if i < 1:
+        raise ValueError("diagonal index must be >= 1")
+    return sum(pi_length((2 ** (i + 1 + t), 2 * t)) for t in range(1, i + 1))
 
 
 def predict_static(D, r):

@@ -10,6 +10,12 @@ helpers are references that the tests pin and no package code uses: the
 per-block gate whose grid-line test _may_reach implies, the distance and
 ring checks behind the witness search, and the analytic bound on a
 diagonal's length.
+
+diagonal_length and dynamic_q are the diagonal sums as they were built
+from one SpiralParams per term, with q summed through diagonal 48;
+TargetStrategy and radial_flee are the flee target as it was built on
+Point arithmetic.  The tests check the package's int and float versions
+against them bit for bit.
 """
 
 import math
@@ -18,7 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from planehunt.coverage import _min_dist2, _segments
-from planehunt.trajectory import _SIDES, pi_length
+from planehunt.geometry import Point
+from planehunt.searcher import dynamic_plan
+from planehunt.target import _KEPT, FLEE_STEPS, SPEED_TOL, _TargetStrategy
+from planehunt.trajectory import _SIDES, diagonal_terms, pi_length
 
 
 @lru_cache(maxsize=64)
@@ -72,6 +81,81 @@ def pi_arc_before(params, leg):
     if back < leg:
         return pi_length(params) - pi_arc_before(params, back)
     return (leg - leg // 2) * (leg // 2 + 1) * 2.0 ** (-params.j)
+
+
+def diagonal_length(i):
+    """Length of diagonal i: pi_length summed over diagonal_terms(i), one SpiralParams per term."""
+    return sum(pi_length(p) for p in diagonal_terms(i))
+
+
+def dynamic_q():
+    """The dynamic plan's q: the float sum of its traversal times through diagonal 48, plus 4^-48 / 3."""
+    plan = dynamic_plan()
+    partial = sum(diagonal_length(i) / plan.speed_of_diagonal(i) for i in range(1, 49))
+    return partial + 4.0 ** (-48) / 3.0
+
+
+class TargetStrategy(_TargetStrategy):
+    """planehunt.target.TargetStrategy checking its fields through self, and each speed by Point subtraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, times, points, v):
+        self = super().__new__(cls, times, points, v)
+        if len(self.times) != len(self.points) or not self.times:
+            raise ValueError("times and points must be nonempty and equal length")
+        if self.times[0] != 0:
+            raise ValueError("first breakpoint must be at t = 0")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"speed bound must be finite and nonnegative, got {self.v}")
+        convert = not isinstance(self.v, _KEPT)
+        for t, p in zip(self.times, self.points):
+            if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
+            convert = convert or not (isinstance(t, _KEPT) and isinstance(p.x, _KEPT) and isinstance(p.y, _KEPT))
+        if convert:
+            kept = lambda x: x if isinstance(x, _KEPT) else float(x)
+            return cls(tuple(map(kept, self.times)), tuple(Point(kept(x), kept(y)) for x, y in self.points), kept(self.v))
+        for idx in range(1, len(self.times)):
+            dt = self.times[idx] - self.times[idx - 1]
+            if dt <= 0:
+                raise ValueError("breakpoint times must be strictly increasing")
+            speed = (self.points[idx] - self.points[idx - 1]).norm() / dt
+            if speed > self.v + SPEED_TOL:
+                raise ValueError(
+                    f"segment {idx} moves at speed {speed:.6g} "
+                    f"exceeding the declared bound {self.v:.6g}"
+                )
+        return self
+
+
+def radial_flee(origin, start, v, t_freeze):
+    """planehunt.target.radial_flee on Point arithmetic, returning this module's TargetStrategy."""
+    if v <= 0:
+        raise ValueError("flee speed must be positive")
+    if t_freeze < 0:
+        raise ValueError("freeze time must be nonnegative")
+    d = start - origin
+    dist = d.norm()
+    if dist == 0:
+        raise ValueError("start must differ from origin (flee direction undefined)")
+    if t_freeze == 0:
+        return TargetStrategy(times=(0.0,), points=(start,), v=v)
+    inv = 1.0 / dist
+    if math.isinf(inv):
+        d = d.scaled(2.0**1000)
+        inv = 1.0 / d.norm()
+    end = start + d.scaled(inv).scaled(v * t_freeze)
+    steps = 0
+    while (
+        steps < FLEE_STEPS
+        and math.isfinite(end.x)
+        and math.isfinite(end.y)
+        and (end - start).norm() / t_freeze > v + SPEED_TOL
+    ):
+        end = Point(math.nextafter(end.x, start.x), math.nextafter(end.y, start.y))
+        steps += 1
+    return TargetStrategy(times=(0.0, t_freeze), points=(start, end), v=v)
 
 
 def diagonal_length_bound(i):

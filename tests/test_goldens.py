@@ -60,11 +60,12 @@ DEMO_SHAS = {
     "demo_static_search.py": "f24ca617d6084dacdaf0aba69698b9abe660b6bf4eeb5a3d8d0fd8b014e8fe17",
 }
 
-# the benchmark's two sweeps at its reference seed 7, as `write_rows_csv` writes
-# them: (sweep, arguments, sha256 of the CSV bytes).  The static digest is that of
-# bench/reference/static_hunts.csv.gz unpacked.  They reach diagonal 7 and
-# r = 2^-8, where no other golden goes, and depend on libm's cos and sin, which
-# draw the targets
+# the benchmark's two sweeps at its reference seed 7, and at sweep seed 1001 (the
+# first command after it in a `bench/run.py --seed 1` run), as `write_rows_csv`
+# writes them: (sweep, arguments, sha256 of the CSV bytes).  The seed-7 static
+# digest is that of bench/reference/static_hunts.csv.gz unpacked.  They reach
+# diagonal 7 and r = 2^-8, where no other golden goes, and depend on libm's cos
+# and sin, which draw the targets
 SWEEP_CASES = {
     "static_hunts": (
         sweep_static, ([1.0, 2.0, 4.0, 8.0, 16.0], [0.25, 0.0625, 0.015625, 0.00390625], 200, 7),
@@ -73,6 +74,14 @@ SWEEP_CASES = {
     "pursuit_hunts": (
         sweep_dynamic, ([1.0, 4.0, 16.0], [0.0625, 0.015625, 0.00390625], 1.0, 30, 7),
         "cc87a1a993d4a25b84461faf54f667b470c3cf61532cd0d09f5749318137f8e9",
+    ),
+    "static_hunts_seed1001": (
+        sweep_static, ([1.0, 2.0, 4.0, 8.0, 16.0], [0.25, 0.0625, 0.015625, 0.00390625], 200, 1001),
+        "d5b22da492be8f4282483f926f377809abd74208b19a412c4cd5b38bd091567e",
+    ),
+    "pursuit_hunts_seed1001": (
+        sweep_dynamic, ([1.0, 4.0, 16.0], [0.0625, 0.015625, 0.00390625], 1.0, 30, 1001),
+        "1f4cb193974895bce4617addd50295111b80536aa7015a31e3bed22cac35a64e",
     ),
 }
 

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import block_arrays
 import numpy as np
 import pytest
 
@@ -164,3 +166,67 @@ class TestPredictDynamic:
             predict_dynamic(0, 1, 0.5)
         with pytest.raises(ValueError):
             predict_dynamic(1, -1, 0.5)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestDiagonalSumsMatchTheReference:
+    """The int-built diagonal sums and the early-stopped q against block_arrays, bit for bit."""
+
+    def test_diagonal_length_on_every_reachable_diagonal(self):
+        # predict_dynamic reads traversal times through y = 204, where 2^(5y) is the last finite speed
+        for i in range(1, 205):
+            assert diagonal_length(i).hex() == block_arrays.diagonal_length(i).hex(), i
+
+    def test_diagonal_length_rejects_diagonal_zero(self):
+        for i in (0, -3):
+            assert _outcome(diagonal_length, i) == _outcome(block_arrays.diagonal_length, i) == (
+                "ValueError",
+                "diagonal index must be >= 1",
+            )
+
+    @pytest.mark.parametrize("plan", [static_plan(), dynamic_plan()], ids=["static", "dynamic"])
+    def test_traversal_time_of_both_plans(self, plan):
+        for i in range(1, 205):
+            want = block_arrays.diagonal_length(i) / plan.speed_of_diagonal(i)
+            assert plan.traversal_time(i).hex() == want.hex(), i
+
+    def test_q_keeps_its_bits(self):
+        assert dynamic_q.__wrapped__().hex() == block_arrays.dynamic_q().hex() == "0x1.acb2186851738p+2"
+
+    def test_terms_past_the_early_stop_are_below_half_an_ulp_of_the_sum(self):
+        # exact rationals: each t_i from diagonal _Q_TERMS + 1 through 48 lies below half an
+        # ulp of the float partial sum it would be added to, so rounding to nearest drops it
+        plan = dynamic_plan()
+        partial = 0.0
+        for i in range(1, 49):
+            t = plan.traversal_time(i)
+            if i > searcher._Q_TERMS:
+                assert Fraction(t) < Fraction(math.ulp(partial)) / 2, i
+                assert partial + t == partial, i
+            partial += t
+            assert 4.0 <= partial < 8.0
+        assert searcher._Q_TERMS == 25
+
+    def test_predict_dynamic_on_a_grid_up_to_the_guard(self, monkeypatch):
+        q = block_arrays.dynamic_q()
+        cases = []
+        for D in (0.3, 1.0, 3.0, 1000.0, 2.0**40):
+            for r in (2.0, 0.25, 1 / 16, 1e-3, 2.0**-60):
+                base = predict_static(D, r)
+                v_max = (1023 // 5 - base.b // 2) / q  # past it, q v leaves the guard
+                vs = [0.0, 1e-3, 0.14, 1.0, 16.0, 100.0, v_max / 3, v_max / 2, v_max - 1.0]
+                vs += [math.nextafter(v_max, 0.0), v_max, math.nextafter(v_max, math.inf), v_max + 1.0]
+                cases += [(D, v, r) for v in vs if v >= 0]
+        got = [repr(_outcome(predict_dynamic, *c)) for c in cases]
+        monkeypatch.setattr(searcher, "diagonal_length", block_arrays.diagonal_length)
+        monkeypatch.setattr(searcher, "dynamic_q", block_arrays.dynamic_q)
+        assert got == [repr(_outcome(predict_dynamic, *c)) for c in cases]
+        ys = [p.y for p in (_outcome(predict_dynamic, *c) for c in cases) if isinstance(p, CatchPrediction)]
+        assert len(ys) < len(cases) and max(ys) == 204  # some cases past the guard, some at it

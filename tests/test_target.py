@@ -2,10 +2,11 @@ import math
 import re
 import tracemalloc
 
+import block_arrays
 import numpy as np
 import pytest
 from block_arrays import _min_distance_to_polyline, annulus_membership, pi_arrays
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planehunt.coverage import MAX_GRID_RES, WITNESS_CHUNK, _covered_cells, adversarial_static_placement
@@ -149,6 +150,127 @@ class TestWaypoints:
         # the velocity on the segment that ends at breakpoint 2 is the same at every time
         assert s.state(3.0, 2) == (*s.position(3.0), *s.state(1.0, 2)[2:]) == (2.0, 2.0, 0.0, 2.0)
         assert s.state(9.0, 3) == (2, 4, 0.0, 0.0)
+
+
+def _typed(lo, hi, **kw):
+    """A number in [lo, hi]: a Python float, a numpy float64, or a numpy float32 of a drawn float."""
+    return st.one_of(
+        st.floats(lo, hi, **kw),
+        st.floats(lo, hi, **kw).map(np.float64),
+        st.floats(lo, hi, **kw).map(np.float32),
+    )
+
+
+# flee start coordinates: anywhere, near 1e12 (where a short flee steps its end back),
+# subnormal, or zero
+_COORDS = st.one_of(
+    _typed(-1e12, 1e12),
+    _typed(1e12 - 1e4, 1e12),
+    _typed(-1e12, -1e12 + 1e4),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    st.just(0.0),
+)
+_FLEE_SPEEDS = st.one_of(_typed(1e-3, 16.0), st.sampled_from([0.0, -0.0, -1.0, math.inf, math.nan]))
+_FREEZE_TIMES = st.one_of(
+    _typed(0.0, 1e-6, exclude_min=True),
+    st.floats(0.0, 1e-300, exclude_min=True),
+    _typed(1e-6, 10.0),
+    st.sampled_from([0.0, -0.0, np.float32(0.0), -1.0, math.inf, math.nan]),
+)
+
+
+def _outcome(build, *args):
+    """repr of what build(*args) returns (its class name, field types and bits), or the type and message it raises."""
+    try:
+        return repr(build(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFleeMatchesTheReference:
+    """radial_flee and TargetStrategy on floats against block_arrays' Point-based versions, repr for repr."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        origin=st.one_of(st.just(Point(0.0, 0.0)), st.builds(Point, _COORDS, _COORDS)),
+        sx=_COORDS,
+        sy=_COORDS,
+        v=_FLEE_SPEEDS,
+        t_freeze=_FREEZE_TIMES,
+    )
+    @example(origin=Point(0.0, 0.0), sx=1e12, sy=3e11, v=4.045814429692016, t_freeze=0.0001460898681179782)
+    @example(origin=Point(0.0, 0.0), sx=2.0, sy=0.0, v=1.0, t_freeze=1e-12)
+    @example(origin=Point(0.0, 0.0), sx=np.float32(1e12), sy=np.float32(-7.0), v=np.float32(3.0), t_freeze=1e-7)
+    @example(origin=Point(0.0, 0.0), sx=5e-324, sy=-5e-324, v=2.0, t_freeze=np.float64(0.5))
+    @example(origin=Point(1.0, 1.0), sx=1.0, sy=1.0, v=1.0, t_freeze=1.0)
+    @example(origin=Point(0.0, 0.0), sx=1.0, sy=0.0, v=1.0, t_freeze=0.0)
+    def test_radial_flee(self, origin, sx, sy, v, t_freeze):
+        start = Point(sx, sy)
+        got = _outcome(radial_flee, origin, start, v, t_freeze)
+        assert got == _outcome(block_arrays.radial_flee, origin, start, v, t_freeze)
+
+    @pytest.mark.parametrize("start, v, t_freeze", [
+        (Point(1e12, 3e11), 4.045814429692016, 0.0001460898681179782),
+        (Point(1e12, 0.0), 1.0, 7e-5),
+        (Point(2.0, 0.0), 1.0, 1e-12),
+    ])
+    def test_a_stepped_back_end_point(self, start, v, t_freeze):
+        # the reference steps these ends back toward start: the float version takes the same steps
+        s = radial_flee(Point(0.0, 0.0), start, v, t_freeze)
+        naive = start + start.scaled(1.0 / start.norm()).scaled(v * t_freeze)
+        assert s.points[1] != naive
+        assert repr(s) == repr(block_arrays.radial_flee(Point(0.0, 0.0), start, v, t_freeze))
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        data=st.lists(st.tuples(_typed(0.0, 4.0), _COORDS, _COORDS), min_size=1, max_size=4),
+        first=st.sampled_from([0.0, 0.0, 0, np.float32(0.0), np.float64(-0.0), None, 1.0]),
+        extra=st.sampled_from([0] * 8 + [1, -1]),  # a point more or less than times
+        v=st.one_of(_typed(0.0, 1e13), st.sampled_from([0, 2, -1.0, math.inf, math.nan])),
+    )
+    @example(data=[], first=None, extra=0, v=1.0)
+    def test_target_strategy(self, data, first, extra, v):
+        times = [t for t, _, _ in data]
+        if first is not None and times:
+            times[0] = first
+        times = tuple(sorted(times) if extra == 0 else times)
+        points = tuple(Point(x, y) for _, x, y in data)
+        points = points + points[:1] if extra == 1 else points[: len(points) + extra]
+        got = _outcome(TargetStrategy, times, points, v)
+        assert got == _outcome(block_arrays.TargetStrategy, times, points, v)
+
+    @pytest.mark.parametrize("times, points, v", [
+        ((), (), 1.0),
+        ((0.0, 1.0), (Point(0, 0),), 1.0),
+        ((1.0,), (Point(0, 0),), 1.0),
+        ((0.0,), (Point(0, 0),), -1.0),
+        ((0.0,), (Point(0, 0),), np.float32(math.nan)),
+        ((0.0, math.inf), (Point(0, 0), Point(1, 0)), 1.0),
+        ((0.0, 1.0), (Point(0, 0), Point(np.float32(1.0), math.nan)), 1.0),
+        ((0.0, 1.0, 1.0), (Point(0, 0), Point(0, 1), Point(0, 2)), 10.0),
+        ((0.0, 1.0), (Point(0, 0), Point(3, 4)), 4.9),
+        ((0.0, np.float32(1.0)), (Point(0, 0), Point(3, 4)), 4.9),
+        ((0.0, 1.0), (Point(0, 0), (3.0, 4.0)), 5.0),
+    ])
+    def test_every_rejection_keeps_its_type_and_message(self, times, points, v):
+        got = _outcome(TargetStrategy, times, points, v)
+        assert isinstance(got, tuple) and got == _outcome(block_arrays.TargetStrategy, times, points, v)
+
+    @pytest.mark.parametrize("origin, start, v, t_freeze", [
+        (Point(0, 0), Point(1, 0), 0.0, 1.0),
+        (Point(0, 0), Point(1, 0), 1.0, -1e-300),
+        (Point(0, 0), Point(0, 0), 1.0, 1.0),
+        (Point(2.5, -1), Point(2.5, -1), 1.0, 0.0),
+        (Point(0, 0), Point(1, 0), math.inf, 1.0),
+        (Point(0, 0), Point(1, 0), math.nan, 1.0),
+        (Point(0, 0), Point(1, 0), 1.0, math.nan),
+        (Point(0, 0), Point(math.inf, 0), 1.0, 1.0),
+        (Point(0, 0), Point(1e308, 0.0), 1e308, 10.0),
+        (Point(0, 0), Point(np.float32(3e38), np.float32(0.0)), np.float32(3e38), np.float32(2.0)),
+    ])
+    def test_every_flee_rejection_keeps_its_type_and_message(self, origin, start, v, t_freeze):
+        got = _outcome(radial_flee, origin, start, v, t_freeze)
+        assert isinstance(got, tuple) and got == _outcome(block_arrays.radial_flee, origin, start, v, t_freeze)
 
 
 class TestWaypointFile:

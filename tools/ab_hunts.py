@@ -18,6 +18,11 @@ makes the comparison robust to other load on a shared host.
 Prints the median time per hunt of each side, their ratio, and the
 sha256 of each side's outcome reprs in hunt order.  Exits 1 when the
 two digests differ.
+
+Only warm `simulate` calls are timed.  Set-up work of a sweep, such as
+sampling, building targets, `dynamic_q` (computed once per process) and
+`predict_dynamic`, is done before the clock and never shows here; a gain
+there shows only in fresh-process pairs of `bench/run.py`.
 """
 
 import argparse
