@@ -53,11 +53,6 @@ class CoverageReport(NamedTuple):
     cell_area: float
     cell_diagonal: float
 
-    @property
-    def slack(self):
-        """Discretization allowance: 4 * cell diagonal * trajectory length."""
-        return 4.0 * self.cell_diagonal * self.trajectory_length
-
 
 class PolySpeedCertificate(NamedTuple):
     c: int
@@ -501,6 +496,7 @@ def static_lb(D, r):
     """Cost lower bound (1/16)(log2 D + log2 1/r) D^2 / r for inert targets."""
     if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
         raise ValueError("D and r must be finite and positive")
+    D, r = float(D), float(r)  # a numpy float32 would give a float32 bound
     term = _log_term(D, r)
     if term <= 0:
         raise ValueError(
@@ -517,6 +513,7 @@ def dynamic_lb(v, r, t0):
     """
     if not all(math.isfinite(x) and x > 0 for x in (v, r, t0)):
         raise ValueError("v, r and t0 must be finite and positive")
+    v, r, t0 = float(v), float(r), float(t0)  # a numpy float32 would give a float32 bound
     term = _log_term(v, r)
     if term <= 0:
         raise ValueError(
@@ -541,6 +538,8 @@ def poly_speed_certificate(c, v, r, d):
         raise ValueError("require integer speed exponent c >= 2 (c = 1 degenerates)")
     if not all(math.isfinite(x) for x in (v, r, d)):
         raise ValueError(f"v, r and d must be finite, got v={v}, r={r}, d={d}")
+    # numpy float32s would compute the certificate in float32, and overflow with a warning
+    v, r, d = float(v), float(r), float(d)
     if v < 1 or not (0 < r < 1) or d <= 0:
         raise ValueError("require v >= 1, 0 < r < 1, d > 0")
     if c + 1 > sys.float_info.max:  # (c + 1) * v would raise OverflowError converting c + 1

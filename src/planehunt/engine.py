@@ -30,7 +30,7 @@ Points and the checked first_contact_time (2-core x86 VM, Python 3.11).
 
 Each block is an origin-centred square spiral with step 2^-j whose legs
 lie on four families of axis lines (_SIDES), walked out and then back;
-the return half retraces the same lines, so both halves are scanned
+the return half retraces the same lines, so one loop scans both halves
 over the same side rows, the outbound half first.
 The inert test is a distance filter followed by an exact quadratic on the
 first leg it flags, and the scan returns what that test returns on every
@@ -106,6 +106,8 @@ class SimConfig(_SimConfig):
     __slots__ = ()
 
     def __new__(cls, agent_start=Point(0.0, 0.0), r=1.0, max_cost=math.inf, max_diagonal=MAX_DIAGONAL):
+        if not isinstance(agent_start, Point):
+            raise ValueError(f"agent_start {agent_start!r} must be a Point, not {type(agent_start).__name__}")
         if not (math.isfinite(agent_start.x) and math.isfinite(agent_start.y)):
             raise ValueError("agent_start must be finite")
         for name, value in (("r", r), ("max_cost", max_cost)):
@@ -432,7 +434,7 @@ def _first_flagged(k, step, q, r, n):
         _corner_range;
       * nothing to scan: the corner bracket is empty and no line spans
         the target.
-    Then two passes scan the rows, out and back over the same lines: out,
+    Then one loop scans both halves of the block over the same rows: out,
     the first leg from n; back, the return leg nearest the turn, as the
     return half walks the outbound legs in reverse.  See the module
     docstring for why that is exact.  The walk gates the block with the extent test and
@@ -485,34 +487,27 @@ def _first_flagged(k, step, q, r, n):
         sides.append((off, corners, (cov, hi), (q_perp, q_par, sign, c_line, sign0, c0, c1)))
 
     # outbound leg 4s + off is return leg legs - 1 - 4s - off.  Each pass
-    # keeps a window of outbound indices and narrows it to the leg found so
-    # far: out, the first from n, corners before lines, each range from its
-    # first line, lowering the window's top; back, the last up to legs - 1 - n,
-    # lines before corners, each range from its last line, raising its bottom
-    found = None
-    top = legs - 1
-    for off, corners, lines, side in sides:
-        s_lo, s_hi = (n - off + 3) // 4, (top - off) // 4
-        for first, last in (corners, lines):
-            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
-            if lo <= up:
-                s = _first_on_lines(side, step, rr, lo, up, False)
-                if s is not None:
-                    top = found = 4 * s + off
-                    break
-    if found is not None:
-        return found
-    bottom = 0
-    for off, corners, lines, side in sides:
-        s_lo, s_hi = (bottom - off + 3) // 4, (legs - 1 - n - off) // 4
-        for first, last in (lines, corners):
-            lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
-            if lo <= up:
-                s = _first_on_lines(side, step, rr, lo, up, True)
-                if s is not None:
-                    bottom = found = 4 * s + off
-                    break
-    return None if found is None else legs - 1 - found
+    # keeps a window [bottom, top] of outbound indices and narrows it to the
+    # leg found so far: out, the first from n, corners before lines, each
+    # range from its first line, lowering the top; back, the last up to
+    # legs - 1 - n, lines before corners, each range from its last line,
+    # raising the bottom
+    for back in (False, True):
+        bottom, top = (0, legs - 1 - n) if back else (n, legs - 1)
+        found = None
+        for off, corners, lines, side in sides:
+            s_lo, s_hi = (bottom - off + 3) // 4, (top - off) // 4
+            for first, last in (lines, corners) if back else (corners, lines):
+                lo, up = (first if first > s_lo else s_lo), (last if last < s_hi else s_hi)
+                if lo <= up:
+                    s = _first_on_lines(side, step, rr, lo, up, back)
+                    if s is not None:
+                        found = 4 * s + off
+                        bottom, top = (found, top) if back else (bottom, found)
+                        break
+        if found is not None:
+            return legs - 1 - found if back else found
+    return None
 
 
 def _first_on_lines(side, step, rr, lo, hi, back):

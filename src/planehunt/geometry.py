@@ -37,12 +37,6 @@ class Point(NamedTuple):
     def __sub__(self, other):
         return Point(self.x - other.x, self.y - other.y)
 
-    def scaled(self, s):
-        return Point(self.x * s, self.y * s)
-
-    def norm(self):
-        return math.hypot(self.x, self.y)
-
 
 def fma_dot(x0, x1, y0, y1):
     """The 2-vector dot x0*y0 + x1*y1 rounded as fma(x1, y1, x0*y0), in Python floats.

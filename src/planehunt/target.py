@@ -50,6 +50,8 @@ class TargetStrategy(_TargetStrategy):
             raise ValueError(f"speed bound must be finite and nonnegative, got {v}")
         convert = not isinstance(v, _KEPT)
         for t, p in zip(times, points):
+            if not isinstance(p, Point):
+                raise ValueError(f"breakpoint {p!r} must be a Point, not {type(p).__name__}")
             if not (math.isfinite(t) and math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
             convert = convert or not (isinstance(t, _KEPT) and isinstance(p.x, _KEPT) and isinstance(p.y, _KEPT))
@@ -120,6 +122,9 @@ def radial_flee(origin, start, v, t_freeze):
     The end point is start + (d / |d|) v t_freeze for d = start - origin,
     formed coordinate by coordinate on the numbers of start and origin.
     """
+    for name, p in (("origin", origin), ("start", start)):
+        if not isinstance(p, Point):
+            raise ValueError(f"{name} {p!r} must be a Point, not {type(p).__name__}")
     if v <= 0:
         raise ValueError("flee speed must be positive")
     if t_freeze < 0:

@@ -120,7 +120,7 @@ class TargetStrategy(_TargetStrategy):
             dt = self.times[idx] - self.times[idx - 1]
             if dt <= 0:
                 raise ValueError("breakpoint times must be strictly increasing")
-            speed = (self.points[idx] - self.points[idx - 1]).norm() / dt
+            speed = math.hypot(*(self.points[idx] - self.points[idx - 1])) / dt
             if speed > self.v + SPEED_TOL:
                 raise ValueError(
                     f"segment {idx} moves at speed {speed:.6g} "
@@ -136,22 +136,23 @@ def radial_flee(origin, start, v, t_freeze):
     if t_freeze < 0:
         raise ValueError("freeze time must be nonnegative")
     d = start - origin
-    dist = d.norm()
+    dist = math.hypot(*d)
     if dist == 0:
         raise ValueError("start must differ from origin (flee direction undefined)")
     if t_freeze == 0:
         return TargetStrategy(times=(0.0,), points=(start,), v=v)
     inv = 1.0 / dist
     if math.isinf(inv):
-        d = d.scaled(2.0**1000)
-        inv = 1.0 / d.norm()
-    end = start + d.scaled(inv).scaled(v * t_freeze)
+        d = Point(d.x * 2.0**1000, d.y * 2.0**1000)
+        inv = 1.0 / math.hypot(*d)
+    reach = v * t_freeze
+    end = start + Point(d.x * inv * reach, d.y * inv * reach)
     steps = 0
     while (
         steps < FLEE_STEPS
         and math.isfinite(end.x)
         and math.isfinite(end.y)
-        and (end - start).norm() / t_freeze > v + SPEED_TOL
+        and math.hypot(*(end - start)) / t_freeze > v + SPEED_TOL
     ):
         end = Point(math.nextafter(end.x, start.x), math.nextafter(end.y, start.y))
         steps += 1

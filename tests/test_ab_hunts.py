@@ -12,15 +12,22 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_a_checkout_against_itself_gives_equal_digests():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT),
-         "--workload", "pursuit_hunts", "--seed", "7", "--repeats", "1"],
+         "--workload", "pursuit_hunts", "--seed", "7", "--repeats", "2"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "pursuit_hunts, seed 7: 270 hunts x 1 repeats" in proc.stdout
+    assert "pursuit_hunts, seed 7: 270 hunts x 2 repeats" in proc.stdout
     digests = re.findall(r"^(parent|change) +median +[0-9.]+ us per hunt  outcomes sha256 ([0-9a-f]{64})$",
                          proc.stdout, re.MULTILINE)
     assert [side for side, _ in digests] == ["parent", "change"]
     assert digests[0][1] == digests[1][1]
+    # one change / parent ratio of median times per repeat, then their least and greatest
+    spread = re.findall(r"^per repeat change / parent ((?:[0-9.]+ )+) min ([0-9.]+)  max ([0-9.]+)$",
+                        proc.stdout, re.MULTILINE)
+    assert len(spread) == 1
+    listed, low, high = spread[0]
+    ratios = [float(x) for x in listed.split()]
+    assert len(ratios) == 2 and (float(low), float(high)) == (min(ratios), max(ratios)) and min(ratios) > 0
 
 
 def test_differing_outcomes_exit_1(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -119,6 +120,14 @@ def test_config_rejects_non_finite_start():
             SimConfig(agent_start=start, r=0.5, max_diagonal=2)
 
 
+def test_config_rejects_a_start_that_is_no_point():
+    # a plain pair raised AttributeError: 'tuple' object has no attribute 'x'
+    with pytest.raises(ValueError, match=re.escape("agent_start (0.0, 0.0) must be a Point, not tuple")):
+        SimConfig(agent_start=(0.0, 0.0))
+    with pytest.raises(ValueError, match="agent_start"):
+        SimConfig(r=0.5)._replace(agent_start=[1.0, 2.0])
+
+
 class TestSimulateInert:
     def test_hand_traced_case(self):
         # target (1,0), r=0.5: contact at (0.5, 0) on the fifth+partial leg
@@ -170,7 +179,7 @@ class TestSimulateInert:
         cfg = SimConfig(r=0.4, max_diagonal=2)
         out = simulate(static_plan(), inert(p), cfg)
         assert out.sensed and out.cost > 0
-        dist_at_hit = (out.agent_pos - p).norm()
+        dist_at_hit = math.hypot(*(out.agent_pos - p))
         assert dist_at_hit == pytest.approx(cfg.r, abs=1e-9)
         from planehunt.trajectory import prefix_polyline
 
@@ -217,13 +226,13 @@ class TestSimulateMoving:
         strategy = radial_flee(Point(0, 0), Point(1, 0), v=1.0, t_freeze=1 / 64)
         out = simulate(dynamic_plan(), strategy, SimConfig(r=0.25, max_diagonal=4))
         assert out.sensed
-        assert (out.agent_pos - out.target_pos).norm() == pytest.approx(0.25, abs=1e-9)
+        assert math.hypot(*(out.agent_pos - out.target_pos)) == pytest.approx(0.25, abs=1e-9)
 
     def test_target_moving_toward_agent(self):
         strategy = waypoints([Point(5, 0), Point(1, 0)], [0, 4], v=1.0)
         out = simulate(static_plan(), strategy, SimConfig(r=0.5, max_diagonal=3))
         assert out.sensed
-        assert (out.agent_pos - out.target_pos).norm() <= 0.5 + 1e-9
+        assert math.hypot(*(out.agent_pos - out.target_pos)) <= 0.5 + 1e-9
 
     def test_escaping_target_budget(self):
         # a fast fleeing target outruns the unit-speed searcher within budget
@@ -348,7 +357,7 @@ class TestBruteForceOracle:
             times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 6.0, rng.integers(1, 4))]))
             times /= speed
             pts = [Point(*rng.uniform(-1.5, 1.5, size=2)) for _ in times]
-            v = max((b - a).norm() / (tb - ta) for a, b, ta, tb in zip(pts, pts[1:], times, times[1:]))
+            v = max(math.hypot(*(b - a)) / (tb - ta) for a, b, ta, tb in zip(pts, pts[1:], times, times[1:]))
             max_cost = rng.uniform(0.3, 0.9) * times[-1] * speed if case % 3 == 0 else math.inf
             cfg = SimConfig(r=rng.uniform(0.1, 0.4), max_cost=max_cost, max_diagonal=2)
             cases.append((plan, waypoints(pts, times, v * (1 + 1e-9)), cfg))
@@ -930,7 +939,8 @@ def _position_scan(strategy, t):
     t0, t1 = strategy.times[idx - 1], strategy.times[idx]
     frac = (t - t0) / (t1 - t0)
     p0, p1 = strategy.points[idx - 1], strategy.points[idx]
-    return p0 + (p1 - p0).scaled(frac)
+    d = p1 - p0
+    return p0 + Point(d.x * frac, d.y * frac)
 
 
 def _velocity_after(strategy, t):
@@ -945,7 +955,7 @@ def _velocity_after(strategy, t):
     inv = 1.0 / dt
     if math.isinf(inv):
         return Point(d.x / dt, d.y / dt)  # a subnormal dt
-    return d.scaled(inv)
+    return Point(d.x * inv, d.y * inv)
 
 
 def _constant_velocity_pieces(strategy, t_start, t_end):
@@ -972,7 +982,7 @@ def _moving_legs(strategy, start, params, n, t, speed, r, arc_allowance):
         pos = Point(float(start[0] + ax), float(start[1] + ay))
         leg_dt = min(length, arc_allowance - arc0) / speed
         for ts, te, tgt_pos, w in _constant_velocity_pieces(strategy, t0, t0 + leg_dt):
-            hit = first_contact_time(pos + vel.scaled(ts - t0), vel, tgt_pos, w, r, te - ts)
+            hit = first_contact_time(pos + Point(vel.x * (ts - t0), vel.y * (ts - t0)), vel, tgt_pos, w, r, te - ts)
             if hit is not None:
                 return arc0 + speed * (ts + hit - t0), idx
     return None
@@ -1038,7 +1048,7 @@ def _kernel_on_every_block(plan, strategy, cfg, tracer=None):
         return SimOutcome(bool(sensed), float(t), float(cost), agent, tgt, int(diagonal), int(legs), reason)
 
     tgt0 = strategy.position(0.0)
-    if (tgt0 - cfg.agent_start).norm() <= r:
+    if math.hypot(*(tgt0 - cfg.agent_start)) <= r:
         if tracer:
             tracer.emit(0.0, 0.0, cfg.agent_start, tgt0, "sense")
         return outcome(True, 0.0, 0.0, cfg.agent_start, tgt0, 0, 0, "sensed")
@@ -1115,7 +1125,7 @@ def _hunts(draw):
         t_freeze = t + draw(st.floats(1e-3, 1.0)) * block_time
         v = draw(st.floats(0.5, 8.0))
         # radial_flee needs a flee direction: q away from the start
-        strategy = radial_flee(start, q, v, t_freeze) if (q - start).norm() > 1e-9 else inert(q)
+        strategy = radial_flee(start, q, v, t_freeze) if math.hypot(*(q - start)) > 1e-9 else inert(q)
     else:
         strategy = inert(q)
     max_cost = math.inf

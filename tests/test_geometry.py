@@ -155,7 +155,7 @@ class TestFirstContactTime:
         assert t is not None and t > 0
 
         def dist(tt):
-            return ((q0 + w.scaled(tt)) - (p0 + u.scaled(tt))).norm()
+            return math.hypot(*((q0 + Point(w.x * tt, w.y * tt)) - (p0 + Point(u.x * tt, u.y * tt))))
 
         assert dist(t) == pytest.approx(r, abs=1e-9)
         for n in range(1000):
@@ -183,7 +183,7 @@ class TestFirstContactTime:
         t = first_contact_time(p0, u, q0, w, r, 50.0)
         if t is None:
             return
-        d = ((q0 + w.scaled(t)) - (p0 + u.scaled(t))).norm()
+        d = math.hypot(*((q0 + Point(w.x * t, w.y * t)) - (p0 + Point(u.x * t, u.y * t))))
         assert d <= r + 1e-6
 
     @given(st.lists(st.floats(min_value=1e150, max_value=1e308), min_size=4, max_size=4),

@@ -123,7 +123,7 @@ def seeded_outcomes():
             speed = plan.speed_of_diagonal(1)
             times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 6.0, rng.integers(1, 4))])) / speed
             pts = [start + Point(*rng.uniform(-2.0, 2.0, size=2)) for _ in times]
-            v = max((b - a).norm() / (tb - ta) for a, b, ta, tb in zip(pts, pts[1:], times, times[1:]))
+            v = max(math.hypot(*(b - a)) / (tb - ta) for a, b, ta, tb in zip(pts, pts[1:], times, times[1:]))
             strategy = waypoints(pts, times, v * (1 + 1e-9))
         else:
             strategy = inert(q)

@@ -47,12 +47,12 @@ class TestRadialFlee:
         origin = Point(0, 0)
         s = radial_flee(origin, Point(3, 4), v=1.5, t_freeze=2.0)
         for t in (0.0, 0.5, 1.0, 2.0):
-            assert (s.position(t) - origin).norm() == pytest.approx(5.0 + 1.5 * t)
+            assert math.hypot(*(s.position(t) - origin)) == pytest.approx(5.0 + 1.5 * t)
 
     def test_distance_nondecreasing_after_freeze(self):
         origin = Point(0, 0)
         s = radial_flee(origin, Point(1, 1), v=1.0, t_freeze=0.3)
-        dists = [(s.position(t) - origin).norm() for t in np.linspace(0, 2, 50)]
+        dists = [math.hypot(*(s.position(t) - origin)) for t in np.linspace(0, 2, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_rejects_degenerate_direction(self):
@@ -68,7 +68,7 @@ class TestRadialFlee:
         # 2 + 1e-12 rounds up to 2252 ulps of 2, a speed of 1.00009 over 1e-12
         s = radial_flee(Point(0, 0), Point(2, 0), v=1.0, t_freeze=1e-12)
         assert s.points[1] == Point(math.nextafter(2.0 + 1e-12, 0.0), 0.0)
-        assert (s.points[1] - s.points[0]).norm() / 1e-12 <= 1.0
+        assert math.hypot(*(s.points[1] - s.points[0])) / 1e-12 <= 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -87,12 +87,13 @@ class TestRadialFlee:
             start = Point(1e6, 0.0)
         s = radial_flee(Point(0, 0), start, v, t_freeze)
         end = s.points[1]
-        assert (end - start).norm() / t_freeze <= v + SPEED_TOL
-        naive = start + start.scaled(1.0 / start.norm()).scaled(v * t_freeze)
+        assert math.hypot(*(end - start)) / t_freeze <= v + SPEED_TOL
+        inv, reach = 1.0 / math.hypot(*start), v * t_freeze
+        naive = start + Point(start.x * inv * reach, start.y * inv * reach)
         if not (math.isfinite(naive.x) and math.isfinite(naive.y)):
             return  # a subnormal |start|: 1 / |start| is inf
         # a strategy the unchanged formula already allowed keeps its end point
-        if (naive - start).norm() / t_freeze <= v + SPEED_TOL:
+        if math.hypot(*(naive - start)) / t_freeze <= v + SPEED_TOL:
             assert end == naive
         # otherwise the end is stepped back by a few ulps toward start
         for e, n in ((end.x, naive.x), (end.y, naive.y)):
@@ -217,7 +218,8 @@ class TestFleeMatchesTheReference:
     def test_a_stepped_back_end_point(self, start, v, t_freeze):
         # the reference steps these ends back toward start: the float version takes the same steps
         s = radial_flee(Point(0.0, 0.0), start, v, t_freeze)
-        naive = start + start.scaled(1.0 / start.norm()).scaled(v * t_freeze)
+        inv, reach = 1.0 / math.hypot(*start), v * t_freeze
+        naive = start + Point(start.x * inv * reach, start.y * inv * reach)
         assert s.points[1] != naive
         assert repr(s) == repr(block_arrays.radial_flee(Point(0.0, 0.0), start, v, t_freeze))
 
@@ -250,7 +252,6 @@ class TestFleeMatchesTheReference:
         ((0.0, 1.0, 1.0), (Point(0, 0), Point(0, 1), Point(0, 2)), 10.0),
         ((0.0, 1.0), (Point(0, 0), Point(3, 4)), 4.9),
         ((0.0, np.float32(1.0)), (Point(0, 0), Point(3, 4)), 4.9),
-        ((0.0, 1.0), (Point(0, 0), (3.0, 4.0)), 5.0),
     ])
     def test_every_rejection_keeps_its_type_and_message(self, times, points, v):
         got = _outcome(TargetStrategy, times, points, v)
@@ -271,6 +272,26 @@ class TestFleeMatchesTheReference:
     def test_every_flee_rejection_keeps_its_type_and_message(self, origin, start, v, t_freeze):
         got = _outcome(radial_flee, origin, start, v, t_freeze)
         assert isinstance(got, tuple) and got == _outcome(block_arrays.radial_flee, origin, start, v, t_freeze)
+
+
+class TestPointArguments:
+    """A point that is no Point raises a ValueError naming it; a plain pair raised AttributeError on .x."""
+
+    def test_a_breakpoint_pair(self):
+        # the reference's AttributeError case of test_every_rejection_keeps_its_type_and_message, now rejected by name
+        with pytest.raises(ValueError, match=re.escape("breakpoint (3.0, 4.0) must be a Point, not tuple")):
+            TargetStrategy((0.0, 1.0), (Point(0, 0), (3.0, 4.0)), 5.0)
+        with pytest.raises(ValueError, match=re.escape("breakpoint (0.0, 0.0) must be a Point, not tuple")):
+            waypoints([(0.0, 0.0), (3.0, 4.0)], [0.0, 1.0], 5.0)
+
+    @pytest.mark.parametrize("origin, start, message", [
+        ((0.0, 0.0), (1.0, 0.0), "origin (0.0, 0.0) must be a Point, not tuple"),
+        (Point(0.0, 0.0), (1.0, 0.0), "start (1.0, 0.0) must be a Point, not tuple"),
+        ([0.0, 0.0], Point(1.0, 0.0), "origin [0.0, 0.0] must be a Point, not list"),
+    ])
+    def test_a_flee_pair(self, origin, start, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            radial_flee(origin, start, 1.0, 1.0)
 
 
 class TestWaypointFile:

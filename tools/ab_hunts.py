@@ -15,9 +15,11 @@ that goes first alternating from hunt to hunt and from repeat to repeat.
 Every hunt thus sees nearly the same machine load on both sides, which
 makes the comparison robust to other load on a shared host.
 
-Prints the median time per hunt of each side, their ratio, and the
-sha256 of each side's outcome reprs in hunt order.  Exits 1 when the
-two digests differ.
+Prints the median time per hunt of each side, their ratio, each
+repeat's ratio of the two sides' median times with the least and the
+greatest of them (the spread behind the pooled ratio), and the sha256 of
+each side's outcome reprs in hunt order.  Exits 1 when the two digests
+differ.
 
 Only warm `simulate` calls are timed.  Set-up work of a sweep, such as
 sampling, building targets, `dynamic_q` (computed once per process) and
@@ -122,10 +124,16 @@ def main(argv=None):
     for side in SIDES:
         medians[side] = statistics.median(times[side])
         digests[side] = hashlib.sha256(repr(outcomes[side]).encode()).hexdigest()
-    print(f"workload {args.workload}, seed {args.seed}: {len(hunts['parent'])} hunts x {args.repeats} repeats")
+    n = len(hunts["parent"])  # times[side] holds the n hunts of one repeat after another
+    per_repeat = {side: [statistics.median(times[side][rep * n:(rep + 1) * n]) for rep in range(args.repeats)]
+                  for side in SIDES}
+    ratios = [change / parent for parent, change in zip(per_repeat["parent"], per_repeat["change"])]
+    print(f"workload {args.workload}, seed {args.seed}: {n} hunts x {args.repeats} repeats")
     for side in SIDES:
         print(f"{side:6s} median {medians[side] * 1e6:8.2f} us per hunt  outcomes sha256 {digests[side]}")
     print(f"change / parent {medians['change'] / medians['parent']:.4f}")
+    listed = " ".join(f"{ratio:.4f}" for ratio in ratios)
+    print(f"per repeat change / parent {listed}  min {min(ratios):.4f}  max {max(ratios):.4f}")
     if digests["parent"] != digests["change"]:
         print("outcomes differ", file=sys.stderr)
         return 1
