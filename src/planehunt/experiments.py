@@ -28,11 +28,13 @@ diagonals.  The static sweep's cells have v = 0, so its targets are inert.
 The sweeps import neither numpy nor, at --jobs 1, the process pool;
 export_svg takes its polyline through coverage.as_polyline, which
 imports numpy when it is called.  Sweep rows are NamedTuples, written to
-CSV as they are and to JSONL by their _asdict().
+CSV in csv.writer's bytes, streamed, with the fields a cell's rows share
+formatted once per cell, and to JSONL by their _asdict().
 """
 
 import contextlib
 import csv
+import io
 import math
 import operator
 import os
@@ -255,6 +257,9 @@ def _growth_term(scale, r):
 
 
 def _check_draws(samples, seed):
+    # a bool would pass for 0 or 1, and a float or a string fail later with a TypeError
+    if isinstance(samples, bool) or not isinstance(samples, Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     # a bool would pass for 0 or 1 and reach the CSV seed column as True or False
@@ -353,12 +358,48 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     return _sweep(plan, cells, samples, seed, jobs)
 
 
+def _csv_fields(*fields):
+    """The fields as csv.writer (excel dialect) writes them in a row, comma-joined, without the line end."""
+    buf = io.StringIO()
+    # one more, empty field: csv.writer writes a row of one empty field as ""
+    csv.writer(buf).writerow((*fields, None))
+    return buf.getvalue()[:-3]
+
+
+def _csv_lines(rows):
+    """csv.writer's (excel dialect) line for each row, one at a time.
+
+    A row's D, r, v, algorithm, predicted_y, cost_bound and seed are
+    formatted once for each run of rows that hold the same objects there,
+    as a cell's rows do.  csv.writer writes str() of a field, so the other
+    six are formatted with str() where they are ints, bools and floats,
+    which need no quotes; a row with any other type there goes through
+    csv.writer whole.
+    """
+    cell = None
+    for row in rows:
+        run_id, D, r, v, name, sensed, cost, time, diagonal, y, bound, ratio, seed = row
+        if cell is None or D is not cell[0] or r is not cell[1] or v is not cell[2] or name is not cell[3] or (
+            y is not cell[4] or bound is not cell[5] or seed is not cell[6]
+        ):
+            cell = D, r, v, name, y, bound, seed
+            head, mid, tail = _csv_fields(D, r, v, name), _csv_fields(y, bound), _csv_fields(seed)
+        if type(run_id) is type(diagonal) is int and type(sensed) is bool and (
+            type(cost) is type(time) is type(ratio) is float
+        ):
+            yield f"{run_id!s},{head},{sensed!s},{cost!s},{time!s},{diagonal!s},{mid},{ratio!s},{tail}\r\n"
+        else:
+            yield _csv_fields(*row) + "\r\n"
+
+
 def write_rows_csv(rows, path=None):
-    """Comma-separated sweep rows with the fixed documented header; path None writes to sys.stdout."""
+    """Comma-separated sweep rows with the fixed documented header; path None writes to sys.stdout.
+
+    The bytes are csv.writer's (excel dialect); the lines are streamed.
+    """
     with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_FIELDS)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(SWEEP_FIELDS)
+        fh.writelines(_csv_lines(rows))
 
 
 def write_rows_jsonl(rows, path):

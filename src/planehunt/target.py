@@ -24,6 +24,11 @@ FLEE_STEPS = 8
 _KEPT = (float, int)
 
 
+def _kept(x):
+    """x if it is a float or an int, else the float of its value."""
+    return x if isinstance(x, _KEPT) else float(x)
+
+
 class _TargetStrategy(NamedTuple):
     times: tuple  # strictly increasing, times[0] == 0
     points: tuple  # Point at each breakpoint
@@ -56,8 +61,7 @@ class TargetStrategy(_TargetStrategy):
                 raise ValueError(f"breakpoint (t={t}, {p.x}, {p.y}) must be finite")
             convert = convert or not (isinstance(t, _KEPT) and isinstance(p.x, _KEPT) and isinstance(p.y, _KEPT))
         if convert:
-            kept = lambda x: x if isinstance(x, _KEPT) else float(x)
-            return cls(tuple(map(kept, times)), tuple(Point(kept(x), kept(y)) for x, y in points), kept(v))
+            return cls(tuple(map(_kept, times)), tuple(Point(_kept(x), _kept(y)) for x, y in points), _kept(v))
         for idx in range(1, len(times)):
             dt = times[idx] - times[idx - 1]
             if dt <= 0:
@@ -110,7 +114,14 @@ class TargetStrategy(_TargetStrategy):
 
 
 def inert(p):
-    """A target that never moves."""
+    """A target that never moves.
+
+    A Point of two finite Python floats passes every check of
+    TargetStrategy.__new__ and needs no conversion, so its strategy is
+    built directly; any other p goes through those checks.
+    """
+    if isinstance(p, Point) and type(p.x) is type(p.y) is float and math.isfinite(p.x) and math.isfinite(p.y):
+        return tuple.__new__(TargetStrategy, ((0.0,), (p,), 0.0))
     return TargetStrategy(times=(0.0,), points=(p,), v=0.0)
 
 
@@ -120,7 +131,9 @@ def radial_flee(origin, start, v, t_freeze):
     The flee-then-freeze adversary of the dynamic lower bound: move
     radially away until t_freeze, stay inert at the reached point forever.
     The end point is start + (d / |d|) v t_freeze for d = start - origin,
-    formed coordinate by coordinate on the numbers of start and origin.
+    formed coordinate by coordinate on the numbers of start and origin,
+    each a float or an int as given and any other number the float of its
+    value, as a TargetStrategy stores it.
     """
     for name, p in (("origin", origin), ("start", start)):
         if not isinstance(p, Point):
@@ -129,8 +142,12 @@ def radial_flee(origin, start, v, t_freeze):
         raise ValueError("flee speed must be positive")
     if t_freeze < 0:
         raise ValueError("freeze time must be nonnegative")
-    sx, sy = start.x, start.y
-    dx, dy = sx - origin.x, sy - origin.y
+    # a numpy float32 would round the end point in float32, past what the
+    # float64 step-back below undoes, or overflow there
+    sx, sy, ox, oy, vf, tf = start.x, start.y, origin.x, origin.y, v, t_freeze
+    if not type(sx) is type(sy) is type(ox) is type(oy) is type(vf) is type(tf) is float:
+        sx, sy, ox, oy, vf, tf = map(_kept, (sx, sy, ox, oy, vf, tf))
+    dx, dy = sx - ox, sy - oy
     dist = math.hypot(dx, dy)
     if dist == 0:
         raise ValueError("start must differ from origin (flee direction undefined)")
@@ -140,7 +157,7 @@ def radial_flee(origin, start, v, t_freeze):
     if math.isinf(inv):  # a subnormal dist: scale d by a power of two, exactly
         dx, dy = dx * 2.0**1000, dy * 2.0**1000
         inv = 1.0 / math.hypot(dx, dy)
-    reach = v * t_freeze
+    reach = vf * tf
     ex, ey = sx + dx * inv * reach, sy + dy * inv * reach
     # rounding the end point to its coordinates' ulp may overshoot v t_freeze,
     # which a short flee turns into a speed past the bound: step it back
@@ -150,7 +167,7 @@ def radial_flee(origin, start, v, t_freeze):
         steps < FLEE_STEPS
         and math.isfinite(ex)
         and math.isfinite(ey)
-        and math.hypot(ex - sx, ey - sy) / t_freeze > v + SPEED_TOL
+        and math.hypot(ex - sx, ey - sy) / tf > vf + SPEED_TOL
     ):
         ex, ey = math.nextafter(ex, sx), math.nextafter(ey, sy)
         steps += 1

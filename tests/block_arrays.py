@@ -135,7 +135,10 @@ def radial_flee(origin, start, v, t_freeze):
         raise ValueError("flee speed must be positive")
     if t_freeze < 0:
         raise ValueError("freeze time must be nonnegative")
-    d = start - origin
+    # a float or an int as given, any other number as the float of its value
+    kept = lambda x: x if isinstance(x, _KEPT) else float(x)
+    fstart, vf, tf = Point(kept(start.x), kept(start.y)), kept(v), kept(t_freeze)
+    d = fstart - Point(kept(origin.x), kept(origin.y))
     dist = math.hypot(*d)
     if dist == 0:
         raise ValueError("start must differ from origin (flee direction undefined)")
@@ -145,16 +148,16 @@ def radial_flee(origin, start, v, t_freeze):
     if math.isinf(inv):
         d = Point(d.x * 2.0**1000, d.y * 2.0**1000)
         inv = 1.0 / math.hypot(*d)
-    reach = v * t_freeze
-    end = start + Point(d.x * inv * reach, d.y * inv * reach)
+    reach = vf * tf
+    end = fstart + Point(d.x * inv * reach, d.y * inv * reach)
     steps = 0
     while (
         steps < FLEE_STEPS
         and math.isfinite(end.x)
         and math.isfinite(end.y)
-        and math.hypot(*(end - start)) / t_freeze > v + SPEED_TOL
+        and math.hypot(*(end - fstart)) / tf > vf + SPEED_TOL
     ):
-        end = Point(math.nextafter(end.x, start.x), math.nextafter(end.y, start.y))
+        end = Point(math.nextafter(end.x, fstart.x), math.nextafter(end.y, fstart.y))
         steps += 1
     return TargetStrategy(times=(0.0, t_freeze), points=(start, end), v=v)
 

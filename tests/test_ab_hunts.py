@@ -45,3 +45,43 @@ def test_differing_outcomes_exit_1(tmp_path):
     )
     assert proc.returncode == 1
     assert "outcomes differ" in proc.stderr
+
+
+def test_command_mode_on_a_checkout_against_itself_gives_equal_csv_bytes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT),
+         "--workload", "pursuit_hunts", "--seed", "7", "--repeats", "3", "--command"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pursuit_hunts, seeds 7..9: 3 commands per side, cli.run in process" in proc.stdout
+    digests = re.findall(r"^(parent|change) +median +[0-9.]+ ms per command  csv sha256 ([0-9a-f]{64})$",
+                         proc.stdout, re.MULTILINE)
+    assert [side for side, _ in digests] == ["parent", "change"]
+    assert digests[0][1] == digests[1][1]
+    # one change / parent ratio of command times per pair, their least and greatest, and the pairs won
+    spread = re.findall(r"^per pair change / parent ((?:[0-9.]+ )+) min ([0-9.]+)  max ([0-9.]+)$",
+                        proc.stdout, re.MULTILINE)
+    assert len(spread) == 1
+    listed, low, high = spread[0]
+    ratios = [float(x) for x in listed.split()]
+    assert len(ratios) == 3 and (float(low), float(high)) == (min(ratios), max(ratios)) and min(ratios) > 0
+    won = re.findall(r"^change lower in ([0-9]+) of 3 pairs$", proc.stdout, re.MULTILINE)
+    assert won == [str(sum(ratio < 1 for ratio in ratios))]
+
+
+def test_command_mode_exits_1_when_the_csv_bytes_differ(tmp_path):
+    # a change whose CSV header lists the fields in reverse
+    change = tmp_path / "change" / "src" / "planehunt"
+    shutil.copytree(ROOT / "src" / "planehunt", change, ignore=shutil.ignore_patterns("__pycache__"))
+    fields = "SWEEP_FIELDS = SweepRow._fields\n"
+    text = (change / "experiments.py").read_text()
+    assert text.count(fields) == 1
+    (change / "experiments.py").write_text(text.replace(fields, "SWEEP_FIELDS = SweepRow._fields[::-1]\n"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(tmp_path / "change"),
+         "--workload", "pursuit_hunts", "--seed", "7", "--repeats", "2", "--command"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "csv bytes differ at seeds 7 8" in proc.stderr

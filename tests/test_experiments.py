@@ -1,8 +1,11 @@
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -19,6 +22,7 @@ from planehunt.coverage import impossibility_report
 from planehunt.experiments import (
     MAX_V,
     SWEEP_FIELDS,
+    SweepRow,
     export_svg,
     flee_time_from_plan,
     sample_targets,
@@ -175,6 +179,22 @@ class TestSweepSeed:
             sweep_static([1], [0.25], 0, 7)
         with pytest.raises(ValueError, match="samples must be >= 1"):
             sweep_dynamic([0, 1], [0.25], D=1, samples=0, seed=7)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.0, np.float64(2.0), 1.5, "2", None])
+    def test_samples_that_are_no_integer_rejected_before_any_draw(self, samples, monkeypatch):
+        # True ran a 1-sample sweep, 2.0 failed inside a cell and "2" in the comparison, all with a TypeError
+        def no_draw(*args):
+            raise AssertionError("drew a target")
+
+        monkeypatch.setattr(experiments, "sample_targets", no_draw)
+        with pytest.raises(ValueError, match=f"samples must be an integer, got {re.escape(repr(samples))}"):
+            sweep_static([1.0], [0.25], samples, 7)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            sweep_dynamic([0, 1], [0.25], D=1, samples=samples, seed=7)
+
+    def test_numpy_integer_samples_accepted(self):
+        assert sweep_static([1], [0.25], np.int64(3), 7) == sweep_static([1], [0.25], 3, 7)
+        assert sweep_dynamic([1], [0.25], 1, np.uint8(2), 7) == sweep_dynamic([1], [0.25], 1, 2, 7)
 
 
 class TestSweepStatic:
@@ -419,6 +439,43 @@ class TestImpossibilityReport:
             impossibility_report(2, 1.0, 3)
 
 
+# sweep row fields of any type: floats (nan, infinities, -0.0, subnormals and
+# 1e16 among them), numpy scalars, ints, bools, None, and text that needs quotes
+_CSV_FIELD = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1.0, 1, True, False, None, ""]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from('ab ,"\r\n;'), max_size=4),
+    st.text(max_size=3),
+)
+# a row's run_id, sensed, cost, time, diagonal and ratio: of the types a
+# sweep writes, with one field or all six of any type
+_SWEEP_ROW = st.tuples(st.integers(), st.booleans(), st.floats(), st.floats(), st.integers(), st.floats())
+_ROW_FIELDS = st.one_of(
+    _SWEEP_ROW,
+    st.tuples(_SWEEP_ROW, st.integers(0, 5), _CSV_FIELD).map(lambda t: t[0][: t[1]] + (t[2],) + t[0][t[1] + 1:]),
+    st.tuples(*[_CSV_FIELD] * 6),
+)
+
+
+def _equal_twin(x):
+    """A new object equal to x, of another type or text where there is one: 1 for True, 1.0 for 1, 0.0 for -0.0."""
+    if isinstance(x, (bool, np.bool_)):
+        return int(x)
+    if isinstance(x, int) and abs(x) <= 2**53:
+        return float(x)
+    if isinstance(x, (float, np.floating, np.integer)):
+        return x + 0  # a new float, 0.0 for -0.0, and a new numpy scalar of x's type
+    if isinstance(x, str):
+        return (x + " ")[:-1]
+    return x
+
+
 class TestRowExport:
     def _rows(self):
         return sweep_static([1], [1 / 4], samples=3, seed=1)
@@ -447,6 +504,41 @@ class TestRowExport:
         write_rows_csv(sweep_static([1, 2], [1 / 4], samples=3, seed=2), str(p1))
         write_rows_csv(sweep_static([1, 2], [1 / 4], samples=3, seed=2), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(*[_CSV_FIELD] * 7), min_size=1, max_size=3),
+        picks=st.lists(
+            st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 6)), _ROW_FIELDS), max_size=10
+        ),
+    )
+    @example(  # a cell that recurs after another, and a cell equal to the one before but for one object
+        cells=[(1.0, 0.25, -0.0, "static", 3, 61440.0, 7), (2.0, 0.25, 0.0, "static", 4, 1e16, 7)],
+        picks=[(0, None, (0, True, 1.5, 2.5, 3, 0.5)), (1, None, (1, False, math.nan, 1.0, 12, math.nan)),
+               (0, None, (2, True, 5e-324, -0.0, 1, math.inf)), (0, 2, (3, True, 1.0, 1.0, 2, 0.1))],
+    )
+    @example(
+        cells=[(np.float64(0.1), np.float32(0.1), np.int64(3), 'a "b", c\r\n', None, True, "")],
+        picks=[(0, None, (None, np.bool_(True), np.float32(0.1), np.float64(0.1), np.int64(4), "x,y")),
+               (0, 5, (5, False, -math.inf, 1e16, -1, 2.2250738585072014e-308)),
+               (0, None, (None, True, 1.0, 2.0, 3, 4.0)), (0, None, (6, True, 1.0, 2.0, 3, "")),
+               (0, None, (7, "a,b", 1.0, 2.0, 3, 4.0)), (0, None, (8, True, 1.0, 2.0, 3, np.float64(4.0)))],
+    )
+    def test_bytes_equal_csv_writers_on_any_fields(self, cells, picks):
+        rows = []
+        for k, twin, (run_id, sensed, cost, time, diagonal, ratio) in picks:
+            cell = list(cells[k % len(cells)])
+            if twin is not None:  # the cell with one field an equal object, of another type or text where it can be
+                cell[twin] = _equal_twin(cell[twin])
+            D, r, v, name, y, bound, seed = cell
+            rows.append(SweepRow(run_id, D, r, v, name, sensed, cost, time, diagonal, y, bound, ratio, seed))
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(SWEEP_FIELDS)
+        writer.writerows(rows)
+        with contextlib.redirect_stdout(io.StringIO()) as got:
+            write_rows_csv(rows)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestExportSvg:

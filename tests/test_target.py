@@ -22,6 +22,33 @@ from planehunt.target import (
 from planehunt.trajectory import prefix_polyline
 
 
+class _Spot(Point):
+    """A Point subclass, kept as given."""
+
+    __slots__ = ()
+
+
+# inert target coordinates: every float, nan and the infinities among them,
+# numpy floats, ints (one too large for a float), a string and None
+_INERT_COORDS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, "1.0", None]),
+)
+
+
+def _built(build, p):
+    """The repr and field types of build(p), or the type and message of what it raises."""
+    try:
+        s = build(p)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    (t,), (q,), v = s
+    return repr(s), type(s), type(t), type(q), type(q.x), type(q.y), type(v)
+
+
 class TestInert:
     def test_position_constant(self):
         s = inert(Point(1, 0))
@@ -30,6 +57,20 @@ class TestInert:
 
     def test_zero_speed_bound(self):
         assert inert(Point(1, 0)).v == 0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=_INERT_COORDS, y=_INERT_COORDS, kind=st.sampled_from([Point, _Spot, tuple, list]))
+    @example(x=0.5, y=-0.0, kind=Point)
+    @example(x=1.0, y=math.nan, kind=Point)
+    @example(x=np.float32(0.1), y=2.0, kind=Point)
+    @example(x=np.float64(1e308), y=1e308, kind=_Spot)
+    @example(x=3, y=0.5, kind=Point)
+    @example(x=-math.inf, y=0.0, kind=tuple)
+    def test_equals_the_checked_build(self, x, y, kind):
+        # the direct build of a Point of two finite Python floats, and the checked one of anything else
+        p = kind(x, y) if issubclass(kind, Point) else kind((x, y))
+        checked = lambda q: TargetStrategy((0.0,), (q,), 0.0)
+        assert _built(inert, p) == _built(checked, p)
 
 
 class TestRadialFlee:
@@ -267,11 +308,25 @@ class TestFleeMatchesTheReference:
         (Point(0, 0), Point(1, 0), 1.0, math.nan),
         (Point(0, 0), Point(math.inf, 0), 1.0, 1.0),
         (Point(0, 0), Point(1e308, 0.0), 1e308, 10.0),
-        (Point(0, 0), Point(np.float32(3e38), np.float32(0.0)), np.float32(3e38), np.float32(2.0)),
     ])
     def test_every_flee_rejection_keeps_its_type_and_message(self, origin, start, v, t_freeze):
         got = _outcome(radial_flee, origin, start, v, t_freeze)
         assert isinstance(got, tuple) and got == _outcome(block_arrays.radial_flee, origin, start, v, t_freeze)
+
+    @pytest.mark.parametrize("origin, start, v, t_freeze", [
+        # rounded in float32, the end point moved past the bound: "speed 1.3 exceeding the declared bound 1.3"
+        (Point(0.0, 0.0), Point(0.3, 0.7), np.float32(1.3), 0.7),
+        (Point(0.0, 0.0), Point(0.3, 0.7), 1.3, np.float32(0.7)),
+        (Point(0.0, 0.0), Point(np.float32(0.3), np.float32(0.7)), 1.3, 0.7),
+        # overflowed in float32, with a RuntimeWarning
+        (Point(0, 0), Point(np.float32(3e38), np.float32(0.0)), np.float32(3e38), np.float32(2.0)),
+    ])
+    def test_float32_numbers_flee_at_their_values(self, origin, start, v, t_freeze):
+        as_float = lambda x: x if isinstance(x, (float, int)) else float(x)
+        floats = Point(*map(as_float, start)), as_float(v), as_float(t_freeze)
+        want = repr(radial_flee(origin, *floats))
+        assert repr(radial_flee(origin, start, v, t_freeze)) == want
+        assert repr(block_arrays.radial_flee(origin, start, v, t_freeze)) == want
 
 
 class TestPointArguments:

@@ -1,7 +1,7 @@
-"""In-process A/B timing of one benchmark workload's hunts on two checkouts.
+"""In-process A/B timing of one benchmark workload's hunts, or its whole command, on two checkouts.
 
 Usage: python3 tools/ab_hunts.py PARENT CHANGE --workload {static_hunts,pursuit_hunts}
-                                 [--seed K] [--repeats N]
+                                 [--seed K] [--repeats N] [--command]
 
 PARENT and CHANGE are checkout roots.  Each one's src/planehunt is
 imported under a package name of its own (planehunt_parent,
@@ -23,8 +23,20 @@ differ.
 
 Only warm `simulate` calls are timed.  Set-up work of a sweep, such as
 sampling, building targets, `dynamic_q` (computed once per process) and
-`predict_dynamic`, is done before the clock and never shows here; a gain
-there shows only in fresh-process pairs of `bench/run.py`.
+`predict_dynamic`, is done before the clock and never shows here.
+
+--command times the whole command instead: each side's `cli.run` of the
+workload's argv (bench/run.py's workload_argv, which writes the CSV to a
+file) at sweep seeds K, K+1, ..., K+N-1, one pair of commands per seed,
+interleaved, with the side that goes first alternating from pair to
+pair, after one untimed pair at seed K that warms both sides (so
+once-per-process work such as `dynamic_q` is left out).  Prints the
+median time per command of each side, their ratio, each pair's ratio
+with the least and the greatest of them, the number of pairs the change
+won, and the sha256 of each side's CSV files in seed order.  Exits 1
+when the CSV bytes differ at any seed.  A gain in argument parsing,
+imports or first-call caches shows only in fresh-process pairs of
+`bench/run.py`.
 """
 
 import argparse
@@ -33,6 +45,7 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,8 +64,8 @@ def load_package(checkout, side):
     return package
 
 
-def load_sweeps():
-    """bench/run.py's sweep definitions, by workload name."""
+def load_bench():
+    """bench/run.py as a module: its sweep definitions and workload_argv."""
     sys.path.insert(0, str(ROOT / "bench"))  # bench/run.py imports its sibling `checks`
     try:
         spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
@@ -60,7 +73,7 @@ def load_sweeps():
         spec.loader.exec_module(bench)
     finally:
         sys.path.remove(str(ROOT / "bench"))
-    return {"static_hunts": bench.STATIC_SWEEP, "pursuit_hunts": bench.PURSUIT_SWEEP}
+    return bench
 
 
 def record_hunts(package, sweep, seed):
@@ -101,19 +114,69 @@ def time_hunts(packages, hunts, repeats):
     return times, outcomes
 
 
+def time_commands(packages, bench, workload, seed, pairs, tmp):
+    """Per side, the wall time of `cli.run` at seeds seed..seed + pairs - 1, and the sha256 of each CSV written."""
+    clock = time.perf_counter
+    runs = {side: importlib.import_module(f"{packages[side].__name__}.cli").run for side in SIDES}
+    times = {side: [] for side in SIDES}
+    digests = {side: [] for side in SIDES}
+    for pair in range(-1, pairs):  # pair -1, at seed, warms both sides and is not kept
+        argv_seed = seed + max(pair, 0)
+        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+            out = Path(tmp) / f"{side}.csv"
+            argv = bench.workload_argv(workload, argv_seed, out)
+            t0 = clock()
+            code = runs[side](argv)
+            elapsed = clock() - t0
+            if code != 0:
+                raise RuntimeError(f"the {side} command {argv} exited {code}")
+            if pair >= 0:
+                times[side].append(elapsed)
+                digests[side].append(hashlib.sha256(out.read_bytes()).hexdigest())
+    return times, digests
+
+
+def compare_commands(packages, bench, args):
+    """The --command mode: print the whole-command timing; 1 when the CSV bytes differ at any seed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        times, digests = time_commands(packages, bench, args.workload, args.seed, args.repeats, tmp)
+    medians = {side: statistics.median(times[side]) for side in SIDES}
+    ratios = [change / parent for parent, change in zip(times["parent"], times["change"])]
+    last = args.seed + args.repeats - 1
+    print(f"workload {args.workload}, seeds {args.seed}..{last}: {args.repeats} commands per side, cli.run in process")
+    for side in SIDES:
+        joined = hashlib.sha256("".join(digests[side]).encode()).hexdigest()
+        print(f"{side:6s} median {medians[side] * 1e3:8.2f} ms per command  csv sha256 {joined}")
+    print(f"change / parent {medians['change'] / medians['parent']:.4f}")
+    listed = " ".join(f"{ratio:.4f}" for ratio in ratios)
+    print(f"per pair change / parent {listed}  min {min(ratios):.4f}  max {max(ratios):.4f}")
+    print(f"change lower in {sum(ratio < 1 for ratio in ratios)} of {args.repeats} pairs")
+    differ = [args.seed + i for i, (a, b) in enumerate(zip(digests["parent"], digests["change"])) if a != b]
+    if differ:
+        print(f"csv bytes differ at seeds {' '.join(map(str, differ))}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout root of the parent")
     parser.add_argument("change", help="checkout root of the change")
     parser.add_argument("--workload", required=True, choices=("static_hunts", "pursuit_hunts"))
     parser.add_argument("--seed", type=int, default=7, help="sweep seed (default 7, the benchmark's reference)")
-    parser.add_argument("--repeats", type=int, default=5, help="timed passes over every hunt (default 5)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed passes over every hunt, or with --command pairs of commands (default 5)")
+    parser.add_argument("--command", action="store_true",
+                        help="time each side's whole CLI command at seeds K..K+N-1 instead of its hunts")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    sweep = load_sweeps()[args.workload]
+    bench = load_bench()
     packages = {side: load_package(path, side) for side, path in zip(SIDES, (args.parent, args.change))}
+    if args.command:
+        return compare_commands(packages, bench, args)
+    sweep = {"static_hunts": bench.STATIC_SWEEP, "pursuit_hunts": bench.PURSUIT_SWEEP}[args.workload]
     hunts = {side: record_hunts(packages[side], sweep, args.seed) for side in SIDES}
     if len(hunts["parent"]) != len(hunts["change"]):
         print(f"the sides ran {len(hunts['parent'])} and {len(hunts['change'])} hunts", file=sys.stderr)
