@@ -19,17 +19,20 @@ words is mixed once per cell, and each target then mixes in only its
 index; a prefix under four words or an index of 2^32 or more instead
 mixes each target's whole entropy.
 
-Both sweeps run on one worker: sweep_static and sweep_dynamic check the
-guard and list one cell per parameter pair, with its plan, prediction and
-growth scale, and _sweep runs the cells serially or on a process pool and
-joins their rows in cell order.  Every hunt walks at most MAX_DIAGONAL
-diagonals.  The static sweep's cells have v = 0, so its targets are inert.
+Both sweeps run on one worker: sweep_static and sweep_dynamic check their
+arguments and the guard and list one cell per parameter pair, with its
+prediction and growth scale.  _cell hunts a cell, serially or in a process
+pool's worker, and returns plain (sensed, cost, time, diagonal) tuples;
+_sweep builds every row from its cell's own objects, in cell order.  Every
+hunt walks at most MAX_DIAGONAL diagonals.  The static sweep's cells have
+v = 0, so its targets are inert.
 
 The sweeps import neither numpy nor, at --jobs 1, the process pool;
 export_svg takes its polyline through coverage.as_polyline, which
 imports numpy when it is called.  Sweep rows are NamedTuples, written to
 CSV in csv.writer's bytes, streamed, with the fields a cell's rows share
-formatted once per cell, and to JSONL by their _asdict().
+formatted once per cell, and to JSONL by their _asdict(), with a nan
+written as null so that every line is strict JSON.
 """
 
 import contextlib
@@ -256,7 +259,8 @@ def _growth_term(scale, r):
     return (math.log2(scale) + math.log2(1.0 / r)) * scale * scale / r
 
 
-def _check_draws(samples, seed):
+def _check_draws(samples, seed, jobs):
+    """Reject a bad samples, seed or jobs before any prediction, draw or hunt."""
     # a bool would pass for 0 or 1, and a float or a string fail later with a TypeError
     if isinstance(samples, bool) or not isinstance(samples, Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -265,6 +269,8 @@ def _check_draws(samples, seed):
     # a bool would pass for 0 or 1 and reach the CSV seed column as True or False
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
 def _check_guard(Ds, rs, vs=()):
@@ -282,46 +288,50 @@ def _check_guard(Ds, rs, vs=()):
 
 
 def _cell(args):
-    """Rows of one (D, r, v) cell: `samples` seeded hunts of `plan`.
+    """(sensed, cost, time, diagonal) of each of one (D, r, v) cell's `samples` seeded hunts of `plan`.
 
     A target with v > 0 flees radially until t_freeze; otherwise, or if it
     starts on the searcher's start, where it is caught at t = 0, it is
-    inert.  The ratio divides cost by the growth term at `scale`; it is nan
-    for an unsensed row and where that term is not positive (scale <= r).
+    inert.  A pool worker sends back these plain tuples.
     """
-    plan, D, r, v, t_freeze, pred, scale, samples, seed, run_id0 = args
+    plan, D, r, v, t_freeze, samples, seed = args
     cfg = SimConfig(r=r, max_diagonal=MAX_DIAGONAL)
-    growth = _growth_term(scale, r)
     origin = Point(0.0, 0.0)
-    name, y, bound = plan.name, pred.y, pred.cost_bound
-    rows = []
-    for s, p in enumerate(sample_targets(seed, D, r, range(samples))):
-        strategy = radial_flee(origin, p, v, t_freeze) if v > 0 and p != origin else inert(p)
-        out = simulate(plan, strategy, cfg)
-        ratio = out.cost / growth if out.sensed and growth > 0 else math.nan
-        # by position, in SWEEP_FIELDS order: a keyword build takes over twice as long
-        rows.append(
-            SweepRow(run_id0 + s, D, r, v, name, out.sensed, out.cost, out.time, out.diagonal, y, bound, ratio, seed)
-        )
-    return rows
+    hunts = []
+    for p in sample_targets(seed, D, r, range(samples)):
+        out = simulate(plan, radial_flee(origin, p, v, t_freeze) if v > 0 and p != origin else inert(p), cfg)
+        hunts.append((out.sensed, out.cost, out.time, out.diagonal))
+    return hunts
 
 
 def _sweep(plan, cells, samples, seed, jobs):
-    """Run the cells serially or on a process pool; rows come in cell order."""
-    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    work = [(plan, *cell, samples, seed, i * samples) for i, cell in enumerate(cells)]
-    if jobs <= 1 or len(work) <= 1:
-        return [row for args in work for row in _cell(args)]
-    from concurrent.futures import ProcessPoolExecutor  # deferred: only a pool pays for its import
+    """Hunt the cells serially or on a process pool, and build their rows here, in cell order.
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
-        return [row for rows in pool.map(_cell, work) for row in rows]
+    Each row holds its cell's own D, r, v, name, y, bound and seed objects,
+    as _csv_lines expects.  The ratio divides cost by the growth term at
+    the cell's scale; it is nan for an unsensed row and where that term is
+    not positive (scale <= r).
+    """
+    work = [(plan, D, r, v, t_freeze, samples, seed) for D, r, v, t_freeze, _, _ in cells]
+    hunts = map(_cell, work)  # lazy: the pool below replaces it before any hunt
+    if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only a pool pays for its import
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
+            hunts = list(pool.map(_cell, work))
+    name, rows = plan.name, []
+    for (D, r, v, _, pred, scale), cell in zip(cells, hunts):
+        growth, y, bound = _growth_term(scale, r), pred.y, pred.cost_bound
+        for sensed, cost, time, diagonal in cell:
+            ratio = cost / growth if sensed and growth > 0 else math.nan
+            # by position, in SWEEP_FIELDS order: a keyword build takes over twice as long
+            rows.append(SweepRow(len(rows), D, r, v, name, sensed, cost, time, diagonal, y, bound, ratio, seed))
+    return rows
 
 
 def sweep_static(Ds, rs, samples, seed, jobs=1):
     """Simulate the unit-speed searcher against seeded inert targets."""
-    _check_draws(samples, seed)
+    _check_draws(samples, seed, jobs)
     _check_guard(Ds, rs)
     # Python floats: a numpy float32 D or r would draw, hunt and write its rows in float32
     Ds, rs = list(map(float, Ds)), list(map(float, rs))
@@ -346,7 +356,7 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     v = 0 entries fall back to inert targets and share target draws with
     sweep_static under the same (seed, D, r), so their cost columns match.
     """
-    _check_draws(samples, seed)
+    _check_draws(samples, seed, jobs)
     _check_guard([D], rs, vs)
     D, rs, vs = float(D), list(map(float, rs)), list(map(float, vs))  # as in sweep_static
     plan = dynamic_plan()
@@ -403,15 +413,19 @@ def write_rows_csv(rows, path=None):
 
 
 def write_rows_jsonl(rows, path):
-    """Line-delimited JSON variant of the sweep output.
+    """Line-delimited JSON variant of the sweep output, one strict JSON object per row.
 
-    json is imported here, as no other command needs it at start.
+    A nan field (an unsensed row's ratio, or one whose growth term is not
+    positive) is written as null, not as the bare token NaN, which no
+    strict parser reads.  json is imported here, as no other command needs
+    it at start.
     """
     import json
 
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row._asdict()) + "\n")
+            # x != x only for a nan, which JSON cannot hold
+            fh.write(json.dumps({k: None if x != x else x for k, x in row._asdict().items()}, allow_nan=False) + "\n")
 
 
 def export_svg(prefix, path):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from planehunt import experiments
 from planehunt.coverage import impossibility_report
+from planehunt.engine import SimConfig
 from planehunt.experiments import (
     MAX_V,
     SWEEP_FIELDS,
@@ -32,7 +33,7 @@ from planehunt.experiments import (
     write_rows_jsonl,
 )
 from planehunt.geometry import Point
-from planehunt.searcher import dynamic_plan
+from planehunt.searcher import dynamic_plan, predict_dynamic
 from planehunt.trajectory import MAX_DIAGONAL, predict_static
 
 
@@ -265,6 +266,20 @@ class TestSweepStatic:
         with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
             sweep_dynamic([0, 1], [1 / 4], D=1, samples=1, seed=5, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [0, True, 2.0])
+    def test_bad_jobs_rejected_before_any_prediction(self, jobs, monkeypatch):
+        # sweep_dynamic predicted every cell before it rejected jobs
+        predictions = []
+
+        def counting(*args):
+            predictions.append(args)
+            return predict_dynamic(*args)
+
+        monkeypatch.setattr(experiments, "predict_dynamic", counting)
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {re.escape(repr(jobs))}"):
+            sweep_dynamic([0, 1, 2], [1 / 4, 1 / 16], D=1, samples=1, seed=5, jobs=jobs)
+        assert predictions == []
+
     def test_jobs_merge_is_deterministic(self):
         serial = sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=3, seed=5, jobs=1)
         parallel = sweep_static([1, 2, 4], [1 / 4, 1 / 16], samples=3, seed=5, jobs=2)
@@ -308,6 +323,47 @@ class TestSweepDynamic:
             assert row.sensed
             if p == origin:
                 assert (row.cost, row.time) == (0.0, 0.0)
+
+
+class TestProcessPool:
+    """The pool's workers send back hunts, and the rows are built where the sweep runs, on both paths alike."""
+
+    # 6 cells of 4 samples each; the seed is an int that pickle would copy into a new object, as it copies every float
+    CELLS, SAMPLES = 6, 4
+    SWEEPS = {
+        "static": lambda jobs: sweep_static([1, 2], [1 / 4, 1 / 16, 2.0**-6], 4, 2**40 + 3, jobs),
+        "dynamic": lambda jobs: sweep_dynamic([0, 1, 2], [1 / 4, 1 / 16], 1, 4, 2**40 + 3, jobs),
+    }
+    SHARED = ("D", "r", "v", "algorithm", "predicted_y", "cost_bound", "seed")
+
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    def test_rows_of_a_cell_share_its_objects(self, kind):
+        # unpickled rows held their own D, r, v, cost_bound and seed objects
+        rows = self.SWEEPS[kind](2)
+        assert len(rows) == self.CELLS * self.SAMPLES and rows == self.SWEEPS[kind](1)
+        for k in range(0, len(rows), self.SAMPLES):
+            cell = rows[k:k + self.SAMPLES]
+            for name in self.SHARED:
+                assert len({id(getattr(row, name)) for row in cell}) == 1, name
+
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_csv_fields_formatted_three_times_a_cell(self, kind, jobs, monkeypatch):
+        # pool rows took csv.writer three times a row
+        with contextlib.redirect_stdout(io.StringIO()) as want:
+            write_rows_csv(self.SWEEPS[kind](1))
+        rows = self.SWEEPS[kind](jobs)
+        calls, fields = [], experiments._csv_fields
+
+        def counting(*args):
+            calls.append(args)
+            return fields(*args)
+
+        monkeypatch.setattr(experiments, "_csv_fields", counting)
+        with contextlib.redirect_stdout(io.StringIO()) as got:
+            write_rows_csv(rows)
+        assert len(calls) == 3 * self.CELLS
+        assert got.getvalue() == want.getvalue()
 
 
 # st.floats() draws NaN, +-inf, +-0 and subnormals; the rest lie at the
@@ -498,6 +554,31 @@ class TestRowExport:
         assert len(parsed) == 3
         assert parsed[0]["cost"] == pytest.approx(rows[0].cost)
         assert set(parsed[0]) == set(SWEEP_FIELDS)
+
+    def test_jsonl_is_strict_json(self, tmp_path, monkeypatch):
+        # a nan was written as the bare token NaN, which a strict parser rejects
+        def no_constant(name):
+            raise ValueError(f"{name} is no JSON")
+
+        zero = sweep_static([0.25], [0.25], 2, 7)  # sensed at cost 0, where the growth term is 0
+        hunt = experiments.simulate
+        monkeypatch.setattr(experiments, "simulate", lambda p, s, cfg: hunt(p, s, SimConfig(r=cfg.r, max_diagonal=1)))
+        unsensed = sweep_static([64.0], [1 / 64], 2, 7)
+        assert all(row.sensed for row in zero) and not any(row.sensed for row in unsensed)
+        for rows in (zero, unsensed):
+            path = tmp_path / "rows.jsonl"
+            write_rows_jsonl(rows, path)
+            lines = path.read_text().splitlines()
+            assert len(lines) == len(rows) == 2
+            for row, line in zip(rows, lines):
+                assert math.isnan(row.ratio)
+                assert json.loads(line, parse_constant=no_constant) == {**row._asdict(), "ratio": None}
+
+    def test_jsonl_rows_without_a_nan_keep_their_bytes(self, tmp_path):
+        rows = sweep_dynamic([0, 1], [1 / 4], 2, 3, 7)
+        path = tmp_path / "rows.jsonl"
+        write_rows_jsonl(rows, path)
+        assert path.read_text() == "".join(json.dumps(row._asdict()) + "\n" for row in rows)
 
     def test_byte_reproducible(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

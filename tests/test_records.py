@@ -32,7 +32,8 @@ def _records():
 
 @pytest.mark.parametrize("name", list(_records()))
 def test_every_record_survives_a_pickle_round_trip(name):
-    # the --jobs > 1 process pool pickles each cell's prediction and rows
+    # the --jobs > 1 process pool pickles the plan it sends with each cell (its hunts come back as plain
+    # tuples), and a caller may send any record to another process
     record = _records()[name]
     assert type(record).__name__ == name
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
