@@ -35,9 +35,10 @@ from .geometry import Point, fma_dot
 # times the (segment, grid line) rows per _covered_cells group: each float
 # temporary is then at most 64 KB, and memory is bounded before the run starts.
 PAIR_BUDGET = 2**13
-# largest grid_res of tube_area and the witness grid: a witness search holds
-# about 3 bytes per cell (the rasterizer's 2-byte run ends and its mask) plus
-# one block of candidates, so 4096^2 cells take about 50 MB
+# largest grid_res of tube_area and the witness grid: a witness search holds a
+# 1-byte mask per cell, the rasterizer's run ends of at most 2 bytes per cell of
+# the span its boxes reach plus one 64 KB slab, and one block of candidates, so
+# 4096^2 cells take at most about 52 MB
 MAX_GRID_RES = 4096
 # most unmarked witness candidates confirmed per exact distance check; the
 # chunks grow 1, 2, 4, ... up to it, as the first candidate is often the witness
@@ -191,12 +192,17 @@ def _covered_cells(xs, ys, polyline, r):
 
     Runs are merged with no count per cell: a run [b, c) of a grid line
     writes c at b, and a running maximum along the line marks each cell
-    that lies before the largest end so far.  Along the columns that is
-    one numpy accumulate; down the rows it is one vector maximum per row,
-    as numpy's accumulate across rows is several times slower, and each
-    row is OR-ed into the mask as it is finished.  So the pass holds one
-    run end per cell (2 bytes up to 65,535 cells a side) besides the
-    mask.  A one-vertex polyline is a disc.
+    that lies before the largest end so far.  Each of the two passes
+    (runs along y, then along x) holds its run ends only over the span
+    of grid indices that its boxes reach (_runs), and marks that window
+    of the mask.  Along the columns the maximum is one numpy accumulate;
+    down the rows, where numpy's accumulate is several times slower, it
+    is one vector maximum per row, in slabs of about 8 PAIR_BUDGET cells,
+    each compared and OR-ed into the mask at once while it is in cache.
+    So besides the 1-byte mask a pass holds at most 2 bytes per cell of
+    its span (1 byte where the span is under 256 cells along its lines)
+    and one slab's comparison, bounded before the run starts.  A
+    one-vertex polyline is a disc.
 
     len2 is each segment's |d|^2 rounded as one fma, fma(d1, d1, d0*d0)
     (geometry.fma_dot), so masks are the same bits on every CPU.  Where d0
@@ -220,32 +226,42 @@ def _covered_cells(xs, ys, polyline, r):
     rad = r + np.stack([margin, -margin])  # the skip beyond the first, the sure cells within the second
 
     along_x = (d1 == 0.0) & (d0 != 0.0)
-    dtype = np.min_scalar_type(max(len(xs), len(ys)))  # run ends are grid indices
-    ends = np.zeros((len(xs), len(ys) + 1), dtype=dtype)
-    _runs(xs, ys, r, rad, ~along_x, (a0, a1, d0, d1, len2, lo_x, hi_x, lo_y, hi_y, ix0, ix1, iy0, iy1), ends)
+    marked = np.zeros((len(xs), len(ys)), dtype=bool)
+    table = (a0, a1, d0, d1, len2, lo_x, hi_x, lo_y, hi_y, ix0, ix1, iy0, iy1)
+    ends, x0, y0 = _runs(xs, ys, r, rad, ~along_x, table, "C")
     np.maximum.accumulate(ends, axis=1, out=ends)
-    marked = ends[:, :-1] > np.arange(len(ys), dtype=dtype)
+    nx, ny = ends.shape[0], ends.shape[1] - 1
+    np.greater(ends[:, :-1], np.arange(ny, dtype=ends.dtype), out=marked[x0 : x0 + nx, y0 : y0 + ny])
     del ends
-    ends = np.zeros((len(xs) + 1, len(ys)), dtype=dtype)
-    _runs(ys, xs, r, rad, along_x, (a1, a0, d1, d0, len2, lo_y, hi_y, lo_x, hi_x, iy0, iy1, ix0, ix1), ends.T)
-    for k in range(len(xs)):
-        marked[k] |= ends[k] > k
-        np.maximum(ends[k], ends[k + 1], out=ends[k + 1])
+    table = (a1, a0, d1, d0, len2, lo_y, hi_y, lo_x, hi_x, iy0, iy1, ix0, ix1)
+    ends, y0, x0 = _runs(ys, xs, r, rad, along_x, table, "F")
+    ends = ends.T[:-1]  # C order; the last row only takes the empty runs at the span's end
+    window = marked[x0 : x0 + len(ends), y0 : y0 + ends.shape[1]]
+    rows, prev = max(1, 8 * PAIR_BUDGET // max(ends.shape[1], 1)), 0
+    for k in range(0, len(ends), rows):
+        slab = ends[k : k + rows]
+        for row in slab:
+            prev = np.maximum(prev, row, out=row)
+        window[k : k + rows] |= slab > np.arange(k, k + len(slab), dtype=ends.dtype)[:, None]
     return marked
 
 
-def _runs(xs, ys, r, rad, chosen, table, ends):
-    """Write the runs of the chosen segments into ends, one row per (segment, grid column).
+def _runs(xs, ys, r, rad, chosen, table, order):
+    """The run ends of the chosen segments over their boxes' span, one row per (segment, grid column).
 
     table holds the segment columns of _dist2 (a0, a1, d0, d1, len2),
     then the boxes (lo_x, hi_x, lo_y, hi_y) and the indices of their
     inflated boxes on xs and ys (ix0, ix1, iy0, iy1); rad holds each
     segment's skip and sure radius.  The rows of a segment are the
     columns ix0..ix1 - 1 of its box, and its runs lie along y
-    (_covered_cells swaps x and y for runs along x).  ends is a
-    (len(xs), len(ys) + 1) view of any strides: a run [b, c) of column i
-    writes c at ends[i, b] where that is larger, and the last entry of a
-    column takes the empty runs at its end.  Rows are taken in groups of
+    (_covered_cells swaps x and y for runs along x).  Returns ends, x0
+    and y0: the chosen nonempty boxes span [x0, x1) x [y0, y1] of the
+    grid (an empty span is x0 = y0 = 0), and ends is an
+    (x1 - x0, y1 - y0 + 1) array in the given memory order, of the least
+    unsigned type that holds y1 - y0, with every index shifted by
+    (x0, y0).  A run [b, c) of column i writes c at ends[i, b] where that
+    is larger, and the last entry of a column takes the empty runs at the
+    span's end.  Rows are taken in groups of
     at most PAIR_BUDGET // 4 (or one segment), as a row's temporaries
     are a few times a pair's, and the cells between a row's sure run and
     its skipped ends get _dist2 <= r^2 in chunks of at most PAIR_BUDGET
@@ -255,30 +271,36 @@ def _runs(xs, ys, r, rad, chosen, table, ends):
 
     lo_x, hi_x, lo_y, hi_y, ix0, ix1, iy0, iy1 = table[5:]
     chosen = np.flatnonzero(chosen & (ix0 < ix1) & (iy0 < iy1))
-    nx = ix1[chosen] - ix0[chosen]
+    ix0, ix1 = ix0[chosen], ix1[chosen]  # per chosen segment; the other columns stay per segment
+    x1, y1 = ix1.max(initial=0), iy1[chosen].max(initial=0)
+    x0, y0 = ix0.min(initial=x1), iy0[chosen].min(initial=y1)
+    xs, ys = xs[x0:x1], ys[y0:y1]
+    ends = np.zeros((x1 - x0, y1 - y0 + 1), dtype=np.min_scalar_type(y1 - y0), order=order)
+    nx = ix1 - ix0
     flat = ends.ravel(order="K")  # a view: ends is contiguous in one order or the other
     step_x, step_y = (s // ends.itemsize for s in ends.strides)
     for g in _chunks(nx, PAIR_BUDGET // 4):
         seg = np.repeat(chosen[g], nx[g])
-        ix = _ranges(ix0[chosen[g]], nx[g])
+        ix = _ranges(ix0[g] - x0, nx[g])
         e = np.maximum(np.maximum(lo_x[seg] - xs[ix], xs[ix] - hi_x[seg]), 0.0)
-        rs = rad[:, seg]
+        rs = rad.take(seg, axis=1)  # the gather of rad[:, seg], without its slower indexing path
         with np.errstate(over="ignore"):  # rad^2 and the run's ends may round to inf, which keeps the whole box
             h = np.where(e < rs, np.sqrt(np.maximum((rs - e) * (rs + e), 0.0)), -np.inf)
             (a, b), (d, c) = np.searchsorted(ys, lo_y[seg] - h, "left"), np.searchsorted(ys, hi_y[seg] + h, "right")
         # the row's box cells within the skip radius are [a, d), and the sure run [b, c) lies within them
-        a = np.maximum(a, iy0[seg])
-        d = np.maximum(np.minimum(d, iy1[seg]), a)
-        b = np.clip(b, a, d)
-        c = np.clip(c, b, d)
+        a = np.maximum(a, iy0[seg] - y0)
+        d = np.maximum(np.minimum(d, iy1[seg] - y0), a)
+        b = np.minimum(np.maximum(b, a), d)  # np.clip, without its Python wrapper
+        c = np.minimum(np.maximum(c, b), d)
         base = ix * step_x
         np.maximum.at(flat, base + b * step_y, c.astype(flat.dtype))
         first, size = np.concatenate([a, c]), np.concatenate([b - a, d - c])
         for p in _chunks(size, PAIR_BUDGET):
-            row = np.arange(p.start, p.stop).repeat(size[p]) % seg.size
-            iy = _ranges(first[p], size[p])
-            hit = _dist2(xs[ix[row]], ys[iy], *(col[seg[row]] for col in table[:5])) <= r * r
+            row = (np.arange(p.start, p.stop) % seg.size).repeat(size[p])
+            iy, pair = _ranges(first[p], size[p]), seg[row]
+            hit = _dist2(xs[ix[row]], ys[iy], *(col[pair] for col in table[:5])) <= r * r
             np.maximum.at(flat, base[row[hit]] + iy[hit] * step_y, (iy[hit] + 1).astype(flat.dtype))
+    return ends, x0, y0
 
 
 def as_polyline(polyline):

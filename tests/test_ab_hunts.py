@@ -85,3 +85,45 @@ def test_command_mode_exits_1_when_the_csv_bytes_differ(tmp_path):
     )
     assert proc.returncode == 1
     assert "csv bytes differ at seeds 7 8" in proc.stderr
+
+
+def test_command_mode_on_the_adversary_report_against_itself_gives_equal_stdout():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT),
+         "--workload", "adversary_report", "--repeats", "2", "--command"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "adversary_report, seeds 7..8: 2 commands per side, cli.run in process" in proc.stdout
+    # the report writes no CSV: each side's digest is of its standard output
+    digests = re.findall(r"^(parent|change) +median +[0-9.]+ ms per command  stdout sha256 ([0-9a-f]{64})$",
+                         proc.stdout, re.MULTILINE)
+    assert [side for side, _ in digests] == ["parent", "change"]
+    assert digests[0][1] == digests[1][1]
+    assert re.search(r"^change lower in [0-2] of 2 pairs$", proc.stdout, re.MULTILINE)
+
+
+def test_command_mode_exits_1_when_the_adversary_report_differs(tmp_path):
+    # a change whose report header names its columns in another order
+    change = tmp_path / "change" / "src" / "planehunt"
+    shutil.copytree(ROOT / "src" / "planehunt", change, ignore=shutil.ignore_patterns("__pycache__"))
+    header = '"j D_j r_j witness_x witness_y tube_area tube_bound"'
+    text = (change / "cli.py").read_text()
+    assert text.count(header) == 1
+    (change / "cli.py").write_text(text.replace(header, '"j D_j r_j witness_y witness_x tube_area tube_bound"'))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(tmp_path / "change"),
+         "--workload", "adversary_report", "--repeats", "2", "--command"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "stdout bytes differ at seeds 7 8" in proc.stderr
+
+
+def test_the_adversary_report_needs_command_mode():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT), "--workload", "adversary_report"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "time it with --command" in proc.stderr

@@ -485,6 +485,16 @@ def test_adversary_long_prefix_digests(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_adversary_short_prefix_in_one_corner_digest(capsys):
+    # frozen sha256 of stdout, recorded while the rasterizer's run ends still
+    # covered the whole grid: the 13-vertex prefix reaches only one corner of
+    # ring 2's 1024^2 grid, so run ends over the boxes' span cover a part of it
+    code = run(["adversary", "--i", "2", "--max-cost", "10", "--grid-res", "1024"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "74b8d4ec7fd5412d6e4946dbe3d4c702cd9f7b352c9b842190cbdd25886fcf82"
+
+
 @pytest.mark.parametrize("max_cost", ["nan", "inf"])
 def test_adversary_rejects_nonfinite_max_cost(max_cost, capsys):
     code = run(["adversary", "--i", "2", "--max-cost", max_cost, "--grid-res", "32"])

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -345,6 +346,45 @@ class TestBatchedRasterizer:
         polyline = np.array([[0.61, 0.616], [0.030651122084284, -0.4283972398237168]])
         r = 1.2666499850223858
         assert np.array_equal(_covered_cells(xs, xs, polyline, r), _per_segment_scan(xs, xs, polyline, r))
+
+    def test_boxes_that_miss_the_grid_give_an_empty_mask(self):
+        # no box reaches a cell, so both passes have an empty span
+        xs = ys = np.linspace(0.0, 1.0, 20)
+        polyline = np.array([[5.0, 5.0], [7.0, 5.0], [7.0, 9.0], [6.0, 8.0]])
+        got = _covered_cells(xs, ys, polyline, 0.5)
+        assert got.shape == (20, 20) and not got.any()
+        assert np.array_equal(got, _per_segment_scan(xs, ys, polyline, 0.5))
+
+    @pytest.mark.parametrize("nx, ny", [(1, 30), (30, 1), (1, 1)])
+    def test_one_cell_along_an_axis(self, nx, ny):
+        xs, ys = np.linspace(-1.0, 1.0, nx + 2)[1:-1], np.linspace(-1.0, 1.0, ny + 2)[1:-1] - 0.2
+        polyline = np.array([[-0.5, 0.0], [0.5, 0.0], [0.5, 0.7], [-0.3, 0.7], [0.4, -0.6]])
+        for r in (0.05, 0.3, 2.0):
+            assert np.array_equal(_covered_cells(xs, ys, polyline, r), _per_segment_scan(xs, ys, polyline, r))
+
+    def test_slabs_that_do_not_divide_the_rows(self):
+        # horizontal legs along the grid's bottom and top edges: the down-row
+        # maximum spans all 3,000 columns, in slabs of 8 PAIR_BUDGET // 3,000
+        # = 21 rows, and the last of the 50 rows' slabs is a short one
+        xs, ys = np.linspace(0.0, 1.0, 50), np.linspace(0.0, 30.0, 3000)
+        assert len(xs) % (8 * coverage.PAIR_BUDGET // len(ys)) != 0
+        polyline = np.array([[0.1, 0.0], [0.9, 0.0], [0.9, 30.0], [0.2, 30.0], [0.2, 10.0], [0.7, 10.0]])
+        for r in (0.01, 0.25):
+            assert np.array_equal(_covered_cells(xs, ys, polyline, r), _per_segment_scan(xs, ys, polyline, r))
+
+    def test_run_ends_follow_the_span_of_the_boxes(self):
+        # a leg in one corner of a 2048^2 grid: besides the 4 MB mask, the run
+        # ends take 2 bytes per cell of the boxes' span, not of the grid
+        xs = ys = (np.arange(2048) + 0.5) / 2048
+        polyline = np.array([[0.01, 0.01], [0.2, 0.01], [0.2, 0.1]])
+        tracemalloc.start()
+        try:
+            got = _covered_cells(xs, ys, polyline, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 2048 + 2**20
+        assert np.array_equal(got, _per_segment_scan(xs, ys, polyline, 0.01))
 
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))

@@ -1,6 +1,6 @@
 """In-process A/B timing of one benchmark workload's hunts, or its whole command, on two checkouts.
 
-Usage: python3 tools/ab_hunts.py PARENT CHANGE --workload {static_hunts,pursuit_hunts}
+Usage: python3 tools/ab_hunts.py PARENT CHANGE --workload {static_hunts,pursuit_hunts,adversary_report}
                                  [--seed K] [--repeats N] [--command]
 
 PARENT and CHANGE are checkout roots.  Each one's src/planehunt is
@@ -37,12 +37,19 @@ won, and the sha256 of each side's CSV files in seed order.  Exits 1
 when the CSV bytes differ at any seed.  A gain in argument parsing,
 imports or first-call caches shows only in fresh-process pairs of
 `bench/run.py`.
+
+adversary_report runs only with --command.  The report writes no CSV,
+so each command's digest is the sha256 of its standard output, and the
+report is seed-free: every pair runs the same argv, and the seeds only
+number the pairs.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import tempfile
@@ -114,46 +121,55 @@ def time_hunts(packages, hunts, repeats):
     return times, outcomes
 
 
+def output_kind(bench, workload):
+    """What a workload's command writes: a CSV file, or its report on standard output."""
+    return "stdout" if bench.WORKLOADS[workload][0] == "adversary" else "csv"
+
+
 def time_commands(packages, bench, workload, seed, pairs, tmp):
-    """Per side, the wall time of `cli.run` at seeds seed..seed + pairs - 1, and the sha256 of each CSV written."""
+    """Per side, the wall time of `cli.run` at seeds seed..seed + pairs - 1, and the sha256 of each output."""
     clock = time.perf_counter
     runs = {side: importlib.import_module(f"{packages[side].__name__}.cli").run for side in SIDES}
     times = {side: [] for side in SIDES}
     digests = {side: [] for side in SIDES}
+    to_stdout = output_kind(bench, workload) == "stdout"
     for pair in range(-1, pairs):  # pair -1, at seed, warms both sides and is not kept
         argv_seed = seed + max(pair, 0)
         for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
             out = Path(tmp) / f"{side}.csv"
             argv = bench.workload_argv(workload, argv_seed, out)
-            t0 = clock()
-            code = runs[side](argv)
-            elapsed = clock() - t0
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                t0 = clock()
+                code = runs[side](argv)
+                elapsed = clock() - t0
             if code != 0:
                 raise RuntimeError(f"the {side} command {argv} exited {code}")
             if pair >= 0:
                 times[side].append(elapsed)
-                digests[side].append(hashlib.sha256(out.read_bytes()).hexdigest())
+                written = stdout.getvalue().encode() if to_stdout else out.read_bytes()
+                digests[side].append(hashlib.sha256(written).hexdigest())
     return times, digests
 
 
 def compare_commands(packages, bench, args):
-    """The --command mode: print the whole-command timing; 1 when the CSV bytes differ at any seed."""
+    """The --command mode: print the whole-command timing; 1 when the output bytes differ at any seed."""
     with tempfile.TemporaryDirectory() as tmp:
         times, digests = time_commands(packages, bench, args.workload, args.seed, args.repeats, tmp)
     medians = {side: statistics.median(times[side]) for side in SIDES}
     ratios = [change / parent for parent, change in zip(times["parent"], times["change"])]
-    last = args.seed + args.repeats - 1
+    last, kind = args.seed + args.repeats - 1, output_kind(bench, args.workload)
     print(f"workload {args.workload}, seeds {args.seed}..{last}: {args.repeats} commands per side, cli.run in process")
     for side in SIDES:
         joined = hashlib.sha256("".join(digests[side]).encode()).hexdigest()
-        print(f"{side:6s} median {medians[side] * 1e3:8.2f} ms per command  csv sha256 {joined}")
+        print(f"{side:6s} median {medians[side] * 1e3:8.2f} ms per command  {kind} sha256 {joined}")
     print(f"change / parent {medians['change'] / medians['parent']:.4f}")
     listed = " ".join(f"{ratio:.4f}" for ratio in ratios)
     print(f"per pair change / parent {listed}  min {min(ratios):.4f}  max {max(ratios):.4f}")
     print(f"change lower in {sum(ratio < 1 for ratio in ratios)} of {args.repeats} pairs")
     differ = [args.seed + i for i, (a, b) in enumerate(zip(digests["parent"], digests["change"])) if a != b]
     if differ:
-        print(f"csv bytes differ at seeds {' '.join(map(str, differ))}", file=sys.stderr)
+        print(f"{kind} bytes differ at seeds {' '.join(map(str, differ))}", file=sys.stderr)
         return 1
     return 0
 
@@ -162,7 +178,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout root of the parent")
     parser.add_argument("change", help="checkout root of the change")
-    parser.add_argument("--workload", required=True, choices=("static_hunts", "pursuit_hunts"))
+    parser.add_argument("--workload", required=True, choices=("static_hunts", "pursuit_hunts", "adversary_report"))
     parser.add_argument("--seed", type=int, default=7, help="sweep seed (default 7, the benchmark's reference)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed passes over every hunt, or with --command pairs of commands (default 5)")
@@ -171,6 +187,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.workload == "adversary_report" and not args.command:
+        parser.error("adversary_report runs no hunts; time it with --command")
 
     bench = load_bench()
     packages = {side: load_package(path, side) for side, path in zip(SIDES, (args.parent, args.change))}
