@@ -18,7 +18,7 @@ from .experiments import (
     write_rows_csv,
     write_rows_jsonl,
 )
-from .geometry import Point
+from .geometry import Point, check_int
 from .searcher import dynamic_plan, static_plan
 from .target import inert, load_waypoints, radial_flee
 from .trajectory import MAX_DIAGONAL, prefix_polyline
@@ -128,12 +128,11 @@ def _cmd_sweep(args):
 def _cmd_adversary(args):
     # every row is computed before the first line is printed, so a
     # report that fails prints nothing
-    if not 32 <= args.grid_res <= MAX_GRID_RES:
-        raise ValueError(f"--grid-res must be in 32..{MAX_GRID_RES}, got {args.grid_res}")
+    grid_res = check_int(args.grid_res, "--grid-res", 32, MAX_GRID_RES)
     prefix = prefix_polyline(args.max_cost)
     lines = ["j D_j r_j witness_x witness_y tube_area tube_bound"]
-    for j, D_j, r_j, witness in adversarial_static_placement(prefix, args.i, grid_res=args.grid_res):
-        report = tube_area(prefix, r_j, grid_res=min(args.grid_res, 256))
+    for j, D_j, r_j, witness in adversarial_static_placement(prefix, args.i, grid_res=grid_res):
+        report = tube_area(prefix, r_j, grid_res=min(grid_res, 256))
         wtxt = "none none" if witness is None else f"{witness.x:.9g} {witness.y:.9g}"
         lines.append(f"{j} {D_j:g} {r_j:g} {wtxt} {report.estimated_area:.9g} {report.analytic_bound:.9g}")
     print("\n".join(lines))

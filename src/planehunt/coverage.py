@@ -29,7 +29,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .geometry import Point, fma_dot
+from .geometry import Point, check_int, fma_dot
 
 # (segment, cell) or (point, segment) pairs per exact distance pass, and four
 # times the (segment, grid line) rows per _covered_cells group: each float
@@ -358,8 +358,7 @@ def tube_area(polyline, r, grid_res=256):
     if not (math.isfinite(r) and r > 0):
         raise ValueError("r must be finite and positive")
     r = float(r)  # a numpy float32 would round r * r, and every squared distance compared to it, to float32
-    if not 32 <= grid_res <= MAX_GRID_RES:
-        raise ValueError(f"grid_res must be in 32..{MAX_GRID_RES}, got {grid_res}")
+    grid_res = check_int(grid_res, "grid_res", 32, MAX_GRID_RES)
     polyline = as_polyline(polyline)
     lo, hi = polyline.min(axis=0), polyline.max(axis=0)
     _check_extent(hi - lo, 2 * r)
@@ -466,10 +465,8 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     """
     import numpy as np
 
-    if not 1 <= i <= 537:  # the innermost radius 2^-2i is 0 past 537
-        raise ValueError(f"require 1 <= i <= 537, got {i}")
-    if not 16 <= grid_res <= MAX_GRID_RES:
-        raise ValueError(f"require 16 <= grid_res <= {MAX_GRID_RES}, got {grid_res}")
+    i = check_int(i, "i", 1, 537)  # the innermost radius 2^-2i is 0 past 537
+    grid_res = check_int(grid_res, "grid_res", 16, MAX_GRID_RES)
     polyline = as_polyline(polyline)
     _check_extent(np.ptp(polyline, axis=0), 2.0 ** i)
     center = polyline[0]
@@ -552,12 +549,11 @@ def poly_speed_certificate(c, v, r, d):
     min_cost = (1/(c+1)) ((c+1) v^2 / 2r)^((c+1)/(c-1)) = alpha (v^2/r)^beta
     with beta = (c+1)/(c-1) > 1 and alpha = ((c+1)/2)^beta / (c+1).
     `exceeds` is set once that cost surpasses the optimal
-    d (log2 v + log2 1/r) v^2 / r.  v, r and d must be finite,
-    and so must c + 1 as a float, every cost and min_cost / optimal_cost:
-    past the float range it raises ValueError.
+    d (log2 v + log2 1/r) v^2 / r.  c must be an integer >= 2 (check_int),
+    v, r and d finite, and so must c + 1 as a float, every cost and
+    min_cost / optimal_cost: past the float range it raises ValueError.
     """
-    if not isinstance(c, int) or c < 2:
-        raise ValueError("require integer speed exponent c >= 2 (c = 1 degenerates)")
+    c = check_int(c, "c", 2)  # c = 1 degenerates
     if not all(math.isfinite(x) for x in (v, r, d)):
         raise ValueError(f"v, r and d must be finite, got v={v}, r={r}, d={d}")
     # numpy float32s would compute the certificate in float32, and overflow with a warning
@@ -605,8 +601,7 @@ def impossibility_report(c, d, m_max):
     """
     from statistics import linear_regression
 
-    if m_max < 4:
-        raise ValueError("m_max must be >= 4")
+    m_max = check_int(m_max, "m_max", 4)
     rows = tuple(poly_speed_certificate(c, 2.0 ** m, 2.0 ** (-m), d) for m in range(1, m_max + 1))
     crossover = -1
     for idx in range(len(rows)):
@@ -620,5 +615,5 @@ def impossibility_report(c, d, m_max):
         rows=rows,
         crossover_m=crossover,
         slope=linear_regression(xs, ys).slope,
-        beta=(c + 1) / (c - 1),
+        beta=rows[0].beta,
     )

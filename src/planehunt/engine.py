@@ -80,10 +80,10 @@ import math
 import os
 from bisect import bisect_right
 from itertools import islice
-from numbers import Integral, Real
+from numbers import Real
 from typing import NamedTuple
 
-from .geometry import Point, contact_time, fma_dot
+from .geometry import Point, check_int, contact_time, fma_dot
 from .trajectory import _SIDES, MAX_DIAGONAL, diagonal_terms, pi_leg, pi_leg_at, pi_length
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -118,10 +118,7 @@ class SimConfig(_SimConfig):
             raise ValueError("sensing radius r must be finite and positive")
         if not max_cost > 0:
             raise ValueError("max_cost must be positive")
-        if isinstance(max_diagonal, bool) or not isinstance(max_diagonal, Integral):
-            raise ValueError(f"max_diagonal must be an integer, got {max_diagonal!r}")
-        if not 1 <= max_diagonal <= MAX_DIAGONAL:
-            raise ValueError(f"max_diagonal must be in 1..{MAX_DIAGONAL}, got {max_diagonal}")
+        max_diagonal = check_int(max_diagonal, "max_diagonal", 1, MAX_DIAGONAL)
         # Python floats: in a numpy float32, r * r and max_cost - cost would round to float32
         return super().__new__(cls, agent_start, float(r), float(max_cost), max_diagonal)
 
@@ -259,7 +256,7 @@ def _simulate(plan, strategy, cfg):
             return _outcome(sensed, t_stop, stop_cost, agent, tgt, i, legs + idx + 1, reason)
     cost, t, legs = rows[n_blocks][-3:]
     tgt = strategy.position(t)
-    return _outcome(False, t, cost, agent_start, tgt, int(max_diagonal), legs, "diagonal_budget")
+    return _outcome(False, t, cost, agent_start, tgt, max_diagonal, legs, "diagonal_budget")
 
 
 def _write_trace(fh, plan, strategy, cfg, out):
@@ -565,8 +562,8 @@ def brute_force_oracle(plan, strategy, cfg, step):
     """
     import numpy as np
 
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # a NaN step would fail in int(), and an infinite one samples no point
+        raise ValueError(f"step must be finite and positive, got {step}")
     _block_table(plan)  # for its check alone: an unusable plan raises simulate's ValueError
     bp_t = np.array(strategy.times)
     bp_x = np.array([p.x for p in strategy.points])
@@ -604,4 +601,4 @@ def brute_force_oracle(plan, strategy, cfg, step):
                     tgt = strategy.position(t)
                     return _outcome(False, float(t), cost, Point(*pos.tolist()), tgt, i, legs, "cost_budget")
     tgt = strategy.position(t)
-    return _outcome(False, float(t), cost, Point(*pos.tolist()), tgt, int(cfg.max_diagonal), legs, "diagonal_budget")
+    return _outcome(False, float(t), cost, Point(*pos.tolist()), tgt, cfg.max_diagonal, legs, "diagonal_budget")

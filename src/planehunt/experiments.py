@@ -43,12 +43,11 @@ import operator
 import os
 import struct
 import sys
-from numbers import Integral
 from typing import NamedTuple
 
 from .coverage import as_polyline
 from .engine import SimConfig, simulate
-from .geometry import Point
+from .geometry import Point, check_int
 from .searcher import dynamic_plan, predict_dynamic, static_plan
 from .target import inert, radial_flee
 from .trajectory import MAX_DIAGONAL, predict_static
@@ -260,17 +259,13 @@ def _growth_term(scale, r):
 
 
 def _check_draws(samples, seed, jobs):
-    """Reject a bad samples, seed or jobs before any prediction, draw or hunt."""
-    # a bool would pass for 0 or 1, and a float or a string fail later with a TypeError
-    if isinstance(samples, bool) or not isinstance(samples, Integral):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    # a bool would pass for 0 or 1 and reach the CSV seed column as True or False
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    """(samples, seed, jobs) as Python ints, checked before any prediction, draw or hunt.
+
+    A bool would pass for 0 or 1 and reach the seed column as True or
+    False, and a numpy integer seed would reach the rows, where JSON
+    cannot write it; check_int rejects the one and converts the other.
+    """
+    return check_int(samples, "samples", 1), check_int(seed, "seed", 0), check_int(jobs, "jobs", 1)
 
 
 def _check_guard(Ds, rs, vs=()):
@@ -331,7 +326,7 @@ def _sweep(plan, cells, samples, seed, jobs):
 
 def sweep_static(Ds, rs, samples, seed, jobs=1):
     """Simulate the unit-speed searcher against seeded inert targets."""
-    _check_draws(samples, seed, jobs)
+    samples, seed, jobs = _check_draws(samples, seed, jobs)
     _check_guard(Ds, rs)
     # Python floats: a numpy float32 D or r would draw, hunt and write its rows in float32
     Ds, rs = list(map(float, Ds)), list(map(float, rs))
@@ -356,7 +351,7 @@ def sweep_dynamic(vs, rs, D, samples, seed, jobs=1):
     v = 0 entries fall back to inert targets and share target draws with
     sweep_static under the same (seed, D, r), so their cost columns match.
     """
-    _check_draws(samples, seed, jobs)
+    samples, seed, jobs = _check_draws(samples, seed, jobs)
     _check_guard([D], rs, vs)
     D, rs, vs = float(D), list(map(float, rs)), list(map(float, vs))  # as in sweep_static
     plan = dynamic_plan()
@@ -456,9 +451,6 @@ def export_svg(prefix, path):
         f'<path d="{d}" fill="none" stroke="black" />'
         f'<circle cx="{sx:.3f}" cy="{sy:.3f}" r="4" fill="blue" /></svg>'
     )
-    try:
-        with open(path, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise OSError(f"failed to write SVG to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(svg)
     return path

@@ -7,12 +7,14 @@ does the clamped root of the contact quadratic give the time.  Where the
 quadratic's discriminant leaves the float range it reports no contact.
 contact_time is that decision and root on Python floats, without the
 input checks: the engine's moving loop calls it once per piece.
+check_int is the package's one check of an index or count argument.
 
 Everything here is a pure function over immutable values, safe to call
 from any number of workers.
 """
 
 import math
+from numbers import Integral
 from typing import NamedTuple
 
 # fma_dot's fast path: 2^27 + 1 splits a double into two 26-bit halves
@@ -36,6 +38,24 @@ class Point(NamedTuple):
 
     def __sub__(self, other):
         return Point(self.x - other.x, self.y - other.y)
+
+
+def check_int(value, name, lo, hi=math.inf):
+    """value as a Python int in lo..hi (no upper end where hi is inf), else ValueError naming it.
+
+    A bool, any float (3.0 too) and any other non-integer is rejected:
+    a fractional index names no diagonal, term or grid.  A numpy integer
+    is taken at its value, as float() takes a numpy float, so records and
+    rows hold Python ints.
+    """
+    # a bool is an Integral; numpy's bool_ is not
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}, got {value!r}"
+        raise ValueError(f"{name} must be {span}")
+    return value
 
 
 def fma_dot(x0, x1, y0, y1):

@@ -15,6 +15,7 @@ import functools
 import math
 from typing import NamedTuple
 
+from .geometry import check_int
 from .trajectory import CatchPrediction, diagonal_length, predict_static
 
 
@@ -25,9 +26,7 @@ class SearcherPlan(NamedTuple):
     speed_exponent: int  # speed on diagonal i is 2**(speed_exponent * i)
 
     def speed_of_diagonal(self, i):
-        if i < 1:
-            raise ValueError("diagonal index must be >= 1")
-        return 2.0 ** (self.speed_exponent * i)
+        return 2.0 ** (self.speed_exponent * check_int(i, "diagonal index", 1))
 
     def traversal_time(self, i):
         return diagonal_length(i) / self.speed_of_diagonal(i)

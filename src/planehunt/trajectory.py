@@ -32,6 +32,8 @@ from bisect import bisect_left
 from itertools import chain, count
 from typing import NamedTuple
 
+from .geometry import check_int
+
 # The outbound half of a block, in units of its step: leg 4s + off lies on
 # the line perp = sign * (s + c_line) and runs along the other axis from
 # sign0 * (s + c0) to -sign0 * (s + c1).  The return leg 8(k+1) - 1 - L
@@ -67,10 +69,7 @@ class SpiralParams(_SpiralParams):
     __slots__ = ()
 
     def __new__(cls, k, j):
-        self = super().__new__(cls, k, j)
-        if self.k < 1 or self.j < 1:
-            raise ValueError("spiral parameters require k >= 1 and j >= 1")
-        return self
+        return super().__new__(cls, check_int(k, "k", 1), check_int(j, "j", 1))
 
     # _replace builds through _make, so a replaced field is checked as a new one is
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -126,8 +125,7 @@ def pi_length(params):
 
 def diagonal_terms(i):
     """Spiral parameters along diagonal i: term t is (2^(i+1+t), 2t)."""
-    if i < 1:
-        raise ValueError("diagonal index must be >= 1")
+    i = check_int(i, "diagonal index", 1)
     return [SpiralParams(2 ** (i + 1 + t), 2 * t) for t in range(1, i + 1)]
 
 
@@ -138,8 +136,7 @@ def diagonal_length(i):
     built.  The sum is exact through diagonal 11, as the block arcs are;
     past it, it rounds.
     """
-    if i < 1:
-        raise ValueError("diagonal index must be >= 1")
+    i = check_int(i, "diagonal index", 1)
     return sum(pi_length((2 ** (i + 1 + t), 2 * t)) for t in range(1, i + 1))
 
 

@@ -127,3 +127,14 @@ def test_the_adversary_report_needs_command_mode():
     )
     assert proc.returncode == 2
     assert "time it with --command" in proc.stderr
+
+
+def test_a_negative_seed_exits_2_before_any_run():
+    # it ended in the sweep's ValueError traceback
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_hunts.py"), str(ROOT), str(ROOT), "--workload", "pursuit_hunts",
+         "--seed", "-1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--seed must be at least 0" in proc.stderr and "Traceback" not in proc.stderr

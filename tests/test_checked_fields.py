@@ -30,7 +30,7 @@ class TestReplace:
             SimConfig._make((Point(0.0, 0.0), 0.25, math.inf, 13))
 
     def test_spiral_params_check_a_replaced_k(self):
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
             SpiralParams(4, 2)._replace(k=0)
         assert SpiralParams(4, 2)._replace(j=4) == SpiralParams(4, 4)
 

@@ -344,7 +344,7 @@ def test_sweep_negative_seed_exit_2_before_output(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "seed must be a non-negative integer" in captured.err
+    assert "seed must be >= 0" in captured.err
     assert not out.exists()
 
 
@@ -360,7 +360,7 @@ def test_sweep_jobs_below_one_exit_2_before_output(command, jobs, tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "jobs must be an integer >= 1" in captured.err
+    assert "jobs must be >= 1" in captured.err
     assert not out.exists()
 
 
@@ -584,7 +584,8 @@ def test_export_svg_into_a_missing_directory_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith(f"runtime error: failed to write SVG to {out}")
+    # as the trace, CSV and JSONL paths fail: open()'s own message, naming the path once
+    assert captured.err.startswith("runtime error: [Errno 2] ") and captured.err.count(str(out)) == 1
 
 
 def test_unknown_flag_exits_2(capsys):

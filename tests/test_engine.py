@@ -319,6 +319,14 @@ class TestBruteForceOracle:
         out = brute_force_oracle(static_plan(), inert(Point(0, 0)), cfg, step=1e-3)
         assert out.sensed and out.cost == 0.0
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, step):
+        # a NaN step failed in int(), and an infinite one sampled no point: sensed=False at cost
+        # 1318.75 here, where simulate senses at 2.5
+        cfg = SimConfig(r=0.5, max_diagonal=2)
+        with pytest.raises(ValueError, match=f"^step must be finite and positive, got {step}$"):
+            brute_force_oracle(static_plan(), inert(Point(1.0, 0.0)), cfg, step)
+
     def test_agreement_on_randomized_inert_cases(self):
         rng = np.random.default_rng(5)
         step = 1e-4

@@ -187,6 +187,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
     if args.workload == "adversary_report" and not args.command:
         parser.error("adversary_report runs no hunts; time it with --command")
 
