@@ -18,7 +18,7 @@ from .experiments import (
     write_rows_csv,
     write_rows_jsonl,
 )
-from .geometry import Point, check_int
+from .geometry import Point, check_float, check_int
 from .searcher import dynamic_plan, static_plan
 from .target import inert, load_waypoints, radial_flee
 from .trajectory import MAX_DIAGONAL, prefix_polyline
@@ -90,16 +90,13 @@ def build_parser():
 def _cmd_simulate(args):
     if (args.target is None) == (args.waypoints is None):
         raise ValueError("give exactly one of --target or --waypoints")
-    if not (math.isfinite(args.v) and args.v >= 0):
-        raise ValueError(f"--v must be finite and >= 0, got {args.v}")
-    if not math.isfinite(args.t_freeze):
-        raise ValueError(f"--t-freeze must be finite, got {args.t_freeze}")
+    if args.waypoints is not None and (args.v or args.t_freeze):  # the file declares its own motion
+        raise ValueError("--v and --t-freeze apply to --target, not to --waypoints")
+    v, t_freeze = check_float(args.v, "--v", "nonnegative"), check_float(args.t_freeze, "--t-freeze", "nonnegative")
     if args.waypoints is not None:
-        if args.v or args.t_freeze:  # the file declares its own motion
-            raise ValueError("--v and --t-freeze apply to --target, not to --waypoints")
         strategy = load_waypoints(args.waypoints)
-    elif args.v > 0:
-        strategy = radial_flee(Point(0.0, 0.0), args.target, args.v, args.t_freeze)
+    elif v > 0:
+        strategy = radial_flee(Point(0.0, 0.0), args.target, v, t_freeze)
     else:
         strategy = inert(args.target)
     plan = dynamic_plan() if args.algo == "dynamic" else static_plan()

@@ -29,7 +29,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .geometry import Point, check_int, fma_dot
+from .geometry import Point, check_float, check_int, fma_dot
 
 # (segment, cell) or (point, segment) pairs per exact distance pass, and four
 # times the (segment, grid line) rows per _covered_cells group: each float
@@ -68,9 +68,7 @@ class PolySpeedCertificate(NamedTuple):
 
 def area_bound(length, r):
     """Area bound 2 r x + pi r^2 for the r-tube around a curve of length x; ValueError past the float range."""
-    if not (math.isfinite(length) and length >= 0 and math.isfinite(r) and r > 0):
-        raise ValueError("require finite length >= 0 and finite r > 0")
-    length, r = float(length), float(r)  # a numpy float32 would give a float32 bound, and warn on overflow
+    length, r = check_float(length, "length", "nonnegative"), check_float(r, "r", "positive")
     bound = 2.0 * r * length + math.pi * r * r
     if not math.isfinite(bound):  # Python floats: inf, with no warning
         raise ValueError(f"the area bound of length {length:g} and r = {r:g} is beyond the float range")
@@ -355,9 +353,7 @@ def tube_area(polyline, r, grid_res=256):
     """
     import numpy as np
 
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("r must be finite and positive")
-    r = float(r)  # a numpy float32 would round r * r, and every squared distance compared to it, to float32
+    r = check_float(r, "r", "positive")
     grid_res = check_int(grid_res, "grid_res", 32, MAX_GRID_RES)
     polyline = as_polyline(polyline)
     lo, hi = polyline.min(axis=0), polyline.max(axis=0)
@@ -507,16 +503,15 @@ def adversarial_static_placement(polyline, i, grid_res=256):
     return results
 
 
-def _log_term(big, r):
+def log_term(big, r):
+    """log2 big + log2 1/r, the log factor of the lower bounds and of the sweeps' growth term."""
     return math.log2(big) + math.log2(1.0 / r)
 
 
 def static_lb(D, r):
     """Cost lower bound (1/16)(log2 D + log2 1/r) D^2 / r for inert targets."""
-    if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
-        raise ValueError("D and r must be finite and positive")
-    D, r = float(D), float(r)  # a numpy float32 would give a float32 bound
-    term = _log_term(D, r)
+    D, r = check_float(D, "D", "positive"), check_float(r, "r", "positive")
+    term = log_term(D, r)
     if term <= 0:
         raise ValueError(
             f"(D={D}, r={r}) lies outside the bound's regime: log2 D + log2 1/r <= 0"
@@ -530,10 +525,8 @@ def dynamic_lb(v, r, t0):
     t0 is the time the flee-then-freeze adversary lets the target run; the
     witness region is a square of side v*t0/2.
     """
-    if not all(math.isfinite(x) and x > 0 for x in (v, r, t0)):
-        raise ValueError("v, r and t0 must be finite and positive")
-    v, r, t0 = float(v), float(r), float(t0)  # a numpy float32 would give a float32 bound
-    term = _log_term(v, r)
+    v, r, t0 = check_float(v, "v", "positive"), check_float(r, "r", "positive"), check_float(t0, "t0", "positive")
+    term = log_term(v, r)
     if term <= 0:
         raise ValueError(
             f"(v={v}, r={r}) lies outside the bound's regime: log2 v + log2 1/r <= 0"
@@ -554,10 +547,7 @@ def poly_speed_certificate(c, v, r, d):
     min_cost / optimal_cost: past the float range it raises ValueError.
     """
     c = check_int(c, "c", 2)  # c = 1 degenerates
-    if not all(math.isfinite(x) for x in (v, r, d)):
-        raise ValueError(f"v, r and d must be finite, got v={v}, r={r}, d={d}")
-    # numpy float32s would compute the certificate in float32, and overflow with a warning
-    v, r, d = float(v), float(r), float(d)
+    v, r, d = check_float(v, "v"), check_float(r, "r"), check_float(d, "d")
     if v < 1 or not (0 < r < 1) or d <= 0:
         raise ValueError("require v >= 1, 0 < r < 1, d > 0")
     if c + 1 > sys.float_info.max:  # (c + 1) * v would raise OverflowError converting c + 1
@@ -569,7 +559,7 @@ def poly_speed_certificate(c, v, r, d):
         min_cost = base ** ((c + 1) / (c - 1)) / (c + 1)
     except OverflowError:  # float ** raises where * gives inf
         min_cost = math.inf
-    optimal_cost = d * _log_term(v, r) * v * v / r
+    optimal_cost = d * log_term(v, r) * v * v / r
     finite = all(math.isfinite(x) for x in (base, min_cost, optimal_cost))
     if not (finite and optimal_cost > 0 and math.isfinite(min_cost / optimal_cost)):
         raise ValueError(f"(c={c}, v={v}, r={r}, d={d}) puts the certificate beyond the float range")

@@ -80,10 +80,9 @@ import math
 import os
 from bisect import bisect_right
 from itertools import islice
-from numbers import Real
 from typing import NamedTuple
 
-from .geometry import Point, check_int, contact_time, fma_dot
+from .geometry import Point, check_float, check_int, contact_time, fma_dot
 from .trajectory import _SIDES, MAX_DIAGONAL, diagonal_terms, pi_leg, pi_leg_at, pi_length
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -110,17 +109,10 @@ class SimConfig(_SimConfig):
             raise ValueError(f"agent_start {agent_start!r} must be a Point, not {type(agent_start).__name__}")
         if not (math.isfinite(agent_start.x) and math.isfinite(agent_start.y)):
             raise ValueError("agent_start must be finite")
-        for name, value in (("r", r), ("max_cost", max_cost)):
-            # numpy's bool_ is no Real; its ints and floats are
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError("sensing radius r must be finite and positive")
-        if not max_cost > 0:
-            raise ValueError("max_cost must be positive")
+        r = check_float(r, "sensing radius r", "positive")
+        max_cost = check_float(max_cost, "max_cost", "positive", finite=False)
         max_diagonal = check_int(max_diagonal, "max_diagonal", 1, MAX_DIAGONAL)
-        # Python floats: in a numpy float32, r * r and max_cost - cost would round to float32
-        return super().__new__(cls, agent_start, float(r), float(max_cost), max_diagonal)
+        return super().__new__(cls, agent_start, r, max_cost, max_diagonal)
 
     # _replace builds through _make, so a replaced field is checked as a new one is
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -562,8 +554,7 @@ def brute_force_oracle(plan, strategy, cfg, step):
     """
     import numpy as np
 
-    if not 0 < step < math.inf:  # a NaN step would fail in int(), and an infinite one samples no point
-        raise ValueError(f"step must be finite and positive, got {step}")
+    step = check_float(step, "step", "positive")  # a NaN step fails in int(), an infinite one samples no point
     _block_table(plan)  # for its check alone: an unusable plan raises simulate's ValueError
     bp_t = np.array(strategy.times)
     bp_x = np.array([p.x for p in strategy.points])

@@ -45,9 +45,9 @@ import struct
 import sys
 from typing import NamedTuple
 
-from .coverage import as_polyline
+from .coverage import as_polyline, log_term
 from .engine import SimConfig, simulate
-from .geometry import Point, check_int
+from .geometry import Point, check_float, check_int
 from .searcher import dynamic_plan, predict_dynamic, static_plan
 from .target import inert, radial_flee
 from .trajectory import MAX_DIAGONAL, predict_static
@@ -254,10 +254,6 @@ def sample_targets(seed, D, r, indices):
     return points
 
 
-def _growth_term(scale, r):
-    return (math.log2(scale) + math.log2(1.0 / r)) * scale * scale / r
-
-
 def _check_draws(samples, seed, jobs):
     """(samples, seed, jobs) as Python ints, checked before any prediction, draw or hunt.
 
@@ -278,8 +274,11 @@ def _check_guard(Ds, rs, vs=()):
             if y >= MAX_DIAGONAL:
                 raise ValueError(f"D={D}, r={r} outside the guard: predicted catch diagonal {y} >= {MAX_DIAGONAL}")
     for v in vs:
-        if not 0 <= v <= MAX_V:
-            raise ValueError(f"v={v} outside the guard 0 <= v <= {MAX_V}")
+        try:
+            if check_float(v, "v", "nonnegative") > MAX_V:
+                raise ValueError(f"v must be <= {MAX_V}")
+        except ValueError as exc:
+            raise ValueError(f"v={v} outside the guard: {exc}") from None
 
 
 def _cell(args):
@@ -316,7 +315,7 @@ def _sweep(plan, cells, samples, seed, jobs):
             hunts = list(pool.map(_cell, work))
     name, rows = plan.name, []
     for (D, r, v, _, pred, scale), cell in zip(cells, hunts):
-        growth, y, bound = _growth_term(scale, r), pred.y, pred.cost_bound
+        growth, y, bound = log_term(scale, r) * scale * scale / r, pred.y, pred.cost_bound
         for sensed, cost, time, diagonal in cell:
             ratio = cost / growth if sensed and growth > 0 else math.nan
             # by position, in SWEEP_FIELDS order: a keyword build takes over twice as long

@@ -7,14 +7,15 @@ does the clamped root of the contact quadratic give the time.  Where the
 quadratic's discriminant leaves the float range it reports no contact.
 contact_time is that decision and root on Python floats, without the
 input checks: the engine's moving loop calls it once per piece.
-check_int is the package's one check of an index or count argument.
+check_int is the package's one check of an index or count argument, and
+check_float its one check of a real-valued argument.
 
 Everything here is a pure function over immutable values, safe to call
 from any number of workers.
 """
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 # fma_dot's fast path: 2^27 + 1 splits a double into two 26-bit halves
@@ -56,6 +57,31 @@ def check_int(value, name, lo, hi=math.inf):
         span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}, got {value!r}"
         raise ValueError(f"{name} must be {span}")
     return value
+
+
+def check_float(value, name, sign="", finite=True):
+    """value as a Python float, else ValueError naming it.
+
+    sign is "positive" (> 0), "nonnegative" (>= 0) or "" (any); a NaN is
+    rejected, and so is an infinity unless finite is False.  A bool and
+    any non-real (a str, None, a Decimal) is rejected: True names no
+    length.  A numpy float or int and a Fraction are taken at their value
+    as a Python float, so no caller computes in float32.  An int past the
+    float range is a ValueError naming its bit count, not its digits:
+    repr of an int past 4300 digits raises.
+    """
+    # a bool is Real; numpy's bool_ is not, and its ints and floats are
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} of {int(value).bit_length()} bits is beyond the float range") from None
+    # a NaN fails every sign test, and x == x stands in for the empty one
+    if not ({"": x == x, "positive": x > 0, "nonnegative": x >= 0}[sign] and (math.isfinite(x) or not finite)):
+        need = (f"finite and {sign}" if finite else f"a {sign} number") if sign else "finite" if finite else "a number"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return x
 
 
 def fma_dot(x0, x1, y0, y1):
@@ -118,16 +144,12 @@ def first_contact_time(p0, u, q0, w, r, horizon):
     relative speed passes about 1e308.  r, the positions and the
     velocities must be finite, and the horizon nonnegative (inf allowed).
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"sensing radius must be finite and positive, got {r}")
-    if not horizon >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    # unpacked once: a NamedTuple field read is a descriptor call, a local is not
+    r = check_float(r, "sensing radius", "positive")
+    horizon = check_float(horizon, "horizon", "nonnegative", finite=False)
+    # a pair each: a longer tuple raises here, not in contact_time's arity
     (p0x, p0y), (ux, uy), (q0x, q0y), (wx, wy) = p0, u, q0, w
-    if not all(map(math.isfinite, (p0x, p0y, ux, uy, q0x, q0y, wx, wy))):
-        raise ValueError("positions and velocities must be finite")
-    # Python floats: a numpy float32 would round every product below to float32
-    return contact_time(*map(float, (p0x, p0y, ux, uy, q0x, q0y, wx, wy, r, horizon)))
+    coords = [check_float(x, "positions and velocities") for x in (p0x, p0y, ux, uy, q0x, q0y, wx, wy)]
+    return contact_time(*coords, r, horizon)
 
 
 def contact_time(p0x, p0y, ux, uy, q0x, q0y, wx, wy, r, horizon):

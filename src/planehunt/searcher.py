@@ -15,7 +15,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .geometry import check_int
+from .geometry import check_float, check_int
 from .trajectory import CatchPrediction, diagonal_length, predict_static
 
 
@@ -74,10 +74,8 @@ def predict_dynamic(D, v, r):
     range: the timing condition divides by the speed 2^(5y), finite through
     y = 204, and the cost bound is finite through y = 503.
     """
-    if not (all(map(math.isfinite, (D, v, r))) and D > 0 and r > 0 and v >= 0):
-        raise ValueError("require finite D > 0, r > 0, v >= 0")
-    v = float(v)  # a numpy float32 would round q v and the timing bound to float32; predict_static converts D and r
-    base = predict_static(D, r)
+    v = check_float(v, "v", "nonnegative")
+    base = predict_static(D, r)  # which checks D and r
     a, b = base.a, base.b
     plan = dynamic_plan()
     q = dynamic_q()

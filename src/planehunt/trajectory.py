@@ -32,7 +32,7 @@ from bisect import bisect_left
 from itertools import chain, count
 from typing import NamedTuple
 
-from .geometry import check_int
+from .geometry import check_float, check_int
 
 # The outbound half of a block, in units of its step: leg 4s + off lies on
 # the line perp = sign * (s + c_line) and runs along the other axis from
@@ -111,9 +111,7 @@ class CatchPrediction(_CatchPrediction):
 
 def ceil_log2(x):
     """Smallest integer a with 2**a >= x, exact for every positive finite x."""
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError("ceil_log2 requires a finite positive argument")
-    m, e = math.frexp(x)  # x = m 2^e with 0.5 <= m < 1
+    m, e = math.frexp(check_float(x, "x", "positive"))  # x = m 2^e with 0.5 <= m < 1
     return e - 1 if m == 0.5 else e
 
 
@@ -150,9 +148,7 @@ def predict_static(D, r):
     D <= 1 and r >= 1, where the doubling grid has no row/column.
     Raises ValueError where the cost bound is not a finite float.
     """
-    if not (math.isfinite(D) and math.isfinite(r) and D > 0 and r > 0):
-        raise ValueError("D and r must be finite and positive")
-    D, r = float(D), float(r)  # in a numpy float32, 1 / r would overflow from r < 2^-128
+    D, r = check_float(D, "D", "positive"), check_float(r, "r", "positive")
     if 1.0 / r == math.inf:  # r < 2^-1024: y > 512
         raise ValueError(f"r={r} puts the cost bound beyond the float range")
     a = ceil_log2(D)
@@ -211,8 +207,7 @@ def prefix_polyline(max_cost):
     """
     import numpy as np
 
-    if not (math.isfinite(max_cost) and max_cost >= 0):
-        raise ValueError(f"max_cost must be finite and nonnegative, got {max_cost}")
+    max_cost = check_float(max_cost, "max_cost", "nonnegative")
     walked, remaining, n_vertices = [], max_cost, 1
     for params in chain.from_iterable(map(diagonal_terms, count(1))):
         legs, ends_here = 8 * (params.k + 1), pi_length(params) >= remaining

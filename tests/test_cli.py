@@ -436,9 +436,10 @@ def test_impossibility_speed_exponent_past_the_float_range_exits_2_without_outpu
     ["--v", "1", "--t-freeze", "nan"],
     ["--v", "1", "--t-freeze", "inf"],
     ["--t-freeze=-inf"],
+    ["--t-freeze=-1"],
 ])
 def test_simulate_rejects_a_bad_flee_speed_or_freeze_time_exit_2(flags, capsys):
-    # --v nan, inf and -1 hunted an inert target with exit 0 before
+    # --v nan, inf and -1 hunted an inert target with exit 0 before, and so did --t-freeze -1
     code = run(["simulate", "--target", "5,0", "--r", "0.5", *flags])
     captured = capsys.readouterr()
     assert code == 2

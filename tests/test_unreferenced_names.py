@@ -16,6 +16,8 @@ super().__new__(cls, ...) passes every field and shows nothing.
 And no src/ module imports another's underscore name, but for the few
 that PRIVATE_IMPORTS names with the reason each is shared; each of those
 is still imported, so no exception outlives its import.
+And only geometry imports numbers: an argument's type is checked by
+geometry.check_int or check_float, never by a hand-written isinstance.
 """
 
 import ast
@@ -162,3 +164,10 @@ def test_no_src_module_imports_another_modules_underscore_name():
 
 def test_every_private_import_exception_is_still_imported():
     assert sorted(PRIVATE_IMPORTS.keys() - {name for _, _, name in _private_imports()}) == []
+
+
+def test_only_geometry_imports_numbers():
+    importers = sorted({path.stem for path, tree in _trees("src/planehunt") for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                        or isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names)})
+    assert importers == ["geometry"]
