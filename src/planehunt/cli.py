@@ -36,54 +36,71 @@ def _floats(text):
     return [float(tok) for tok in text.split(",")]
 
 
-def build_parser():
+def _simulate_args(p):
+    p.add_argument("--algo", choices=["static", "dynamic"], default="static", help="searcher speed profile")
+    p.add_argument("--target", type=_point, help="inert target position x,y (length units)")
+    p.add_argument("--waypoints", help="waypoint strategy file (`v <bound>` header, `t x y` lines)")
+    p.add_argument("--v", type=float, default=0.0, help="flee speed of the target (length/time)")
+    p.add_argument("--t-freeze", type=float, default=0.0, help="flee-then-freeze switch time (time units)")
+    p.add_argument("--r", type=float, required=True, help="sensing radius (length units)")
+    p.add_argument("--max-cost", type=float, default=math.inf, help="arc-length budget (length units)")
+    p.add_argument("--max-diagonal", type=int, default=MAX_DIAGONAL, help=f"diagonal budget (index, 1..{MAX_DIAGONAL})")
+    p.add_argument("--trace", help="write per-event trace lines `t cost ax ay tx ty event` to this path")
+
+
+def _sweep_args(p):
+    p.add_argument("--r", type=_floats, required=True, help="comma list of sensing radii (length units)")
+    p.add_argument("--samples", type=int, default=10, help="targets per parameter cell")
+    p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory, reproducibility)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers; output order is deterministic")
+    p.add_argument("--out", help="CSV output path (stdout if omitted)")
+    p.add_argument("--jsonl", help="optional line-delimited JSON output path")
+
+
+def _sweep_static_args(p):
+    _sweep_args(p)
+    p.add_argument("--D", type=_floats, required=True, help="comma list of distance bounds (length units)")
+
+
+def _sweep_dynamic_args(p):
+    _sweep_args(p)
+    p.add_argument("--v", type=_floats, required=True, help="comma list of target speed bounds (length/time)")
+    p.add_argument("--D", type=float, default=1.0, help="initial distance bound (length units)")
+
+
+def _adversary_args(p):
+    p.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i), 1..510")
+    p.add_argument("--max-cost", type=float, required=True, help="trajectory prefix arc length (length units)")
+    p.add_argument("--grid-res", type=int, default=256, help=f"witness grid resolution per ring, 32..{MAX_GRID_RES}")
+
+
+def _impossibility_args(p):
+    p.add_argument("--c", type=int, required=True, help="speed exponent (speed <= t^c), c >= 2")
+    p.add_argument("--d", type=float, default=1.0, help="constant of the optimal cost to beat")
+    p.add_argument("--m-max", type=int, default=12, help="sweep v=2^m, r=2^-m for m=1..m-max")
+
+
+def _export_svg_args(p):
+    p.add_argument("--max-cost", type=float, required=True, help="prefix arc length (length units)")
+    p.add_argument("--out", required=True, help="output SVG path")
+
+
+def build_parser(command):
+    """The argument parser of the command named command alone, or of every command for None.
+
+    Its usage line names every command either way, so each usage, help
+    text and error reads the same from both.
+    """
     parser = argparse.ArgumentParser(
         prog="planehunt",
         description="Search and pursuit in the plane with square-spiral schedules.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run one searcher against one target")
-    sim.add_argument("--algo", choices=["static", "dynamic"], default="static",
-                     help="searcher speed profile")
-    sim.add_argument("--target", type=_point, help="inert target position x,y (length units)")
-    sim.add_argument("--waypoints", help="waypoint strategy file (`v <bound>` header, `t x y` lines)")
-    sim.add_argument("--v", type=float, default=0.0, help="flee speed of the target (length/time)")
-    sim.add_argument("--t-freeze", type=float, default=0.0, help="flee-then-freeze switch time (time units)")
-    sim.add_argument("--r", type=float, required=True, help="sensing radius (length units)")
-    sim.add_argument("--max-cost", type=float, default=math.inf, help="arc-length budget (length units)")
-    sim.add_argument("--max-diagonal", type=int, default=MAX_DIAGONAL,
-                     help=f"diagonal budget (index, 1..{MAX_DIAGONAL})")
-    sim.add_argument("--trace", help="write per-event trace lines `t cost ax ay tx ty event` to this path")
-
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--r", type=_floats, required=True, help="comma list of sensing radii (length units)")
-    sweep.add_argument("--samples", type=int, default=10, help="targets per parameter cell")
-    sweep.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory, reproducibility)")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers; output order is deterministic")
-    sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
-    sweep.add_argument("--jsonl", help="optional line-delimited JSON output path")
-
-    sst = sub.add_parser("sweep-static", parents=[sweep], help="seeded sweep of the unit-speed searcher")
-    sst.add_argument("--D", type=_floats, required=True, help="comma list of distance bounds (length units)")
-
-    sdy = sub.add_parser("sweep-dynamic", parents=[sweep], help="seeded sweep of the accelerating searcher")
-    sdy.add_argument("--v", type=_floats, required=True, help="comma list of target speed bounds (length/time)")
-    sdy.add_argument("--D", type=float, default=1.0, help="initial distance bound (length units)")
-
-    adv = sub.add_parser("adversary", help="hidden-target witnesses and tube report for a schedule prefix")
-    adv.add_argument("--i", type=int, required=True, help="ring count (annuli 1..i), 1..510")
-    adv.add_argument("--max-cost", type=float, required=True, help="trajectory prefix arc length (length units)")
-    adv.add_argument("--grid-res", type=int, default=256, help=f"witness grid resolution per ring, 32..{MAX_GRID_RES}")
-
-    imp = sub.add_parser("impossibility", help="polynomial-speed contradiction table")
-    imp.add_argument("--c", type=int, required=True, help="speed exponent (speed <= t^c), c >= 2")
-    imp.add_argument("--d", type=float, default=1.0, help="constant of the optimal cost to beat")
-    imp.add_argument("--m-max", type=int, default=12, help="sweep v=2^m, r=2^-m for m=1..m-max")
-
-    svg = sub.add_parser("export-svg", help="draw a schedule prefix as a standalone SVG")
-    svg.add_argument("--max-cost", type=float, required=True, help="prefix arc length (length units)")
-    svg.add_argument("--out", required=True, help="output SVG path")
+    # one subparser lists every command through its metavar, as the full parser does through its choices
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
@@ -157,25 +174,28 @@ def _cmd_export_svg(args):
     return 0
 
 
+# name: (help, the function that adds its arguments, handler); parsing and dispatch read the same entry
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "sweep-static": _cmd_sweep,
-    "sweep-dynamic": _cmd_sweep,
-    "adversary": _cmd_adversary,
-    "impossibility": _cmd_impossibility,
-    "export-svg": _cmd_export_svg,
+    "simulate": ("run one searcher against one target", _simulate_args, _cmd_simulate),
+    "sweep-static": ("seeded sweep of the unit-speed searcher", _sweep_static_args, _cmd_sweep),
+    "sweep-dynamic": ("seeded sweep of the accelerating searcher", _sweep_dynamic_args, _cmd_sweep),
+    "adversary": ("hidden-target witnesses and tube report for a schedule prefix", _adversary_args, _cmd_adversary),
+    "impossibility": ("polynomial-speed contradiction table", _impossibility_args, _cmd_impossibility),
+    "export-svg": ("draw a schedule prefix as a standalone SVG", _export_svg_args, _cmd_export_svg),
 }
 
 
 def run(argv):
-    parser = build_parser()
+    # a named command builds only its own subparser; --help, no command and
+    # an unknown one build them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

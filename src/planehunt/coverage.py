@@ -302,24 +302,27 @@ def _runs(xs, ys, r, rad, chosen, table, order):
 
 
 def as_polyline(polyline):
-    """polyline as an (n, 2) float64 array, else ValueError.
+    """(polyline as an (n, 2) float64 array, its lo corner, its hi corner), else ValueError.
 
     The one check of every function that takes the path as a polyline:
     tube_area, the witness search and experiments.export_svg.  It needs
-    n >= 1, finite vertices, and a finite extent max - min along each
-    axis.  Rounding is monotone, so the extent bounds the difference
-    between any two vertices: the segment table is built from finite
-    steps, and the grid and the canvas from a finite extent.
+    n >= 1 and a finite extent max - min along each axis, which holds
+    only for finite vertices: a NaN vertex makes its column's extent NaN,
+    an infinite one makes it inf or NaN.  Rounding is monotone, so the
+    extent bounds the difference between any two vertices: the segment
+    table is built from finite steps, and the grid and the canvas from a
+    finite extent.  The corners are the per-axis min and max.
     """
     import numpy as np
 
     polyline = np.asarray(polyline, dtype=np.float64)
     if polyline.ndim != 2 or polyline.shape[0] < 1 or polyline.shape[1] != 2:
         raise ValueError("polyline must be an (n, 2) array with n >= 1")
-    with np.errstate(over="ignore"):  # between finite vertices max - min can only overflow, to inf
-        if not (np.isfinite(polyline).all() and np.isfinite(np.ptp(polyline, axis=0)).all()):
-            raise ValueError("polyline must have finite vertices and a finite extent")
-    return polyline
+    # one 1-D reduction per column: an axis-0 one on an (n, 2) array takes ten times as long
+    (x0, x1), (y0, y1) = ((float(col.min()), float(col.max())) for col in polyline.T)
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):  # Python floats: inf - inf is NaN, with no warning
+        raise ValueError("polyline must have finite vertices and a finite extent")
+    return polyline, np.array((x0, y0)), np.array((x1, y1))
 
 
 def _check_extent(extent, margin):
@@ -355,8 +358,7 @@ def tube_area(polyline, r, grid_res=256):
 
     r = check_float(r, "r", "positive")
     grid_res = check_int(grid_res, "grid_res", 32, MAX_GRID_RES)
-    polyline = as_polyline(polyline)
-    lo, hi = polyline.min(axis=0), polyline.max(axis=0)
+    polyline, lo, hi = as_polyline(polyline)
     _check_extent(hi - lo, 2 * r)
     lo, hi = lo - r, hi + r
 
@@ -463,8 +465,8 @@ def adversarial_static_placement(polyline, i, grid_res=256):
 
     i = check_int(i, "i", 1, 537)  # the innermost radius 2^-2i is 0 past 537
     grid_res = check_int(grid_res, "grid_res", 16, MAX_GRID_RES)
-    polyline = as_polyline(polyline)
-    _check_extent(np.ptp(polyline, axis=0), 2.0 ** i)
+    polyline, lo, hi = as_polyline(polyline)
+    _check_extent(hi - lo, 2.0 ** i)
     center = polyline[0]
     segments, boxes = _segments(polyline)
     # the candidates are taken a block of grid rows at a time, 32 PAIR_BUDGET

@@ -107,8 +107,8 @@ class SimConfig(_SimConfig):
     def __new__(cls, agent_start=Point(0.0, 0.0), r=1.0, max_cost=math.inf, max_diagonal=MAX_DIAGONAL):
         if not isinstance(agent_start, Point):
             raise ValueError(f"agent_start {agent_start!r} must be a Point, not {type(agent_start).__name__}")
-        if not (math.isfinite(agent_start.x) and math.isfinite(agent_start.y)):
-            raise ValueError("agent_start must be finite")
+        check_float(agent_start.x, "agent_start.x")  # the Point is kept as given: the goldens pin its repr
+        check_float(agent_start.y, "agent_start.y")
         r = check_float(r, "sensing radius r", "positive")
         max_cost = check_float(max_cost, "max_cost", "positive", finite=False)
         max_diagonal = check_int(max_diagonal, "max_diagonal", 1, MAX_DIAGONAL)

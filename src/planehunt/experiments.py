@@ -264,13 +264,21 @@ def _check_draws(samples, seed, jobs):
     return check_int(samples, "samples", 1), check_int(seed, "seed", 0), check_int(jobs, "jobs", 1)
 
 
+def _shown(x):
+    """str(x) for a guard message; an int too long for str by its bit count."""
+    try:
+        return str(x)
+    except ValueError:  # str of an int past sys.get_int_max_str_digits() digits raises
+        return f"an int of {x.bit_length()} bits"
+
+
 def _check_guard(Ds, rs, vs=()):
     for D in Ds:
         for r in rs:
             try:
                 y = predict_static(D, r).y
             except ValueError as exc:
-                raise ValueError(f"D={D}, r={r} outside the guard: {exc}") from None
+                raise ValueError(f"D={_shown(D)}, r={_shown(r)} outside the guard: {exc}") from None
             if y >= MAX_DIAGONAL:
                 raise ValueError(f"D={D}, r={r} outside the guard: predicted catch diagonal {y} >= {MAX_DIAGONAL}")
     for v in vs:
@@ -278,7 +286,7 @@ def _check_guard(Ds, rs, vs=()):
             if check_float(v, "v", "nonnegative") > MAX_V:
                 raise ValueError(f"v must be <= {MAX_V}")
         except ValueError as exc:
-            raise ValueError(f"v={v} outside the guard: {exc}") from None
+            raise ValueError(f"v={_shown(v)} outside the guard: {exc}") from None
 
 
 def _cell(args):
@@ -429,9 +437,7 @@ def export_svg(prefix, path):
     SVG_CANVAS square with an SVG_MARGIN border; its start is marked.
     The document is three elements, written as one ASCII line.
     """
-    prefix = as_polyline(prefix)
-    lo = prefix.min(axis=0)
-    hi = prefix.max(axis=0)
+    prefix, lo, hi = as_polyline(prefix)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     scale = (SVG_CANVAS - 2 * SVG_MARGIN) / span
 

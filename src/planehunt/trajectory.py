@@ -29,7 +29,7 @@ builds it here, and searcher.predict_dynamic for a moving target.
 
 import math
 from bisect import bisect_left
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .geometry import check_float, check_int
@@ -197,6 +197,17 @@ def pi_leg_at(params, arc):
     return bisect_left(range(8 * params.k + 7), arc, key=lambda L: pi_leg(params, L + 1)[4])
 
 
+def _leg_ends(params, legs):
+    """End points (x, y) of the first `legs` legs of out_and_back(k, j), one pi_leg call per outbound leg.
+
+    Return leg 8k+7-L retraces outbound leg L with the same floats, so it
+    ends where outbound leg L starts: at the end of outbound leg L - 1, or
+    at the block's origin for L = 0.
+    """
+    out = [pi_leg(params, L)[2:4] for L in range(min(legs, 4 * params.k + 4))]
+    return islice(chain(out, out[-2::-1], ((0.0, 0.0),)), legs)
+
+
 def prefix_polyline(max_cost):
     """Vertices of the schedule walked until arc length max_cost.
 
@@ -220,7 +231,7 @@ def prefix_polyline(max_cost):
         if ends_here:
             break
         remaining -= pi_length(params)
-    xy = chain.from_iterable(pi_leg(p, L)[2:4] for p, n in walked for L in range(n))
+    xy = chain.from_iterable(chain.from_iterable(_leg_ends(p, n) for p, n in walked))
     pts = np.fromiter(chain((0.0, 0.0), xy), np.float64, 2 * n_vertices).reshape(-1, 2)
     # cut the last leg at the budget: a + u * d for its unit direction u
     a, (_, _, _, _, arc0, length) = pts[-2], pi_leg(params, legs - 1)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planehunt
+from planehunt import cli
 from planehunt.cli import run
 from planehunt.coverage import MAX_GRID_RES
 from planehunt.engine import SimConfig, simulate
@@ -598,6 +600,54 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "--r" in out and "length units" in out
+
+
+# the required flags of each command: with them, a bad flag is left to the top-level parser
+REQUIRED = {
+    "simulate": ["--r", "1", "--target", "1,0"],
+    "sweep-static": ["--r", "1", "--seed", "1", "--D", "1"],
+    "sweep-dynamic": ["--r", "1", "--seed", "1", "--v", "1"],
+    "adversary": ["--i", "1", "--max-cost", "1"],
+    "impossibility": ["--c", "2"],
+    "export-svg": ["--max-cost", "1", "--out", "p.svg"],
+}
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which returns an exit code or raises SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["--bogus"], ["nope"]]
+    + [[name, *extra] for name in REQUIRED for extra in (["--help"], ["--bogus"], ["--i", "x"])]
+    + [[name, *flags, "--bogus"] for name, flags in REQUIRED.items()],
+)
+def test_each_command_parses_as_the_full_parser(argv):
+    # compared in one interpreter, not with goldens: Python versions word help differently
+    assert set(REQUIRED) == set(cli._COMMANDS)
+    code, out, err = _parsed(run, argv)
+    assert code in (0, 2) and out + err
+    assert (code, out, err) == _parsed(cli.build_parser(None).parse_args, argv)
+
+
+def test_run_adds_the_arguments_of_the_named_command_only(monkeypatch):
+    added = []
+    for name, (text, add_args, handler) in list(cli._COMMANDS.items()):
+        counted = functools.partial(lambda name, add_args, p: (added.append(name), add_args(p)), name, add_args)
+        monkeypatch.setitem(cli._COMMANDS, name, (text, counted, handler))
+    assert _parsed(run, ["impossibility", "--c", "2"])[0] == 0
+    assert added == ["impossibility"]
+    added.clear()
+    assert _parsed(run, ["--help"])[0] == 0
+    assert added == list(cli._COMMANDS)
 
 
 def test_every_readme_command_exits_0(tmp_path, monkeypatch, capsys):

@@ -120,6 +120,21 @@ def test_config_rejects_non_finite_start():
             SimConfig(agent_start=start, r=0.5, max_diagonal=2)
 
 
+def test_config_checks_each_start_coordinate_and_keeps_the_point():
+    # True was taken as 1.0, '1' raised TypeError and 10**400 OverflowError
+    cases = [
+        (Point(True, 0.0), "agent_start.x must be a number, got True"),
+        (Point("1", 0.0), "agent_start.x must be a number, got '1'"),
+        (Point(10**400, 0.0), "agent_start.x of 1329 bits is beyond the float range"),
+        (Point(0.0, -math.inf), "agent_start.y must be finite, got -inf"),
+    ]
+    for start, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimConfig(agent_start=start, r=0.5)
+    start = Point(1, np.float64(0.5))
+    assert repr(SimConfig(agent_start=start, r=0.5).agent_start) == repr(start)
+
+
 def test_config_rejects_a_start_that_is_no_point():
     # a plain pair raised AttributeError: 'tuple' object has no attribute 'x'
     with pytest.raises(ValueError, match=re.escape("agent_start (0.0, 0.0) must be a Point, not tuple")):

@@ -215,6 +215,16 @@ class TestSweepStatic:
         with pytest.raises(ValueError, match="guard"):
             sweep_static([1], [2.0 ** -23], 1, 0)
 
+    def test_guard_names_an_int_too_long_for_str_by_its_bits(self):
+        # formatting the cell raised "Exceeds the limit (4300 digits) for integer string conversion"
+        big = 10**5000
+        with pytest.raises(ValueError, match="^D=an int of 16610 bits, r=0.25 outside the guard: D of 16610 bits"):
+            sweep_static([big], [0.25], 1, 7)
+        with pytest.raises(ValueError, match="^D=1, r=an int of 16610 bits outside the guard: r of 16610 bits"):
+            sweep_static([1], [big], 1, 7)
+        with pytest.raises(ValueError, match="^v=an int of 16610 bits outside the guard: v of 16610 bits"):
+            sweep_dynamic([big], [0.25], 1, 1, 7)
+
     def test_ratio_is_nan_unless_the_growth_term_is_positive(self):
         # where the growth term was 0 (D = r here) the sweep raised
         # ZeroDivisionError; where it was negative (D < r) the ratio read -0.0

@@ -301,6 +301,18 @@ class TestVectorizedView:
         ux, uy = (full[n] - full[n - 1]) / lengths[n - 1]
         assert np.array_equal(poly[-1], full[n - 1] + np.array([ux * cut, uy * cut]))
 
+    def test_prefix_polyline_mirrors_the_outbound_legs_bit_for_bit(self, monkeypatch):
+        # budgets that end a quarter and three quarters into each of the first
+        # five blocks, in its outbound and its return half, and at its end
+        blocks = [p for i in (1, 2, 3) for p in diagonal_terms(i)][:5]
+        starts = itertools.accumulate((pi_length(p) for p in blocks), initial=0.0)
+        budgets = [a + f * pi_length(p) for a, p in zip(starts, blocks) for f in (0.25, 0.75, 1.0)]
+        mirrored = [prefix_polyline(b) for b in budgets]
+        # the per-leg build: one pi_leg call for every leg, return legs too
+        monkeypatch.setattr(trajectory, "_leg_ends", lambda p, n: (pi_leg(p, L)[2:4] for L in range(n)))
+        for budget, poly in zip(budgets, mirrored):
+            assert poly.tobytes() == prefix_polyline(budget).tobytes(), budget
+
     def test_prefix_polyline_vertex_limit_is_exact(self, monkeypatch):
         n = len(prefix_polyline(400.0))
         monkeypatch.setattr(trajectory, "MAX_PREFIX_VERTICES", n)
